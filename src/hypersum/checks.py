@@ -55,6 +55,7 @@ from .sobolev import (
     QuadratureRule,
     auto_node_count,
     build_sobolev_form,
+    gram_extremes,
     monomial_quadrature_defect,
     sobolev_gram,
 )
@@ -210,16 +211,7 @@ def check_sobolev(
     tol = 1.0 if tol is None else tol
     m = min(int(n_max), 15)
     gram = sobolev_gram(params, m)
-    max_diag = max(abs(gram[n][n]) for n in range(m + 1))
-    off = max(
-        (
-            abs(gram[i][j])
-            for i in range(m + 1)
-            for j in range(m + 1)
-            if i != j
-        ),
-        default=0.0,
-    )
+    off, max_diag = gram_extremes(gram)
     diag_rel = 0.0
     for n in range(m + 1):
         target = 1.0 / abs(kappa(params, n)) ** 2

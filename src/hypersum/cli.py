@@ -20,10 +20,8 @@ import csv
 import io
 import json
 import math
-import os
 import re as re_mod
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .checks import CHECK_ORDER, run_checks
 from .errors import ConvergenceError, DomainError
@@ -32,7 +30,7 @@ from .partial_sums import Gn_monic, HypParams, delta_k, gn_direct
 from .pfq import pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
 from .roots import location_report
-from .sobolev import sobolev_gram
+from .sobolev import gram_extremes, sobolev_gram
 
 VERSION = "0.1.0"
 
@@ -403,17 +401,7 @@ def _sweep_root_modulus(params: HypParams, n: int) -> float:
 
 
 def _sweep_gram_offdiag(params: HypParams, n: int) -> float:
-    gram = sobolev_gram(params, n)
-    max_diag = max(abs(gram[i][i]) for i in range(n + 1))
-    off = max(
-        (
-            abs(gram[i][j])
-            for i in range(n + 1)
-            for j in range(n + 1)
-            if i != j
-        ),
-        default=0.0,
-    )
+    off, max_diag = gram_extremes(sobolev_gram(params, n))
     return off / max_diag
 
 
@@ -427,27 +415,12 @@ _SWEEP_FUNCS = {
 def cmd_sweep(args, parser) -> tuple[str, int]:
     params = _params_from_args(args, parser)
     func = _SWEEP_FUNCS[args.quantity]
-    cells = []
+    rows = []
     for gi, gv in enumerate(args.grid_values):
         cell_params = _apply_grid(params, args.grid_param, gv)
-        for n in args.n_list:
-            cells.append((gi, gv, n, cell_params))
-
-    def run_cell(cell):
-        gi, gv, n, cell_params = cell
-        return (gi, gv, n, func(cell_params, n))
-
-    workers = max(1, int(os.environ.get("HYPERSUM_THREADS", "1")))
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(run_cell, cells))
-    else:
-        computed = [run_cell(c) for c in cells]
-    computed.sort(key=lambda r: (r[0], r[2]))
-    rows = [
-        (args.quantity, args.grid_param, gi, gv, n, value)
-        for gi, gv, n, value in computed
-    ]
+        for n in sorted(args.n_list):
+            value = func(cell_params, n)
+            rows.append((args.quantity, args.grid_param, gi, gv, n, value))
     header = ("quantity", "grid_param", "grid_index", "grid_value", "n", "value")
     return render_csv(header, rows), 0
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .partial_sums import HypParams, _check_cap, _coeff_seq, gn_direct
 from .polycore import Poly
@@ -143,6 +145,27 @@ def build_R(params: HypParams) -> LinDiffOp:
         factor = op_add(op_theta(), op_scale(op_identity(), aj))
         right = op_compose(right, factor)
     return op_sub(left, right)
+
+
+def r_action(params: HypParams, coeffs) -> np.ndarray:
+    """Coefficients of R f from the coefficients of f, in closed form.
+
+    R is bidiagonal on monomials, R z^k = k·prod_j(b_j+k-1)·z^(k-1) -
+    prod_j(a_j+k)·z^k, so coefficient m of R f is (m+1)·prod_j(b_j+m)·c_(m+1)
+    - prod_j(a_j+m)·c_m. Agrees with op_apply(build_R(params), f) to roundoff
+    of order eps·_application_mass, without expanding R.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    m = np.arange(len(c), dtype=float)
+    down = m[1:].astype(complex)
+    for bj in params.b:
+        down *= bj + m[:-1]
+    diag = np.ones(len(c), dtype=complex)
+    for aj in params.a:
+        diag *= aj + m
+    out = -diag * c
+    out[:-1] += down * c[1:]
+    return out
 
 
 def kappa(params: HypParams, n: int) -> complex:

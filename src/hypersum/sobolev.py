@@ -7,11 +7,14 @@ length on |z| = 1:
 
     <f, h> = integral of (f, f', ..., f^(rho)) M (conj of same for h) dmu_0.
 
-Rank-one structure collapses this to (Rf)(z)·conj((Rh)(z)) pointwise, which
-is how the fast path evaluates it; a debug path materializing M and the
-derivative vectors is kept as a test oracle. Integration uses equispaced
-nodes and uniform weights, which is exact for the trigonometric-polynomial
-integrands arising here, never an estimate.
+Rank-one structure collapses this to (Rf)(z)·conj((Rh)(z)) pointwise, and
+on the unit circle the integral of a product of polynomials is the inner
+product of their coefficient vectors (Parseval). sobolev_gram evaluates it
+that way, from the closed-form coefficients of R g_n. sobolev_inner
+integrates the pointwise product on equispaced nodes with uniform weights,
+which is exact for the trigonometric-polynomial integrands arising here;
+it, and a debug path materializing M and the derivative vectors, are kept
+as oracles for the Gram matrix.
 
 Under this form the partial sums g_0, g_1, ... are orthogonal, with squared
 norms |kappa_n|^{-2} (the image identity -kappa_n·R g_n = z^n turns the Gram
@@ -24,8 +27,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .operators import LinDiffOp, build_R, op_apply
+from .operators import LinDiffOp, build_R, op_apply, r_action
 from .partial_sums import HypParams, _check_cap, gn_direct
 from .polycore import Poly
 
@@ -57,8 +62,8 @@ class QuadratureRule:
     def integrate(self, values) -> complex:
         """Mean of the sampled values, accumulated with exact summation.
 
-        math.fsum gives a correctly rounded sum, so the result is independent
-        of summation order (deterministic under any parallel split).
+        math.fsum gives a correctly rounded sum, so the result does not
+        depend on the order of the nodes.
         """
         vals = [complex(v) for v in values]
         if len(vals) != self.n_nodes:
@@ -166,26 +171,30 @@ def sobolev_inner_matrix(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex
 
 
 def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
-    """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, at the auto node count.
+    """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval.
 
-    Every entry is computed independently (no Hermitian mirroring), so the
-    Hermitian-symmetry property stays a real check on the computation.
+    Row n of C holds the coefficients of R g_n (r_action on gn_direct, so
+    coefficient underflow still raises DomainError); entry (n, m) is
+    sum_k C[n,k]·conj(C[m,k]). Every entry is computed, row by row with
+    elementwise products and numpy sums, never a thread-dependent BLAS
+    call. Hermitian symmetry is computed, not mirrored, so it stays a real
+    check on the computation.
     """
     n_max = _check_cap(n_max)
-    form = build_sobolev_form(params)
-    N = auto_node_count(n_max, form.rho)
-    rule = QuadratureRule(N)
-    op = form.as_operator()
-    points = rule.points
-    images = []
+    C = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for n in range(n_max + 1):
-        rg = op_apply(op, gn_direct(params, n))
-        images.append([rg(z) for z in points])
-    gram = []
-    for n in range(n_max + 1):
-        row = []
-        for m in range(n_max + 1):
-            vals = [images[n][j] * images[m][j].conjugate() for j in range(N)]
-            row.append(rule.integrate(vals))
-        gram.append(row)
-    return gram
+        C[n, : n + 1] = r_action(params, gn_direct(params, n).coeffs)
+    conj = C.conj()
+    return [(row * conj).sum(axis=1).tolist() for row in C]
+
+
+def gram_extremes(gram) -> tuple[float, float]:
+    """(largest off-diagonal, largest diagonal) modulus of a Gram matrix.
+
+    Their ratio is the orthogonality measure of the gram-offdiag sweep and
+    of the sobolev check.
+    """
+    mods = np.abs(np.asarray(gram, dtype=complex))
+    max_diag = float(mods.diagonal().max())
+    np.fill_diagonal(mods, 0.0)
+    return float(mods.max()), max_diag

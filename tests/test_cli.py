@@ -206,16 +206,20 @@ def test_sweep_unknown_grid_slot_is_domain_error():
     assert out.returncode == 3
 
 
-def test_sweep_thread_count_does_not_change_output():
+def test_sweep_gram_offdiag_is_byte_deterministic():
     args = (
         "sweep", "--p", "0", "--q", "1", "--b", "2", "--quantity",
         "gram-offdiag", "--grid-param", "b1", "--grid-values", "1.5,2.0,3.0",
-        "--n-list", "2,4",
+        "--n-list", "4,2",
     )
-    a = run_cli(*args, env_extra={"HYPERSUM_THREADS": "1"})
-    b = run_cli(*args, env_extra={"HYPERSUM_THREADS": "4"})
+    a = run_cli(*args)
+    b = run_cli(*args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+    rows = [line.split(",") for line in a.stdout.splitlines()[1:]]
+    assert [(r[2], r[4]) for r in rows] == [
+        (gi, n) for gi in "012" for n in "24"
+    ]
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -1,6 +1,7 @@
 """Differential operator algebra and the annihilator-style operator R."""
 
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from hypersum.operators import (
     op_scale,
     op_sub,
     op_theta,
+    r_action,
     r_image,
     verify_ode,
 )
@@ -152,3 +154,34 @@ def test_lin_diff_op_validation():
     op = LinDiffOp((Poly((1,)), Poly((0, 1))))
     assert op.order == 1
     assert op.coeff(5).is_zero
+
+
+def test_r_action_exact_oracle():
+    # a=(1,), b=(2,) on z^2: z·2 + (2 - z)·2z - z^2 = 6z - 3z^2.
+    assert r_action(CONFLUENT, (0, 0, 1)).tolist() == [0j, 6 + 0j, -3 + 0j]
+    assert r_action(EXP, ()).size == 0
+
+
+def test_r_action_matches_expanded_operator():
+    # Closed form vs op_apply(build_R) on random complex polynomials, every
+    # shape p, q in 0..3 with complex parameters; agreement is scaled by the
+    # coefficient mass op_apply moves.
+    rng = random.Random(11)
+
+    def draw():
+        return complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+
+    for p in range(4):
+        for q in range(4):
+            params = HypParams(
+                a=tuple(draw() for _ in range(p)),
+                b=tuple(draw() for _ in range(q)),
+            )
+            R = build_R(params)
+            for _ in range(4):
+                f = Poly([draw() for _ in range(rng.randint(1, 15))])
+                want = op_apply(R, f)
+                got = r_action(params, f.coeffs)
+                assert len(got) == f.degree + 1 >= want.degree + 1
+                dev = max(abs(got[k] - want.coeff(k)) for k in range(len(got)))
+                assert dev <= 1e-14 * _application_mass(R, f)

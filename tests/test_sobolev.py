@@ -7,13 +7,14 @@ import random
 import pytest
 
 from hypersum.errors import DomainError
-from hypersum.operators import kappa
+from hypersum.operators import kappa, op_apply
 from hypersum.partial_sums import HypParams, gn_direct
-from hypersum.polycore import Poly
+from hypersum.polycore import DEGREE_CAP, Poly
 from hypersum.sobolev import (
     QuadratureRule,
     auto_node_count,
     build_sobolev_form,
+    gram_extremes,
     monomial_quadrature_defect,
     sobolev_gram,
     sobolev_inner,
@@ -23,6 +24,30 @@ from hypersum.sobolev import (
 EXP = HypParams(a=(), b=())
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
 GAUSS_LIKE = HypParams(a=(1.0, 2.0), b=(3.0,))
+COMPLEX_1F2 = HypParams(a=(1.5 + 0.5j,), b=(2.0 - 0.25j, 1.25 + 1.0j))
+TWO_F_THREE = HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0))
+
+
+def quadrature_gram(params, n_max):
+    """Oracle: every Gram entry integrated on the auto node rule.
+
+    Images R g_n come from the expanded operator and are sampled at the
+    nodes; each entry is the exactly summed node mean of their products.
+    """
+    form = build_sobolev_form(params)
+    rule = QuadratureRule(auto_node_count(n_max, form.rho))
+    op = form.as_operator()
+    images = []
+    for n in range(n_max + 1):
+        rg = op_apply(op, gn_direct(params, n))
+        images.append([rg(z) for z in rule.points])
+    return [
+        [
+            rule.integrate([u * v.conjugate() for u, v in zip(row, col)])
+            for col in images
+        ]
+        for row in images
+    ]
 
 
 def test_quadrature_integrates_monomials():
@@ -134,3 +159,44 @@ def test_inner_of_partial_sums_matches_gram():
     assert abs(cross) <= 1e-12
     diag = sobolev_inner(form, g4, g4, N)
     assert diag.real == pytest.approx(1.0 / abs(kappa(CONFLUENT, 4)) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("n_max", (10, 20, 40))
+@pytest.mark.parametrize(
+    "params", (EXP, CONFLUENT, GAUSS_LIKE, COMPLEX_1F2, TWO_F_THREE)
+)
+def test_gram_matches_quadrature_oracle(params, n_max):
+    gram = sobolev_gram(params, n_max)
+    oracle = quadrature_gram(params, n_max)
+    maxdiag = max(abs(oracle[i][i]) for i in range(n_max + 1))
+    dev = max(
+        abs(gram[i][j] - oracle[i][j])
+        for i in range(n_max + 1)
+        for j in range(n_max + 1)
+    )
+    assert dev <= 1e-15 * maxdiag
+
+
+def test_gram_reaches_degree_cap():
+    # 2F1(1,1;2): xi_k = 1/(k+1), so kappa_n = 1/(n+1) and diag = (n+1)^2.
+    gram = sobolev_gram(HypParams(a=(1.0, 1.0), b=(2.0,)), DEGREE_CAP)
+    assert len(gram) == DEGREE_CAP + 1
+    for n in range(DEGREE_CAP + 1):
+        assert gram[n][n] == pytest.approx((n + 1) ** 2, rel=1e-12)
+
+
+def test_gram_past_coefficient_underflow_is_domain_error():
+    # 0F1(;1): xi_k = 1/(k!)^2 underflows to zero near k = 100.
+    with pytest.raises(DomainError, match="underflow"):
+        sobolev_gram(HypParams(b=(1.0,)), DEGREE_CAP)
+
+
+def test_gram_extremes_matches_entrywise_scan():
+    gram = sobolev_gram(COMPLEX_1F2, 12)
+    size = len(gram)
+    off = max(
+        abs(gram[i][j]) for i in range(size) for j in range(size) if i != j
+    )
+    diag = max(abs(gram[i][i]) for i in range(size))
+    assert gram_extremes(gram) == (off, diag)
+    assert gram_extremes([[2j]]) == (0.0, 2.0)
