@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import re as re_mod
 import sys
 
+from . import __version__ as VERSION
 from .checks import CHECK_ORDER, run_checks
 from .errors import ConvergenceError, DomainError
 from .operators import build_R, kappa
@@ -31,8 +33,6 @@ from .pfq import pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
 from .roots import location_report
 from .sobolev import gram_extremes, sobolev_gram
-
-VERSION = "0.1.0"
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re_mod.compile(
@@ -340,11 +340,7 @@ def cmd_pencil(args, parser) -> tuple[str, int]:
     )
     polys = pencil_polynomials(pencil, args.n)
     rows_count = max(args.n - 1, 0)
-    residual_max = 0.0
-    for lam in args.lam:
-        residual_max = max(
-            residual_max, pencil_residual(pencil, polys, lam, rows_count)
-        )
+    residual_max = pencil_residual(pencil, polys, args.lam, rows_count)
     results = {
         "p": [_poly_coeffs(f) for f in polys],
         "residual_max": residual_max,
@@ -428,7 +424,10 @@ def cmd_sweep(args, parser) -> tuple[str, int]:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="hypersum",
         description=(

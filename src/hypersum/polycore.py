@@ -136,21 +136,6 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
-def poly_eval(p: Poly, z: complex) -> complex:
-    """Evaluate p at z by Horner's scheme."""
-    return p(z)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Coefficient convolution; deg(pq) = deg p + deg q for nonzero inputs."""
-    return p * q
-
-
-def poly_derivative(p: Poly) -> Poly:
-    """Formal derivative: coefficient k of the output is (k+1)·p_{k+1}."""
-    return p.derivative()
-
-
 def trim_tiny(p: Poly, rel_tol: float = TRIM_REL_TOL) -> Poly:
     """Strip trailing coefficients below rel_tol × (max coefficient modulus).
 

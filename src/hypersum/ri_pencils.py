@@ -13,7 +13,13 @@ monic partial sums G_n.
 
 The pencil engine solves the five-term scalar relation of a pentadiagonal/
 tridiagonal symmetric pair forward for p_{n+2}; gamma_n > 0 makes the solve
-unconditionally legal, so no matrix assembly is needed.
+unconditionally legal. Every band entry, alpha and beta is real, so the
+solve runs on a stack of B same-size pencils at once as a real float64
+coefficient array of shape (B, N+1, N+1). The residual evaluates all p_k at
+an array of lambda by Horner and sums the five row addends, with their
+moduli as the scale, in one vectorized pass. pencil_row_terms keeps the
+scalar form of one row as the reference the vectorized pass is tested
+against.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
@@ -199,6 +207,63 @@ def _pencil_required_length(pencil: JacobiPencil, n: int) -> None:
             raise DomainError(f"{name} holds {len(seq)} entries, row {n} needs more")
 
 
+def _pencil_bands(pencils: Sequence[JacobiPencil], rows: int) -> np.ndarray:
+    """(5, B, rows) array of b_k, a_k, alpha_k, beta_k, gamma_k for k < rows.
+
+    Raises the DomainError of the first row that outruns a band, the same
+    one a row-by-row pass would raise.
+    """
+    for pencil in pencils:
+        bands = (pencil.j3_diag, pencil.j3_offdiag, pencil.j5_diag,
+                 pencil.j5_off1, pencil.j5_off2)
+        shortest = min(len(seq) for seq in bands)
+        if shortest < rows:
+            _pencil_required_length(pencil, shortest)
+    out = np.empty((5, len(pencils), rows))
+    for i, pencil in enumerate(pencils):
+        out[0, i] = pencil.j3_diag[:rows]
+        out[1, i] = pencil.j3_offdiag[:rows]
+        out[2, i] = pencil.j5_diag[:rows]
+        out[3, i] = pencil.j5_off1[:rows]
+        out[4, i] = pencil.j5_off2[:rows]
+    return out
+
+
+def pencil_coeff_stack(pencils: Sequence[JacobiPencil], N: int) -> np.ndarray:
+    """Coefficients of p_0..p_N for a stack of pencils, solved together.
+
+    Entry [i, k, j] is the coefficient of x^j in p_k of pencils[i], so the
+    result has shape (B, N+1, N+1) and is zero above the diagonal. Each row
+    n = 0..N-2 is solved for p_{n+2} (see pencil_polynomials) on all
+    pencils at once, so a pencil's coefficients do not depend on the stack
+    it is solved in.
+    """
+    N = int(N)
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    b, a, al, be, ga = _pencil_bands(pencils, max(N - 1, 0))
+    P = np.zeros((len(pencils), N + 1, N + 1))
+    P[:, 0, 0] = 1.0
+    if N >= 1:
+        P[:, 1, 0] = [pencil.beta for pencil in pencils]
+        P[:, 1, 1] = [pencil.alpha for pencil in pencils]
+
+    def times_linear(k, c0, c1):
+        # p_k * (c0 + c1 x)
+        out = P[:, k] * c0[:, None]
+        out[:, 1:] += P[:, k, :-1] * c1[:, None]
+        return out
+
+    for n in range(0, N - 1):
+        acc = P[:, n - 2] * ga[:, n - 2, None] if n >= 2 else 0.0
+        if n >= 1:
+            acc = acc + times_linear(n - 1, be[:, n - 1], -a[:, n - 1])
+        acc = acc + times_linear(n, al[:, n], -b[:, n])
+        acc = acc + times_linear(n + 1, be[:, n], -a[:, n])
+        P[:, n + 2] = acc * (-1.0 / ga[:, n])[:, None]
+    return P
+
+
 def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
     """p_0 = 1, p_1 = alpha*x + beta, then solve row n for p_{n+2}:
 
@@ -207,36 +272,10 @@ def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
 
     with p_{-2} = p_{-1} = 0 and gamma/a/beta at negative indices zero.
     deg p_n = n with positive leading coefficient (alpha, a_k, gamma_n > 0).
+    This is pencil_coeff_stack on a stack of one.
     """
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    polys = [Poly([1.0 + 0j])]
-    if N >= 1:
-        polys.append(Poly([complex(pencil.beta), complex(pencil.alpha)]))
-    zero = Poly([])
-    for n in range(0, N - 1):
-        _pencil_required_length(pencil, n)
-        b_n = pencil.j3_diag[n]
-        a_n = pencil.j3_offdiag[n]
-        al_n = pencil.j5_diag[n]
-        be_n = pencil.j5_off1[n]
-        ga_n = pencil.j5_off2[n]
-        p_nm2 = polys[n - 2] if n >= 2 else zero
-        p_nm1 = polys[n - 1] if n >= 1 else zero
-        p_n = polys[n]
-        p_np1 = polys[n + 1]
-        acc = Poly([])
-        if n >= 2:
-            acc = acc + p_nm2.scale(pencil.j5_off2[n - 2])
-        if n >= 1:
-            acc = acc + p_nm1 * Poly(
-                (pencil.j5_off1[n - 1], -pencil.j3_offdiag[n - 1])
-            )
-        acc = acc + p_n * Poly((al_n, -b_n))
-        acc = acc + p_np1 * Poly((be_n, -a_n))
-        polys.append(acc.scale(-1.0 / ga_n))
-    return polys
+    P = pencil_coeff_stack([pencil], N)[0]
+    return [Poly(row[: k + 1].tolist()) for k, row in enumerate(P)]
 
 
 def pencil_row_terms(
@@ -262,22 +301,57 @@ def pencil_row_terms(
     return (t0, t1, t2, t3, t4)
 
 
-def pencil_residual(
-    pencil: JacobiPencil, polys: Sequence[Poly], lam: complex, rows: int
-) -> float:
-    """Max modulus of the first `rows` scalar relations at lambda = lam."""
+def pencil_row_sums(
+    pencils: Sequence[JacobiPencil], coeffs, lams, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and row scales of the first `rows` scalar relations.
+
+    coeffs[i, k] holds the coefficients of p_k for pencils[i] (shape
+    (B, K, D), K >= rows + 2, real or complex); lams holds the lambdas, of
+    shape (L,) for all pencils or (B, L) per pencil. Returns two (B, rows, L)
+    arrays: the sum of the five addends of pencil_row_terms, and the sum of
+    their moduli.
+    """
     rows = int(rows)
     if rows < 0:
         raise DomainError("rows must be nonnegative")
-    if len(polys) < rows + 2:
+    C = np.asarray(coeffs)
+    if C.shape[1] < rows + 2:
         raise DomainError(f"{rows} rows need {rows + 2} polynomials")
-    lam = complex(lam)
-    values = [f(lam) for f in polys]
-    worst = 0.0
-    for n in range(rows):
-        resid = abs(sum(pencil_row_terms(pencil, values, lam, n)))
-        worst = max(worst, resid)
-    return worst
+    b, a, al, be, ga = (x[:, :, None] for x in _pencil_bands(pencils, rows))
+    lam = np.broadcast_to(np.asarray(lams, dtype=complex),
+                          (len(pencils), np.shape(lams)[-1]))[:, None, :]
+    # A lambda far outside the spectrum can overflow the values; the
+    # non-finite sums are the report, so numpy's warnings are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = np.zeros(C.shape[:2] + lam.shape[-1:], dtype=complex)
+        for j in range(C.shape[2] - 1, -1, -1):
+            V = V * lam + C[:, :, j, None]
+        r1, r2 = max(rows - 1, 0), max(rows - 2, 0)
+        terms = np.zeros((5,) + V[:, :rows].shape, dtype=complex)
+        terms[0, :, 2:] = ga[:, :r2] * V[:, :r2]
+        terms[1, :, 1:] = (be[:, :r1] - lam * a[:, :r1]) * V[:, :r1]
+        terms[2] = (al - lam * b) * V[:, :rows]
+        terms[3] = (be - lam * a) * V[:, 1 : rows + 1]
+        terms[4] = ga * V[:, 2 : rows + 2]
+        return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+def pencil_residual(
+    pencil: JacobiPencil, polys: Sequence[Poly], lam, rows: int
+) -> float:
+    """Max modulus of the first `rows` scalar relations at lambda = lam,
+    or over every lambda when lam is a sequence."""
+    rows = int(rows)
+    if rows < 0:
+        raise DomainError("rows must be nonnegative")
+    used = polys[: rows + 2]
+    width = max((len(f.coeffs) for f in used), default=1)
+    C = np.zeros((1, len(used), width), dtype=complex)
+    for k, f in enumerate(used):
+        C[0, k, : len(f.coeffs)] = f.coeffs
+    total, _ = pencil_row_sums([pencil], C, np.atleast_1d(lam), rows)
+    return float(np.abs(total).max(initial=0.0))
 
 
 def chebyshev_eval(kind: str, k: int, x: float) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import LinDiffOp, build_R, op_apply, r_action
-from .partial_sums import HypParams, _check_cap, gn_direct
+from .partial_sums import HypParams, _check_cap, _coeff_seq
 from .polycore import Poly
 
 
@@ -173,17 +173,27 @@ def sobolev_inner_matrix(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex
 def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval.
 
-    Row n of C holds the coefficients of R g_n (r_action on gn_direct, so
-    coefficient underflow still raises DomainError); entry (n, m) is
-    sum_k C[n,k]·conj(C[m,k]). Every entry is computed, row by row with
-    elementwise products and numpy sums, never a thread-dependent BLAS
-    call. Hermitian symmetry is computed, not mirrored, so it stays a real
-    check on the computation.
+    Row n of C holds the coefficients of R g_n: r_action on the first n+1
+    entries of one coefficient sequence xi_0..xi_n_max. The sequence is a
+    running product, so each slice is exactly the coefficient list of
+    gn_direct(params, n), and row n raises the errors gn_direct would: a
+    DomainError when xi_n underflowed to zero, a ValueError when it is not
+    finite. Entry (n, m) is sum_k C[n,k]·conj(C[m,k]). Every entry is
+    computed, row by row with elementwise products and numpy sums, never a
+    thread-dependent BLAS call. Hermitian symmetry is computed, not
+    mirrored, so it stays a real check on the computation.
     """
     n_max = _check_cap(n_max)
+    seq = _coeff_seq(params, n_max)
     C = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for n in range(n_max + 1):
-        C[n, : n + 1] = r_action(params, gn_direct(params, n).coeffs)
+        if seq[n] == 0:
+            raise DomainError(
+                f"coefficient xi_{n} underflowed to zero; degree would collapse"
+            )
+        if not cmath.isfinite(seq[n]):
+            raise ValueError(f"non-finite coefficient: {seq[n]!r}")
+        C[n, : n + 1] = r_action(params, seq[: n + 1])
     conj = C.conj()
     return [(row * conj).sum(axis=1).tolist() for row in C]
 

@@ -1,11 +1,14 @@
 """The named verification checks behind the verify command."""
 
 import math
+import random
 
 import pytest
 
+from hypersum import checks
 from hypersum.checks import (
     CHECK_ORDER,
+    check_pencil,
     inapplicable_reason,
     run_checks,
 )
@@ -78,3 +81,71 @@ def test_positive_param_family_passes_roots_check():
     results = run_checks(params, 8, 1, ("roots", "rifrac"))
     for r in results:
         assert r.status == "PASS", (r.name, r.detail)
+
+
+def _pencil_draws(rng, draws):
+    """(N, band tuples, alpha, beta, lambdas) in the pencil check's draw
+    order: N, the five bands, alpha, beta, then 20 (re, im) lambda pairs."""
+    out = []
+    for _ in range(draws):
+        N = rng.randint(2, 12)
+        bands = []
+        for lo in (-2.0, 0.1, -2.0, -2.0, 0.1):
+            bands.append(tuple(rng.uniform(lo, 2.0) for _ in range(N)))
+        alpha = rng.uniform(0.1, 2.0)
+        beta = rng.uniform(-2.0, 2.0)
+        lams = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+                for _ in range(20)]
+        out.append((N, tuple(bands), alpha, beta, lams))
+    return out
+
+
+def _record_pencil_calls(monkeypatch, perturb=None):
+    """Wrap the stacked solve and residual that check_pencil calls; the
+    recorded calls exclude the worked p_2 example, which runs first."""
+    calls = []
+    solve, row_sums = checks.pencil_coeff_stack, checks.pencil_row_sums
+
+    def recording_solve(pencils, N):
+        out = solve(pencils, N)
+        if calls or pencils[0].j3_diag != (0.0, 0.0):
+            if perturb is not None and not calls:
+                perturb(out)
+            calls.append([N, pencils, None])
+        return out
+
+    def recording_row_sums(pencils, coeffs, lams, rows):
+        calls[-1][2] = lams
+        return row_sums(pencils, coeffs, lams, rows)
+
+    monkeypatch.setattr(checks, "pencil_coeff_stack", recording_solve)
+    monkeypatch.setattr(checks, "pencil_row_sums", recording_row_sums)
+    return calls
+
+
+def test_pencil_check_draws_the_same_stream(monkeypatch):
+    calls = _record_pencil_calls(monkeypatch)
+    rng = random.Random("7:pencil")
+    assert check_pencil(rng, 200).status == "PASS"
+    reference = random.Random("7:pencil")
+    want = _pencil_draws(reference, 200)
+    assert rng.getstate() == reference.getstate()
+    got = []
+    for N, pencils, lams in calls:
+        for pencil, lam_row in zip(pencils, lams, strict=True):
+            bands = (pencil.j3_diag, pencil.j3_offdiag, pencil.j5_diag,
+                     pencil.j5_off1, pencil.j5_off2)
+            got.append((N, bands, pencil.alpha, pencil.beta, lam_row))
+    # One stack per size, in size order, each in draw order.
+    assert [c[0] for c in calls] == sorted({w[0] for w in want})
+    assert got == sorted(want, key=lambda w: w[0])
+
+
+def test_pencil_check_fails_on_one_perturbed_coefficient(monkeypatch):
+    def perturb(coeffs):
+        coeffs[0, -1, -1] *= 1 + 1e-6
+
+    _record_pencil_calls(monkeypatch, perturb)
+    result = check_pencil(random.Random("7:pencil"), 200)
+    assert result.status == "FAIL"
+    assert 1e-10 < result.max_residual < 1e-3

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from hypersum import cli
 from hypersum.partial_sums import HypParams, gn_direct
 
 
@@ -248,3 +249,32 @@ def test_pencil_command_worked_example():
     doc = json.loads(out.stdout)
     assert doc["results"]["p"][2] == [0, 0, 1]
     assert doc["results"]["residual_max"] <= 1e-10
+
+
+def test_in_process_sequence_matches_separate_runs(capsys):
+    # main() reuses one parser per process; a sequence of commands in one
+    # process, with a usage error among them, must print what separate
+    # processes print.
+    verify = ("verify", "--p", "1", "--q", "1", "--a", "1.0", "--b", "2.0",
+              "--n-max", "8", "--draws", "20", "--seed", "3")
+    sweep = ("sweep", "--p", "1", "--q", "1", "--a", "1.0", "--b", "2.0",
+             "--quantity", "gram-offdiag", "--grid-param", "b1",
+             "--grid-values", "2.0,3.0", "--n-list", "4,8")
+    pencil = ("pencil", "--n", "3", "--j3-diag", "1,2", "--j3-offdiag",
+              "0.5,0.5", "--j5-diag", "1,1", "--j5-off1", "0.2,0.2",
+              "--j5-off2", "0.1,0.1", "--lam", "0,1-2i", "--format", "csv")
+    separate = []
+    for argv in (verify, sweep, pencil, verify):
+        out = run_cli(*argv)
+        assert out.returncode == 0
+        separate.append(out.stdout)
+    in_process = []
+    for argv in (verify, sweep, pencil, verify):
+        assert cli.main(list(argv)) == 0
+        in_process.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n-max", "ten"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert in_process == separate
+    assert cli.build_parser() is cli.build_parser()

@@ -10,9 +10,6 @@ from hypersum.polycore import (
     DEGREE_CAP,
     Poly,
     pochhammer,
-    poly_derivative,
-    poly_eval,
-    poly_mul,
     trim_tiny,
 )
 
@@ -67,14 +64,6 @@ def test_scale_shift_derivative():
     assert p.shift_up().coeffs == (0j, 1 + 0j, 2 + 0j, 3 + 0j)
     assert p.derivative().coeffs == (2 + 0j, 6 + 0j)
     assert Poly((5,)).derivative().is_zero
-
-
-def test_functional_wrappers_match_methods():
-    p = Poly((1, 0, 2))
-    q = Poly((3, 1))
-    assert poly_eval(p, 1.5) == p(1.5)
-    assert poly_mul(p, q) == p * q
-    assert poly_derivative(p) == p.derivative()
 
 
 def test_equality_and_hash():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,16 @@ from hypersum.partial_sums import (
     delta_k,
 )
 from hypersum.polycore import Poly
+from hypersum.checks import _random_pencil
 from hypersum.ri_pencils import (
     JacobiPencil,
     RIRecurrence,
     chebyshev_eval,
     kernel_decompose,
+    pencil_coeff_stack,
     pencil_polynomials,
     pencil_residual,
+    pencil_row_sums,
     pencil_row_terms,
     ri_generate,
     tfraction_from_hyp,
@@ -227,6 +231,105 @@ def test_pencil_length_guards():
     polys = pencil_polynomials(WORKED_PENCIL, 2)
     with pytest.raises(DomainError):
         pencil_residual(WORKED_PENCIL, polys, 0.0, 3)
+
+
+def poly_pencil_polynomials(pencil, N):
+    """Reference forward solve in Poly arithmetic, row by row."""
+    polys = [Poly([1.0 + 0j])]
+    if N >= 1:
+        polys.append(Poly([complex(pencil.beta), complex(pencil.alpha)]))
+    zero = Poly([])
+    for n in range(0, N - 1):
+        p_nm2 = polys[n - 2] if n >= 2 else zero
+        p_nm1 = polys[n - 1] if n >= 1 else zero
+        acc = Poly([])
+        if n >= 2:
+            acc = acc + p_nm2.scale(pencil.j5_off2[n - 2])
+        if n >= 1:
+            acc = acc + p_nm1 * Poly(
+                (pencil.j5_off1[n - 1], -pencil.j3_offdiag[n - 1])
+            )
+        acc = acc + polys[n] * Poly((pencil.j5_diag[n], -pencil.j3_diag[n]))
+        acc = acc + polys[n + 1] * Poly(
+            (pencil.j5_off1[n], -pencil.j3_offdiag[n])
+        )
+        polys.append(acc.scale(-1.0 / pencil.j5_off2[n]))
+    return polys
+
+
+def _random_pencils_by_size(seed, count):
+    rng = random.Random(seed)
+    groups = {}
+    for _ in range(count):
+        N = rng.randint(2, 12)
+        groups.setdefault(N, []).append(_random_pencil(rng, N))
+    return groups
+
+
+def test_coeff_stack_matches_poly_oracle():
+    groups = _random_pencils_by_size(21, 50)
+    assert len(groups) > 5 and max(len(g) for g in groups.values()) > 1
+    for N, pencils in groups.items():
+        stack = pencil_coeff_stack(pencils, N)
+        assert stack.shape == (len(pencils), N + 1, N + 1)
+        assert stack.dtype == np.float64
+        for pencil, coeffs in zip(pencils, stack):
+            for k, f in enumerate(poly_pencil_polynomials(pencil, N)):
+                want = np.zeros(N + 1, dtype=complex)
+                want[: len(f.coeffs)] = f.coeffs
+                dev = np.abs(coeffs[k] - want).max()
+                assert dev <= 1e-13 * np.abs(want).max()
+
+
+def test_pencil_polynomials_is_a_stack_of_one():
+    for N, pencils in _random_pencils_by_size(4, 12).items():
+        for pencil in pencils:
+            polys = pencil_polynomials(pencil, N)
+            stack = pencil_coeff_stack([pencil], N)[0]
+            assert [list(f.coeffs) for f in polys] == [
+                list(row[: k + 1]) for k, row in enumerate(stack)
+            ]
+
+
+def test_stacked_solve_equals_solo_solve():
+    pencils = _random_pencils_by_size(8, 200)[2]
+    assert len(pencils) > 3
+    stack = pencil_coeff_stack(pencils, 2)
+    for pencil, coeffs in zip(pencils, stack):
+        assert np.array_equal(pencil_coeff_stack([pencil], 2)[0], coeffs)
+
+
+def test_row_sums_match_scalar_row_terms():
+    # The vectorized Horner pass rounds differently from Poly.__call__, so
+    # agreement is to roundoff of the row scale, far below the 1e-10 check.
+    rng = random.Random(13)
+    for N, pencils in _random_pencils_by_size(6, 40).items():
+        lams = [[complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+                 for _ in range(7)] for _ in pencils]
+        stack = pencil_coeff_stack(pencils, N)
+        total, scale = pencil_row_sums(pencils, stack, lams, N - 1)
+        assert total.shape == scale.shape == (len(pencils), N - 1, 7)
+        for i, pencil in enumerate(pencils):
+            polys = poly_pencil_polynomials(pencil, N)
+            for j, lam in enumerate(lams[i]):
+                values = [f(lam) for f in polys]
+                for n in range(N - 1):
+                    terms = pencil_row_terms(pencil, values, lam, n)
+                    want_scale = sum(abs(t) for t in terms)
+                    tol = 1e-12 * want_scale
+                    assert abs(total[i, n, j] - sum(terms)) <= tol
+                    assert abs(scale[i, n, j] - want_scale) <= tol
+
+
+def test_pencil_residual_takes_every_lambda_at_once():
+    polys = pencil_polynomials(WORKED_PENCIL, 2)
+    # Adding x to p_2 shifts row 0 by gamma_0 * lam.
+    tampered = [polys[0], polys[1], polys[2] + Poly((0, 1))]
+    lams = (0.7, 2 + 1j, -3.0)
+    each = [pencil_residual(WORKED_PENCIL, tampered, lam, 1) for lam in lams]
+    assert each == pytest.approx([0.7, abs(2 + 1j), 3.0], rel=1e-15)
+    assert pencil_residual(WORKED_PENCIL, tampered, lams, 1) == max(each)
+    assert pencil_residual(WORKED_PENCIL, tampered, (), 1) == 0.0
 
 
 def test_chebyshev_values():

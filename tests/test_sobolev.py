@@ -4,11 +4,12 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypersum.errors import DomainError
-from hypersum.operators import kappa, op_apply
-from hypersum.partial_sums import HypParams, gn_direct
+from hypersum.operators import kappa, op_apply, r_action
+from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
 from hypersum.polycore import DEGREE_CAP, Poly
 from hypersum.sobolev import (
     QuadratureRule,
@@ -177,6 +178,17 @@ def test_gram_matches_quadrature_oracle(params, n_max):
     assert dev <= 1e-15 * maxdiag
 
 
+@pytest.mark.parametrize("params", (EXP, CONFLUENT, TWO_F_THREE))
+def test_gram_is_bit_identical_to_per_row_gn_direct(params):
+    n_max = 40
+    C = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for n in range(n_max + 1):
+        C[n, : n + 1] = r_action(params, gn_direct(params, n).coeffs)
+    conj = C.conj()
+    want = [(row * conj).sum(axis=1).tolist() for row in C]
+    assert sobolev_gram(params, n_max) == want
+
+
 def test_gram_reaches_degree_cap():
     # 2F1(1,1;2): xi_k = 1/(k+1), so kappa_n = 1/(n+1) and diag = (n+1)^2.
     gram = sobolev_gram(HypParams(a=(1.0, 1.0), b=(2.0,)), DEGREE_CAP)
@@ -186,9 +198,24 @@ def test_gram_reaches_degree_cap():
 
 
 def test_gram_past_coefficient_underflow_is_domain_error():
-    # 0F1(;1): xi_k = 1/(k!)^2 underflows to zero near k = 100.
-    with pytest.raises(DomainError, match="underflow"):
+    # 0F1(;1): xi_k = 1/(k!)^2 underflows to zero near k = 100; the first
+    # row past it raises gn_direct's error.
+    seq = _coeff_seq(HypParams(b=(1.0,)), DEGREE_CAP)
+    first = next(n for n, xi in enumerate(seq) if xi == 0)
+    with pytest.raises(DomainError, match=rf"^coefficient xi_{first} underflow"):
         sobolev_gram(HypParams(b=(1.0,)), DEGREE_CAP)
+
+
+def test_gram_with_non_finite_coefficient_is_value_error():
+    # 2F0(1e200, 1e200;): xi_1 = 1e400 overflows, as in gn_direct.
+    params = HypParams(a=(1e200, 1e200), b=())
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        gn_direct(params, 3)
+    # Row 0 already overflows in r_action (prod a_j = 1e400) before row 1
+    # reaches the non-finite xi_1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            sobolev_gram(params, 3)
 
 
 def test_gram_extremes_matches_entrywise_scan():
