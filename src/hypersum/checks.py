@@ -284,7 +284,7 @@ def check_axis_rep(
         g = gn_direct(params, n)
         for x in (-0.1, -1.0, -10.0):
             direct = g(x)
-            scale = math.fsum(abs(c) * abs(x) ** k for k, c in enumerate(g.coeffs))
+            scale = g.mass(x)
             term = integral_rep_negative_axis(params, n, x)
             if abs(direct) >= 1e-8 * scale:
                 denom = abs(direct)

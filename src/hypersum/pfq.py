@@ -17,6 +17,7 @@ substituted finite interval.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,6 +218,15 @@ def integral_rep_negative_axis(params: HypParams, n: int, x: float) -> complex:
     return -(n + 1) * x ** (n + 1) * antiderivative_at_x
 
 
+@functools.cache
+def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to (0, 1)."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def integral_rep_negative_axis_numeric(
     params: HypParams, n: int, x: float, nodes: int = 64
 ) -> complex:
@@ -224,23 +234,20 @@ def integral_rep_negative_axis_numeric(
 
     Substituting t = x/u maps the improper integral onto u in (0, 1]; the
     transformed integrand is a polynomial in u of degree <= n, which the
-    64-point rule integrates essentially exactly. Agreement with the
-    termwise-exact path to 1e-6 is the test contract (observed far tighter).
+    64-point rule integrates essentially exactly. The rule is built once
+    per node count and the integrand is evaluated at all nodes in one
+    array pass. Agreement with the termwise-exact path to 1e-6 is the test
+    contract (observed far tighter).
     """
     n = _check_cap(n)
     x = float(x)
     if not (x < 0):
         raise DomainError("the axis representation needs x < 0")
     h = terminating_pfq_poly(params, n)
-    u_raw, w_raw = np.polynomial.legendre.leggauss(int(nodes))
-    u = 0.5 * (u_raw + 1.0)  # map [-1,1] -> (0,1)
-    w = 0.5 * w_raw
-    total = 0j
-    for ui, wi in zip(u.tolist(), w.tolist()):
-        t = x / ui
-        integrand = (t ** (-n - 2)) * h(t) * (-x / (ui * ui))
-        total += wi * integrand
-    return -(n + 1) * x ** (n + 1) * total
+    u, w = _unit_gauss_legendre(int(nodes))
+    t = x / u
+    integrand = t ** (-n - 2) * np.polyval(h.coeffs[::-1], t) * (-x / (u * u))
+    return complex(-(n + 1) * x ** (n + 1) * (w @ integrand))
 
 
 @dataclass(frozen=True)

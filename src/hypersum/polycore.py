@@ -75,6 +75,10 @@ class Poly:
         """Largest coefficient modulus; 0.0 for the zero polynomial."""
         return max((abs(c) for c in self.coeffs), default=0.0)
 
+    def mass(self, z):
+        """Evaluation mass sum_k |c_k||z|^k at z (see horner)."""
+        return horner(self.coeffs, z)[2]
+
     # -- arithmetic ---------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
@@ -134,6 +138,25 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
+
+
+def horner(coeffs, z):
+    """Value, derivative and evaluation mass sum_k |c_k||z|^k at z.
+
+    coeffs run low to high; z is a scalar or a numpy array of points. One
+    nested pass computes all three. The mass is the scale of the rounding
+    error in the value, so residuals are judged against it. The pass never
+    forms |z|**k, which for partial sums at large |z| overflows long before
+    the terms |c_k||z|^k do.
+    """
+    r = abs(z)
+    value = derivative = 0 * z
+    mass = 0 * r
+    for c in reversed(coeffs):
+        derivative = derivative * z + value
+        value = value * z + c
+        mass = mass * r + abs(c)
+    return value, derivative, mass
 
 
 def trim_tiny(p: Poly, rel_tol: float = TRIM_REL_TOL) -> Poly:

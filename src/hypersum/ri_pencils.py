@@ -87,19 +87,6 @@ class RIValidity:
         return not self.lambda_failures and not self.node_failures
 
 
-def _cancellable_mass(f: Poly, z: complex) -> float:
-    """Sum of |coeff_k| |z|^k over k >= 1: the evaluation mass that can
-    cancel against the constant term when f is evaluated at z."""
-    r = abs(z)
-    s = 0.0
-    rk = 1.0
-    for k, coef in enumerate(f.coeffs):
-        if k >= 1:
-            s += abs(coef) * rk
-        rk *= r
-    return s
-
-
 def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
     """Monic P_0..P_N plus the validity report."""
     N = int(N)
@@ -123,7 +110,8 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
         if n >= 2:
             nxt = nxt - (polys[-2] * Poly((-a_n, 1 + 0j))).scale(lam_n)
         polys.append(nxt)
-        if abs(nxt(a_n)) <= RI_NODE_RTOL * _cancellable_mass(nxt, a_n):
+        # Only the mass of z^k, k >= 1, can cancel against the constant term.
+        if abs(nxt(a_n)) <= RI_NODE_RTOL * (nxt.mass(a_n) - abs(nxt.coeff(0))):
             node_failures.append(n)
     return polys, RIValidity(
         lambda_failures=tuple(lambda_failures),

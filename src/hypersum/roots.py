@@ -1,14 +1,15 @@
-"""Simultaneous root finding and zero localization for partial sums.
+"""Root finding and zero localization for partial sums.
 
-find_roots runs Aberth–Ehrlich iteration: all roots are refined together,
-each correction being a Newton step deflated by the repulsion sum over the
-other iterates. Initial guesses sit on circles whose radii come from the
-Newton polygon (upper convex hull of (k, log|coeff_k|)); each hull segment
-contributes one circle carrying as many iterates as the segment spans, with
-a fixed 0.37-radian angular offset to break symmetry. A single circle at the
-Cauchy bound wouldn't do: partial sums with steeply decaying coefficients
-have root moduli graded over several orders of magnitude, and iterates
-started that far out cannot travel down within any reasonable iteration cap.
+find_roots takes the eigenvalues of a companion matrix (Edelman & Murakami,
+Math. Comp. 64, 1995). Partial sums have coefficients that decay over
+hundreds of orders of magnitude, so the polynomial is first rescaled,
+z = s·w with s = (|c_0|/|c_n|)^(1/n) formed in the log domain, which gives
+the outer coefficients of the w-polynomial equal moduli. The companion is
+real when every coefficient is real and complex otherwise; one LAPACK call
+(balanced QR) returns all roots. A guarded Newton polish then refines each
+root, accepting a step only when it strictly lowers the backward error, and
+a residual gate rejects any root whose residual is not small against the
+evaluation mass sum_k |c_k||z|^k.
 
 Localization checks for the hypergeometric family (all parameters real and
 positive with a_j <= b_j pairwise and remaining b_k >= 1, p <= q): all roots
@@ -18,170 +19,112 @@ Eneström–Kakeya annulus from consecutive-coefficient ratios.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 from .partial_sums import HypParams, _check_cap, gn_direct
-from .polycore import Poly
+from .polycore import Poly, horner
 
-ITERATION_CAP = 500
-STALL_RTOL = 1e-9
-STALL_SWEEPS = 10
-CORRECTION_RTOL = 1e-14
-ANGLE_OFFSET = 0.37
+# Newton passes after the eigenvalue solve. Four are needed at 2F3 g_100,
+# whose top coefficient is the smallest subnormal double.
+POLISH_STEPS = 6
 
 
-def _horner_pair(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
-    """Value and derivative in one pass (coeffs low-to-high)."""
-    p = 0j
-    dp = 0j
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _companion_roots(coeffs: list) -> np.ndarray:
+    """Eigenvalues of the companion matrix of the log-scaled polynomial.
 
-
-def _newton_polygon_radii(coeffs: Sequence[complex]) -> list[float]:
-    """One initial radius per root from the upper hull of (k, log|c_k|).
-
-    A hull segment from k1 to k2 contributes k2 - k1 roots of magnitude
-    roughly (|c_{k1}|/|c_{k2}|)^{1/(k2-k1)}; zero coefficients simply do not
-    appear as hull candidates.
+    coeffs run low to high with nonzero c_0 and c_n. Each scaled coefficient
+    is its phase times exp(log|c_k| + k·log s - max), so no ratio of
+    coefficients is ever formed outside the exponent.
     """
-    pts = [(k, math.log(abs(c))) for k, c in enumerate(coeffs) if c != 0]
-    # Upper convex hull, left to right (monotone chain).
-    hull: list[tuple[int, float]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # Pop while the middle point sags on or below the chord
-            # (left turn or collinear), keeping the hull from above.
-            if (pt[1] - y2) * (x2 - x1) >= (y2 - y1) * (pt[0] - x2):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    radii: list[float] = []
-    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
-        r = math.exp((y1 - y2) / (k2 - k1))
-        radii.extend([r] * (k2 - k1))
-    return radii
+    n = len(coeffs) - 1
+    log_mod = [math.log(abs(c)) if c else -math.inf for c in coeffs]
+    log_s = (log_mod[0] - log_mod[-1]) / n
+    log_d = [lm + k * log_s for k, lm in enumerate(log_mod)]
+    top = max(log_d)
+    d = [c / abs(c) * math.exp(ld - top) if c else 0.0 for c, ld in zip(coeffs, log_d)]
+    if not d[-1]:
+        raise ConvergenceError("scaled coefficients span more than the double range")
+    companion = np.zeros((n, n), dtype=type(coeffs[-1]))
+    companion[0] = [-c / d[-1] for c in d[-2::-1]]
+    companion.ravel()[n :: n + 1] = 1.0  # subdiagonal
+    try:
+        w = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:  # also a non-finite matrix
+        raise ConvergenceError(f"companion eigenvalues failed: {exc}") from exc
+    return w.astype(complex) * math.exp(log_s)
+
+
+def _polish(coeffs: list, z: np.ndarray) -> np.ndarray:
+    """Guarded Newton steps on all roots at once; refines z in place.
+
+    The backward error of a root is |p(z)| / max(1, mass(z)). A root takes
+    a step only if the step is finite and strictly lowers that error; a
+    root whose step is refused is final. At most POLISH_STEPS passes.
+    """
+    value, derivative, mass = horner(coeffs, z)
+    err = np.abs(value) / np.maximum(1.0, mass)
+    active = np.flatnonzero(err > 0)
+    for _ in range(POLISH_STEPS):
+        if not active.size:
+            break
+        trial = z[active] - value[active] / derivative[active]
+        t_value, t_derivative, t_mass = horner(coeffs, trial)
+        t_err = np.abs(t_value) / np.maximum(1.0, t_mass)
+        take = np.isfinite(trial) & (t_err < err[active])
+        active = active[take]
+        z[active] = trial[take]
+        value[active] = t_value[take]
+        derivative[active] = t_derivative[take]
+        err[active] = t_err[take]
+    return z
 
 
 def find_roots(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
-    """All deg(f) roots by simultaneous Aberth–Ehrlich iteration.
+    """All deg(f) roots: companion eigenvalues, guarded polish, gate.
 
-    Iterates until every correction falls below 1e-14 times the iterate's
-    modulus (cap 500 sweeps, else ConvergenceError), then polishes each root
-    with a few damped Newton steps. The polynomial is taken exactly as
-    given: legitimately tiny trailing coefficients (partial sums have
-    rapidly decaying ones) carry the largest roots, so nothing is trimmed
-    here. Callers holding polynomials with roundoff-level trailing noise
-    should clean them with trim_tiny first.
+    Coefficients are divided by the largest modulus. A factor z^m (zero low
+    coefficients) gives m exact zero roots; degree 1 is solved exactly;
+    otherwise the roots are the eigenvalues of the log-scaled companion
+    matrix followed by the guarded Newton polish. The polynomial is taken
+    exactly as given: legitimately tiny trailing coefficients (partial sums
+    have rapidly decaying ones) carry the largest roots, so nothing is
+    trimmed here. Callers holding polynomials with roundoff-level trailing
+    noise should clean them with trim_tiny first.
 
-    The residual |f(root)| is checked against tol times the evaluation scale
-    Sum_k |c_k||root|^k (backward-stable form; an absolute bound in terms of
-    max|c_k| alone is meaningless for roots far outside the unit disk).
+    Every root must satisfy |f(root)| <= tol · max(1, sum_k |c_k||root|^k)
+    (backward-stable form; an absolute bound in terms of max|c_k| alone is
+    meaningless for roots far outside the unit disk), else ConvergenceError.
     """
     n = f.degree
     if n < 1:
         raise DomainError("root finding needs degree >= 1")
     scale = f.max_coeff()
     coeffs = [c / scale for c in f.coeffs]
-
-    if n == 1:
-        roots = [-coeffs[0] / coeffs[1]]
-    else:
-        radii = _newton_polygon_radii(coeffs)
-        # Group equal radii into circles so each gets evenly spread angles.
-        roots = []
-        start = 0
-        while start < len(radii):
-            stop = start
-            while stop < len(radii) and radii[stop] == radii[start]:
-                stop += 1
-            m = stop - start
-            for t in range(m):
-                ang = 2.0 * math.pi * t / m + ANGLE_OFFSET + 0.5 * start / n
-                roots.append(radii[start] * cmath.exp(1j * ang))
-            start = stop
-
-        converged = False
-        best_rel = math.inf
-        best_sweep = -1
-        for sweep in range(ITERATION_CAP):
-            max_rel = 0.0
-            for i in range(n):
-                zi = roots[i]
-                pv, dpv = _horner_pair(coeffs, zi)
-                if pv == 0:
-                    continue
-                repel = 0j
-                for j in range(n):
-                    if j != i:
-                        dz = zi - roots[j]
-                        if dz == 0:
-                            dz = 1e-12 * (1.0 + abs(zi))
-                        repel += 1.0 / dz
-                denom = dpv - pv * repel
-                if denom == 0:
-                    # Degenerate configuration: nudge and let the next sweep fix it.
-                    roots[i] = zi * (1.0 + 1e-8) + 1e-8
-                    max_rel = math.inf
-                    continue
-                delta = pv / denom
-                roots[i] = zi - delta
-                zmag = abs(roots[i])
-                rel = abs(delta) / zmag if zmag > 0 else math.inf
-                max_rel = max(max_rel, rel)
-            if max_rel < CORRECTION_RTOL:
-                converged = True
-                break
-            if max_rel < best_rel:
-                best_rel = max_rel
-                best_sweep = sweep
-            elif max_rel < STALL_RTOL and sweep - best_sweep >= STALL_SWEEPS:
-                # Corrections are rounding-level noise and have stopped
-                # improving (a floating-point limit cycle, common when the
-                # root moduli span many orders of magnitude). The residual
-                # gate below still decides whether the roots are good.
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"Aberth iteration did not settle within {ITERATION_CAP} sweeps"
-            )
-
-    # Damped Newton polish.
-    for i, z in enumerate(roots):
-        for _ in range(3):
-            pv, dpv = _horner_pair(coeffs, z)
-            if pv == 0 or dpv == 0:
-                break
-            step = pv / dpv
-            damping = 1.0
-            for _ in range(4):
-                trial = z - damping * step
-                tv, _ = _horner_pair(coeffs, trial)
-                if abs(tv) <= abs(pv):
-                    z = trial
-                    break
-                damping *= 0.5
-            else:
-                break
-        roots[i] = z
-
-    for r in roots:
-        pv, _ = _horner_pair(coeffs, r)
-        eval_scale = math.fsum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
-        if abs(pv) > tol * max(1.0, eval_scale):
-            raise ConvergenceError(
-                f"residual {abs(pv):.3e} at root {r} exceeds tolerance"
-            )
-    return tuple(roots)
+    if not any(c.imag for c in coeffs):
+        coeffs = [c.real for c in coeffs]  # real companion matrix
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    rest = coeffs[zeros:]
+    with np.errstate(all="ignore"):
+        if len(rest) > 2:
+            found = _polish(rest, _companion_roots(rest))
+        elif len(rest) == 2:
+            found = np.array([-rest[0] / rest[1]], dtype=complex)
+        else:
+            found = np.zeros(0, dtype=complex)
+        roots = np.concatenate((np.zeros(zeros, dtype=complex), found))
+        value, _, mass = horner(coeffs, roots)
+        bad = ~(np.isfinite(mass) & (np.abs(value) <= tol * np.maximum(1.0, mass)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"residual {abs(value[i]):.3e} at root {roots[i]} exceeds tolerance"
+        )
+    return tuple(complex(r) for r in roots)
 
 
 def check_simple(roots: Sequence[complex], tol: Optional[float] = None) -> bool:

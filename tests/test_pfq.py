@@ -3,11 +3,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from hypersum.errors import ConvergenceError, DomainError
 from hypersum.partial_sums import HypParams, gn_direct, hyp_coeff
 from hypersum.pfq import (
+    _unit_gauss_legendre,
     convergence_report,
     dirichlet_sum,
     integral_rep_circle,
@@ -134,6 +136,37 @@ def test_axis_rep_requires_negative_x():
         integral_rep_negative_axis(EXP, 3, 0.0)
     with pytest.raises(DomainError):
         integral_rep_negative_axis(EXP, 3, 1.0)
+
+
+def _axis_quadrature_loop(params, n, x, nodes=64):
+    """The per-node loop the array pass replaced: value, and the sum of the
+    moduli of its terms (the scale of its rounding error)."""
+    h = terminating_pfq_poly(params, n)
+    u_raw, w_raw = np.polynomial.legendre.leggauss(nodes)
+    total, mass = 0j, 0.0
+    for ui, wi in zip((0.5 * (u_raw + 1.0)).tolist(), (0.5 * w_raw).tolist()):
+        t = x / ui
+        term = wi * (t ** (-n - 2)) * h(t) * (-x / (ui * ui))
+        total += term
+        mass += abs(term)
+    scale = (n + 1) * abs(x) ** (n + 1)
+    return -(n + 1) * x ** (n + 1) * total, scale * mass
+
+
+def test_axis_rep_numeric_matches_per_node_loop():
+    complex_2f3 = HypParams(a=(0.7 + 0.2j, 1.1 - 0.3j), b=(1.5 + 0.4j, 2.2, 3.1))
+    for params in (EXP, CONFLUENT, complex_2f3):
+        for n in (0, 5, 20):
+            for x in (-0.1, -1.0, -10.0):
+                want, mass = _axis_quadrature_loop(params, n, x)
+                got = integral_rep_negative_axis_numeric(params, n, x)
+                assert isinstance(got, complex)
+                assert abs(got - want) <= 1e-14 * mass
+    u, w = _unit_gauss_legendre(64)
+    assert _unit_gauss_legendre(64)[0] is u
+    assert not (u.flags.writeable or w.flags.writeable)
+    with pytest.raises(DomainError):
+        integral_rep_negative_axis_numeric(EXP, 3, 0.0)
 
 
 def test_axis_rep_numeric_cross_check():

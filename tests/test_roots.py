@@ -1,14 +1,18 @@
-"""Simultaneous root finding and zero localization for partial sums."""
+"""Root finding and zero localization for partial sums."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
-from hypersum.errors import DomainError
+from hypersum import cli
+from hypersum.errors import ConvergenceError, DomainError
 from hypersum.partial_sums import HypParams, gn_direct
-from hypersum.polycore import Poly
+from hypersum.polycore import DEGREE_CAP, Poly, horner
 from hypersum.roots import (
+    _companion_roots,
+    _polish,
     check_simple,
     enestrom_kakeya_bounds,
     find_roots,
@@ -16,6 +20,24 @@ from hypersum.roots import (
 )
 
 EXP = HypParams(a=(), b=())
+
+# The roots-ladder benchmark families: the entire ones and 2F1(1,1;2).
+ROOTS_FAMILIES = {
+    "exp": ((), ()),
+    "0F1(;1)": ((), (1.0,)),
+    "1F1(1;1)": ((1.0,), (1.0,)),
+    "1F1(1;2)": ((1.0,), (2.0,)),
+    "2F3(1,1.5;2,2.5,3)": ((1.0, 1.5), (2.0, 2.5, 3.0)),
+    "2F1(1,1;2)": ((1.0, 1.0), (2.0,)),
+}
+EPS = np.finfo(float).eps
+
+
+def _backward_errors(f, roots):
+    """|f(r)| / sum_k |c_k||r|^k per root, by numpy's polyval."""
+    c = np.array(f.coeffs)[::-1]
+    r = np.asarray(roots, dtype=complex)
+    return np.abs(np.polyval(c, r)) / np.polyval(np.abs(c), np.abs(r))
 
 
 def _sorted(roots):
@@ -53,8 +75,9 @@ def test_root_count_matches_degree():
 
 def test_graded_moduli_polynomial():
     # Steeply decaying coefficients: root moduli span two orders of
-    # magnitude and the iteration settles through its stall exit. The
-    # residual gate still guarantees the answer; check Vieta's product.
+    # magnitude, which the log-domain scaling of the companion matrix has to
+    # absorb. The residual gate bounds each root's backward error; check
+    # Vieta's product as well.
     params = HypParams(a=(), b=(1.5,))
     g = gn_direct(params, 12)
     roots = find_roots(g)
@@ -65,6 +88,126 @@ def test_graded_moduli_polynomial():
     target = g.coeff(0) / g.coeff(12)  # (-1)^12 c_0/c_12
     assert abs(prod - target) <= 1e-10 * abs(target)
     assert min(abs(r) for r in roots) > 2.4
+
+
+def test_zero_low_coefficients_give_exact_zero_roots():
+    assert find_roots(Poly((0, 0, 1))) == (0j, 0j)
+    r = find_roots(Poly((0, 0, -2, 1)))  # z^2 (z - 2)
+    assert r[:2] == (0j, 0j)
+    assert abs(r[2] - 2) <= 1e-15
+
+
+def test_complex_coefficients():
+    # (z - i)(z + 2) = z^2 + (2 - i) z - 2i
+    r = sorted(find_roots(Poly((-2j, 2 - 1j, 1))), key=lambda z: z.real)
+    assert abs(r[0] + 2) <= 1e-15
+    assert abs(r[1] - 1j) <= 1e-15
+
+
+def test_horner_matches_poly_and_keeps_mass_finite():
+    f = Poly((1 - 2j, 0.5, -3, 0.25j))
+    z = np.array([0.3 + 0.1j, -2.0, 5j])
+    value, derivative, mass = horner(f.coeffs, z)
+    for i, zi in enumerate(z):
+        assert abs(value[i] - f(zi)) <= 1e-14 * mass[i]
+        assert abs(derivative[i] - f.derivative()(zi)) <= 1e-14 * mass[i]
+        terms = [abs(c) * abs(zi) ** k for k, c in enumerate(f.coeffs)]
+        assert mass[i] == pytest.approx(math.fsum(terms), rel=1e-15)
+    # exp g_170 at z = 170: every term is finite, but 170.0 ** 170 raises
+    # OverflowError, so the mass cannot be summed term by term.
+    g = gn_direct(EXP, DEGREE_CAP)
+    assert g.mass(170.0) == pytest.approx(math.fsum(
+        math.exp(math.log(abs(c)) + k * math.log(170.0))
+        for k, c in enumerate(g.coeffs)
+    ), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("exp", 123), ("exp", 170), ("2F3(1,1.5;2,2.5,3)", 100), ("0F1(;1)", 90),
+])
+def test_polish_never_raises_a_backward_error(name, n):
+    a, b = ROOTS_FAMILIES[name]
+    g = gn_direct(HypParams(a=a, b=b), n)
+    coeffs = [c.real for c in g.coeffs]
+    raw = _companion_roots(coeffs)
+    before = _backward_errors(g, raw)
+    after = _backward_errors(g, _polish(coeffs, raw.copy()))
+    assert np.all(after <= before)
+    assert np.max(after) <= 1e-10
+
+
+@pytest.mark.parametrize("garbage", [
+    lambda a: np.full(len(a), np.nan),
+    lambda a: np.full(len(a), np.inf + 0j),
+    lambda a: np.zeros(len(a)),
+    lambda a: np.random.default_rng(5).normal(size=len(a)) * 1e3,
+    lambda a: np.full(len(a), 1e300 + 1e300j),
+])
+def test_garbage_eigenvalues_raise_convergence_error(monkeypatch, garbage):
+    monkeypatch.setattr(np.linalg, "eigvals", garbage)
+    with pytest.raises(ConvergenceError):
+        find_roots(gn_direct(EXP, DEGREE_CAP))
+
+
+def test_failed_eigenvalue_solve_is_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        find_roots(gn_direct(EXP, 20))
+
+
+@pytest.mark.parametrize("name", sorted(ROOTS_FAMILIES))
+def test_degree_ladder_up_to_cap(name):
+    a, b = ROOTS_FAMILIES[name]
+    params = HypParams(a=a, b=b)
+    solved = 0
+    for n in range(2, DEGREE_CAP + 1, 7):
+        try:
+            g = gn_direct(params, n)
+        except DomainError:  # gn_direct's limit for this family
+            break
+        roots = find_roots(g)
+        assert len(roots) == n
+        assert np.max(_backward_errors(g, roots)) <= 1e-10, n
+        solved += 1
+    assert solved >= 14  # every family reaches n >= 93
+
+
+@pytest.mark.parametrize("name, n", [
+    ("exp", 12), ("exp", 40), ("0F1(;1)", 12), ("0F1(;1)", 24),
+    ("2F3(1,1.5;2,2.5,3)", 12), ("2F3(1,1.5;2,2.5,3)", 24),
+])
+def test_roots_match_high_precision_oracle(name, n):
+    # mpmath.polyroots at 40 digits on the same float64 coefficients. Each
+    # root may move by its condition number times the backward error:
+    # |r - r*| <= 4n·eps·kappa(r)·|r| with kappa(r) = mass(r)/(|r||g'(r)|).
+    mpmath = pytest.importorskip("mpmath")
+    a, b = ROOTS_FAMILIES[name]
+    g = gn_direct(HypParams(a=a, b=b), n)
+    with mpmath.workdps(40):
+        ref = mpmath.polyroots(
+            [c.real for c in reversed(g.coeffs)], maxsteps=200, extraprec=2 * n
+        )
+    ref = np.array([complex(r) for r in ref])
+    roots = np.array(find_roots(g))
+    _, derivative, mass = horner(g.coeffs, roots)
+    bound = 4 * n * EPS * mass / np.abs(derivative)
+    dist = np.abs(roots[:, None] - ref[None, :])
+    nearest = dist.argmin(axis=1)
+    assert len(set(nearest.tolist())) == n  # one oracle root per root
+    assert np.all(dist.min(axis=1) <= bound)
+
+
+def test_roots_document_is_deterministic_at_cap(capsys):
+    argv = ["roots", "--p", "0", "--q", "0", "--n", str(DEGREE_CAP)]
+    docs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+    assert len(docs[0]) > 1000
 
 
 def test_check_simple():

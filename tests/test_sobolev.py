@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -212,8 +213,10 @@ def test_gram_with_non_finite_coefficient_is_value_error():
     with pytest.raises(ValueError, match="non-finite coefficient"):
         gn_direct(params, 3)
     # Row 0 already overflows in r_action (prod a_j = 1e400) before row 1
-    # reaches the non-finite xi_1.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # reaches the non-finite xi_1. The ValueError is the only signal: no
+    # numpy RuntimeWarning escapes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite coefficient"):
             sobolev_gram(params, 3)
 
