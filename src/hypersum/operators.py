@@ -182,6 +182,8 @@ def kappa(params: HypParams, n: int) -> complex:
         den *= aj + n
     if den == 0:
         raise DomainError(f"prefactor at n={n} overflowed (xi underflow)")
+    if not (math.isfinite(den.real) and math.isfinite(den.imag)):
+        raise DomainError(f"prefactor at n={n} underflowed (denominator overflow)")
     out = 1 / den
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise DomainError(f"prefactor at n={n} overflowed double precision")

@@ -14,6 +14,7 @@ nonzero coefficients (f_n, F_n).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -104,11 +105,16 @@ def _coeff_ratio(params: HypParams, k: int) -> complex:
 
 
 def _coeff_seq(params: HypParams, n: int) -> list[complex]:
-    """xi_0 .. xi_n, built incrementally to delay overflow."""
+    """xi_0 .. xi_n, built incrementally to delay overflow.
+
+    Raises DomainError at the first xi_k that overflowed (is not finite).
+    """
     xi = 1 + 0j
     out = [xi]
     for k in range(n):
         xi *= _coeff_ratio(params, k)
+        if not cmath.isfinite(xi):
+            raise DomainError(f"non-finite coefficient xi_{k + 1}: {xi!r}")
         out.append(xi)
     return out
 

@@ -7,7 +7,10 @@ relative to the running sum, guarding against odd/even alternation.
 
 Two independent routes back to the partial sums are provided. On the unit
 circle, g_n is recovered by integrating the full series against a geometric
-kernel (a Dirichlet-type sum in the angle difference). On the negative real
+kernel (a Dirichlet-type sum in the angle difference). The trapezoid rule
+for that integral is the truncated discrete Fourier sum of the series
+samples, so it is computed from one FFT of the series on CIRCLE_NODES
+equispaced nodes (discrete convolution theorem). On the negative real
 axis, g_n is recovered by integrating a terminating series of one higher
 order: the integrand is polynomial-times-power, so the integral is done by
 exact termwise antidifferentiation, with a Gauss-Legendre cross-check on a
@@ -16,7 +19,6 @@ substituted finite interval.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -31,6 +33,8 @@ SERIES_TERM_CAP = 10000
 # Slack for the |z| <= 1 membership test in the p = q+1 case: boundary points
 # are admitted (convergence is attempted and may honestly fail there).
 UNIT_DISK_SLACK = 1e-12
+# Trapezoid nodes of the circle representation (one FFT of this length).
+CIRCLE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -84,23 +88,6 @@ def pfq_eval(params: HypParams, z: complex, tol: float = 1e-15) -> PfqValue:
     )
 
 
-def dirichlet_sum(u: complex, n: int) -> complex:
-    """Sum_{k=0..n} u^k: closed form (1 - u^{n+1})/(1 - u) away from u = 1,
-    direct summation within 1e-6 of it."""
-    u = complex(u)
-    n = int(n)
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if abs(1 - u) >= 1e-6:
-        return (1 - u ** (n + 1)) / (1 - u)
-    total = 1 + 0j
-    power = 1 + 0j
-    for _ in range(n):
-        power *= u
-        total += power
-    return total
-
-
 def _series_values_on_circle(
     params: HypParams, angles: np.ndarray, tol: float = 1e-15
 ) -> np.ndarray:
@@ -126,57 +113,44 @@ def _series_values_on_circle(
 
 
 def integral_rep_circle_batch(
-    params: HypParams, n_list, taus, N: int = 4096
+    params: HypParams, n_list, taus
 ) -> list[list[complex]]:
     """Quadrature recovery of g_n(e^{i·tau}) for every (n, tau) pair:
 
         (1/2·pi) ∫_0^{2·pi}  d_n(e^{i(tau - t)}) · (series at e^{it}) dt,
 
-    where d_n is the degree-n Dirichlet-type sum. Only valid for p <= q
-    (the series must converge on the whole circle). The series values at
-    the nodes are computed once and the kernel powers are built
-    incrementally in n, so the cost is one series evaluation plus one
-    exact-sum reduction per pair. Rows follow n_list, columns follow taus.
+    where d_n(u) = sum_{k<=n} u^k is the degree-n Dirichlet-type kernel.
+    Only valid for p <= q (the series must converge on the whole circle).
+
+    The integral is taken by the trapezoid rule on CIRCLE_NODES equispaced
+    nodes t_j. Expanding the kernel, that rule is exactly the truncated DFT
+
+        sum_{k<=n} F_k · e^{ik·tau},   F_k = (1/N) sum_j f(e^{it_j}) e^{-ik·t_j},
+
+    so one FFT of the series samples gives every F_k, and a cumulative sum
+    over k gives every n at once. F_k equals xi_k up to aliasing from
+    xi_{k+N}, xi_{k+2N}, ..., far below roundoff at N = 4096 for n <= 170.
+    Rows follow n_list (any order, repeats allowed), columns follow taus.
     """
     ns = [_check_cap(n) for n in n_list]
-    angles = [float(x) for x in taus]
+    angles = np.array([float(x) for x in taus])
     if params.p > params.q:
         raise DomainError("circle representation requires p <= q")
-    if ns and N < 2 * (max(ns) + 2):
-        raise DomainError(f"node count {N} too small for order {max(ns)}")
-    t = 2.0 * np.pi * np.arange(int(N)) / int(N)
+    if not ns:
+        return []
+    t = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
     fvals = _series_values_on_circle(params, t)
-    order = sorted(set(ns))
-    results: dict[tuple[int, int], complex] = {}
-    for j, tau in enumerate(angles):
-        u = np.exp(1j * (tau - t))
-        one_minus_u = 1.0 - u
-        near_one = np.abs(one_minus_u) < 1e-6
-        # Guard the division; masked entries are overwritten by direct sums.
-        safe = np.where(near_one, 1.0, one_minus_u)
-        upow = u.copy()  # u^{n+1}, maintained incrementally over `order`
-        prev = 0
-        for n in order:
-            if n > prev:
-                upow = upow * u ** (n - prev)
-                prev = n
-            kernel = (1.0 - upow) / safe
-            if near_one.any():
-                for idx in np.flatnonzero(near_one):
-                    kernel[idx] = dirichlet_sum(complex(u[idx]), n)
-            vals = kernel * fvals
-            re = math.fsum(vals.real.tolist())
-            im = math.fsum(vals.imag.tolist())
-            results[(n, j)] = complex(re / N, im / N)
-    return [[results[(n, j)] for j in range(len(angles))] for n in ns]
+    k = np.arange(max(ns) + 1)
+    coeffs = np.fft.fft(fvals)[: len(k)] / CIRCLE_NODES
+    terms = coeffs[:, None] * np.exp(1j * np.outer(k, angles))
+    partial = np.cumsum(terms, axis=0)
+    return partial[ns].tolist()
 
 
-def integral_rep_circle(
-    params: HypParams, n: int, tau: float, N: int = 4096
-) -> complex:
+def integral_rep_circle(params: HypParams, n: int, tau: float) -> complex:
     """Single-pair form of integral_rep_circle_batch. Matches direct
-    evaluation of g_n within 1e-8 for n <= 10 at the default node count."""
-    return integral_rep_circle_batch(params, [n], [tau], N)[0][0]
+    evaluation of g_n within 1e-8 for n <= 10."""
+    return integral_rep_circle_batch(params, [n], [tau])[0][0]
 
 
 def terminating_pfq_poly(params: HypParams, n: int) -> Poly:

@@ -142,11 +142,12 @@ def check_simple(roots: Sequence[complex], tol: Optional[float] = None) -> bool:
 
 
 def _min_pair_distance(roots: Sequence[complex]) -> float:
-    best = math.inf
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            best = min(best, abs(roots[i] - roots[j]))
-    return best
+    # hypot on the parts, not np.abs: it rounds like Python's abs(complex).
+    r = np.asarray(roots, dtype=complex)
+    d = r[:, None] - r[None, :]
+    dist = np.hypot(d.real, d.imag)
+    np.fill_diagonal(dist, math.inf)
+    return float(dist.min(initial=math.inf))
 
 
 def enestrom_kakeya_bounds(f: Poly) -> tuple[float, float]:

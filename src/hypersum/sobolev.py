@@ -176,31 +176,33 @@ def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     Row n of C holds the coefficients of R g_n: r_action on the first n+1
     entries of one coefficient sequence xi_0..xi_n_max. The sequence is a
     running product, so each slice is exactly the coefficient list of
-    gn_direct(params, n), and row n raises the errors gn_direct would: a
-    DomainError when xi_n underflowed to zero, a ValueError when it is not
-    finite. Entry (n, m) is sum_k C[n,k]·conj(C[m,k]). Every entry is
+    gn_direct(params, n), and the errors are gn_direct's: a DomainError
+    when the sequence overflows, and at row n when xi_n underflowed to
+    zero. Entry (n, m) is sum_k C[n,k]·conj(C[m,k]). Every entry is
     computed, row by row with elementwise products and numpy sums, never a
     thread-dependent BLAS call. Hermitian symmetry is computed, not
-    mirrored, so it stays a real check on the computation.
+    mirrored, so it stays a real check on the computation. A Gram entry
+    that overflowed, in r_action or in the row products, is a DomainError.
     """
     n_max = _check_cap(n_max)
     seq = _coeff_seq(params, n_max)
     C = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    # r_action products that overflow come back as inf/nan without a numpy
-    # warning; a non-finite coefficient then raises ValueError at its row.
-    # One errstate for all rows: entering one costs about 1.5 us, a tenth
-    # of an r_action call on a gram row.
+    # Products that overflow come back as inf/nan without a numpy warning
+    # and are reported once, on the finished Gram. One errstate for all
+    # rows: entering one costs about 1.5 us, a tenth of an r_action call on
+    # a gram row.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_max + 1):
             if seq[n] == 0:
                 raise DomainError(
                     f"coefficient xi_{n} underflowed to zero; degree would collapse"
                 )
-            if not cmath.isfinite(seq[n]):
-                raise ValueError(f"non-finite coefficient: {seq[n]!r}")
             C[n, : n + 1] = r_action(params, seq[: n + 1])
-    conj = C.conj()
-    return [(row * conj).sum(axis=1).tolist() for row in C]
+        conj = C.conj()
+        gram = np.array([(row * conj).sum(axis=1) for row in C])
+    if not np.isfinite(gram).all():
+        raise DomainError("Gram matrix overflowed double precision")
+    return gram.tolist()
 
 
 def gram_extremes(gram) -> tuple[float, float]:

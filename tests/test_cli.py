@@ -108,6 +108,28 @@ def test_roots_rejects_invalid_family():
     assert "domain error" in out.stderr
 
 
+OVERFLOWING_COEFFICIENT_COMMANDS = [
+    ("gen", "--p", "2", "--q", "0", "--a", "1e200,1e200", "--n", "1"),
+    ("eval", "--p", "2", "--q", "0", "--a", "1e200,1e200", "--n", "1",
+     "--z", "0.5"),
+    ("verify", "--p", "2", "--q", "0", "--a", "1e200,1e200", "--n-max", "2"),
+    ("verify", "--p", "1", "--q", "0", "--a", "1e200", "--check", "sobolev",
+     "--n-max", "1"),
+    ("sweep", "--p", "1", "--q", "1", "--a", "1e200", "--b", "1",
+     "--quantity", "gram-offdiag", "--grid-param", "b1", "--grid-values", "1",
+     "--n-list", "1"),
+    ("gen", "--p", "1", "--q", "0", "--a", "1e200", "--n", "1"),
+]
+
+
+@pytest.mark.parametrize("args", OVERFLOWING_COEFFICIENT_COMMANDS)
+def test_overflowing_coefficients_are_domain_errors(args):
+    out = run_cli(*args, env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert out.returncode == 3
+    assert out.stderr.startswith("domain error: ")
+    assert out.stdout == ""
+
+
 def test_verify_single_check_passes():
     out = run_cli(
         "verify", "--check", "roots", "--p", "0", "--q", "1", "--b", "1.5",

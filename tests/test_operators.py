@@ -102,6 +102,12 @@ def test_R_order_is_max_p_q_plus_one():
     assert build_R(HypParams(a=(), b=(1.5, 2.5, 3.5))).order == 4
 
 
+def test_kappa_with_overflowing_denominator_is_domain_error():
+    # xi_1 = 1e200 is finite; xi_1 · (a + 1) overflows, so kappa_1 is not 0.
+    with pytest.raises(DomainError):
+        kappa(HypParams(a=(1e200,)), 1)
+
+
 def test_kappa_oracles():
     # 0F0: kappa_n = n!
     for n in range(5):

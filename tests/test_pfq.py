@@ -11,7 +11,6 @@ from hypersum.partial_sums import HypParams, gn_direct, hyp_coeff
 from hypersum.pfq import (
     _unit_gauss_legendre,
     convergence_report,
-    dirichlet_sum,
     integral_rep_circle,
     integral_rep_circle_batch,
     integral_rep_negative_axis,
@@ -62,14 +61,30 @@ def test_eval_honest_failure_on_circle():
         pfq_eval(GEOMETRIC, -1.0)
 
 
-def test_dirichlet_sum():
-    assert dirichlet_sum(1.0, 4) == 5  # direct branch at u = 1
-    assert abs(dirichlet_sum(1j, 3)) <= 1e-15  # 1 + i - 1 - i
-    # Closed form agrees with the direct sum away from u = 1.
-    for j in range(1, 8):
-        u = cmath.exp(2j * math.pi * j / 8.3)
-        direct = sum(u ** k for k in range(7))
-        assert dirichlet_sum(u, 6) == pytest.approx(direct, rel=1e-12)
+def explicit_trapezoid_circle_rep(params, n, tau, N=4096):
+    """Trapezoid mean of sum_{k<=n} u^k · F(e^{it_j}), u = e^{i(tau - t_j)},
+    with the kernel summed term by term: no closed form, no division."""
+    t = 2.0 * np.pi * np.arange(N) / N
+    u = np.exp(1j * (tau - t))
+    fvals = np.array([pfq_eval(params, cmath.exp(1j * tj)).value for tj in t])
+    kernel = np.zeros(N, dtype=complex)
+    power = np.ones(N, dtype=complex)
+    for _ in range(n + 1):
+        kernel += power
+        power = power * u
+    return complex(np.mean(kernel * fvals))
+
+
+def test_circle_rep_matches_explicit_trapezoid():
+    node = 2.0 * math.pi * 37 / 4096
+    taus = (0.0, node + 1e-9, 0.3, 4.1)
+    ns = (0, 3, 10)
+    for params in (EXP, CONFLUENT, HypParams(a=(0.5 + 0.2j,), b=(1.5, 2.0 - 0.5j))):
+        got = integral_rep_circle_batch(params, ns, taus)
+        for i, n in enumerate(ns):
+            for j, tau in enumerate(taus):
+                want = explicit_trapezoid_circle_rep(params, n, tau)
+                assert abs(got[i][j] - want) <= 1e-13
 
 
 def test_terminating_poly_exponential():
@@ -97,21 +112,25 @@ def test_circle_rep_matches_direct():
 
 
 def test_circle_rep_batch_matches_scalar():
-    # The batch path accumulates the quadrature in a different order than
-    # the scalar path, so agreement is to roundoff, not bitwise.
     taus = (0.0, 1.1, 4.5)
     ns = (1, 4)
     batch = integral_rep_circle_batch(EXP, ns, taus)
     for i, n in enumerate(ns):
         for j, tau in enumerate(taus):
-            assert abs(batch[i][j] - integral_rep_circle(EXP, n, tau)) <= 1e-13
+            assert batch[i][j] == integral_rep_circle(EXP, n, tau)
+
+
+def test_circle_rep_rows_follow_n_list():
+    taus = (0.2, 2.9, 5.0)
+    sorted_rows = integral_rep_circle_batch(CONFLUENT, [1, 4, 7], taus)
+    rows = integral_rep_circle_batch(CONFLUENT, [7, 1, 4, 1, 7], taus)
+    assert rows == [sorted_rows[i] for i in (2, 0, 1, 0, 2)]
+    assert integral_rep_circle_batch(CONFLUENT, [], taus) == []
 
 
 def test_circle_rep_preconditions():
     with pytest.raises(DomainError):
         integral_rep_circle(GEOMETRIC, 3, 0.0)  # p > q
-    with pytest.raises(DomainError):
-        integral_rep_circle(EXP, 10, 0.0, N=8)  # too few nodes
 
 
 def test_axis_rep_exact_small_case():

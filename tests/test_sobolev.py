@@ -212,13 +212,20 @@ def test_gram_with_non_finite_coefficient_is_value_error():
     params = HypParams(a=(1e200, 1e200), b=())
     with pytest.raises(ValueError, match="non-finite coefficient"):
         gn_direct(params, 3)
-    # Row 0 already overflows in r_action (prod a_j = 1e400) before row 1
-    # reaches the non-finite xi_1. The ValueError is the only signal: no
-    # numpy RuntimeWarning escapes.
+    # The coefficient sequence raises at xi_1 before any row is formed.
+    # The ValueError is the only signal: no numpy RuntimeWarning escapes.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite coefficient"):
             sobolev_gram(params, 3)
+
+
+def test_gram_overflow_with_finite_rows_is_domain_error():
+    # C = [[-1e155]] is finite; its Gram entry 1e310 is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="Gram"):
+            sobolev_gram(HypParams(a=(1e155,)), 0)
 
 
 def test_gram_extremes_matches_entrywise_scan():
