@@ -29,7 +29,7 @@ from .checks import CHECK_ORDER, run_checks
 from .errors import ConvergenceError, DomainError
 from .operators import build_R, kappa
 from .partial_sums import Gn_monic, HypParams, delta_k, gn_direct
-from .pfq import pfq_eval
+from .pfq import convergence_report, pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
 from .roots import location_report
 from .sobolev import gram_extremes, sobolev_gram
@@ -380,27 +380,29 @@ def _apply_grid(params: HypParams, name: str, value: float) -> HypParams:
     return HypParams(a=tuple(a), b=tuple(b))
 
 
-def _sweep_convergence(params: HypParams, n: int) -> float:
+def _sweep_convergence(params: HypParams, ns: list[int]) -> list[float]:
     if params.p > params.q:
         raise DomainError("convergence sweep requires p <= q")
-    g = gn_direct(params, n)
-    worst = 0.0
-    for j in range(64):
-        tau = 2.0 * math.pi * j / 64.0
-        z = complex(math.cos(tau), math.sin(tau))
-        worst = max(worst, abs(g(z) - pfq_eval(params, z).value))
-    return worst
+    taus = (2.0 * math.pi * j / 64.0 for j in range(64))
+    points = [complex(math.cos(t), math.sin(t)) for t in taus]
+    report = convergence_report(params, ns, points)
+    if report.failed_points:
+        # Raises the ConvergenceError of the first point that failed.
+        pfq_eval(params, report.failed_points[0])
+    sup = {row.n: row.sup_error for row in report.rows}
+    return [sup[n] for n in ns]
 
 
-def _sweep_root_modulus(params: HypParams, n: int) -> float:
-    return location_report(params, n).min_modulus
+def _sweep_root_modulus(params: HypParams, ns: list[int]) -> list[float]:
+    return [location_report(params, n).min_modulus for n in ns]
 
 
-def _sweep_gram_offdiag(params: HypParams, n: int) -> float:
-    off, max_diag = gram_extremes(sobolev_gram(params, n))
-    return off / max_diag
+def _sweep_gram_offdiag(params: HypParams, ns: list[int]) -> list[float]:
+    extremes = (gram_extremes(sobolev_gram(params, n)) for n in ns)
+    return [off / max_diag for off, max_diag in extremes]
 
 
+# Each quantity maps (cell parameters, sorted degrees) to one value per degree.
 _SWEEP_FUNCS = {
     "convergence": _sweep_convergence,
     "root-modulus": _sweep_root_modulus,
@@ -411,11 +413,11 @@ _SWEEP_FUNCS = {
 def cmd_sweep(args, parser) -> tuple[str, int]:
     params = _params_from_args(args, parser)
     func = _SWEEP_FUNCS[args.quantity]
+    ns = sorted(args.n_list)
     rows = []
     for gi, gv in enumerate(args.grid_values):
         cell_params = _apply_grid(params, args.grid_param, gv)
-        for n in sorted(args.n_list):
-            value = func(cell_params, n)
+        for n, value in zip(ns, func(cell_params, ns) if ns else []):
             rows.append((args.quantity, args.grid_param, gi, gv, n, value))
     header = ("quantity", "grid_param", "grid_index", "grid_value", "n", "value")
     return render_csv(header, rows), 0

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from .errors import DomainError
+
 # Hypergeometric constructors refuse degrees beyond this: factorial-sized
 # prefactors overflow doubles near 171!, and the monic normalization is the
 # binding constraint.
@@ -24,7 +26,7 @@ TRIM_REL_TOL = 1e-14
 def _as_coeff(value) -> complex:
     w = complex(value)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"non-finite coefficient: {value!r}")
+        raise DomainError(f"non-finite coefficient: {value!r}")
     return w
 
 

@@ -8,10 +8,12 @@ the draws are identical on every run and platform.
 
 import cmath
 import math
+import os
 import random
 import subprocess
 import sys
 
+import hypersum
 from hypersum.operators import (
     _application_mass,
     build_R,
@@ -363,8 +365,14 @@ def test_criterion_11_cli_determinism():
         sys.executable, "-m", "hypersum", "verify", "--p", "0", "--q", "0",
         "--check", "all", "--seed", "7",
     ]
-    first = subprocess.run(args, capture_output=True, timeout=300)
-    second = subprocess.run(args, capture_output=True, timeout=300)
+    # The children import the same hypersum package as this test.
+    package_parent = os.path.dirname(os.path.dirname(hypersum.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_parent, env.get("PYTHONPATH")])
+    )
+    first = subprocess.run(args, capture_output=True, env=env, timeout=300)
+    second = subprocess.run(args, capture_output=True, env=env, timeout=300)
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

@@ -5,15 +5,25 @@ import random
 
 import pytest
 
-from hypersum import checks
+from hypersum import checks, operators, sobolev
 from hypersum.checks import (
     CHECK_ORDER,
+    CheckResult,
+    check_ode,
     check_pencil,
+    check_sobolev,
     inapplicable_reason,
     run_checks,
 )
 from hypersum.errors import DomainError
-from hypersum.partial_sums import HypParams
+from hypersum.operators import (
+    _application_mass,
+    build_R,
+    kappa,
+    r_image,
+    verify_ode,
+)
+from hypersum.partial_sums import HypParams, gn_direct
 
 EXP = HypParams(a=(), b=())
 GEOMETRIC = HypParams(a=(1.0,), b=())
@@ -81,6 +91,101 @@ def test_positive_param_family_passes_roots_check():
     results = run_checks(params, 8, 1, ("roots", "rifrac"))
     for r in results:
         assert r.status == "PASS", (r.name, r.detail)
+
+
+def test_run_checks_calls_the_checks_named_in_this_module(monkeypatch):
+    # Dispatch looks each check up when it runs, so a wrapped or substituted
+    # check is the one called; each random check gets its own string seed.
+    stub = CheckResult("ode", "PASS", 0.0, 1.0, "stub")
+    monkeypatch.setattr(checks, "check_ode", lambda params, n_max, tol: stub)
+    assert run_checks(EXP, 6, 0, ["ode"]) == [stub]
+
+    states = {}
+
+    def record_circle(params, n_max, rng, tol):
+        states["circle-rep"] = rng.getstate()
+        return stub
+
+    def record_pencil(rng, draws, tol):
+        states["pencil"] = rng.getstate()
+        return stub
+
+    monkeypatch.setattr(checks, "check_circle_rep", record_circle)
+    monkeypatch.setattr(checks, "check_pencil", record_pencil)
+    run_checks(EXP, 6, 3, ["pencil", "circle-rep"])
+    assert states == {
+        name: random.Random(f"3:{name}").getstate()
+        for name in ("circle-rep", "pencil")
+    }
+
+
+ODE_FAMILIES = [
+    EXP,
+    HypParams(a=(1.0,), b=(2.0,)),
+    HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0)),
+    HypParams(a=(0.5 + 0.25j, 1.5, 2.0 - 0.5j), b=(1.25 + 0.5j,)),
+    HypParams(a=(0.5, 1.5, 2.5), b=(1.5, 2.0, 3.5)),
+]
+
+
+def _ode_by_degree(params, n_max):
+    """check_ode formed degree by degree from verify_ode and r_image, each
+    of which expands R again."""
+    N = min(n_max, 25)
+    R = build_R(params)
+    worst = 0.0
+    for n in range(N + 1):
+        mass_scale = _application_mass(R, gn_direct(params, n))
+        scale = max(1.0, n * mass_scale)
+        worst = max(worst, verify_ode(params, n).max_coeff() / scale)
+        mono = r_image(params, n)
+        mass = math.fsum(
+            abs(mono.coeff(k) - (1.0 if k == n else 0.0))
+            for k in range(max(mono.degree, n) + 1)
+        )
+        worst = max(
+            worst, mass / max(1.0, abs(kappa(params, n)) * mass_scale)
+        )
+    return CheckResult(
+        "ode",
+        "PASS" if worst <= 1e-9 else "FAIL",
+        worst,
+        1e-9,
+        f"max of scaled eigen-residual and off-monomial mass, n <= {N}",
+    )
+
+
+@pytest.mark.parametrize("n_max", [10, 25])
+@pytest.mark.parametrize("params", ODE_FAMILIES)
+def test_ode_check_equals_per_degree_reference(params, n_max):
+    assert check_ode(params, n_max) == _ode_by_degree(params, n_max)
+
+
+def test_ode_check_expands_R_once(monkeypatch):
+    calls = []
+
+    def counting_build_R(params):
+        calls.append(params)
+        return build_R(params)
+
+    def refuse(*args):
+        raise AssertionError("the check must not rebuild R per degree")
+
+    monkeypatch.setattr(operators, "build_R", counting_build_R)
+    monkeypatch.setattr(checks, "build_R", counting_build_R)
+    monkeypatch.setattr(operators, "verify_ode", refuse)
+    monkeypatch.setattr(operators, "r_image", refuse)
+    assert check_ode(ODE_FAMILIES[2], 25).status == "PASS"
+    assert len(calls) == 1
+
+
+def test_sobolev_check_does_not_expand_R(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("R is not needed to read its order")
+
+    monkeypatch.setattr(sobolev, "build_sobolev_form", refuse)
+    monkeypatch.setattr(sobolev, "build_R", refuse)
+    assert check_sobolev(ODE_FAMILIES[2], 10).status == "PASS"
 
 
 def _pencil_draws(rng, draws):

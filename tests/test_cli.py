@@ -5,18 +5,27 @@ Covers the documented output schema, exit codes (0 ok, 2 usage, 3 domain,
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from hypersum import cli
+import hypersum
+from hypersum import cli, pfq
+from hypersum.errors import ConvergenceError
 from hypersum.partial_sums import HypParams, gn_direct
+
+# The child process imports the same hypersum package as this test.
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(hypersum.__file__))
 
 
 def run_cli(*args, env_extra=None, timeout=120):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")])
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -119,6 +128,13 @@ OVERFLOWING_COEFFICIENT_COMMANDS = [
      "--quantity", "gram-offdiag", "--grid-param", "b1", "--grid-values", "1",
      "--n-list", "1"),
     ("gen", "--p", "1", "--q", "0", "--a", "1e200", "--n", "1"),
+    # Poly arithmetic overflows: building R (a_1·a_2), or forming R g_n.
+    ("gen", "--p", "2", "--q", "0", "--a", "1e200,1e200", "--n", "0"),
+    ("verify", "--p", "2", "--q", "0", "--a", "1e200,1e200", "--n-max", "0"),
+    ("verify", "--p", "1", "--q", "0", "--a", "1e200", "--check", "ode",
+     "--n-max", "1"),
+    ("verify", "--p", "0", "--q", "2", "--b", "1e200,1e200", "--check", "ode",
+     "--n-max", "0"),
 ]
 
 
@@ -243,6 +259,53 @@ def test_sweep_gram_offdiag_is_byte_deterministic():
     assert [(r[2], r[4]) for r in rows] == [
         (gi, n) for gi in "012" for n in "24"
     ]
+
+
+CIRCLE_PROBES = [
+    complex(math.cos(2.0 * math.pi * j / 64.0), math.sin(2.0 * math.pi * j / 64.0))
+    for j in range(64)
+]
+
+
+@pytest.mark.parametrize("params", [
+    HypParams(a=(), b=(1.3,)),
+    HypParams(a=(), b=(0.37,)),
+    HypParams(a=(1.2,), b=(2.5,)),
+    HypParams(a=(0.5 + 0.25j,), b=(1.5, 2.0 - 0.5j)),
+    HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0)),
+])
+def test_sweep_convergence_is_the_sup_over_circle_probes(params):
+    # Per degree, the sup of |g_n - series| over 64 equispaced points on
+    # the unit circle, with repeated degrees kept.
+    ns = [0, 2, 5, 5, 9]
+    want = [
+        max(abs(gn_direct(params, n)(z) - pfq.pfq_eval(params, z).value)
+            for z in CIRCLE_PROBES)
+        for n in ns
+    ]
+    assert cli._sweep_convergence(params, ns) == want
+
+
+def test_sweep_with_no_degrees_evaluates_nothing(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no series evaluation expected")
+
+    monkeypatch.setattr(pfq, "pfq_eval", refuse)
+    for p, a in (("1", "1.0"), ("2", "1.0,1.0")):
+        argv = ["sweep", "--p", p, "--q", "1", "--a", a, "--b", "2.0",
+                "--quantity", "convergence", "--grid-param", "b1",
+                "--grid-values", "2.0,3.0", "--n-list", ""]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "quantity,grid_param,grid_index,grid_value,n,value\n"
+        )
+
+
+def test_sweep_convergence_reports_the_first_failed_point(monkeypatch):
+    monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 2)
+    with pytest.raises(ConvergenceError) as exc:
+        cli._sweep_convergence(HypParams(a=(1.0,), b=(2.0,)), [3])
+    assert str(exc.value) == "series did not converge within 2 terms at z = (1+0j)"
 
 
 def test_out_flag_writes_file(tmp_path):
