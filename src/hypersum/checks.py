@@ -45,6 +45,7 @@ from .pfq import (
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
 )
+from .polycore import horner
 from .ri_pencils import (
     JacobiPencil,
     pencil_coeff_stack,
@@ -284,13 +285,9 @@ def check_axis_rep(
     for n in range(N + 1):
         g = gn_direct(params, n)
         for x in (-0.1, -1.0, -10.0):
-            direct = g(x)
-            scale = g.mass(x)
+            direct, _, scale = horner(g.coeffs, x)
             term = integral_rep_negative_axis(params, n, x)
-            if abs(direct) >= 1e-8 * scale:
-                denom = abs(direct)
-            else:
-                denom = scale
+            denom = abs(direct) if abs(direct) >= 1e-8 * scale else scale
             worst = max(worst, (abs(term - direct) / denom) / 1e-10)
             quad = integral_rep_negative_axis_numeric(params, n, x)
             worst = max(
@@ -319,15 +316,11 @@ def check_roots(
         min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
         boundary += rep.boundary_root_count
         worst = max(worst, max(0.0, 1.0 - rep.min_modulus) / 1e-9)
-        if not rep.simple:
-            worst = math.inf
-        if rep.positive_real_root_found:
+        if not rep.simple or rep.positive_real_root_found:
             worst = math.inf
         g = gn_direct(params, n)
         target = (-1) ** n * g.coeff(0) / g.coeff(n)
-        prod = 1 + 0j
-        for r in rep.roots:
-            prod *= r
+        prod = math.prod(rep.roots, start=1 + 0j)
         worst = max(worst, (abs(prod - target) / abs(target)) / 1e-8)
     return _result(
         "roots",
@@ -460,12 +453,15 @@ def run_checks(
     Checks whose preconditions fail become SKIP results when
     skip_inapplicable is set (the `--check all` mode) and raise DomainError
     otherwise (explicitly selected checks). A ConvergenceError inside a
-    check body is an honest FAIL, not an error.
+    check body is an honest FAIL, not an error. tol overrides the tolerance
+    of a single requested check; with more than one it is a DomainError.
     """
     requested = [n for n in CHECK_ORDER if n in set(names)]
     unknown = set(names) - set(CHECK_ORDER)
     if unknown:
         raise DomainError(f"unknown checks: {sorted(unknown)}")
+    if tol is not None and len(requested) > 1:
+        raise DomainError("a tolerance override needs a single check")
     # Looked up when called, so a wrapped or substituted check_* is what runs.
     runners: dict[str, Callable[[], CheckResult]] = {
         "recurrence": lambda: check_recurrence(params, n_max, tol),

@@ -145,10 +145,6 @@ def _cell(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return format(x, ".17g")
     return str(x)
 
@@ -239,17 +235,10 @@ def cmd_eval(args, parser) -> tuple[str, int]:
     results = {"z": zs, "g": g_vals}
     diagnostics: dict = {"n": args.n, "series": bool(args.series)}
     if args.series:
-        series_vals = []
-        terms = []
-        for z in zs:
-            sv = pfq_eval(params, z)
-            series_vals.append(sv.value)
-            terms.append(sv.terms_used)
-        results["series"] = series_vals
-        results["abs_diff"] = [
-            abs(sv - gv) for sv, gv in zip(series_vals, g_vals)
-        ]
-        diagnostics["series_terms"] = terms
+        series = [pfq_eval(params, z) for z in zs]
+        results["series"] = [sv.value for sv in series]
+        results["abs_diff"] = [abs(sv.value - gv) for sv, gv in zip(series, g_vals)]
+        diagnostics["series_terms"] = [sv.terms_used for sv in series]
     if args.format == "csv":
         header = ["z_re", "z_im", "g_re", "g_im"]
         if args.series:
@@ -289,6 +278,9 @@ def cmd_roots(args, parser) -> tuple[str, int]:
 
 def cmd_verify(args, parser) -> tuple[str, int]:
     params = _params_from_args(args, parser)
+    if args.tol is not None and args.check == "all":
+        # The checks' tolerances have different scales (see checks).
+        parser.error("--tol needs a single --check")
     names = list(CHECK_ORDER) if args.check == "all" else [args.check]
     results_list = run_checks(
         params,
@@ -498,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="override the selected check's tolerance",
+        help="override the tolerance of the one selected --check",
     )
     sp.set_defaults(handler=cmd_verify)
 

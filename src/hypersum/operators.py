@@ -133,18 +133,22 @@ def build_R(params: HypParams) -> LinDiffOp:
     Left part: d/dz composed after prod_j (theta + (b_j - 1)); right part:
     prod_j (a_j + theta). Products are composed in ascending j starting from
     the identity; the factors commute, the order is fixed for
-    reproducibility. rho = max(p, q+1).
+    reproducibility. rho = max(p, q+1). A coefficient that overflows
+    double precision raises DomainError naming the expansion of R.
     """
-    left = op_identity()
-    for bj in params.b:
-        factor = op_add(op_theta(), op_scale(op_identity(), bj - 1))
-        left = op_compose(left, factor)
-    left = op_compose(op_ddz(), left)
-    right = op_identity()
-    for aj in params.a:
-        factor = op_add(op_theta(), op_scale(op_identity(), aj))
-        right = op_compose(right, factor)
-    return op_sub(left, right)
+    try:
+        left = op_identity()
+        for bj in params.b:
+            factor = op_add(op_theta(), op_scale(op_identity(), bj - 1))
+            left = op_compose(left, factor)
+        left = op_compose(op_ddz(), left)
+        right = op_identity()
+        for aj in params.a:
+            factor = op_add(op_theta(), op_scale(op_identity(), aj))
+            right = op_compose(right, factor)
+        return op_sub(left, right)
+    except DomainError as exc:
+        raise DomainError(f"expanding R overflowed double precision: {exc}") from exc
 
 
 def r_action(params: HypParams, coeffs) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Full series evaluation and the two integral representations.
 
 The series is entire for p <= q, has unit convergence radius for p = q+1,
-and diverges for p > q+1 (defined at z = 0 only). Evaluation sums terms
-incrementally and stops after three consecutive terms fall below tolerance
-relative to the running sum, guarding against odd/even alternation.
+and diverges for p > q+1 (defined at z = 0 only). Every value of the series
+comes from one summation, _sum_series, vectorized over a set of points:
+each point sums terms incrementally and stops on its own after three
+consecutive terms fall below SERIES_RTOL relative to its running sum,
+guarding against odd/even alternation. pfq_eval is its one-point case.
 
 Two independent routes back to the partial sums are provided. On the unit
 circle, g_n is recovered by integrating the full series against a geometric
@@ -30,6 +32,8 @@ from .partial_sums import HypParams, _check_cap, _coeff_ratio, gn_direct
 from .polycore import Poly
 
 SERIES_TERM_CAP = 10000
+# A term below this fraction of the running sum counts as negligible.
+SERIES_RTOL = 1e-15
 # Slack for the |z| <= 1 membership test in the p = q+1 case: boundary points
 # are admitted (convergence is attempted and may honestly fail there).
 UNIT_DISK_SLACK = 1e-12
@@ -46,70 +50,67 @@ class PfqValue:
     domain_class: str  # "entire" | "unit-disk" | "divergent"
 
 
-def _domain_class(params: HypParams) -> str:
+def _domain_class(params: HypParams, z: complex = 0j) -> str:
+    """The domain class: entire, unit-disk or divergent. Raises DomainError
+    at a point z where the series is undefined (|z| > 1 for p = q+1, z != 0
+    for p > q+1)."""
     if params.p <= params.q:
         return "entire"
-    if params.p == params.q + 1:
-        return "unit-disk"
-    return "divergent"
-
-
-def pfq_eval(params: HypParams, z: complex, tol: float = 1e-15) -> PfqValue:
-    """Sum the series at z.
-
-    Stops once |term| < tol·|running sum| holds for 3 consecutive terms;
-    raises ConvergenceError if 10000 terms do not get there. Out-of-domain
-    points (|z| > 1 for p = q+1, z != 0 for p > q+1) raise DomainError.
-    """
-    z = complex(z)
-    cls = _domain_class(params)
-    if cls == "unit-disk" and abs(z) > 1.0 + UNIT_DISK_SLACK:
+    if params.p > params.q + 1:
+        if z != 0:
+            raise DomainError("series with p > q+1 is defined at z = 0 only")
+        return "divergent"
+    if abs(z) > 1.0 + UNIT_DISK_SLACK:
         raise DomainError(
             f"|z| = {abs(z)} is outside the closed unit disk; the series "
             "diverges there for p = q+1"
         )
-    if cls == "divergent" and z != 0:
-        raise DomainError("series with p > q+1 is defined at z = 0 only")
-
-    term = 1 + 0j
-    total = 1 + 0j
-    small_streak = 0
-    for k in range(1, SERIES_TERM_CAP + 1):
-        term = term * _coeff_ratio(params, k - 1) * z
-        total += term
-        if abs(term) < tol * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return PfqValue(value=total, terms_used=k + 1, domain_class=cls)
-        else:
-            small_streak = 0
-    raise ConvergenceError(
-        f"series did not converge within {SERIES_TERM_CAP} terms at z = {z}"
-    )
+    return "unit-disk"
 
 
-def _series_values_on_circle(
-    params: HypParams, angles: np.ndarray, tol: float = 1e-15
-) -> np.ndarray:
-    """Vectorized evaluation of the full series at e^{i·angle} (p <= q).
-
-    Same stopping rule as pfq_eval, applied uniformly across nodes (the
-    streak counts only when every node's term is small).
+def _sum_series(params: HypParams, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Series sums and terms used at each point of the 1-D array zs (the
+    domain is not checked). A point stops once |term| < SERIES_RTOL·|its
+    running sum| has held for 3 consecutive terms; terms_used is 0 (and the
+    sum nan) where SERIES_TERM_CAP terms do not get there. Stopped points
+    leave the arrays, and every product is elementwise and out of place
+    (numpy's in-place complex *= can round a one-element array differently),
+    so no point depends on the others.
     """
-    zs = np.exp(1j * angles)
-    term = np.ones_like(zs)
-    total = np.ones_like(zs)
-    small_streak = 0
-    for k in range(1, SERIES_TERM_CAP + 1):
-        term = term * (_coeff_ratio(params, k - 1) * zs)
-        total += term
-        if np.all(np.abs(term) < tol * np.abs(total)):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-    raise ConvergenceError("series did not converge at some circle node")
+    z = np.asarray(zs, dtype=complex)
+    sums = np.full(z.shape, complex(math.nan, math.nan))
+    terms_used = np.zeros(z.shape, dtype=int)
+    live, term, total = np.arange(z.size), np.ones_like(z), np.ones_like(z)
+    small1 = small2 = np.zeros(z.shape, dtype=bool)  # the last two terms small?
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, SERIES_TERM_CAP + 1):
+            if not live.size:
+                break
+            term = term * _coeff_ratio(params, k - 1) * z
+            total = total + term
+            small = np.abs(term) < SERIES_RTOL * np.abs(total)
+            done = small & small1 & small2
+            small1, small2 = small, small1
+            if done.any():
+                sums[live[done]], terms_used[live[done]] = total[done], k + 1
+                live, z, term, total, small1, small2 = (
+                    x[~done] for x in (live, z, term, total, small1, small2)
+                )
+    return sums, terms_used
+
+
+def pfq_eval(params: HypParams, z: complex) -> PfqValue:
+    """Sum the series at z: the one-point case of _sum_series. Raises
+    DomainError where the series is undefined and ConvergenceError if
+    SERIES_TERM_CAP terms do not meet the stopping rule."""
+    z = complex(z)
+    cls = _domain_class(params, z)
+    (value,), (terms_used,) = _sum_series(params, [z])
+    if not terms_used:
+        raise ConvergenceError(
+            f"series did not converge within {SERIES_TERM_CAP} terms at z = {z}"
+        )
+    return PfqValue(complex(value), int(terms_used), cls)
 
 
 def integral_rep_circle_batch(
@@ -128,7 +129,8 @@ def integral_rep_circle_batch(
         sum_{k<=n} F_k · e^{ik·tau},   F_k = (1/N) sum_j f(e^{it_j}) e^{-ik·t_j},
 
     so one FFT of the series samples gives every F_k, and a cumulative sum
-    over k gives every n at once. F_k equals xi_k up to aliasing from
+    over k gives every n at once. The samples come from one _sum_series
+    call, each node stopping on its own. F_k equals xi_k up to aliasing from
     xi_{k+N}, xi_{k+2N}, ..., far below roundoff at N = 4096 for n <= 170.
     Rows follow n_list (any order, repeats allowed), columns follow taus.
     """
@@ -139,7 +141,9 @@ def integral_rep_circle_batch(
     if not ns:
         return []
     t = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-    fvals = _series_values_on_circle(params, t)
+    fvals, terms_used = _sum_series(params, np.exp(1j * t))
+    if not terms_used.all():
+        raise ConvergenceError("series did not converge at some circle node")
     k = np.arange(max(ns) + 1)
     coeffs = np.fft.fft(fvals)[: len(k)] / CIRCLE_NODES
     terms = coeffs[:, None] * np.exp(1j * np.outer(k, angles))
@@ -245,6 +249,13 @@ class ConvergenceReport:
 
 
 def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceReport:
+    """Sup over the sample points of |g_n - series| for each n in n_list.
+
+    The series is summed at all points in one _sum_series call, each point
+    stopping on its own, after the domain check pfq_eval applies. A point
+    that does not converge goes to failed_points (input order, repeats
+    kept); the sup is over the converged points only.
+    """
     cls = _domain_class(params)
     if cls == "divergent":
         raise DomainError("no convergence statement applies for p > q+1")
@@ -255,13 +266,12 @@ def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceR
                 raise DomainError(
                     f"for p = q+1 samples must lie on the unit circle; got {z}"
                 )
-    values: dict[complex, complex] = {}
-    failed: list[complex] = []
     for z in points:
-        try:
-            values[z] = pfq_eval(params, z).value
-        except ConvergenceError:
-            failed.append(z)
+        _domain_class(params, z)
+    sums, terms_used = _sum_series(params, np.array(points, dtype=complex))
+    converged = list(zip(points, sums.tolist(), terms_used.tolist()))
+    values = {z: fz for z, fz, used in converged if used}
+    failed = [z for z, _, used in converged if not used]
     rows = []
     for n in sorted(set(int(n) for n in n_list)):
         g = gn_direct(params, n)

@@ -77,10 +77,6 @@ class Poly:
         """Largest coefficient modulus; 0.0 for the zero polynomial."""
         return max((abs(c) for c in self.coeffs), default=0.0)
 
-    def mass(self, z):
-        """Evaluation mass sum_k |c_k||z|^k at z (see horner)."""
-        return horner(self.coeffs, z)[2]
-
     # -- arithmetic ---------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
-from .polycore import Poly
+from .polycore import Poly, horner
 
 RI_NODE_RTOL = 1e-12
 
@@ -111,7 +111,8 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
             nxt = nxt - (polys[-2] * Poly((-a_n, 1 + 0j))).scale(lam_n)
         polys.append(nxt)
         # Only the mass of z^k, k >= 1, can cancel against the constant term.
-        if abs(nxt(a_n)) <= RI_NODE_RTOL * (nxt.mass(a_n) - abs(nxt.coeff(0))):
+        value, _, mass = horner(nxt.coeffs, a_n)
+        if abs(value) <= RI_NODE_RTOL * (mass - abs(nxt.coeff(0))):
             node_failures.append(n)
     return polys, RIValidity(
         lambda_failures=tuple(lambda_failures),

@@ -86,6 +86,17 @@ def test_tolerance_override_can_force_failure():
     assert results[0].max_residual > 1e-30
 
 
+def test_tolerance_override_needs_a_single_check():
+    # Checks report on different tolerance scales (1e-12 for rifrac, 1.0
+    # for the normalized sobolev), so one number cannot override several.
+    for names in (CHECK_ORDER, ("recurrence", "rifrac")):
+        with pytest.raises(DomainError, match="single check"):
+            run_checks(EXP, 6, 0, names, tol=1e-9)
+    # A repeated name is still one check.
+    results = run_checks(EXP, 6, 0, ("recurrence", "recurrence"), tol=1e-9)
+    assert [(r.name, r.tolerance) for r in results] == [("recurrence", 1e-9)]
+
+
 def test_positive_param_family_passes_roots_check():
     params = HypParams(a=(0.8,), b=(1.6,))
     results = run_checks(params, 8, 1, ("roots", "rifrac"))

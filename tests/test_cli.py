@@ -138,12 +138,18 @@ OVERFLOWING_COEFFICIENT_COMMANDS = [
 ]
 
 
+# Commands whose overflow happens while expanding the operator R.
+R_EXPANSION_OVERFLOWS = {OVERFLOWING_COEFFICIENT_COMMANDS[i] for i in (6, 9)}
+
+
 @pytest.mark.parametrize("args", OVERFLOWING_COEFFICIENT_COMMANDS)
 def test_overflowing_coefficients_are_domain_errors(args):
     out = run_cli(*args, env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
     assert out.returncode == 3
     assert out.stderr.startswith("domain error: ")
     assert out.stdout == ""
+    if args in R_EXPANSION_OVERFLOWS:
+        assert "expanding R" in out.stderr
 
 
 def test_verify_single_check_passes():
@@ -187,6 +193,16 @@ def test_verify_failure_exits_4():
     assert out.returncode == 4
     doc = json.loads(out.stdout)
     assert doc["results"]["recurrence"]["status"] == "FAIL"
+
+
+def test_verify_tolerance_override_needs_a_single_check():
+    out = run_cli(
+        "verify", "--p", "1", "--q", "1", "--a", "1", "--b", "2", "--check",
+        "all", "--tol", "1e-9", "--n-max", "6",
+    )
+    assert out.returncode == 2
+    assert "--tol needs a single --check" in out.stderr
+    assert out.stdout == ""
 
 
 def test_verify_all_is_byte_deterministic():
@@ -291,6 +307,7 @@ def test_sweep_with_no_degrees_evaluates_nothing(monkeypatch, capsys):
         raise AssertionError("no series evaluation expected")
 
     monkeypatch.setattr(pfq, "pfq_eval", refuse)
+    monkeypatch.setattr(pfq, "_sum_series", refuse)
     for p, a in (("1", "1.0"), ("2", "1.0,1.0")):
         argv = ["sweep", "--p", p, "--q", "1", "--a", a, "--b", "2.0",
                 "--quantity", "convergence", "--grid-param", "b1",

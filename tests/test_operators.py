@@ -102,6 +102,16 @@ def test_R_order_is_max_p_q_plus_one():
     assert build_R(HypParams(a=(), b=(1.5, 2.5, 3.5))).order == 4
 
 
+def test_build_R_overflow_names_the_expansion():
+    # a_1·a_2 or (b_1 - 1)(b_2 - 1), about 1e400, overflows while R is
+    # composed; the Poly arithmetic error is kept as the cause.
+    for params in (HypParams(a=(1e200, 1e200)), HypParams(b=(1e200, 1e200))):
+        with pytest.raises(DomainError, match="^expanding R overflowed") as exc:
+            build_R(params)
+        assert isinstance(exc.value.__cause__, DomainError)
+        assert "non-finite coefficient" in str(exc.value)
+
+
 def test_kappa_with_overflowing_denominator_is_domain_error():
     # xi_1 = 1e200 is finite; xi_1 · (a + 1) overflows, so kappa_1 is not 0.
     with pytest.raises(DomainError):

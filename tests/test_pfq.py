@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from hypersum import pfq
 from hypersum.errors import ConvergenceError, DomainError
-from hypersum.partial_sums import HypParams, gn_direct, hyp_coeff
+from hypersum.partial_sums import HypParams, _coeff_ratio, gn_direct
 from hypersum.pfq import (
+    SERIES_TERM_CAP,
+    _sum_series,
     _unit_gauss_legendre,
     convergence_report,
     integral_rep_circle,
@@ -22,6 +25,43 @@ from hypersum.pfq import (
 EXP = HypParams(a=(), b=())
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
 GEOMETRIC = HypParams(a=(1.0,), b=())
+EPS = 2.0**-52
+
+
+def scalar_series(params, z):
+    """Oracle: the series summed at one point in plain Python, with the same
+    stopping rule (3 consecutive terms below 1e-15 of the running sum).
+    Returns (sum, terms used, sum of the term moduli); the sum is None and
+    terms used 0 when SERIES_TERM_CAP terms do not get there."""
+    z = complex(z)
+    term = total = 1 + 0j
+    moduli = 1.0
+    small_streak = 0
+    for k in range(1, SERIES_TERM_CAP + 1):
+        term = term * _coeff_ratio(params, k - 1) * z
+        total += term
+        moduli += abs(term)
+        if abs(term) < 1e-15 * abs(total):
+            small_streak += 1
+            if small_streak >= 3:
+                return total, k + 1, moduli
+        else:
+            small_streak = 0
+    return None, 0, moduli
+
+
+ORACLE_FAMILIES = {
+    "exp": EXP,
+    "1F1(1;2)": CONFLUENT,
+    "2F3(1,1.5;2,2.5,3)": HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0)),
+    "complex 1F2": HypParams(a=(0.5 + 0.25j,), b=(1.5, 2.0 - 0.5j)),
+    "1F0(0.5)": HypParams(a=(0.5,), b=()),
+}
+# Zero, interior points of the unit disk, and points on the unit circle,
+# where 1F0(0.5) honestly fails to converge.
+ORACLE_POINTS = (
+    0j, 0.3, -0.7, -0.3 + 0.2j, 0.9j, 1.0, -1.0, 1j, cmath.exp(0.6j * math.pi),
+)
 
 
 def test_eval_exponential():
@@ -61,12 +101,63 @@ def test_eval_honest_failure_on_circle():
         pfq_eval(GEOMETRIC, -1.0)
 
 
+@pytest.mark.parametrize("params", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES)
+def test_eval_matches_scalar_oracle(params):
+    # Same stopping point, and the sum within the rounding of summing
+    # terms_used terms of these moduli.
+    for z in ORACLE_POINTS:
+        want, used, moduli = scalar_series(params, z)
+        if not used:
+            with pytest.raises(ConvergenceError, match="did not converge within"):
+                pfq_eval(params, z)
+            continue
+        got = pfq_eval(params, z)
+        assert got.terms_used == used, z
+        assert abs(got.value - want) <= 4 * used * EPS * moduli, z
+
+
+def test_eval_on_real_data_is_the_scalar_loop_bit_for_bit():
+    # Real parameters and points round alike in numpy and Python, so this
+    # pins the term update order term·ratio·z; the cancellation at large
+    # negative z shows any other order.
+    for name in ("exp", "1F1(1;2)", "2F3(1,1.5;2,2.5,3)"):
+        for z in (-30.0, -7.0, -2.3, 0.3, 4.1):
+            want, used, _ = scalar_series(ORACLE_FAMILIES[name], z)
+            got = pfq_eval(ORACLE_FAMILIES[name], z)
+            assert (got.value, got.terms_used) == (want, used), (name, z)
+
+
+def test_each_point_is_summed_on_its_own():
+    # A point's sum and stopping term do not depend on the points summed
+    # with it: the batch equals each point summed alone, bit for bit.
+    circle = [cmath.exp(2j * math.pi * j / 16) for j in range(16)]
+    points = {
+        "exp": circle + [0j, 3.0, -7 + 2j, 25j],
+        "1F1(1;2)": circle + [0.5, -40.0],
+        "2F3(1,1.5;2,2.5,3)": circle + [0.1j, 60.0],
+        "complex 1F2": circle + [2 - 2j],
+        "1F0(0.5)": [0j, 0.5, -0.3 + 0.2j, 0.99, -1.0, 0.5],
+    }
+    for name, zs in points.items():
+        sums, used = _sum_series(ORACLE_FAMILIES[name], zs)
+        assert sums.shape == used.shape == (len(zs),)
+        for i, z in enumerate(zs):
+            one_sum, one_used = _sum_series(ORACLE_FAMILIES[name], [z])
+            assert used[i] == one_used[0], (name, z)
+            assert sums[i].tobytes() == one_sum[0].tobytes(), (name, z)
+    # The point that reached the cap carries terms_used 0 and a nan sum.
+    assert used[4] == 0 and cmath.isnan(sums[4])
+    assert used.tolist().count(0) == 1
+
+
 def explicit_trapezoid_circle_rep(params, n, tau, N=4096):
     """Trapezoid mean of sum_{k<=n} u^k · F(e^{it_j}), u = e^{i(tau - t_j)},
-    with the kernel summed term by term: no closed form, no division."""
+    with the kernel summed term by term: no closed form, no division. The
+    series samples come from the scalar oracle, not from the summation the
+    circle representation uses."""
     t = 2.0 * np.pi * np.arange(N) / N
     u = np.exp(1j * (tau - t))
-    fvals = np.array([pfq_eval(params, cmath.exp(1j * tj)).value for tj in t])
+    fvals = np.array([scalar_series(params, cmath.exp(1j * tj))[0] for tj in t])
     kernel = np.zeros(N, dtype=complex)
     power = np.ones(N, dtype=complex)
     for _ in range(n + 1):
@@ -224,3 +315,51 @@ def test_convergence_report_preconditions():
     divergent = HypParams(a=(1.0, 2.0), b=())
     with pytest.raises(DomainError):
         convergence_report(divergent, [3], [1.0 + 0j])
+
+
+def test_convergence_report_refuses_points_the_series_refuses():
+    # The report admits |z| up to 1 + 1e-9 as on the circle, but the
+    # series is undefined past 1 + 1e-12 for p = q+1.
+    half = HypParams(a=(0.5,), b=())
+    z = 1.0 + 1e-10
+    with pytest.raises(DomainError, match="outside the closed unit disk"):
+        pfq_eval(half, z)
+    with pytest.raises(DomainError, match="outside the closed unit disk"):
+        convergence_report(half, [3], [-1.0 + 0j, z * 1j])
+
+
+def test_convergence_report_keeps_failed_points_in_order(monkeypatch):
+    # With the cap lowered, the far points fail and the near ones converge;
+    # failures keep input order and repeats, and the sup is over the rest.
+    monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 30)
+    points = [10.0, 0.1, 10j, 10.0, -0.2j, 0.1]
+    report = convergence_report(EXP, [2], points)
+    assert report.failed_points == (10.0, 10j, 10.0)
+    assert not report.all_samples_converged
+    g = gn_direct(EXP, 2)
+    want = max(abs(g(z) - pfq_eval(EXP, z).value) for z in (0.1, -0.2j))
+    assert report.rows[0].sup_error == want
+
+
+def test_series_cap_fails_circle_and_report(monkeypatch):
+    monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 2)
+    message = "^series did not converge at some circle node$"
+    with pytest.raises(ConvergenceError, match=message):
+        integral_rep_circle_batch(EXP, [3], [0.0])
+    points = [1.0 + 0j, -1.0 + 0j, 1.0 + 0j]
+    report = convergence_report(EXP, [1, 3], points)
+    assert report.failed_points == tuple(points)
+    assert [row.n for row in report.rows] == [1, 3]
+    assert all(math.isnan(row.sup_error) for row in report.rows)
+    with pytest.raises(ConvergenceError, match=r"within 2 terms at z = \(1\+0j\)"):
+        pfq_eval(EXP, 1.0)
+
+
+def test_circle_and_report_sum_without_pfq_eval(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pfq_eval called")
+
+    monkeypatch.setattr(pfq, "pfq_eval", refuse)
+    integral_rep_circle_batch(CONFLUENT, [4], [0.3])
+    pts = [cmath.exp(2j * math.pi * j / 8) for j in range(8)]
+    assert convergence_report(CONFLUENT, [4], pts).all_samples_converged
