@@ -222,11 +222,8 @@ def check_sobolev(
         denom = max(target, 0.1 * max_diag)
         diag_rel = max(diag_rel, abs(gram[n][n] - target) / denom)
     rule = QuadratureRule(auto_node_count(m, max(params.p, params.q + 1)))
-    defect = 0.0
-    for k in range(7):
-        for l in range(7):
-            defect = max(defect, monomial_quadrature_defect(rule, k, l))
-    defect = max(defect, monomial_quadrature_defect(rule, rule.n_nodes - 1, 0))
+    pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
+    defect = max(monomial_quadrature_defect(rule, k, l) for k, l in pairs)
     measured = max(off / (1e-10 * max_diag), diag_rel / 1e-9, defect / 1e-14)
     return _result(
         "sobolev",

@@ -28,8 +28,8 @@ from . import __version__ as VERSION
 from .checks import CHECK_ORDER, run_checks
 from .errors import ConvergenceError, DomainError
 from .operators import build_R, kappa
-from .partial_sums import Gn_monic, HypParams, delta_k, gn_direct
-from .pfq import convergence_report, pfq_eval
+from .partial_sums import Gn_monic, HypParams, _check_cap, delta_k, gn_direct
+from .pfq import _eval_points, convergence_report, pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
 from .roots import location_report
 from .sobolev import gram_extremes, sobolev_gram
@@ -235,7 +235,7 @@ def cmd_eval(args, parser) -> tuple[str, int]:
     results = {"z": zs, "g": g_vals}
     diagnostics: dict = {"n": args.n, "series": bool(args.series)}
     if args.series:
-        series = [pfq_eval(params, z) for z in zs]
+        series = _eval_points(params, zs)
         results["series"] = [sv.value for sv in series]
         results["abs_diff"] = [abs(sv.value - gv) for sv, gv in zip(series, g_vals)]
         diagnostics["series_terms"] = [sv.terms_used for sv in series]
@@ -390,7 +390,9 @@ def _sweep_root_modulus(params: HypParams, ns: list[int]) -> list[float]:
 
 
 def _sweep_gram_offdiag(params: HypParams, ns: list[int]) -> list[float]:
-    extremes = (gram_extremes(sobolev_gram(params, n)) for n in ns)
+    _check_cap(min(ns))  # refuse a negative degree as sobolev_gram would
+    gram = sobolev_gram(params, max(ns))  # its leading blocks: the smaller Grams
+    extremes = (gram_extremes([row[: n + 1] for row in gram[: n + 1]]) for n in ns)
     return [off / max_diag for off, max_diag in extremes]
 
 
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--monic", action="store_true", help="also emit monic G_n")
-    sp.set_defaults(handler=cmd_gen)
+    sp.set_defaults(handler=cmd_gen, parser=sp)
 
     sp = sub.add_parser("eval", help="evaluate g_n (and optionally the series)")
     add_common(sp)
@@ -471,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also evaluate the full series and report |series - g_n|",
     )
-    sp.set_defaults(handler=cmd_eval)
+    sp.set_defaults(handler=cmd_eval, parser=sp)
 
     sp = sub.add_parser("roots", help="roots of g_n with localization report")
     add_common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=cmd_roots)
+    sp.set_defaults(handler=cmd_roots, parser=sp)
 
     sp = sub.add_parser("verify", help="run identity checks (PASS/FAIL)")
     add_common(sp)
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the tolerance of the one selected --check",
     )
-    sp.set_defaults(handler=cmd_verify)
+    sp.set_defaults(handler=cmd_verify, parser=sp)
 
     sp = sub.add_parser("pencil", help="pencil-associated polynomials and residuals")
     add_common(sp)
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0 + 0j, 1 + 0j, -1 + 0j, 2 + 1j),
         help="lambda values for the residual report",
     )
-    sp.set_defaults(handler=cmd_pencil)
+    sp.set_defaults(handler=cmd_pencil, parser=sp)
 
     sp = sub.add_parser("sweep", help="CSV sweep over a parameter grid")
     add_common(sp, fmt=False)
@@ -525,15 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated grid values (empty for a header-only sweep)",
     )
     sp.add_argument("--n-list", type=parse_int_list, required=True)
-    sp.set_defaults(handler=cmd_sweep)
+    sp.set_defaults(handler=cmd_sweep, parser=sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        document, code = args.handler(args, parser)
+        document, code = args.handler(args, args.parser)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

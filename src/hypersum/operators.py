@@ -157,18 +157,16 @@ def r_action(params: HypParams, coeffs) -> np.ndarray:
     R is bidiagonal on monomials, R z^k = k·prod_j(b_j+k-1)·z^(k-1) -
     prod_j(a_j+k)·z^k, so coefficient m of R f is (m+1)·prod_j(b_j+m)·c_(m+1)
     - prod_j(a_j+m)·c_m. Agrees with op_apply(build_R(params), f) to roundoff
-    of order eps·_application_mass, without expanding R.
+    of order eps·_application_mass, without expanding R. Acts on the last
+    axis. Products are out of place: numpy's in-place complex multiply
+    rounds a one-element array without FMA, unlike a longer one.
     """
     c = np.asarray(coeffs, dtype=complex)
-    m = np.arange(len(c), dtype=float)
-    down = m[1:].astype(complex)
-    for bj in params.b:
-        down *= bj + m[:-1]
-    diag = np.ones(len(c), dtype=complex)
-    for aj in params.a:
-        diag *= aj + m
+    m = np.arange(c.shape[-1], dtype=float)
+    down = math.prod((bj + m[:-1] for bj in params.b), start=m[1:].astype(complex))
+    diag = math.prod((aj + m for aj in params.a), start=np.ones(len(m), dtype=complex))
     out = -diag * c
-    out[:-1] += down * c[1:]
+    out[..., :-1] += down * c[..., 1:]
     return out
 
 

@@ -21,6 +21,7 @@ substituted finite interval.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -99,18 +100,28 @@ def _sum_series(params: HypParams, zs) -> tuple[np.ndarray, np.ndarray]:
     return sums, terms_used
 
 
+def _eval_points(params: HypParams, zs) -> list[PfqValue]:
+    """pfq_eval at each point of zs by one _sum_series call over the points
+    before the first one outside the domain; the first that fails raises."""
+    zs, classes = [complex(z) for z in zs], []
+    with contextlib.suppress(DomainError):
+        for z in zs:
+            classes.append(_domain_class(params, z))
+    sums, terms = _sum_series(params, zs[: len(classes)])
+    for i, z in enumerate(zs):
+        if i == len(classes) or not terms[i]:
+            _domain_class(params, z)  # raises if z is outside the domain
+            raise ConvergenceError(
+                f"series did not converge within {SERIES_TERM_CAP} terms at z = {z}"
+            )
+    return [PfqValue(complex(s), int(t), c) for s, t, c in zip(sums, terms, classes)]
+
+
 def pfq_eval(params: HypParams, z: complex) -> PfqValue:
-    """Sum the series at z: the one-point case of _sum_series. Raises
+    """Sum the series at z: the one-point case of _eval_points. Raises
     DomainError where the series is undefined and ConvergenceError if
     SERIES_TERM_CAP terms do not meet the stopping rule."""
-    z = complex(z)
-    cls = _domain_class(params, z)
-    (value,), (terms_used,) = _sum_series(params, [z])
-    if not terms_used:
-        raise ConvergenceError(
-            f"series did not converge within {SERIES_TERM_CAP} terms at z = {z}"
-        )
-    return PfqValue(complex(value), int(terms_used), cls)
+    return _eval_points(params, [z])[0]
 
 
 def integral_rep_circle_batch(

@@ -24,6 +24,7 @@ matrix into the Gram matrix of monomials).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import LinDiffOp, build_R, op_apply, r_action
-from .partial_sums import HypParams, _check_cap, _coeff_seq
+from .partial_sums import HypParams, _check_cap, _coeff_seq, gn_direct
 from .polycore import Poly
 
 
@@ -50,14 +51,10 @@ class QuadratureRule:
             raise DomainError("node count must be >= 1")
         object.__setattr__(self, "n_nodes", int(self.n_nodes))
 
-    @property
-    def angles(self) -> tuple[float, ...]:
-        N = self.n_nodes
-        return tuple(2.0 * math.pi * j / N for j in range(N))
-
-    @property
+    @functools.cached_property
     def points(self) -> tuple[complex, ...]:
-        return tuple(cmath.exp(1j * t) for t in self.angles)
+        N = self.n_nodes
+        return tuple(cmath.exp(1j * (2.0 * math.pi * j / N)) for j in range(N))
 
     def integrate(self, values) -> complex:
         """Mean of the sampled values, accumulated with exact summation.
@@ -173,33 +170,29 @@ def sobolev_inner_matrix(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex
 def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval.
 
-    Row n of C holds the coefficients of R g_n: r_action on the first n+1
-    entries of one coefficient sequence xi_0..xi_n_max. The sequence is a
-    running product, so each slice is exactly the coefficient list of
-    gn_direct(params, n), and the errors are gn_direct's: a DomainError
-    when the sequence overflows, and at row n when xi_n underflowed to
-    zero. Entry (n, m) is sum_k C[n,k]·conj(C[m,k]). Every entry is
-    computed, row by row with elementwise products and numpy sums, never a
-    thread-dependent BLAS call. Hermitian symmetry is computed, not
-    mirrored, so it stays a real check on the computation. A Gram entry
-    that overflowed, in r_action or in the row products, is a DomainError.
+    C holds the coefficients of every R g_n from one r_action call on the
+    lower-triangular stack of one running-product sequence: its row n,
+    xi_0..xi_n and zeros after, is exactly gn_direct(params, n), and the
+    errors are gn_direct's. Entry (n, m) is sum_{k<=n} C[n,k]·conj(C[m,k]),
+    leaving out only exact zeros, so the Gram of degree n is bit for bit the
+    leading block of every larger one. Every entry is computed, row by row
+    with elementwise products and numpy sums, never a thread-dependent BLAS
+    call. Hermitian symmetry is computed, not mirrored, so it stays a real
+    check on the computation. A Gram entry that overflowed, in r_action or
+    in the row products, is a DomainError.
     """
     n_max = _check_cap(n_max)
     seq = _coeff_seq(params, n_max)
-    C = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    # Products that overflow come back as inf/nan without a numpy warning
-    # and are reported once, on the finished Gram. One errstate for all
-    # rows: entering one costs about 1.5 us, a tenth of an r_action call on
-    # a gram row.
+    if 0 in seq:
+        gn_direct(params, seq.index(0))  # raises its underflow DomainError
+    # Overflowing products come back as inf/nan without a numpy warning and
+    # are reported on the finished Gram. Rows are sliced 2-D: numpy rounds a
+    # broadcast one-element 1-D row without FMA, unlike every longer row.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_max + 1):
-            if seq[n] == 0:
-                raise DomainError(
-                    f"coefficient xi_{n} underflowed to zero; degree would collapse"
-                )
-            C[n, : n + 1] = r_action(params, seq[: n + 1])
+        C = r_action(params, np.tril(np.tile(seq, (n_max + 1, 1))))
         conj = C.conj()
-        gram = np.array([(row * conj).sum(axis=1) for row in C])
+        rows = (C[n : n + 1, : n + 1] * conj[:, : n + 1] for n in range(len(C)))
+        gram = np.array([row.sum(axis=1) for row in rows])
     if not np.isfinite(gram).all():
         raise DomainError("Gram matrix overflowed double precision")
     return gram.tolist()

@@ -4,6 +4,8 @@ Covers the documented output schema, exit codes (0 ok, 2 usage, 3 domain,
 4 verification failure), byte-level determinism, and the sweep table.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import hypersum
 from hypersum import cli, pfq
 from hypersum.errors import ConvergenceError
 from hypersum.partial_sums import HypParams, gn_direct
+from hypersum.sobolev import gram_extremes, sobolev_gram
 
 # The child process imports the same hypersum package as this test.
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(hypersum.__file__))
@@ -93,6 +96,44 @@ def test_eval_value_matches_library():
     got = doc["results"]["g"][0]
     assert got[0] == pytest.approx(want.real, rel=1e-15)
     assert got[1] == pytest.approx(want.imag, rel=1e-15)
+
+
+def test_eval_series_matches_pointwise_evaluation(capsys):
+    params = HypParams(a=(1.5 + 0.5j,), b=(2.0 - 0.25j, 1.25 + 1.0j))
+    zs = (0.5, 3 + 2j, -4.5, 10j, 0.5)
+    argv = ["eval", "--p", "1", "--q", "2", "--a", "1.5+0.5i",
+            "--b", "2-0.25i,1.25+1i", "--n", "7", "--z", "0.5,3+2i,-4.5,0+10i,0.5",
+            "--series"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = [pfq.pfq_eval(params, z) for z in zs]
+    assert doc["results"]["series"] == [[v.value.real, v.value.imag] for v in want]
+    assert doc["diagnostics"]["series_terms"] == [v.terms_used for v in want]
+
+
+@pytest.mark.parametrize("z_list, message", [
+    ("1,2", "convergence failure: series did not converge within 10000 terms "
+     "at z = (1+0j)\n"),
+    ("2,1", "domain error: |z| = 2.0 is outside the closed unit disk"),
+])
+def test_eval_series_reports_the_first_failing_point(z_list, message, capsys):
+    argv = ["eval", "--p", "2", "--q", "1", "--a", "1,1", "--b", "2",
+            "--n", "3", "--z", z_list, "--series"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["verify", "--check", "all", "--tol", "1e-9"], "usage: hypersum verify "),
+    (["gen", "--p", "2", "--a", "1", "--n", "2"], "usage: hypersum gen "),
+])
+def test_usage_errors_print_the_subcommand_usage(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith(usage)
 
 
 def test_complex_grammar_rejects_whitespace():
@@ -275,6 +316,47 @@ def test_sweep_gram_offdiag_is_byte_deterministic():
     assert [(r[2], r[4]) for r in rows] == [
         (gi, n) for gi in "012" for n in "24"
     ]
+
+
+def test_sweep_gram_offdiag_reads_every_degree_off_one_gram(monkeypatch, capsys):
+    # Unsorted and repeated degrees; the oracle builds the Gram per degree.
+    ns, grid = (17, 3, 40, 3, 0), (1.0, 3.5)
+    calls = []
+
+    def recording(params, n_max):
+        calls.append(n_max)
+        return sobolev_gram(params, n_max)
+
+    monkeypatch.setattr(cli, "sobolev_gram", recording)
+    argv = ["sweep", "--p", "1", "--q", "2", "--a", "1.5+0.5i",
+            "--b", "2,1.25+1i", "--quantity", "gram-offdiag", "--grid-param",
+            "b1", "--grid-values", "1,3.5", "--n-list", "17,3,40,3,0"]
+    assert cli.main(argv) == 0
+    assert calls == [40, 40]
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    want = []
+    for gi, gv in enumerate(grid):
+        params = HypParams(a=(1.5 + 0.5j,), b=(gv, 1.25 + 1j))
+        for n in sorted(ns):
+            off, max_diag = gram_extremes(sobolev_gram(params, n))
+            want.append((str(gi), str(n), off / max_diag))
+    assert [(r[2], r[4], float(r[5])) for r in rows] == want
+
+
+@pytest.mark.parametrize("a, b, n_args, message", [
+    # The Gram of degree 0 overflows, and xi_3 underflows.
+    ("1e155", "1e300", ["--n-list", "0,5"], "coefficient xi_3 underflowed"),
+    # A negative degree is refused before the one Gram is built.
+    ("1", "2", ["--n-list=-1,5"], "order must be nonnegative"),
+])
+def test_sweep_gram_cell_that_raises_is_a_domain_error(a, b, n_args, message, capsys):
+    argv = ["sweep", "--p", "1", "--q", "1", "--a", a, "--b", b,
+            "--quantity", "gram-offdiag", "--grid-param", "b1",
+            "--grid-values", b, *n_args]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"domain error: {message}")
 
 
 CIRCLE_PROBES = [

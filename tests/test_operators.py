@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypersum.errors import DomainError
@@ -23,7 +24,7 @@ from hypersum.operators import (
     r_image,
     verify_ode,
 )
-from hypersum.partial_sums import HypParams, gn_direct
+from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
 from hypersum.polycore import Poly
 
 EXP = HypParams(a=(), b=())
@@ -201,3 +202,26 @@ def test_r_action_matches_expanded_operator():
                 assert len(got) == f.degree + 1 >= want.degree + 1
                 dev = max(abs(got[k] - want.coeff(k)) for k in range(len(got)))
                 assert dev <= 1e-14 * _application_mass(R, f)
+
+
+# Two complex b whose product rounds differently with and without FMA.
+COMPLEX_B = HypParams(a=(1.5 + 0.5j,), b=(1.2 + 0.1j, 2.2 + 0.3j))
+
+
+def test_r_action_on_a_prefix_rounds_like_the_whole_sequence():
+    # Entries 0..n-1 of R on xi_0..xi_n read only xi_0..xi_n, so they equal
+    # the same entries of the call on the whole sequence, bit for bit; at
+    # n = 1 the product over b has one element.
+    seq = _coeff_seq(COMPLEX_B, 30)
+    whole = r_action(COMPLEX_B, seq)
+    for n in range(1, 31):
+        assert r_action(COMPLEX_B, seq[: n + 1])[:n].tolist() == whole[:n].tolist()
+
+
+def test_r_action_maps_each_row_of_a_stack():
+    seq = _coeff_seq(COMPLEX_B, 12)
+    stack = np.tril(np.tile(seq, (len(seq), 1)))
+    rows = r_action(COMPLEX_B, stack)
+    assert rows.shape == stack.shape
+    for row, coeffs in zip(rows, stack):
+        assert row.tolist() == r_action(COMPLEX_B, coeffs).tolist()

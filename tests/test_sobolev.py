@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hypersum import sobolev
 from hypersum.errors import DomainError
 from hypersum.operators import kappa, op_apply, r_action
 from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
@@ -67,6 +68,14 @@ def test_quadrature_aliasing_edge():
     rule = QuadratureRule(8)
     vals = [z ** 8 for z in rule.points]
     assert rule.integrate(vals) == pytest.approx(1.0)
+
+
+def test_rule_builds_its_points_once():
+    rule = QuadratureRule(16)
+    assert rule.points is rule.points
+    assert rule.points == tuple(
+        cmath.exp(1j * (2.0 * math.pi * j / 16)) for j in range(16)
+    )
 
 
 def test_monomial_defect_within_exactness_window():
@@ -188,6 +197,32 @@ def test_gram_is_bit_identical_to_per_row_gn_direct(params):
     conj = C.conj()
     want = [(row * conj).sum(axis=1).tolist() for row in C]
     assert sobolev_gram(params, n_max) == want
+
+
+# |a|^2 rounds differently with and without FMA, so Gram(0) shows a
+# product that takes another numpy loop than the larger Grams.
+INEXACT_1F1 = HypParams(a=(0.3 + 0.7j,), b=(1.1 + 0.3j,))
+
+
+@pytest.mark.parametrize(
+    "params", (EXP, CONFLUENT, COMPLEX_1F2, TWO_F_THREE, INEXACT_1F1)
+)
+def test_gram_is_the_leading_block_of_a_larger_gram(params):
+    big = sobolev_gram(params, 40)
+    for n in (0, 1, 5, 10, 20, 30):
+        assert sobolev_gram(params, n) == [row[: n + 1] for row in big[: n + 1]]
+
+
+def test_gram_maps_every_row_in_one_r_action_call(monkeypatch):
+    shapes = []
+
+    def recording(params, coeffs):
+        shapes.append(np.shape(coeffs))
+        return r_action(params, coeffs)
+
+    monkeypatch.setattr(sobolev, "r_action", recording)
+    sobolev_gram(COMPLEX_1F2, 12)
+    assert shapes == [(13, 13)]
 
 
 def test_gram_reaches_degree_cap():
