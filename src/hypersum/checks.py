@@ -9,6 +9,9 @@ PASS/FAIL against its tolerance. Two conventions:
 - composite checks with heterogeneous sub-tolerances (sobolev, axis-rep,
   roots) report max(measured_i / tol_i) against tolerance 1.0.
 
+recurrence and rifrac hold the monic recurrence (ri_generate on the
+T-fraction) against the direct sums Gn_monic, not against itself.
+
 Boolean conditions (simple roots, validity flags, exact worked examples)
 fold in as residual 0 or inf. Randomized checks derive their generator
 from a string seed, f"{seed}:{name}", so runs are reproducible across
@@ -106,14 +109,9 @@ def _rel_coeff_dev(reference, candidate) -> float:
     """
     worst = 0.0
     for ref, cand in zip(reference, candidate):
-        deg = max(ref.degree, cand.degree)
-        for k in range(deg + 1):
-            r = ref.coeff(k)
-            c = cand.coeff(k)
-            denom = abs(r)
-            if denom == 0.0:
-                denom = 1.0
-            worst = max(worst, abs(r - c) / denom)
+        for k in range(max(ref.degree, cand.degree) + 1):
+            r, c = ref.coeff(k), cand.coeff(k)
+            worst = max(worst, abs(r - c) / (abs(r) or 1.0))
     return worst
 
 
@@ -128,14 +126,10 @@ def _scaled_coeff_dev(reference, candidate) -> float:
     """
     worst = 0.0
     for ref, cand in zip(reference, candidate):
-        deg = max(ref.degree, cand.degree)
-        scale = 0.0
-        for k in range(deg + 1):
-            scale = max(scale, abs(ref.coeff(k)), abs(cand.coeff(k)))
-        if scale == 0.0:
-            scale = 1.0
-        for k in range(deg + 1):
-            worst = max(worst, abs(ref.coeff(k) - cand.coeff(k)) / scale)
+        pairs = [(ref.coeff(k), cand.coeff(k))
+                 for k in range(max(ref.degree, cand.degree) + 1)]
+        scale = max((max(abs(r), abs(c)) for r, c in pairs), default=0.0) or 1.0
+        worst = max(worst, max((abs(r - c) for r, c in pairs), default=0.0) / scale)
     return worst
 
 
@@ -333,13 +327,14 @@ def check_roots(
 def check_rifrac(
     params: HypParams, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
-    """T-fraction recurrence reproduces the monic partial sums; validity
-    report must be clean (lambda_{n+1} != 0 and P_n(0) != 0)."""
+    """The T-fraction reproduces the direct monic sums Gn_monic, measured
+    as _scaled_coeff_dev; the validity report must be clean
+    (lambda_{n+1} != 0 and P_n(0) != 0)."""
     tol = 1e-12 if tol is None else tol
     N = min(int(n_max), 25)
-    rec = tfraction_from_hyp(params, N)
-    polys, validity = ri_generate(rec, N)
-    measured = _rel_coeff_dev(Gn_by_recurrence(params, N), polys)
+    polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
+    direct = [Gn_monic(params, n) for n in range(N + 1)]
+    measured = _scaled_coeff_dev(direct, polys)
     if not validity.valid:
         measured = math.inf
     return _result(
@@ -347,7 +342,8 @@ def check_rifrac(
         measured,
         tol,
         (
-            f"max relative coefficient deviation {_fmt(measured)}, "
+            f"max coefficient deviation {_fmt(measured)} from the direct "
+            "monic sums, relative to coefficient scale, "
             f"validity {'clean' if validity.valid else 'violated'}, N = {N}"
         ),
     )

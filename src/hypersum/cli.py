@@ -532,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # Reported on the subcommand's parser, so the usage line is its own.
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         document, code = args.handler(args, args.parser)
     except DomainError as exc:

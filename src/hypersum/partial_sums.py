@@ -7,7 +7,8 @@ b_1..b_q has coefficients
 
 and g_n is its degree-n truncation. G_n is the monic rescaling of g_n. Both
 come in two independently computed flavors: directly from the coefficients,
-and via their three-term recurrences, which downstream tests compare. The
+and via their three-term recurrences, which downstream tests compare; the
+monic recurrence runs on the R_I engine of ri_pencils. The
 module also carries the generalization to an arbitrary power series with
 nonzero coefficients (f_n, F_n).
 """
@@ -93,14 +94,21 @@ class PowerSeriesCoeffs:
         return len(self.d)
 
 
-def _coeff_ratio(params: HypParams, k: int) -> complex:
-    """xi_{k+1} / xi_k = prod(a_j + k) / (prod(b_l + k) · (k+1))."""
+def _param_products(params: HypParams, k: int) -> tuple[complex, complex]:
+    """(prod(a_j + k), (k+1) · prod(b_l + k)): numerator and denominator of
+    xi_{k+1} / xi_k, and the reverse of delta_{k+1}."""
     num = 1 + 0j
     for aj in params.a:
         num *= aj + k
     den = (k + 1) + 0j
     for bl in params.b:
         den *= bl + k
+    return num, den
+
+
+def _coeff_ratio(params: HypParams, k: int) -> complex:
+    """xi_{k+1} / xi_k = prod(a_j + k) / (prod(b_l + k) · (k+1))."""
+    num, den = _param_products(params, k)
     return num / den
 
 
@@ -144,13 +152,8 @@ def delta_k(params: HypParams, k: int) -> complex:
     k = _check_cap(k)
     if k == 0:
         return 0j
-    num = k + 0j
-    for bl in params.b:
-        num *= bl + (k - 1)
-    den = 1 + 0j
-    for aj in params.a:
-        den *= aj + (k - 1)
-    return num / den
+    num, den = _param_products(params, k - 1)
+    return den / num
 
 
 def gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:
@@ -195,18 +198,12 @@ def Gn_monic(params: HypParams, n: int) -> Poly:
 
 def Gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:
     """G_0..G_N via G_n = (z + delta_n) G_{n-1} - delta_{n-1} z G_{n-2},
-    with G_{-1} := 0; independent of Gn_monic."""
+    with G_{-1} := 0: the R_I engine of ri_pencils run on the T-fraction
+    (tfraction_from_hyp). Independent of Gn_monic."""
+    from .ri_pencils import ri_generate, tfraction_from_hyp
+
     N = _check_cap(N)
-    out = [Poly((1 + 0j,))]
-    prev = Poly()  # G_{-1} := 0
-    for n in range(1, N + 1):
-        d_n = delta_k(params, n)
-        d_n1 = delta_k(params, n - 1)
-        cur = out[-1]
-        nxt = cur * Poly((d_n, 1 + 0j)) - prev.shift_up().scale(d_n1)
-        prev = cur
-        out.append(nxt)
-    return out
+    return ri_generate(tfraction_from_hyp(params, N), N)[0]
 
 
 def generic_partial_sums(

@@ -8,8 +8,8 @@ The R_I engine generates monic P_n from
 
 and reports whether the classical validity conditions hold: lambda_{n+1}
 nonzero (lambda_1 multiplies P_-1 and is exempt) and P_n(a_n) != 0. With
-c_n = -delta_n, lambda_n = delta_{n-1}, a_n = 0 the P_n coincide with the
-monic partial sums G_n.
+c_n = -delta_n, lambda_n = delta_{n-1}, a_n = 0 the P_n are the monic
+partial sums G_n: partial_sums.Gn_by_recurrence runs on this engine.
 
 The pencil engine solves the five-term scalar relation of a pentadiagonal/
 tridiagonal symmetric pair forward for p_{n+2}; gamma_n > 0 makes the solve
@@ -99,10 +99,8 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
     polys = [Poly([1 + 0j])]
     lambda_failures = []
     node_failures = []
-    for n in range(1, N + 1):
-        c_n = rec.c[n - 1]
-        lam_n = rec.lam[n - 1]
-        a_n = rec.a[n - 1]
+    triples = zip(rec.c[:N], rec.lam[:N], rec.a[:N])
+    for n, (c_n, lam_n, a_n) in enumerate(triples, start=1):
         if n >= 2 and lam_n == 0:
             lambda_failures.append(n)
         cur = polys[-1]
@@ -123,16 +121,19 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
 def tfraction_from_hyp(params: HypParams, N: int) -> RIRecurrence:
     """c_n = -delta_n, lambda_n = delta_{n-1}, a_n = 0 for n = 1..N.
 
-    ri_generate on the result reproduces the monic partial sums G_n.
-    lambda_1 = delta_0 = 0 by convention; it multiplies P_-1 = 0.
+    ri_generate on the result gives the monic partial sums G_n; it is the
+    production route of partial_sums.Gn_by_recurrence, and check_rifrac
+    compares it with the direct Gn_monic. Each of delta_0..delta_N is
+    computed once. lambda_1 = delta_0 = 0 by convention; it multiplies
+    P_-1 = 0.
     """
     N = int(N)
     if N < 0:
         raise DomainError("N must be nonnegative")
-    c = tuple(-delta_k(params, n) for n in range(1, N + 1))
-    lam = tuple(delta_k(params, n - 1) for n in range(1, N + 1))
-    a = (0j,) * N
-    return RIRecurrence(c=c, lam=lam, a=a)
+    deltas = [delta_k(params, n) for n in range(N + 1)]
+    return RIRecurrence(
+        c=[-d for d in deltas[1:]], lam=deltas[:-1], a=(0j,) * N
+    )
 
 
 @dataclass(frozen=True)

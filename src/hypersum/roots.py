@@ -229,14 +229,15 @@ def location_report(params: HypParams, n: int) -> RootReport:
         )
     roots = find_roots(g, tol=1e-10)
     moduli = [abs(r) for r in roots]
+    distance = _min_pair_distance(roots) if len(roots) > 1 else math.inf
     return RootReport(
         roots=roots,
-        min_pair_distance=_min_pair_distance(roots) if len(roots) > 1 else math.inf,
+        min_pair_distance=distance,
         min_modulus=min(moduli),
         positive_real_root_found=any(
             (abs(r.imag) if r.real >= 1 else abs(r - 1)) < 1e-8 for r in roots
         ),
-        simple=check_simple(roots),
+        simple=len(roots) < 2 or distance > 1e-7 * max(moduli),  # check_simple
         boundary_root_count=sum(1 for m in moduli if abs(m - 1.0) <= 1e-9),
         ek_annulus=enestrom_kakeya_bounds(g),
     )

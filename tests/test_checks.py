@@ -2,15 +2,17 @@
 
 import math
 import random
+import sys
 
 import pytest
 
-from hypersum import checks, operators, sobolev
+from hypersum import checks, operators, partial_sums, sobolev
 from hypersum.checks import (
     CHECK_ORDER,
     CheckResult,
     check_ode,
     check_pencil,
+    check_rifrac,
     check_sobolev,
     inapplicable_reason,
     run_checks,
@@ -265,3 +267,25 @@ def test_pencil_check_fails_on_one_perturbed_coefficient(monkeypatch):
     result = check_pencil(random.Random("7:pencil"), 200)
     assert result.status == "FAIL"
     assert 1e-10 < result.max_residual < 1e-3
+
+
+def test_rifrac_fails_when_one_delta_is_perturbed(monkeypatch):
+    # delta_5 scaled by 1 + 1e-9 wherever hypersum holds delta_k: the
+    # T-fraction moves, the direct monic sums do not, and rifrac sees it.
+    original = partial_sums.delta_k
+
+    def perturbed(params, k):
+        d = original(params, k)
+        return d * (1 + 1e-9) if k == 5 else d
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "hypersum" or name.startswith("hypersum."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, perturbed)
+                    patched.append(name)
+    assert {"hypersum", "hypersum.partial_sums", "hypersum.ri_pencils"} <= set(patched)
+    result = check_rifrac(HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0)), 25)
+    assert result.status == "FAIL"
+    assert 1e-10 < result.max_residual < 1e-8

@@ -136,6 +136,27 @@ def test_usage_errors_print_the_subcommand_usage(argv, usage, capsys):
     assert capsys.readouterr().err.splitlines()[0].startswith(usage)
 
 
+def test_unknown_flag_prints_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--foo"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypersum verify ")
+    assert err.rstrip().endswith("error: unrecognized arguments: --foo")
+
+
+def test_negative_leading_list_value_is_written_with_equals(capsys):
+    # The sweep form, --n-list=-1,5, is covered by the gram-offdiag
+    # domain-error test below.
+    assert cli.main(["eval", "--n", "3", "--z=-1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["z"] == [-1, 2]
+    # Without "=" argparse reads "-1,2" as an option name.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--n", "3", "--z", "-1,2"])
+    assert exc.value.code == 2
+    assert "argument --z: expected one argument" in capsys.readouterr().err
+
+
 def test_complex_grammar_rejects_whitespace():
     out = run_cli("eval", "--p", "0", "--q", "0", "--n", "2", "--z", "1 + 2i")
     assert out.returncode == 2

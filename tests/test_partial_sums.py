@@ -6,6 +6,7 @@ Oracle values were derived independently with exact rational arithmetic
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hypersum.errors import DomainError
 from hypersum.partial_sums import (
+    _coeff_ratio,
     Gn_by_recurrence,
     Gn_monic,
     HypParams,
@@ -23,6 +25,7 @@ from hypersum.partial_sums import (
     gn_direct,
     hyp_coeff,
 )
+from hypersum.polycore import Poly
 
 EXP = HypParams(a=(), b=())  # 0F0: sum z^k/k!
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
@@ -130,6 +133,79 @@ def test_monic_recurrence_matches_closed_form():
             want = Gn_monic(params, n)
             for k in range(n + 1):
                 assert G.coeff(k) == pytest.approx(want.coeff(k), rel=1e-11)
+
+
+def _former_delta(params, k):
+    # delta_k as it was computed before it shared _param_products.
+    if k == 0:
+        return 0j
+    num = k + 0j
+    for bl in params.b:
+        num *= bl + (k - 1)
+    den = 1 + 0j
+    for aj in params.a:
+        den *= aj + (k - 1)
+    return num / den
+
+
+def _former_ratio(params, k):
+    num = 1 + 0j
+    for aj in params.a:
+        num *= aj + k
+    den = (k + 1) + 0j
+    for bl in params.b:
+        den *= bl + k
+    return num / den
+
+
+def _former_Gn_by_recurrence(params, N):
+    # The monic loop Gn_by_recurrence ran before it moved onto ri_generate.
+    out = [Poly((1 + 0j,))]
+    prev = Poly()
+    for n in range(1, N + 1):
+        d_n = _former_delta(params, n)
+        d_n1 = _former_delta(params, n - 1)
+        cur = out[-1]
+        nxt = cur * Poly((d_n, 1 + 0j)) - prev.shift_up().scale(d_n1)
+        prev = cur
+        out.append(nxt)
+    return out
+
+
+def _random_family(rng):
+    # p, q <= 3; every other family complex. Real parts keep 0.05 clear of
+    # the excluded nonpositive integers.
+    complex_family = rng.random() < 0.5
+
+    def param():
+        while True:
+            x = rng.uniform(-3.0, 4.0)
+            if x > 0.05 or abs(x - round(x)) > 0.05:
+                break
+        return complex(x, rng.uniform(-2.0, 2.0)) if complex_family else x
+
+    return HypParams(a=tuple(param() for _ in range(rng.randint(0, 3))),
+                     b=tuple(param() for _ in range(rng.randint(0, 3))))
+
+
+def test_monic_recurrence_equals_the_former_loop_exactly():
+    rng = random.Random("monic-recurrence-engine")
+    for _ in range(300):
+        params = _random_family(rng)
+        got = Gn_by_recurrence(params, 25)
+        want = _former_Gn_by_recurrence(params, 25)
+        assert [G.coeffs for G in got] == [G.coeffs for G in want], params
+
+
+def test_delta_and_coeff_ratio_equal_their_former_formulas_bitwise():
+    rng = random.Random("parameter-products")
+    for _ in range(200):
+        params = _random_family(rng)
+        for k in range(31):
+            for got, want in ((delta_k(params, k), _former_delta(params, k)),
+                              (_coeff_ratio(params, k), _former_ratio(params, k))):
+                assert struct.pack("dd", got.real, got.imag) == struct.pack(
+                    "dd", want.real, want.imag)
 
 
 def test_generic_partial_sums():

@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersum.errors import DomainError
+from hypersum import ri_pencils
 from hypersum.partial_sums import (
     Gn_by_recurrence,
+    Gn_monic,
     HypParams,
     PowerSeriesCoeffs,
     delta_k,
 )
 from hypersum.polycore import Poly
 from hypersum.checks import _random_pencil
+from test_acceptance import FIXED_SETS, _draw_params
 from hypersum.ri_pencils import (
     JacobiPencil,
     RIRecurrence,
@@ -113,6 +116,36 @@ def test_tfraction_reproduces_monic_partial_sums():
             for k in range(n + 1):
                 w = want[n].coeff(k)
                 assert abs(polys[n].coeff(k) - w) <= 1e-12 * max(1.0, abs(w))
+
+
+def test_tfraction_computes_each_delta_once(monkeypatch):
+    calls = []
+
+    def counted(params, k):
+        calls.append(k)
+        return delta_k(params, k)
+
+    monkeypatch.setattr(ri_pencils, "delta_k", counted)
+    rec = tfraction_from_hyp(CONFLUENT, 7)
+    assert sorted(calls) == list(range(8))
+    assert rec.c == tuple(-delta_k(CONFLUENT, n) for n in range(1, 8))
+    assert rec.lam == tuple(delta_k(CONFLUENT, n - 1) for n in range(1, 8))
+
+
+def test_tfraction_matches_direct_monic_sums_on_criterion_8_cases():
+    # The T-fraction against Gn_monic, each coefficient relative to the
+    # pair's largest one, on the cases of acceptance criterion 8.
+    rng = random.Random("acceptance:8")
+    cases = list(FIXED_SETS[:3]) + [_draw_params(rng) for _ in range(10)]
+    for params in cases:
+        polys, validity = ri_generate(tfraction_from_hyp(params, 25), 25)
+        assert validity.valid
+        for n, P in enumerate(polys):
+            G = Gn_monic(params, n)
+            assert P.degree == G.degree == n
+            scale = max(max(abs(c) for c in P.coeffs), max(abs(c) for c in G.coeffs))
+            for k in range(n + 1):
+                assert abs(P.coeff(k) - G.coeff(k)) <= 1e-12 * scale, (params, n, k)
 
 
 def test_tfraction_value_at_zero_is_delta_product():

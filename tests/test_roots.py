@@ -12,6 +12,7 @@ from hypersum.partial_sums import HypParams, gn_direct
 from hypersum.polycore import DEGREE_CAP, Poly, horner
 from hypersum.roots import (
     _companion_roots,
+    _min_pair_distance,
     _polish,
     check_simple,
     enestrom_kakeya_bounds,
@@ -239,6 +240,24 @@ def test_boundary_case_report():
     assert report.simple
     assert not report.positive_real_root_found
     assert report.ek_annulus == (1.0, 1.0)
+
+
+def test_report_measures_the_pair_distance_once(monkeypatch):
+    calls = []
+
+    def counted(rs):
+        calls.append(len(rs))
+        return _min_pair_distance(rs)
+
+    monkeypatch.setattr("hypersum.roots._min_pair_distance", counted)
+    # 0F1(;1) g_2 = (1 + z/2)^2 has a double root: simple is False there.
+    for params, n, simple in ((HypParams(a=(1.0,), b=(2.0,)), 8, True),
+                              (HypParams(a=(), b=(1.0,)), 2, False)):
+        calls.clear()
+        report = location_report(params, n)
+        assert calls == [n]
+        assert report.simple is simple is check_simple(report.roots)
+        assert report.min_pair_distance == _min_pair_distance(report.roots)
 
 
 def test_report_degree_zero():
