@@ -44,19 +44,21 @@ from .partial_sums import (
     gn_direct,
 )
 from .pfq import (
+    _axis_quadrature,
+    _axis_termwise,
     integral_rep_circle_batch,
-    integral_rep_negative_axis,
-    integral_rep_negative_axis_numeric,
+    terminating_pfq_poly,
 )
 from .polycore import horner
 from .ri_pencils import (
     JacobiPencil,
+    _band_coeff_stack,
+    _band_row_sums,
     pencil_coeff_stack,
-    pencil_row_sums,
     ri_generate,
     tfraction_from_hyp,
 )
-from .roots import _require_positive_conditions, location_report
+from .roots import _location_report, _require_positive_conditions
 from .sobolev import (
     QuadratureRule,
     auto_node_count,
@@ -256,6 +258,9 @@ def check_circle_rep(
     )
 
 
+_AXIS_POINTS = (-0.1, -1.0, -10.0)
+
+
 def check_axis_rep(
     params: HypParams, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
@@ -269,18 +274,23 @@ def check_axis_rep(
     alternating sum has cancelled more than 8 digits (possibly to an exact
     zero), neither route carries 10 trustworthy digits of the value, and
     the deviation is measured against S instead.
+
+    Per degree the terminating series h is built once and serves both
+    routes at all three points; the quadrature takes the three points in
+    one array pass. The values are those of integral_rep_negative_axis and
+    integral_rep_negative_axis_numeric.
     """
     tol = 1.0 if tol is None else tol
     N = min(int(n_max), 20)
     worst = 0.0
     for n in range(N + 1):
         g = gn_direct(params, n)
-        for x in (-0.1, -1.0, -10.0):
+        h = terminating_pfq_poly(params, n)
+        for x, quad in zip(_AXIS_POINTS, _axis_quadrature(h, n, _AXIS_POINTS)):
             direct, _, scale = horner(g.coeffs, x)
-            term = integral_rep_negative_axis(params, n, x)
+            term = _axis_termwise(h, n, x)
             denom = abs(direct) if abs(direct) >= 1e-8 * scale else scale
             worst = max(worst, (abs(term - direct) / denom) / 1e-10)
-            quad = integral_rep_negative_axis_numeric(params, n, x)
             worst = max(
                 worst, abs(term - quad) / (1e-6 * max(1.0, abs(direct)))
             )
@@ -296,20 +306,26 @@ def check_roots(
     params: HypParams, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """Zero localization: simple roots, moduli >= 1 - 1e-9, clearance of
-    the real ray (1, oo), and Vieta product reconstruction to 1e-8."""
+    the real ray (1, oo), and Vieta product reconstruction to 1e-8.
+
+    Each g_n is built once; its location report and its Vieta target
+    (-1)^n c_0/c_n are both read from it."""
     tol = 1.0 if tol is None else tol
     N = min(int(n_max), 25)
     worst = 0.0
     min_modulus_seen = math.inf
     boundary = 0
-    for n in range(2, N + 1):
-        rep = location_report(params, n)
+    degrees = range(2, N + 1)
+    if degrees:  # refused where location_report refused them: at n = 2
+        _require_positive_conditions(params)
+    for n in degrees:
+        g = gn_direct(params, n)
+        rep = _location_report(g)
         min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
         boundary += rep.boundary_root_count
         worst = max(worst, max(0.0, 1.0 - rep.min_modulus) / 1e-9)
         if not rep.simple or rep.positive_real_root_found:
             worst = math.inf
-        g = gn_direct(params, n)
         target = (-1) ** n * g.coeff(0) / g.coeff(n)
         prod = math.prod(rep.roots, start=1 + 0j)
         worst = max(worst, (abs(prod - target) / abs(target)) / 1e-8)
@@ -349,22 +365,34 @@ def check_rifrac(
     )
 
 
-def _random_pencil(rng: random.Random, N: int) -> JacobiPencil:
-    def sym(_):
-        return rng.uniform(-2.0, 2.0)
+# A draw of the pencil check is N, then the five bands (N entries each, in
+# JacobiPencil's field order), alpha, beta and _PENCIL_LAMBDAS (re, im)
+# pairs, each value uniform on its (lo, hi).
+_PENCIL_BAND_RANGES = ((-2.0, 2.0), (0.1, 2.0), (-2.0, 2.0), (-2.0, 2.0), (0.1, 2.0))
+_PENCIL_SEED_RANGES = ((0.1, 2.0), (-2.0, 2.0))  # alpha, beta
+_PENCIL_LAMBDA_RANGES = ((-3.0, 3.0), (-1.0, 1.0))  # re, im
+_PENCIL_LAMBDAS = 20
 
-    def pos(_):
-        return rng.uniform(0.1, 2.0)
 
-    return JacobiPencil(
-        j3_diag=tuple(sym(k) for k in range(N)),
-        j3_offdiag=tuple(pos(k) for k in range(N)),
-        j5_diag=tuple(sym(k) for k in range(N)),
-        j5_off1=tuple(sym(k) for k in range(N)),
-        j5_off2=tuple(pos(k) for k in range(N)),
-        alpha=rng.uniform(0.1, 2.0),
-        beta=rng.uniform(-2.0, 2.0),
-    )
+def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
+    """The pencil check's draws, grouped by N in draw order: a (B, 5N + 2 +
+    2·_PENCIL_LAMBDAS) array per N. Value i is lo_i + (hi_i - lo_i)·r with
+    r = rng.random(), drawn in the same order as rng.uniform(lo_i, hi_i)
+    would be and mapped in one numpy pass per N; the doubles are the ones
+    rng.uniform returns, which is that same expression."""
+    uniform01 = rng.random
+    raw: dict[int, list[float]] = {}
+    for _ in range(int(draws)):
+        N = rng.randint(2, 12)
+        count = 5 * N + 2 + 2 * _PENCIL_LAMBDAS
+        raw.setdefault(N, []).extend([uniform01() for _ in range(count)])
+    groups = {}
+    for N, flat in raw.items():
+        ranges = [r for r in _PENCIL_BAND_RANGES for _ in range(N)]
+        ranges += _PENCIL_SEED_RANGES + _PENCIL_LAMBDA_RANGES * _PENCIL_LAMBDAS
+        lo, hi = np.array(ranges).T
+        groups[N] = lo + (hi - lo) * np.array(flat).reshape(-1, len(ranges))
+    return groups
 
 
 def check_pencil(
@@ -374,13 +402,16 @@ def check_pencil(
     generated p_n have degree n with positive leading coefficient, and the
     worked p_2 = lambda^2 example is reproduced exactly.
 
-    Each draw takes N in 2..12, the pencil, then 20 lambdas from rng. The
-    draws are grouped by N, and each group is solved as one stack by
-    pencil_coeff_stack and checked by one pencil_row_sums pass. Degree n
-    with a positive leading coefficient means exact zeros above the
-    diagonal of the coefficient array and a positive diagonal. Per lambda
-    the measure is the largest row residual over the largest row scale
-    (at least 1).
+    The pencils are drawn from rng alone, so the result depends only on the
+    seed and `draws`, not on the family being verified. Each draw takes N in
+    2..12, the pencil's bands, alpha and beta, then _PENCIL_LAMBDAS lambdas
+    (_draw_pencils). The draws are grouped by N, and each group is solved as
+    one band array by the engine behind pencil_coeff_stack and checked by
+    one pass of the engine behind pencil_row_sums; no JacobiPencil is built
+    for them. Degree n with a positive leading coefficient means exact
+    zeros above the diagonal of the coefficient array and a positive
+    diagonal. Per lambda the measure is the largest row residual over the
+    largest row scale (at least 1).
     """
     tol = 1e-10 if tol is None else tol
     worked = JacobiPencil(
@@ -395,28 +426,23 @@ def check_pencil(
     worst = 0.0
     if pencil_coeff_stack([worked], 2)[0, 2].tolist() != [0.0, 0.0, 1.0]:
         worst = math.inf
-    groups: dict[int, tuple[list, list]] = {}
-    for _ in range(int(draws)):
-        N = rng.randint(2, 12)
-        pencils, lams = groups.setdefault(N, ([], []))
-        pencils.append(_random_pencil(rng, N))
-        lams.append(
-            [complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
-             for _ in range(20)]
-        )
-    for N, (pencils, lams) in sorted(groups.items()):
-        coeffs = pencil_coeff_stack(pencils, N)
+    for N, values in sorted(_draw_pencils(rng, draws).items()):
+        bands = values[:, : 5 * N].reshape(-1, 5, N).transpose(1, 0, 2)
+        alpha, beta = values[:, 5 * N], values[:, 5 * N + 1]
+        # The (re, im) pairs are laid out as complex128 once contiguous.
+        lams = np.ascontiguousarray(values[:, 5 * N + 2 :]).view(complex)
+        coeffs = _band_coeff_stack(bands, alpha, beta, N)
         diagonal = np.diagonal(coeffs, axis1=1, axis2=2)
         if np.triu(coeffs, 1).any() or not (diagonal > 0).all():
             worst = math.inf
-        total, scale = pencil_row_sums(pencils, coeffs, lams, N - 1)
+        total, scale = _band_row_sums(bands, coeffs, lams, N - 1)
         ratio = np.abs(total).max(axis=1) / np.maximum(scale.max(axis=1), 1.0)
         worst = float(np.max([worst, ratio.max()]))
     return _result(
         "pencil",
         worst,
         tol,
-        f"max residual/scale over {draws} pencils, 20 lambdas each",
+        f"max residual/scale over {draws} pencils, {_PENCIL_LAMBDAS} lambdas each",
     )
 
 

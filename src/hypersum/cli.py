@@ -420,6 +420,18 @@ def cmd_sweep(args, parser) -> tuple[str, int]:
 # -- parser ------------------------------------------------------------------
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. It reports its own unrecognized arguments
+    under its own usage line; what the root parser cannot place (an unknown
+    flag before the subcommand) is left to the root parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
@@ -433,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     def add_common(sp, fmt=True):
         sp.add_argument("--p", type=int, default=0, help="number of a parameters")
@@ -532,10 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        # Reported on the subcommand's parser, so the usage line is its own.
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = build_parser().parse_args(argv)
     try:
         document, code = args.handler(args, args.parser)
     except DomainError as exc:

@@ -186,6 +186,22 @@ def terminating_pfq_poly(params: HypParams, n: int) -> Poly:
     return Poly(coeffs)
 
 
+def _negative_axis_arguments(n: int, x: float) -> tuple[int, float]:
+    n = _check_cap(n)
+    x = float(x)
+    if not (x < 0):
+        raise DomainError("the axis representation needs x < 0")
+    return n, x
+
+
+def _axis_termwise(h: Poly, n: int, x: float) -> complex:
+    """integral_rep_negative_axis from h = terminating_pfq_poly(params, n)."""
+    antiderivative_at_x = 0j
+    for k, e_k in enumerate(h.coeffs):
+        antiderivative_at_x += e_k * x ** (k - n - 1) / (k - n - 1)
+    return -(n + 1) * x ** (n + 1) * antiderivative_at_x
+
+
 def integral_rep_negative_axis(params: HypParams, n: int, x: float) -> complex:
     """Recover g_n(x) for x < 0 by exact termwise integration of
 
@@ -196,15 +212,8 @@ def integral_rep_negative_axis(params: HypParams, n: int, x: float) -> complex:
     integral is a finite sum evaluated at t = x. No quadrature is involved;
     the only approximation is floating-point roundoff.
     """
-    n = _check_cap(n)
-    x = float(x)
-    if not (x < 0):
-        raise DomainError("the axis representation needs x < 0")
-    h = terminating_pfq_poly(params, n)
-    antiderivative_at_x = 0j
-    for k, e_k in enumerate(h.coeffs):
-        antiderivative_at_x += e_k * x ** (k - n - 1) / (k - n - 1)
-    return -(n + 1) * x ** (n + 1) * antiderivative_at_x
+    n, x = _negative_axis_arguments(n, x)
+    return _axis_termwise(terminating_pfq_poly(params, n), n, x)
 
 
 @functools.cache
@@ -214,6 +223,21 @@ def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     u, w = 0.5 * (u + 1.0), 0.5 * w
     u.flags.writeable = w.flags.writeable = False
     return u, w
+
+
+def _axis_quadrature(h: Poly, n: int, xs, nodes: int = 64) -> list[complex]:
+    """integral_rep_negative_axis_numeric at every x < 0 of xs from
+    h = terminating_pfq_poly(params, n): one (len(xs), nodes) array pass.
+    Each point's integral is its own row's dot product with the weights, so
+    a point's value does not depend on the others."""
+    u, w = _unit_gauss_legendre(int(nodes))
+    x = np.array(xs, dtype=float)[:, None]
+    t = x / u
+    integrand = t ** (-n - 2) * np.polyval(h.coeffs[::-1], t) * (-x / (u * u))
+    return [
+        complex(-(n + 1) * xi ** (n + 1) * (w @ row))
+        for xi, row in zip(map(float, xs), integrand)
+    ]
 
 
 def integral_rep_negative_axis_numeric(
@@ -228,15 +252,8 @@ def integral_rep_negative_axis_numeric(
     array pass. Agreement with the termwise-exact path to 1e-6 is the test
     contract (observed far tighter).
     """
-    n = _check_cap(n)
-    x = float(x)
-    if not (x < 0):
-        raise DomainError("the axis representation needs x < 0")
-    h = terminating_pfq_poly(params, n)
-    u, w = _unit_gauss_legendre(int(nodes))
-    t = x / u
-    integrand = t ** (-n - 2) * np.polyval(h.coeffs[::-1], t) * (-x / (u * u))
-    return complex(-(n + 1) * x ** (n + 1) * (w @ integrand))
+    n, x = _negative_axis_arguments(n, x)
+    return _axis_quadrature(terminating_pfq_poly(params, n), n, [x], nodes)[0]
 
 
 @dataclass(frozen=True)

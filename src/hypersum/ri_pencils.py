@@ -20,6 +20,13 @@ an array of lambda by Horner and sums the five row addends, with their
 moduli as the scale, in one vectorized pass. pencil_row_terms keeps the
 scalar form of one row as the reference the vectorized pass is tested
 against.
+
+The engine works on band arrays: a (5, B, K) float array holding b_k, a_k,
+alpha_k, beta_k, gamma_k of B pencils, with (B,) arrays of alpha and beta.
+_band_coeff_stack applies JacobiPencil's validation to the arrays (every
+entry finite; a_k, gamma_k and alpha positive). pencil_coeff_stack and
+pencil_row_sums are its wrappers for JacobiPencil lists; the verify check
+draws its random pencils directly as band arrays.
 """
 
 from __future__ import annotations
@@ -184,15 +191,17 @@ class JacobiPencil:
         object.__setattr__(self, "beta", beta)
 
 
+# The five bands in the order of a band array's first axis.
+_BAND_NAMES = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
+
+
+def _bands_of(pencil: JacobiPencil) -> tuple[tuple[float, ...], ...]:
+    return tuple(getattr(pencil, name) for name in _BAND_NAMES)
+
+
 def _pencil_required_length(pencil: JacobiPencil, n: int) -> None:
     # Row n touches b_n, a_n, alpha_n, beta_n, gamma_n.
-    for name, seq in (
-        ("j3_diag", pencil.j3_diag),
-        ("j3_offdiag", pencil.j3_offdiag),
-        ("j5_diag", pencil.j5_diag),
-        ("j5_off1", pencil.j5_off1),
-        ("j5_off2", pencil.j5_off2),
-    ):
+    for name, seq in zip(_BAND_NAMES, _bands_of(pencil)):
         if len(seq) <= n:
             raise DomainError(f"{name} holds {len(seq)} entries, row {n} needs more")
 
@@ -204,39 +213,48 @@ def _pencil_bands(pencils: Sequence[JacobiPencil], rows: int) -> np.ndarray:
     one a row-by-row pass would raise.
     """
     for pencil in pencils:
-        bands = (pencil.j3_diag, pencil.j3_offdiag, pencil.j5_diag,
-                 pencil.j5_off1, pencil.j5_off2)
-        shortest = min(len(seq) for seq in bands)
+        shortest = min(len(seq) for seq in _bands_of(pencil))
         if shortest < rows:
             _pencil_required_length(pencil, shortest)
     out = np.empty((5, len(pencils), rows))
     for i, pencil in enumerate(pencils):
-        out[0, i] = pencil.j3_diag[:rows]
-        out[1, i] = pencil.j3_offdiag[:rows]
-        out[2, i] = pencil.j5_diag[:rows]
-        out[3, i] = pencil.j5_off1[:rows]
-        out[4, i] = pencil.j5_off2[:rows]
+        for j, seq in enumerate(_bands_of(pencil)):
+            out[j, i] = seq[:rows]
     return out
 
 
-def pencil_coeff_stack(pencils: Sequence[JacobiPencil], N: int) -> np.ndarray:
-    """Coefficients of p_0..p_N for a stack of pencils, solved together.
+def _require_valid_bands(bands: np.ndarray, alpha, beta) -> None:
+    """JacobiPencil's validation on arrays: every entry finite, and a_k,
+    gamma_k and alpha positive. Raises DomainError naming the first bad
+    entry."""
+    positive = np.array([False, True, False, False, True])[:, None, None]
+    bad = ~np.isfinite(bands) | (positive & ~(bands > 0))
+    if bad.any():
+        j, i, k = np.argwhere(bad)[0]
+        rule = "finite and positive" if positive[j, 0, 0] else "finite"
+        raise DomainError(
+            f"pencil {i}: {_BAND_NAMES[j]}[{k}] = {bands[j, i, k]} must be {rule}"
+        )
+    if not (np.isfinite(alpha) & (alpha > 0)).all():
+        raise DomainError("alpha must be finite and positive")
+    if not np.isfinite(beta).all():
+        raise DomainError("beta must be finite")
 
-    Entry [i, k, j] is the coefficient of x^j in p_k of pencils[i], so the
-    result has shape (B, N+1, N+1) and is zero above the diagonal. Each row
-    n = 0..N-2 is solved for p_{n+2} (see pencil_polynomials) on all
-    pencils at once, so a pencil's coefficients do not depend on the stack
-    it is solved in.
-    """
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    b, a, al, be, ga = _pencil_bands(pencils, max(N - 1, 0))
-    P = np.zeros((len(pencils), N + 1, N + 1))
+
+def _band_coeff_stack(bands, alpha, beta, N: int) -> np.ndarray:
+    """The solve of pencil_coeff_stack on arrays: bands is (5, B, K) with
+    K >= N - 1 (b_k, a_k, alpha_k, beta_k, gamma_k; entries past N - 2 are
+    not read), alpha and beta are (B,). Validated like JacobiPencil."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    _require_valid_bands(bands, alpha, beta)
+    # A fresh C-ordered copy, so that every pass below runs the same numpy
+    # loops whatever the layout the caller's bands have.
+    b, a, al, be, ga = np.ascontiguousarray(bands[:, :, : max(N - 1, 0)])
+    P = np.zeros((len(alpha), N + 1, N + 1))
     P[:, 0, 0] = 1.0
     if N >= 1:
-        P[:, 1, 0] = [pencil.beta for pencil in pencils]
-        P[:, 1, 1] = [pencil.alpha for pencil in pencils]
+        P[:, 1, 0] = beta
+        P[:, 1, 1] = alpha
 
     def times_linear(k, c0, c1):
         # p_k * (c0 + c1 x)
@@ -252,6 +270,26 @@ def pencil_coeff_stack(pencils: Sequence[JacobiPencil], N: int) -> np.ndarray:
         acc = acc + times_linear(n + 1, be[:, n], -a[:, n])
         P[:, n + 2] = acc * (-1.0 / ga[:, n])[:, None]
     return P
+
+
+def pencil_coeff_stack(pencils: Sequence[JacobiPencil], N: int) -> np.ndarray:
+    """Coefficients of p_0..p_N for a stack of pencils, solved together.
+
+    Entry [i, k, j] is the coefficient of x^j in p_k of pencils[i], so the
+    result has shape (B, N+1, N+1) and is zero above the diagonal. Each row
+    n = 0..N-2 is solved for p_{n+2} (see pencil_polynomials) on all
+    pencils at once, so a pencil's coefficients do not depend on the stack
+    it is solved in.
+    """
+    N = int(N)
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    return _band_coeff_stack(
+        _pencil_bands(pencils, max(N - 1, 0)),
+        [pencil.alpha for pencil in pencils],
+        [pencil.beta for pencil in pencils],
+        N,
+    )
 
 
 def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
@@ -291,26 +329,15 @@ def pencil_row_terms(
     return (t0, t1, t2, t3, t4)
 
 
-def pencil_row_sums(
-    pencils: Sequence[JacobiPencil], coeffs, lams, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums and row scales of the first `rows` scalar relations.
-
-    coeffs[i, k] holds the coefficients of p_k for pencils[i] (shape
-    (B, K, D), K >= rows + 2, real or complex); lams holds the lambdas, of
-    shape (L,) for all pencils or (B, L) per pencil. Returns two (B, rows, L)
-    arrays: the sum of the five addends of pencil_row_terms, and the sum of
-    their moduli.
-    """
-    rows = int(rows)
-    if rows < 0:
-        raise DomainError("rows must be nonnegative")
+def _band_row_sums(bands, coeffs, lams, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pass of pencil_row_sums on a (5, B, K) band array, K >= rows
+    (entries past rows - 1 are not read); coeffs holds at least rows + 2
+    polynomials per pencil."""
     C = np.asarray(coeffs)
-    if C.shape[1] < rows + 2:
-        raise DomainError(f"{rows} rows need {rows + 2} polynomials")
-    b, a, al, be, ga = (x[:, :, None] for x in _pencil_bands(pencils, rows))
+    bands = np.ascontiguousarray(bands[:, :, :rows])  # as in _band_coeff_stack
+    b, a, al, be, ga = (x[:, :, None] for x in bands)
     lam = np.broadcast_to(np.asarray(lams, dtype=complex),
-                          (len(pencils), np.shape(lams)[-1]))[:, None, :]
+                          (bands.shape[1], np.shape(lams)[-1]))[:, None, :]
     # A lambda far outside the spectrum can overflow the values; the
     # non-finite sums are the report, so numpy's warnings are muted.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,6 +352,25 @@ def pencil_row_sums(
         terms[3] = (be - lam * a) * V[:, 1 : rows + 1]
         terms[4] = ga * V[:, 2 : rows + 2]
         return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+def pencil_row_sums(
+    pencils: Sequence[JacobiPencil], coeffs, lams, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and row scales of the first `rows` scalar relations.
+
+    coeffs[i, k] holds the coefficients of p_k for pencils[i] (shape
+    (B, K, D), K >= rows + 2, real or complex); lams holds the lambdas, of
+    shape (L,) for all pencils or (B, L) per pencil. Returns two (B, rows, L)
+    arrays: the sum of the five addends of pencil_row_terms, and the sum of
+    their moduli.
+    """
+    rows = int(rows)
+    if rows < 0:
+        raise DomainError("rows must be nonnegative")
+    if np.shape(coeffs)[1] < rows + 2:
+        raise DomainError(f"{rows} rows need {rows + 2} polynomials")
+    return _band_row_sums(_pencil_bands(pencils, rows), coeffs, lams, rows)
 
 
 def pencil_residual(

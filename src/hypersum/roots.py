@@ -216,8 +216,13 @@ def location_report(params: HypParams, n: int) -> RootReport:
     """
     n = _check_cap(n)
     _require_positive_conditions(params)
-    g = gn_direct(params, n)
-    if n == 0:
+    return _location_report(gn_direct(params, n))
+
+
+def _location_report(g: Poly) -> RootReport:
+    """The report of location_report on a g_n already built, for a caller
+    that has checked the preconditions."""
+    if g.degree == 0:
         return RootReport(
             roots=(),
             min_pair_distance=math.inf,

@@ -4,15 +4,18 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
-from hypersum import checks, operators, partial_sums, sobolev
+from hypersum import checks, operators, partial_sums, pfq, roots, sobolev
 from hypersum.checks import (
     CHECK_ORDER,
     CheckResult,
+    check_axis_rep,
     check_ode,
     check_pencil,
     check_rifrac,
+    check_roots,
     check_sobolev,
     inapplicable_reason,
     run_checks,
@@ -26,6 +29,15 @@ from hypersum.operators import (
     verify_ode,
 )
 from hypersum.partial_sums import HypParams, gn_direct
+from hypersum.pfq import (
+    integral_rep_negative_axis,
+    integral_rep_negative_axis_numeric,
+)
+from hypersum.polycore import horner
+from hypersum.ri_pencils import JacobiPencil, pencil_coeff_stack, pencil_row_sums
+from hypersum.roots import location_report
+from test_acceptance import FIXED_SETS
+from test_ri_pencils import _random_pencil
 
 EXP = HypParams(a=(), b=())
 GEOMETRIC = HypParams(a=(1.0,), b=())
@@ -218,26 +230,87 @@ def _pencil_draws(rng, draws):
     return out
 
 
-def _record_pencil_calls(monkeypatch, perturb=None):
-    """Wrap the stacked solve and residual that check_pencil calls; the
-    recorded calls exclude the worked p_2 example, which runs first."""
-    calls = []
-    solve, row_sums = checks.pencil_coeff_stack, checks.pencil_row_sums
+def _pencil_check_oracle(rng, draws=200, tol=None):
+    """The pencil check as it was written on JacobiPencil objects: each
+    draw builds a validated pencil with random.uniform, and each size group
+    goes through the public pencil_coeff_stack and pencil_row_sums."""
+    tol = 1e-10 if tol is None else tol
+    worked = JacobiPencil(
+        j3_diag=(0.0, 0.0),
+        j3_offdiag=(1.0, 1.0),
+        j5_diag=(0.0, 0.0),
+        j5_off1=(0.0, 0.0),
+        j5_off2=(1.0, 1.0),
+        alpha=1.0,
+        beta=0.0,
+    )
+    worst = 0.0
+    if pencil_coeff_stack([worked], 2)[0, 2].tolist() != [0.0, 0.0, 1.0]:
+        worst = math.inf
+    groups = {}
+    for _ in range(int(draws)):
+        N = rng.randint(2, 12)
+        pencils, lams = groups.setdefault(N, ([], []))
+        pencils.append(_random_pencil(rng, N))
+        lams.append(
+            [complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+             for _ in range(20)]
+        )
+    for N, (pencils, lams) in sorted(groups.items()):
+        coeffs = pencil_coeff_stack(pencils, N)
+        diagonal = np.diagonal(coeffs, axis1=1, axis2=2)
+        if np.triu(coeffs, 1).any() or not (diagonal > 0).all():
+            worst = math.inf
+        total, scale = pencil_row_sums(pencils, coeffs, lams, N - 1)
+        ratio = np.abs(total).max(axis=1) / np.maximum(scale.max(axis=1), 1.0)
+        worst = float(np.max([worst, ratio.max()]))
+    return CheckResult(
+        "pencil",
+        "PASS" if worst <= tol else "FAIL",
+        worst,
+        tol,
+        f"max residual/scale over {draws} pencils, 20 lambdas each",
+    )
 
-    def recording_solve(pencils, N):
-        out = solve(pencils, N)
-        if calls or pencils[0].j3_diag != (0.0, 0.0):
-            if perturb is not None and not calls:
-                perturb(out)
-            calls.append([N, pencils, None])
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pencil_check_equals_the_jacobi_pencil_oracle(seed):
+    for draws in (1, 7, 200):
+        rng, reference = (random.Random(f"{seed}:pencil") for _ in range(2))
+        assert check_pencil(rng, draws) == _pencil_check_oracle(reference, draws)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_pencil_check_is_family_independent():
+    # The pencils come from the seed alone, so unrelated families agree.
+    families = (HypParams(a=(1.0,), b=(2.0,)),
+                HypParams(a=(0.5 + 0.25j, 1.5, 2.0 - 0.5j), b=(1.25 + 0.5j,)))
+    first, second = (run_checks(f, 10, 4, ["pencil"], draws=50) for f in families)
+    assert first == second
+    assert first != run_checks(families[0], 10, 5, ["pencil"], draws=50)
+
+
+def _record_pencil_calls(monkeypatch, perturb=None):
+    """Wrap the band-level solve and residual that check_pencil calls on its
+    random draws. The worked p_2 example goes through the public
+    pencil_coeff_stack, which calls the engine inside ri_pencils, so it is
+    not recorded here."""
+    calls = []
+    solve, row_sums = checks._band_coeff_stack, checks._band_row_sums
+
+    def recording_solve(bands, alpha, beta, N):
+        out = solve(bands, alpha, beta, N)
+        if perturb is not None and not calls:
+            perturb(out)
+        calls.append([N, bands, alpha, beta, None])
         return out
 
-    def recording_row_sums(pencils, coeffs, lams, rows):
-        calls[-1][2] = lams
-        return row_sums(pencils, coeffs, lams, rows)
+    def recording_row_sums(bands, coeffs, lams, rows):
+        calls[-1][4] = lams
+        return row_sums(bands, coeffs, lams, rows)
 
-    monkeypatch.setattr(checks, "pencil_coeff_stack", recording_solve)
-    monkeypatch.setattr(checks, "pencil_row_sums", recording_row_sums)
+    monkeypatch.setattr(checks, "_band_coeff_stack", recording_solve)
+    monkeypatch.setattr(checks, "_band_row_sums", recording_row_sums)
     return calls
 
 
@@ -249,11 +322,11 @@ def test_pencil_check_draws_the_same_stream(monkeypatch):
     want = _pencil_draws(reference, 200)
     assert rng.getstate() == reference.getstate()
     got = []
-    for N, pencils, lams in calls:
-        for pencil, lam_row in zip(pencils, lams, strict=True):
-            bands = (pencil.j3_diag, pencil.j3_offdiag, pencil.j5_diag,
-                     pencil.j5_off1, pencil.j5_off2)
-            got.append((N, bands, pencil.alpha, pencil.beta, lam_row))
+    for N, bands, alpha, beta, lams in calls:
+        assert bands.shape == (5, len(alpha), N)
+        for i, lam_row in enumerate(lams):
+            got.append((N, tuple(tuple(band[i].tolist()) for band in bands),
+                        float(alpha[i]), float(beta[i]), lam_row.tolist()))
     # One stack per size, in size order, each in draw order.
     assert [c[0] for c in calls] == sorted({w[0] for w in want})
     assert got == sorted(want, key=lambda w: w[0])
@@ -267,6 +340,127 @@ def test_pencil_check_fails_on_one_perturbed_coefficient(monkeypatch):
     result = check_pencil(random.Random("7:pencil"), 200)
     assert result.status == "FAIL"
     assert 1e-10 < result.max_residual < 1e-3
+
+
+def _axis_rep_by_point(params, n_max):
+    """check_axis_rep from the public per-point functions, each of which
+    builds the terminating series again."""
+    N = min(n_max, 20)
+    worst = 0.0
+    for n in range(N + 1):
+        g = gn_direct(params, n)
+        for x in (-0.1, -1.0, -10.0):
+            direct, _, scale = horner(g.coeffs, x)
+            term = integral_rep_negative_axis(params, n, x)
+            denom = abs(direct) if abs(direct) >= 1e-8 * scale else scale
+            worst = max(worst, (abs(term - direct) / denom) / 1e-10)
+            quad = integral_rep_negative_axis_numeric(params, n, x)
+            worst = max(
+                worst, abs(term - quad) / (1e-6 * max(1.0, abs(direct)))
+            )
+    return CheckResult(
+        "axis-rep",
+        "PASS" if worst <= 1.0 else "FAIL",
+        worst,
+        1.0,
+        f"normalized worst deviation {checks._fmt(worst)} over n <= {N}",
+    )
+
+
+AXIS_FAMILIES = FIXED_SETS + (
+    HypParams(a=(0.7 + 0.2j, 1.1 - 0.3j), b=(1.5 + 0.4j, 2.2, 3.1)),
+    HypParams(a=(-2.5 + 0.5j,), b=(0.3 - 1.2j, 4.0 + 2.0j)),
+)
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 20, 25])
+@pytest.mark.parametrize("params", AXIS_FAMILIES)
+def test_axis_rep_check_equals_per_point_reference(params, n_max):
+    assert check_axis_rep(params, n_max) == _axis_rep_by_point(params, n_max)
+
+
+def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
+    built = []
+
+    def counting(params, n):
+        built.append(n)
+        return pfq.terminating_pfq_poly(params, n)
+
+    monkeypatch.setattr(checks, "terminating_pfq_poly", counting)
+    for n_max, N in ((7, 7), (25, 20)):
+        built.clear()
+        assert check_axis_rep(AXIS_FAMILIES[-2], n_max).status == "PASS"
+        assert built == list(range(N + 1))
+
+
+def _roots_check_by_report(params, n_max):
+    """check_roots from the public location_report, with the Vieta target
+    read from a second gn_direct per degree."""
+    N = min(n_max, 25)
+    worst, min_modulus_seen, boundary = 0.0, math.inf, 0
+    for n in range(2, N + 1):
+        rep = location_report(params, n)
+        min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
+        boundary += rep.boundary_root_count
+        worst = max(worst, max(0.0, 1.0 - rep.min_modulus) / 1e-9)
+        if not rep.simple or rep.positive_real_root_found:
+            worst = math.inf
+        g = gn_direct(params, n)
+        target = (-1) ** n * g.coeff(0) / g.coeff(n)
+        prod = math.prod(rep.roots, start=1 + 0j)
+        worst = max(worst, (abs(prod - target) / abs(target)) / 1e-8)
+    return CheckResult(
+        "roots",
+        "PASS" if worst <= 1.0 else "FAIL",
+        worst,
+        1.0,
+        f"min modulus {checks._fmt(min_modulus_seen)}, boundary roots "
+        f"{boundary}, n in [2, {N}]",
+    )
+
+
+ROOTS_FAMILIES = [
+    EXP,
+    HypParams(a=(1.0,), b=(2.0,)),
+    HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0)),
+    HypParams(a=(), b=(1.3, 2.2)),
+]
+
+
+@pytest.mark.parametrize("params", ROOTS_FAMILIES)
+def test_roots_check_builds_each_partial_sum_once(params, monkeypatch):
+    built = []
+
+    def counting(params, n):
+        built.append(n)
+        return gn_direct(params, n)
+
+    monkeypatch.setattr(checks, "gn_direct", counting)
+    monkeypatch.setattr(roots, "gn_direct", counting)
+    result = check_roots(params, 30)
+    assert built == list(range(2, 26))
+    monkeypatch.undo()
+    assert result == _roots_check_by_report(params, 30)
+
+
+def test_roots_check_raises_where_location_report_raises():
+    # xi_k of 0F1(;1e40) underflows to zero at k = 8.
+    params = HypParams(a=(), b=(1e40,))
+    location_report(params, 7)
+    with pytest.raises(DomainError) as want:
+        location_report(params, 8)
+    with pytest.raises(DomainError) as got:
+        check_roots(params, 25)
+    assert str(got.value) == str(want.value)
+    # The preconditions are refused as location_report refused them at
+    # n = 2; below that degree nothing is checked.
+    bad = HypParams(a=(2.0,), b=(1.0,))
+    with pytest.raises(DomainError) as want:
+        location_report(bad, 2)
+    with pytest.raises(DomainError) as got:
+        check_roots(bad, 5)
+    assert str(got.value) == str(want.value)
+    assert check_roots(bad, 1).status == "PASS"
 
 
 def test_rifrac_fails_when_one_delta_is_perturbed(monkeypatch):

@@ -145,6 +145,15 @@ def test_unknown_flag_prints_the_subcommand_usage(capsys):
     assert err.rstrip().endswith("error: unrecognized arguments: --foo")
 
 
+def test_unknown_flag_before_the_subcommand_prints_the_root_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--foo", "verify"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypersum [-h] [--version] ")
+    assert err.rstrip().endswith("hypersum: error: unrecognized arguments: --foo")
+
+
 def test_negative_leading_list_value_is_written_with_equals(capsys):
     # The sweep form, --n-list=-1,5, is covered by the gram-offdiag
     # domain-error test below.

@@ -18,11 +18,13 @@ from hypersum.partial_sums import (
     delta_k,
 )
 from hypersum.polycore import Poly
-from hypersum.checks import _random_pencil
 from test_acceptance import FIXED_SETS, _draw_params
 from hypersum.ri_pencils import (
     JacobiPencil,
     RIRecurrence,
+    _band_coeff_stack,
+    _band_row_sums,
+    _pencil_bands,
     chebyshev_eval,
     kernel_decompose,
     pencil_coeff_stack,
@@ -290,6 +292,26 @@ def poly_pencil_polynomials(pencil, N):
     return polys
 
 
+def _random_pencil(rng: random.Random, N: int) -> JacobiPencil:
+    """One random pencil of size N, drawn as the verify pencil check draws
+    its bands, alpha and beta (random.uniform per entry, in field order)."""
+    def sym(_):
+        return rng.uniform(-2.0, 2.0)
+
+    def pos(_):
+        return rng.uniform(0.1, 2.0)
+
+    return JacobiPencil(
+        j3_diag=tuple(sym(k) for k in range(N)),
+        j3_offdiag=tuple(pos(k) for k in range(N)),
+        j5_diag=tuple(sym(k) for k in range(N)),
+        j5_off1=tuple(sym(k) for k in range(N)),
+        j5_off2=tuple(pos(k) for k in range(N)),
+        alpha=rng.uniform(0.1, 2.0),
+        beta=rng.uniform(-2.0, 2.0),
+    )
+
+
 def _random_pencils_by_size(seed, count):
     rng = random.Random(seed)
     groups = {}
@@ -352,6 +374,58 @@ def test_row_sums_match_scalar_row_terms():
                     tol = 1e-12 * want_scale
                     assert abs(total[i, n, j] - sum(terms)) <= tol
                     assert abs(scale[i, n, j] - want_scale) <= tol
+
+
+def test_band_engine_reads_any_layout_and_ignores_extra_entries():
+    # The pencil check hands the engine transposed views holding one band
+    # entry more than the solve reads; the result is the wrappers', bit for
+    # bit.
+    rng = random.Random(17)
+    for N, pencils in _random_pencils_by_size(12, 60).items():
+        full = _pencil_bands(pencils, N)
+        strided = np.ascontiguousarray(full.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not strided.flags.c_contiguous
+        alpha = [p.alpha for p in pencils]
+        beta = [p.beta for p in pencils]
+        stack = _band_coeff_stack(strided, alpha, beta, N)
+        assert np.array_equal(stack, pencil_coeff_stack(pencils, N))
+        lams = np.array([[complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+                          for _ in range(5)] for _ in pencils])
+        got = _band_row_sums(strided, stack, lams, N - 1)
+        want = pencil_row_sums(pencils, stack, lams, N - 1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("band, value", [
+    (1, 0.0), (4, -0.5), (0, math.nan), (2, math.inf), (3, -math.inf),
+    (4, math.nan),
+])
+def test_band_engine_refuses_what_jacobi_pencil_refuses(band, value):
+    pencils = _random_pencils_by_size(3, 20)[5]
+    bands = _pencil_bands(pencils, 5)
+    alpha = np.array([p.alpha for p in pencils])
+    beta = np.array([p.beta for p in pencils])
+    _band_coeff_stack(bands, alpha, beta, 5)
+    bands[band, 1, 3] = value
+    names = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
+    with pytest.raises(DomainError, match=rf"pencil 1: {names[band]}\[3\]"):
+        _band_coeff_stack(bands, alpha, beta, 5)
+    fields = dict(zip(names, bands[:, 1].tolist()), alpha=alpha[1], beta=beta[1])
+    with pytest.raises(DomainError):
+        JacobiPencil(**fields)
+
+
+@pytest.mark.parametrize("alpha0, beta0", [
+    (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+    (1.0, math.nan), (1.0, -math.inf),
+])
+def test_band_engine_refuses_a_bad_seed(alpha0, beta0):
+    bands = _pencil_bands(_random_pencils_by_size(3, 20)[5], 4)
+    alpha = np.ones(bands.shape[1])
+    beta = np.zeros(bands.shape[1])
+    alpha[-1], beta[-1] = alpha0, beta0
+    with pytest.raises(DomainError, match="alpha|beta"):
+        _band_coeff_stack(bands, alpha, beta, 5)
 
 
 def test_pencil_residual_takes_every_lambda_at_once():
