@@ -48,7 +48,6 @@ from .operators import (
 )
 from .sobolev import (
     QuadratureRule,
-    SobolevForm,
     auto_node_count,
     build_sobolev_form,
     monomial_quadrature_defect,
@@ -81,10 +80,8 @@ from .ri_pencils import (
     RIValidity,
     chebyshev_eval,
     kernel_decompose,
-    pencil_coeff_stack,
     pencil_polynomials,
     pencil_residual,
-    pencil_row_sums,
     pencil_row_terms,
     ri_generate,
     tfraction_from_hyp,
@@ -122,7 +119,6 @@ __all__ = [
     "r_image",
     "verify_ode",
     "QuadratureRule",
-    "SobolevForm",
     "auto_node_count",
     "build_sobolev_form",
     "monomial_quadrature_defect",
@@ -149,10 +145,8 @@ __all__ = [
     "RIValidity",
     "chebyshev_eval",
     "kernel_decompose",
-    "pencil_coeff_stack",
     "pencil_polynomials",
     "pencil_residual",
-    "pencil_row_sums",
     "pencil_row_terms",
     "ri_generate",
     "tfraction_from_hyp",

@@ -54,7 +54,7 @@ from .ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
     _band_row_sums,
-    pencil_coeff_stack,
+    pencil_polynomials,
     ri_generate,
     tfraction_from_hyp,
 )
@@ -103,6 +103,16 @@ def _result(name: str, measured: float, tol: float, detail: str) -> CheckResult:
     )
 
 
+def _degree(n_max: int, cap: int) -> int:
+    """The degree a check runs to: n_max clamped to the check's cap. A
+    negative n_max raises the DomainError gn_direct raises for a negative
+    order, instead of an empty degree range that passes."""
+    n_max = int(n_max)
+    if n_max < 0:
+        raise DomainError("order must be nonnegative")
+    return min(n_max, cap)
+
+
 def _rel_coeff_dev(reference, candidate) -> float:
     """Max per-coefficient relative deviation between two Poly sequences.
 
@@ -140,7 +150,7 @@ def check_recurrence(
 ) -> CheckResult:
     """Direct-formula vs recurrence construction of g_n and G_n."""
     tol = 1e-10 if tol is None else tol
-    N = min(int(n_max), 25)
+    N = _degree(n_max, 25)
     direct_g = [gn_direct(params, n) for n in range(N + 1)]
     direct_G = [Gn_monic(params, n) for n in range(N + 1)]
     rec_g = gn_by_recurrence(params, N)
@@ -169,7 +179,7 @@ def check_ode(
     roundoff of that cancellation, where raw residuals measure conditioning.
     """
     tol = 1e-9 if tol is None else tol
-    N = min(int(n_max), 25)
+    N = _degree(n_max, 25)
     R = build_R(params)
     theta_R = op_compose(op_theta(), R)
     worst = 0.0
@@ -209,7 +219,7 @@ def check_sobolev(
     from orthogonality noise).
     """
     tol = 1.0 if tol is None else tol
-    m = min(int(n_max), 15)
+    m = _degree(n_max, 15)
     gram = sobolev_gram(params, m)
     off, max_diag = gram_extremes(gram)
     diag_rel = 0.0
@@ -240,7 +250,7 @@ def check_circle_rep(
 ) -> CheckResult:
     """Kernel quadrature on T vs direct evaluation, 16 random angles."""
     tol = 1e-8 if tol is None else tol
-    N = min(int(n_max), 10)
+    N = _degree(n_max, 10)
     angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(16)]
     ns = list(range(N + 1))
     recovered = integral_rep_circle_batch(params, ns, angles)
@@ -281,7 +291,7 @@ def check_axis_rep(
     integral_rep_negative_axis_numeric.
     """
     tol = 1.0 if tol is None else tol
-    N = min(int(n_max), 20)
+    N = _degree(n_max, 20)
     worst = 0.0
     for n in range(N + 1):
         g = gn_direct(params, n)
@@ -311,7 +321,7 @@ def check_roots(
     Each g_n is built once; its location report and its Vieta target
     (-1)^n c_0/c_n are both read from it."""
     tol = 1.0 if tol is None else tol
-    N = min(int(n_max), 25)
+    N = _degree(n_max, 25)
     worst = 0.0
     min_modulus_seen = math.inf
     boundary = 0
@@ -347,7 +357,7 @@ def check_rifrac(
     as _scaled_coeff_dev; the validity report must be clean
     (lambda_{n+1} != 0 and P_n(0) != 0)."""
     tol = 1e-12 if tol is None else tol
-    N = min(int(n_max), 25)
+    N = _degree(n_max, 25)
     polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
     direct = [Gn_monic(params, n) for n in range(N + 1)]
     measured = _scaled_coeff_dev(direct, polys)
@@ -406,14 +416,17 @@ def check_pencil(
     seed and `draws`, not on the family being verified. Each draw takes N in
     2..12, the pencil's bands, alpha and beta, then _PENCIL_LAMBDAS lambdas
     (_draw_pencils). The draws are grouped by N, and each group is solved as
-    one band array by the engine behind pencil_coeff_stack and checked by
-    one pass of the engine behind pencil_row_sums; no JacobiPencil is built
-    for them. Degree n with a positive leading coefficient means exact
-    zeros above the diagonal of the coefficient array and a positive
-    diagonal. Per lambda the measure is the largest row residual over the
-    largest row scale (at least 1).
+    one band array by the pencil engine (_band_coeff_stack) and checked by
+    one pass of _band_row_sums; no JacobiPencil is built for them. Degree n
+    with a positive leading coefficient means exact zeros above the
+    diagonal of the coefficient array and a positive diagonal. Per lambda
+    the measure is the largest row residual over the largest row scale (at
+    least 1). Negative draws are a DomainError; zero draws check only the
+    worked example.
     """
     tol = 1e-10 if tol is None else tol
+    if int(draws) < 0:
+        raise DomainError("draws must be nonnegative")
     worked = JacobiPencil(
         j3_diag=(0.0, 0.0),
         j3_offdiag=(1.0, 1.0),
@@ -424,7 +437,7 @@ def check_pencil(
         beta=0.0,
     )
     worst = 0.0
-    if pencil_coeff_stack([worked], 2)[0, 2].tolist() != [0.0, 0.0, 1.0]:
+    if pencil_polynomials(worked, 2)[2].coeffs != (0, 0, 1):
         worst = math.inf
     for N, values in sorted(_draw_pencils(rng, draws).items()):
         bands = values[:, : 5 * N].reshape(-1, 5, N).transpose(1, 0, 2)

@@ -23,10 +23,11 @@ against.
 
 The engine works on band arrays: a (5, B, K) float array holding b_k, a_k,
 alpha_k, beta_k, gamma_k of B pencils, with (B,) arrays of alpha and beta.
-_band_coeff_stack applies JacobiPencil's validation to the arrays (every
-entry finite; a_k, gamma_k and alpha positive). pencil_coeff_stack and
-pencil_row_sums are its wrappers for JacobiPencil lists; the verify check
-draws its random pencils directly as band arrays.
+It is the only pencil route: pencil_polynomials and pencil_residual hand it
+one JacobiPencil as a stack of one (_pencil_bands), and the verify check
+draws its random pencils directly as band arrays. JacobiPencil and the
+engine refuse the same data through one rule, _require_valid: every entry
+finite; a_k, gamma_k and alpha positive.
 """
 
 from __future__ import annotations
@@ -143,6 +144,31 @@ def tfraction_from_hyp(params: HypParams, N: int) -> RIRecurrence:
     )
 
 
+# The fields of a pencil: its five bands, in the order of a band array's
+# first axis, then the seed of p_1. a_k, gamma_k and alpha must be positive.
+_BAND_NAMES = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
+_FIELD_NAMES = _BAND_NAMES + ("alpha", "beta")
+_POSITIVE = ("j3_offdiag", "j5_off2", "alpha")
+
+
+def _require_valid(name: str, values, stacked: bool = False) -> None:
+    """The validation rule of pencil data, for JacobiPencil and the band
+    engine alike: every entry of field `name` is finite, and positive for
+    a_k, gamma_k and alpha. values is the field of one pencil (a band of any
+    length, or a scalar) or, with `stacked`, of one pencil per index of its
+    first axis. Raises DomainError naming the first bad entry, after
+    "pencil i: " when stacked."""
+    values = np.asarray(values, dtype=float)
+    positive = name in _POSITIVE
+    ok = (values > 0) & (values < np.inf) if positive else np.isfinite(values)
+    if not ok.all():
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        where = f"pencil {at[0]}: " if stacked else ""
+        index = "".join(f"[{k}]" for k in (at[1:] if stacked else at))
+        rule = "finite and positive" if positive else "finite"
+        raise DomainError(f"{where}{name}{index} = {values[at]} must be {rule}")
+
+
 @dataclass(frozen=True)
 class JacobiPencil:
     """Symmetric tridiagonal/pentadiagonal pair plus the degree-one seed.
@@ -161,92 +187,48 @@ class JacobiPencil:
     beta: float
 
     def __post_init__(self):
-        def checked(name, seq, positive):
-            out = []
-            for k, x in enumerate(seq):
-                v = float(x)
-                if not math.isfinite(v):
-                    raise DomainError(f"non-finite {name}[{k}]")
-                if positive and not (v > 0):
-                    raise DomainError(f"{name}[{k}] = {v} must be positive")
-                out.append(v)
-            return tuple(out)
-
-        object.__setattr__(self, "j3_diag", checked("j3_diag", self.j3_diag, False))
-        object.__setattr__(
-            self, "j3_offdiag", checked("j3_offdiag", self.j3_offdiag, True)
-        )
-        object.__setattr__(self, "j5_diag", checked("j5_diag", self.j5_diag, False))
-        object.__setattr__(self, "j5_off1", checked("j5_off1", self.j5_off1, False))
-        object.__setattr__(
-            self, "j5_off2", checked("j5_off2", self.j5_off2, True)
-        )
-        alpha = float(self.alpha)
-        beta = float(self.beta)
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise DomainError("alpha must be finite and positive")
-        if not math.isfinite(beta):
-            raise DomainError("beta must be finite")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if name in _BAND_NAMES:
+                value = tuple(float(x) for x in value)
+            else:
+                value = float(value)
+            _require_valid(name, value)
+            object.__setattr__(self, name, value)
 
 
-# The five bands in the order of a band array's first axis.
-_BAND_NAMES = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
+def _pencil_bands(pencil: JacobiPencil, rows: int) -> np.ndarray:
+    """(5, rows) array of b_k, a_k, alpha_k, beta_k, gamma_k for k < rows,
+    the entries that rows 0..rows-1 read (row k reads entry k of every band).
 
-
-def _bands_of(pencil: JacobiPencil) -> tuple[tuple[float, ...], ...]:
-    return tuple(getattr(pencil, name) for name in _BAND_NAMES)
-
-
-def _pencil_required_length(pencil: JacobiPencil, n: int) -> None:
-    # Row n touches b_n, a_n, alpha_n, beta_n, gamma_n.
-    for name, seq in zip(_BAND_NAMES, _bands_of(pencil)):
-        if len(seq) <= n:
-            raise DomainError(f"{name} holds {len(seq)} entries, row {n} needs more")
-
-
-def _pencil_bands(pencils: Sequence[JacobiPencil], rows: int) -> np.ndarray:
-    """(5, B, rows) array of b_k, a_k, alpha_k, beta_k, gamma_k for k < rows.
-
-    Raises the DomainError of the first row that outruns a band, the same
-    one a row-by-row pass would raise.
+    A band too short raises the DomainError of the first row it cannot
+    serve, the one a row-by-row pass would raise.
     """
-    for pencil in pencils:
-        shortest = min(len(seq) for seq in _bands_of(pencil))
-        if shortest < rows:
-            _pencil_required_length(pencil, shortest)
-    out = np.empty((5, len(pencils), rows))
-    for i, pencil in enumerate(pencils):
-        for j, seq in enumerate(_bands_of(pencil)):
-            out[j, i] = seq[:rows]
-    return out
-
-
-def _require_valid_bands(bands: np.ndarray, alpha, beta) -> None:
-    """JacobiPencil's validation on arrays: every entry finite, and a_k,
-    gamma_k and alpha positive. Raises DomainError naming the first bad
-    entry."""
-    positive = np.array([False, True, False, False, True])[:, None, None]
-    bad = ~np.isfinite(bands) | (positive & ~(bands > 0))
-    if bad.any():
-        j, i, k = np.argwhere(bad)[0]
-        rule = "finite and positive" if positive[j, 0, 0] else "finite"
+    bands = [getattr(pencil, name) for name in _BAND_NAMES]
+    lengths = [len(band) for band in bands]
+    shortest = min(lengths)
+    if shortest < rows:
+        name = _BAND_NAMES[lengths.index(shortest)]
         raise DomainError(
-            f"pencil {i}: {_BAND_NAMES[j]}[{k}] = {bands[j, i, k]} must be {rule}"
+            f"{name} holds {shortest} entries, row {shortest} needs more"
         )
-    if not (np.isfinite(alpha) & (alpha > 0)).all():
-        raise DomainError("alpha must be finite and positive")
-    if not np.isfinite(beta).all():
-        raise DomainError("beta must be finite")
+    return np.array([band[:rows] for band in bands])
 
 
 def _band_coeff_stack(bands, alpha, beta, N: int) -> np.ndarray:
-    """The solve of pencil_coeff_stack on arrays: bands is (5, B, K) with
-    K >= N - 1 (b_k, a_k, alpha_k, beta_k, gamma_k; entries past N - 2 are
-    not read), alpha and beta are (B,). Validated like JacobiPencil."""
+    """Coefficients of p_0..p_N for a stack of B pencils, solved together.
+
+    bands is a (5, B, K) array of b_k, a_k, alpha_k, beta_k, gamma_k with
+    K >= N - 1 (entries past N - 2 are not read), alpha and beta are (B,);
+    every entry is validated by _require_valid. Entry [i, k, j] of the
+    (B, N+1, N+1) result is the coefficient of x^j in p_k of pencil i, zero
+    above the diagonal. Each row n = 0..N-2 is solved for p_{n+2} (see
+    pencil_polynomials) on all pencils at once, so a pencil's coefficients
+    do not depend on the stack it is solved in.
+    """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    _require_valid_bands(bands, alpha, beta)
+    for name, values in zip(_FIELD_NAMES, (*bands, alpha, beta)):
+        _require_valid(name, values, stacked=True)
     # A fresh C-ordered copy, so that every pass below runs the same numpy
     # loops whatever the layout the caller's bands have.
     b, a, al, be, ga = np.ascontiguousarray(bands[:, :, : max(N - 1, 0)])
@@ -272,26 +254,6 @@ def _band_coeff_stack(bands, alpha, beta, N: int) -> np.ndarray:
     return P
 
 
-def pencil_coeff_stack(pencils: Sequence[JacobiPencil], N: int) -> np.ndarray:
-    """Coefficients of p_0..p_N for a stack of pencils, solved together.
-
-    Entry [i, k, j] is the coefficient of x^j in p_k of pencils[i], so the
-    result has shape (B, N+1, N+1) and is zero above the diagonal. Each row
-    n = 0..N-2 is solved for p_{n+2} (see pencil_polynomials) on all
-    pencils at once, so a pencil's coefficients do not depend on the stack
-    it is solved in.
-    """
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    return _band_coeff_stack(
-        _pencil_bands(pencils, max(N - 1, 0)),
-        [pencil.alpha for pencil in pencils],
-        [pencil.beta for pencil in pencils],
-        N,
-    )
-
-
 def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
     """p_0 = 1, p_1 = alpha*x + beta, then solve row n for p_{n+2}:
 
@@ -300,9 +262,13 @@ def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
 
     with p_{-2} = p_{-1} = 0 and gamma/a/beta at negative indices zero.
     deg p_n = n with positive leading coefficient (alpha, a_k, gamma_n > 0).
-    This is pencil_coeff_stack on a stack of one.
+    This is _band_coeff_stack on a stack of one.
     """
-    P = pencil_coeff_stack([pencil], N)[0]
+    N = int(N)
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    bands = _pencil_bands(pencil, max(N - 1, 0))[:, None]
+    P = _band_coeff_stack(bands, [pencil.alpha], [pencil.beta], N)[0]
     return [Poly(row[: k + 1].tolist()) for k, row in enumerate(P)]
 
 
@@ -315,24 +281,27 @@ def pencil_row_terms(
         raise DomainError("row index must be nonnegative")
     if len(values) < n + 3:
         raise DomainError(f"row {n} needs p_0..p_{n + 2}")
-    _pencil_required_length(pencil, n)
+    b, a, al, be, ga = _pencil_bands(pencil, n + 1).tolist()
     lam = complex(lam)
-    t0 = pencil.j5_off2[n - 2] * values[n - 2] if n >= 2 else 0j
-    t1 = (
-        (pencil.j5_off1[n - 1] - lam * pencil.j3_offdiag[n - 1]) * values[n - 1]
-        if n >= 1
-        else 0j
-    )
-    t2 = (pencil.j5_diag[n] - lam * pencil.j3_diag[n]) * values[n]
-    t3 = (pencil.j5_off1[n] - lam * pencil.j3_offdiag[n]) * values[n + 1]
-    t4 = pencil.j5_off2[n] * values[n + 2]
+    t0 = ga[n - 2] * values[n - 2] if n >= 2 else 0j
+    t1 = (be[n - 1] - lam * a[n - 1]) * values[n - 1] if n >= 1 else 0j
+    t2 = (al[n] - lam * b[n]) * values[n]
+    t3 = (be[n] - lam * a[n]) * values[n + 1]
+    t4 = ga[n] * values[n + 2]
     return (t0, t1, t2, t3, t4)
 
 
 def _band_row_sums(bands, coeffs, lams, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pass of pencil_row_sums on a (5, B, K) band array, K >= rows
-    (entries past rows - 1 are not read); coeffs holds at least rows + 2
-    polynomials per pencil."""
+    """Row sums and row scales of the first `rows` scalar relations of a
+    stack of B pencils.
+
+    bands is (5, B, K) as for _band_coeff_stack, K >= rows (entries past
+    rows - 1 are not read); coeffs[i, k] holds the coefficients of p_k of
+    pencil i (shape (B, K', D), real or complex, K' >= rows + 2 when rows is
+    positive); lams holds the lambdas, of shape (L,) for all pencils or
+    (B, L) per pencil. Returns two (B, rows, L) arrays: the sum of the five
+    addends of pencil_row_terms, and the sum of their moduli.
+    """
     C = np.asarray(coeffs)
     bands = np.ascontiguousarray(bands[:, :, :rows])  # as in _band_coeff_stack
     b, a, al, be, ga = (x[:, :, None] for x in bands)
@@ -354,39 +323,24 @@ def _band_row_sums(bands, coeffs, lams, rows: int) -> tuple[np.ndarray, np.ndarr
         return terms.sum(axis=0), np.abs(terms).sum(axis=0)
 
 
-def pencil_row_sums(
-    pencils: Sequence[JacobiPencil], coeffs, lams, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums and row scales of the first `rows` scalar relations.
-
-    coeffs[i, k] holds the coefficients of p_k for pencils[i] (shape
-    (B, K, D), K >= rows + 2, real or complex); lams holds the lambdas, of
-    shape (L,) for all pencils or (B, L) per pencil. Returns two (B, rows, L)
-    arrays: the sum of the five addends of pencil_row_terms, and the sum of
-    their moduli.
-    """
-    rows = int(rows)
-    if rows < 0:
-        raise DomainError("rows must be nonnegative")
-    if np.shape(coeffs)[1] < rows + 2:
-        raise DomainError(f"{rows} rows need {rows + 2} polynomials")
-    return _band_row_sums(_pencil_bands(pencils, rows), coeffs, lams, rows)
-
-
 def pencil_residual(
     pencil: JacobiPencil, polys: Sequence[Poly], lam, rows: int
 ) -> float:
     """Max modulus of the first `rows` scalar relations at lambda = lam,
-    or over every lambda when lam is a sequence."""
+    or over every lambda when lam is a sequence. Row n reads p_0..p_{n+2};
+    zero rows read no polynomial and have residual 0."""
     rows = int(rows)
     if rows < 0:
         raise DomainError("rows must be nonnegative")
+    if rows and len(polys) < rows + 2:
+        raise DomainError(f"{rows} rows need {rows + 2} polynomials")
     used = polys[: rows + 2]
     width = max((len(f.coeffs) for f in used), default=1)
     C = np.zeros((1, len(used), width), dtype=complex)
     for k, f in enumerate(used):
         C[0, k, : len(f.coeffs)] = f.coeffs
-    total, _ = pencil_row_sums([pencil], C, np.atleast_1d(lam), rows)
+    bands = _pencil_bands(pencil, rows)[:, None]
+    total, _ = _band_row_sums(bands, C, np.atleast_1d(lam), rows)
     return float(np.abs(total).max(initial=0.0))
 
 

@@ -81,24 +81,10 @@ def monomial_quadrature_defect(rule: QuadratureRule, k: int, m: int) -> float:
     return abs(rule.integrate(vals) - exact)
 
 
-@dataclass(frozen=True)
-class SobolevForm:
-    """Coefficient polynomials c_0..c_rho of R, defining the rank-one form."""
-
-    c: tuple[Poly, ...]
-    rho: int
-
-    def as_operator(self) -> LinDiffOp:
-        return LinDiffOp(self.c)
-
-
-def build_sobolev_form(params: HypParams) -> SobolevForm:
-    """Form built from the expansion coefficients of R; rho = max(p, q+1)."""
-    R = build_R(params)
-    rho = max(params.p, params.q + 1)
-    # R has order exactly rho; pad defensively so len(c) == rho + 1 holds.
-    c = tuple(R.coeff(l) for l in range(rho + 1))
-    return SobolevForm(c=c, rho=rho)
+def build_sobolev_form(params: HypParams) -> LinDiffOp:
+    """The form is R: its coefficient polynomials c_0..c_rho define M(z).
+    R's order is rho = max(p, q+1) for every family."""
+    return build_R(params)
 
 
 def auto_node_count(n_max: int, rho: int) -> int:
@@ -111,15 +97,15 @@ def auto_node_count(n_max: int, rho: int) -> int:
     return 1 << (raw - 1).bit_length()
 
 
-def _require_enough_nodes(form: SobolevForm, f: Poly, h: Poly, N: int) -> None:
-    need = max(f.degree, 0) + max(h.degree, 0) + 2 * form.rho + 1
+def _require_enough_nodes(R: LinDiffOp, f: Poly, h: Poly, N: int) -> None:
+    need = max(f.degree, 0) + max(h.degree, 0) + 2 * R.order + 1
     if N < need:
         raise DomainError(
             f"{N} nodes alias the integrand; need at least {need}"
         )
 
 
-def sobolev_inner(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex:
+def sobolev_inner(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
     """(1/N) Sum_j (Rf)(e^{i tau_j}) · conj((Rh)(e^{i tau_j})).
 
     Equals the arc-length integral of (Rf)·conj(Rh) exactly up to roundoff
@@ -127,23 +113,22 @@ def sobolev_inner(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex:
     counts below the safe bound are refused rather than silently aliased.
     """
     rule = QuadratureRule(N)
-    _require_enough_nodes(form, f, h, N)
-    op = form.as_operator()
-    rf = op_apply(op, f)
-    rh = op_apply(op, h)
+    _require_enough_nodes(R, f, h, N)
+    rf = op_apply(R, f)
+    rh = op_apply(R, h)
     vals = [rf(z) * rh(z).conjugate() for z in rule.points]
     return rule.integrate(vals)
 
 
-def sobolev_inner_matrix(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex:
+def sobolev_inner_matrix(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
     """Debug path: materialize M(z) and the derivative vectors at each node.
 
     Algebraically identical to sobolev_inner by the rank-one structure; kept
     as an independent oracle (agreement to 1e-12 is a test contract).
     """
     rule = QuadratureRule(N)
-    _require_enough_nodes(form, f, h, N)
-    rho = form.rho
+    _require_enough_nodes(R, f, h, N)
+    rho = R.order
 
     def derivative_vector(poly: Poly, z: complex) -> list[complex]:
         out = []
@@ -155,7 +140,7 @@ def sobolev_inner_matrix(form: SobolevForm, f: Poly, h: Poly, N: int) -> complex
 
     vals = []
     for z in rule.points:
-        cvec = [form.c[l](z) for l in range(rho + 1)]
+        cvec = [R.coeff(l)(z) for l in range(rho + 1)]
         vf = derivative_vector(f, z)
         vh = derivative_vector(h, z)
         total = 0j

@@ -180,8 +180,8 @@ def test_criterion_03_sobolev_orthogonality():
         for i in range(16):
             want = 1.0 / abs(kappa(params, i)) ** 2
             assert abs(abs(gram[i][i]) - want) <= 1e-9 * want
-        form = build_sobolev_form(params)
-        N = auto_node_count(15, form.rho)
+        R = build_sobolev_form(params)
+        N = auto_node_count(15, R.order)
         rule = QuadratureRule(N)
         for k in range(7):
             for m in range(7):

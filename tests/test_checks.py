@@ -34,10 +34,15 @@ from hypersum.pfq import (
     integral_rep_negative_axis_numeric,
 )
 from hypersum.polycore import horner
-from hypersum.ri_pencils import JacobiPencil, pencil_coeff_stack, pencil_row_sums
+from hypersum.ri_pencils import (
+    JacobiPencil,
+    _band_coeff_stack,
+    _band_row_sums,
+    _pencil_bands,
+)
 from hypersum.roots import location_report
 from test_acceptance import FIXED_SETS
-from test_ri_pencils import _random_pencil
+from test_ri_pencils import _band_stack, _random_pencil
 
 EXP = HypParams(a=(), b=())
 GEOMETRIC = HypParams(a=(1.0,), b=())
@@ -233,7 +238,8 @@ def _pencil_draws(rng, draws):
 def _pencil_check_oracle(rng, draws=200, tol=None):
     """The pencil check as it was written on JacobiPencil objects: each
     draw builds a validated pencil with random.uniform, and each size group
-    goes through the public pencil_coeff_stack and pencil_row_sums."""
+    is stacked from _pencil_bands of its pencils and goes through the band
+    engine."""
     tol = 1e-10 if tol is None else tol
     worked = JacobiPencil(
         j3_diag=(0.0, 0.0),
@@ -245,7 +251,8 @@ def _pencil_check_oracle(rng, draws=200, tol=None):
         beta=0.0,
     )
     worst = 0.0
-    if pencil_coeff_stack([worked], 2)[0, 2].tolist() != [0.0, 0.0, 1.0]:
+    P = _band_coeff_stack(_pencil_bands(worked, 1)[:, None], [1.0], [0.0], 2)
+    if P[0, 2].tolist() != [0.0, 0.0, 1.0]:
         worst = math.inf
     groups = {}
     for _ in range(int(draws)):
@@ -257,11 +264,12 @@ def _pencil_check_oracle(rng, draws=200, tol=None):
              for _ in range(20)]
         )
     for N, (pencils, lams) in sorted(groups.items()):
-        coeffs = pencil_coeff_stack(pencils, N)
+        bands, alpha, beta = _band_stack(pencils, N - 1)
+        coeffs = _band_coeff_stack(bands, alpha, beta, N)
         diagonal = np.diagonal(coeffs, axis1=1, axis2=2)
         if np.triu(coeffs, 1).any() or not (diagonal > 0).all():
             worst = math.inf
-        total, scale = pencil_row_sums(pencils, coeffs, lams, N - 1)
+        total, scale = _band_row_sums(bands, coeffs, lams, N - 1)
         ratio = np.abs(total).max(axis=1) / np.maximum(scale.max(axis=1), 1.0)
         worst = float(np.max([worst, ratio.max()]))
     return CheckResult(
@@ -275,7 +283,7 @@ def _pencil_check_oracle(rng, draws=200, tol=None):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_pencil_check_equals_the_jacobi_pencil_oracle(seed):
-    for draws in (1, 7, 200):
+    for draws in (0, 1, 7, 200):
         rng, reference = (random.Random(f"{seed}:pencil") for _ in range(2))
         assert check_pencil(rng, draws) == _pencil_check_oracle(reference, draws)
         assert rng.getstate() == reference.getstate()
@@ -292,9 +300,8 @@ def test_pencil_check_is_family_independent():
 
 def _record_pencil_calls(monkeypatch, perturb=None):
     """Wrap the band-level solve and residual that check_pencil calls on its
-    random draws. The worked p_2 example goes through the public
-    pencil_coeff_stack, which calls the engine inside ri_pencils, so it is
-    not recorded here."""
+    random draws. The worked p_2 example goes through pencil_polynomials,
+    which calls the engine inside ri_pencils, so it is not recorded here."""
     calls = []
     solve, row_sums = checks._band_coeff_stack, checks._band_row_sums
 

@@ -465,6 +465,39 @@ def test_pencil_command_worked_example():
     assert doc["results"]["residual_max"] <= 1e-10
 
 
+def test_pencil_command_with_no_rows():
+    # p_0 = 1 needs no band entry, and n = 0 leaves no row to check.
+    out = run_cli("pencil", "--n", "0")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["results"]["p"] == [[1]]
+    assert doc["results"]["rows"] == 0
+    assert doc["results"]["residual_max"] == 0
+
+
+@pytest.mark.parametrize("check", ["recurrence", "ode", "sobolev", "circle-rep",
+                                   "axis-rep", "roots", "rifrac", "all"])
+def test_verify_refuses_negative_n_max(check, capsys):
+    argv = ["verify", "--p", "1", "--q", "1", "--a", "1", "--b", "2",
+            "--check", check, "--n-max", "-1"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "domain error: order must be nonnegative\n"
+
+
+def test_verify_refuses_negative_draws(capsys):
+    argv = ["verify", "--p", "1", "--q", "1", "--a", "1", "--b", "2",
+            "--check", "pencil"]
+    assert cli.main(argv + ["--draws", "-5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "domain error: draws must be nonnegative\n"
+    assert cli.main(argv + ["--draws", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["pencil"]["status"] == "PASS"
+
+
 def test_in_process_sequence_matches_separate_runs(capsys):
     # main() reuses one parser per process; a sequence of commands in one
     # process, with a usage error among them, must print what separate

@@ -41,3 +41,15 @@ def test_submodule_imports_alone(name):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_star_import_resolves_every_exported_name():
+    # A name left in __all__ after its function is gone breaks
+    # `from hypersum import *` with an AttributeError.
+    import hypersum
+
+    namespace = {}
+    exec("from hypersum import *", namespace)
+    assert len(set(hypersum.__all__)) == len(hypersum.__all__)
+    for name in hypersum.__all__:
+        assert namespace[name] is getattr(hypersum, name)

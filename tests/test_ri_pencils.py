@@ -27,10 +27,8 @@ from hypersum.ri_pencils import (
     _pencil_bands,
     chebyshev_eval,
     kernel_decompose,
-    pencil_coeff_stack,
     pencil_polynomials,
     pencil_residual,
-    pencil_row_sums,
     pencil_row_terms,
     ri_generate,
     tfraction_from_hyp,
@@ -266,6 +264,29 @@ def test_pencil_length_guards():
     polys = pencil_polynomials(WORKED_PENCIL, 2)
     with pytest.raises(DomainError):
         pencil_residual(WORKED_PENCIL, polys, 0.0, 3)
+    # The three public functions share one band guard and one message.
+    values = [f(0.5) for f in pencil_polynomials(WORKED_PENCIL, 5)] + [0j]
+    message = "j3_diag holds 4 entries, row 4 needs more"
+    with pytest.raises(DomainError, match=message):
+        pencil_polynomials(WORKED_PENCIL, 6)
+    with pytest.raises(DomainError, match=message):
+        pencil_row_terms(WORKED_PENCIL, values, 0.5, 4)
+    with pytest.raises(DomainError, match=message):
+        pencil_residual(WORKED_PENCIL, polys * 3, 0.5, 5)
+
+
+def test_zero_rows_need_only_p_0():
+    # p_0 = 1 exists without any band entry, and zero rows check nothing.
+    empty = JacobiPencil((), (), (), (), (), alpha=1.0, beta=0.0)
+    polys = pencil_polynomials(empty, 0)
+    assert [f.coeffs for f in polys] == [(1 + 0j,)]
+    assert pencil_residual(empty, polys, (0.0, 2 + 1j), 0) == 0.0
+    with pytest.raises(DomainError, match="1 rows need 3 polynomials"):
+        pencil_residual(WORKED_PENCIL, polys, 0.0, 1)
+    with pytest.raises(DomainError, match="rows must be nonnegative"):
+        pencil_residual(WORKED_PENCIL, polys, 0.0, -1)
+    with pytest.raises(DomainError, match="N must be nonnegative"):
+        pencil_polynomials(WORKED_PENCIL, -1)
 
 
 def poly_pencil_polynomials(pencil, N):
@@ -321,11 +342,25 @@ def _random_pencils_by_size(seed, count):
     return groups
 
 
+def _band_stack(pencils, rows):
+    """The band array (5, B, rows) of a list of pencils, from _pencil_bands
+    of each, with their (B,) alpha and beta arrays."""
+    bands = np.stack([_pencil_bands(p, rows) for p in pencils], axis=1)
+    alpha = np.array([p.alpha for p in pencils])
+    beta = np.array([p.beta for p in pencils])
+    return bands, alpha, beta
+
+
+def _coeff_stack(pencils, N):
+    """p_0..p_N of a list of pencils, solved as one stack by the engine."""
+    return _band_coeff_stack(*_band_stack(pencils, max(N - 1, 0)), N)
+
+
 def test_coeff_stack_matches_poly_oracle():
     groups = _random_pencils_by_size(21, 50)
     assert len(groups) > 5 and max(len(g) for g in groups.values()) > 1
     for N, pencils in groups.items():
-        stack = pencil_coeff_stack(pencils, N)
+        stack = _coeff_stack(pencils, N)
         assert stack.shape == (len(pencils), N + 1, N + 1)
         assert stack.dtype == np.float64
         for pencil, coeffs in zip(pencils, stack):
@@ -340,18 +375,18 @@ def test_pencil_polynomials_is_a_stack_of_one():
     for N, pencils in _random_pencils_by_size(4, 12).items():
         for pencil in pencils:
             polys = pencil_polynomials(pencil, N)
-            stack = pencil_coeff_stack([pencil], N)[0]
+            stack = _coeff_stack([pencil], N)[0]
             assert [list(f.coeffs) for f in polys] == [
                 list(row[: k + 1]) for k, row in enumerate(stack)
             ]
 
 
 def test_stacked_solve_equals_solo_solve():
-    pencils = _random_pencils_by_size(8, 200)[2]
-    assert len(pencils) > 3
-    stack = pencil_coeff_stack(pencils, 2)
-    for pencil, coeffs in zip(pencils, stack):
-        assert np.array_equal(pencil_coeff_stack([pencil], 2)[0], coeffs)
+    for N, pencils in _random_pencils_by_size(8, 200).items():
+        assert len(pencils) > 3
+        stack = _coeff_stack(pencils, N)
+        for pencil, coeffs in zip(pencils, stack):
+            assert np.array_equal(_coeff_stack([pencil], N)[0], coeffs)
 
 
 def test_row_sums_match_scalar_row_terms():
@@ -361,8 +396,9 @@ def test_row_sums_match_scalar_row_terms():
     for N, pencils in _random_pencils_by_size(6, 40).items():
         lams = [[complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
                  for _ in range(7)] for _ in pencils]
-        stack = pencil_coeff_stack(pencils, N)
-        total, scale = pencil_row_sums(pencils, stack, lams, N - 1)
+        stack = _coeff_stack(pencils, N)
+        bands, _, _ = _band_stack(pencils, N - 1)
+        total, scale = _band_row_sums(bands, stack, lams, N - 1)
         assert total.shape == scale.shape == (len(pencils), N - 1, 7)
         for i, pencil in enumerate(pencils):
             polys = poly_pencil_polynomials(pencil, N)
@@ -378,22 +414,37 @@ def test_row_sums_match_scalar_row_terms():
 
 def test_band_engine_reads_any_layout_and_ignores_extra_entries():
     # The pencil check hands the engine transposed views holding one band
-    # entry more than the solve reads; the result is the wrappers', bit for
-    # bit.
+    # entry more than the solve reads; the result is that of contiguous
+    # bands holding exactly the entries read, bit for bit.
     rng = random.Random(17)
     for N, pencils in _random_pencils_by_size(12, 60).items():
-        full = _pencil_bands(pencils, N)
+        full, alpha, beta = _band_stack(pencils, N)
         strided = np.ascontiguousarray(full.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not strided.flags.c_contiguous
-        alpha = [p.alpha for p in pencils]
-        beta = [p.beta for p in pencils]
-        stack = _band_coeff_stack(strided, alpha, beta, N)
-        assert np.array_equal(stack, pencil_coeff_stack(pencils, N))
+        exact = _band_stack(pencils, N - 1)[0]
+        assert exact.flags.c_contiguous
+        stack = _band_coeff_stack(strided, alpha.tolist(), beta.tolist(), N)
+        assert np.array_equal(stack, _band_coeff_stack(exact, alpha, beta, N))
         lams = np.array([[complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
                           for _ in range(5)] for _ in pencils])
         got = _band_row_sums(strided, stack, lams, N - 1)
-        want = pencil_row_sums(pencils, stack, lams, N - 1)
+        want = _band_row_sums(exact, stack, lams, N - 1)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+BAND_NAMES = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
+
+
+def _refusals(bands, alpha, beta, i):
+    """The messages of the engine's refusal of a stack and of JacobiPencil's
+    refusal of pencil i of that stack."""
+    with pytest.raises(DomainError) as engine:
+        _band_coeff_stack(bands, alpha, beta, bands.shape[2] + 1)
+    fields = dict(zip(BAND_NAMES, bands[:, i].tolist()), alpha=alpha[i],
+                  beta=beta[i])
+    with pytest.raises(DomainError) as single:
+        JacobiPencil(**fields)
+    return str(engine.value), str(single.value)
 
 
 @pytest.mark.parametrize("band, value", [
@@ -401,18 +452,13 @@ def test_band_engine_reads_any_layout_and_ignores_extra_entries():
     (4, math.nan),
 ])
 def test_band_engine_refuses_what_jacobi_pencil_refuses(band, value):
-    pencils = _random_pencils_by_size(3, 20)[5]
-    bands = _pencil_bands(pencils, 5)
-    alpha = np.array([p.alpha for p in pencils])
-    beta = np.array([p.beta for p in pencils])
+    bands, alpha, beta = _band_stack(_random_pencils_by_size(3, 20)[5], 4)
     _band_coeff_stack(bands, alpha, beta, 5)
     bands[band, 1, 3] = value
-    names = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
-    with pytest.raises(DomainError, match=rf"pencil 1: {names[band]}\[3\]"):
-        _band_coeff_stack(bands, alpha, beta, 5)
-    fields = dict(zip(names, bands[:, 1].tolist()), alpha=alpha[1], beta=beta[1])
-    with pytest.raises(DomainError):
-        JacobiPencil(**fields)
+    engine, single = _refusals(bands, alpha, beta, 1)
+    rule = "finite and positive" if band in (1, 4) else "finite"
+    assert single == f"{BAND_NAMES[band]}[3] = {value} must be {rule}"
+    assert engine == f"pencil 1: {single}"
 
 
 @pytest.mark.parametrize("alpha0, beta0", [
@@ -420,12 +466,11 @@ def test_band_engine_refuses_what_jacobi_pencil_refuses(band, value):
     (1.0, math.nan), (1.0, -math.inf),
 ])
 def test_band_engine_refuses_a_bad_seed(alpha0, beta0):
-    bands = _pencil_bands(_random_pencils_by_size(3, 20)[5], 4)
-    alpha = np.ones(bands.shape[1])
-    beta = np.zeros(bands.shape[1])
+    bands, alpha, beta = _band_stack(_random_pencils_by_size(3, 20)[5], 4)
     alpha[-1], beta[-1] = alpha0, beta0
-    with pytest.raises(DomainError, match="alpha|beta"):
-        _band_coeff_stack(bands, alpha, beta, 5)
+    engine, single = _refusals(bands, alpha, beta, -1)
+    assert single.startswith("alpha = " if alpha0 != 1.0 else "beta = ")
+    assert engine == f"pencil {len(alpha) - 1}: {single}"
 
 
 def test_pencil_residual_takes_every_lambda_at_once():

@@ -10,7 +10,7 @@ import pytest
 
 from hypersum import sobolev
 from hypersum.errors import DomainError
-from hypersum.operators import kappa, op_apply, r_action
+from hypersum.operators import build_R, kappa, op_apply, r_action
 from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
 from hypersum.polycore import DEGREE_CAP, Poly
 from hypersum.sobolev import (
@@ -37,12 +37,11 @@ def quadrature_gram(params, n_max):
     Images R g_n come from the expanded operator and are sampled at the
     nodes; each entry is the exactly summed node mean of their products.
     """
-    form = build_sobolev_form(params)
-    rule = QuadratureRule(auto_node_count(n_max, form.rho))
-    op = form.as_operator()
+    R = build_sobolev_form(params)
+    rule = QuadratureRule(auto_node_count(n_max, R.order))
     images = []
     for n in range(n_max + 1):
-        rg = op_apply(op, gn_direct(params, n))
+        rg = op_apply(R, gn_direct(params, n))
         images.append([rg(z) for z in rule.points])
     return [
         [
@@ -100,34 +99,46 @@ def test_auto_node_count():
 
 
 def test_form_coefficients_match_R():
-    from hypersum.operators import build_R
+    assert build_sobolev_form(EXP) == build_R(EXP)
 
-    form = build_sobolev_form(EXP)
-    R = build_R(EXP)
-    assert form.rho == R.order
-    assert form.as_operator() == R
+
+@pytest.mark.parametrize("params", [
+    EXP, CONFLUENT, GAUSS_LIKE, COMPLEX_1F2, TWO_F_THREE,
+    HypParams(a=(1.0,), b=()),
+    HypParams(a=(0.5, 1.5, 2.5), b=(3.0, 4.0)),
+    HypParams(a=(0.5 + 0.5j, 1.5, 2.0, 3.0), b=(1.25, 2.5j + 1, 3.5)),
+    HypParams(a=(1.0, 2.0, 3.0), b=()),
+])
+def test_form_order_is_max_p_q_plus_one(params):
+    # sobolev_inner and its node bound read rho as R.order; the top
+    # coefficients z^q and -z^p of R never cancel, since their degrees
+    # differ when p = q + 1.
+    R = build_sobolev_form(params)
+    rho = max(params.p, params.q + 1)
+    assert R.order == rho
+    assert not R.coeff(rho).is_zero
 
 
 def test_inner_fast_path_matches_matrix_path():
     # Rank-one evaluation vs the materialized bilinear form, random polys.
     rng = random.Random(7)
-    form = build_sobolev_form(GAUSS_LIKE)
+    R = build_sobolev_form(GAUSS_LIKE)
     for _ in range(10):
         f = Poly([rng.uniform(-1, 1) for _ in range(rng.randint(1, 9))])
         h = Poly([rng.uniform(-1, 1) for _ in range(rng.randint(1, 9))])
         if f.is_zero or h.is_zero:
             continue
-        N = auto_node_count(max(f.degree, h.degree), form.rho)
-        fast = sobolev_inner(form, f, h, N)
-        slow = sobolev_inner_matrix(form, f, h, N)
+        N = auto_node_count(max(f.degree, h.degree), R.order)
+        fast = sobolev_inner(R, f, h, N)
+        slow = sobolev_inner_matrix(R, f, h, N)
         assert fast == pytest.approx(slow, rel=1e-11, abs=1e-13)
 
 
 def test_inner_requires_enough_nodes():
-    form = build_sobolev_form(EXP)
+    R = build_sobolev_form(EXP)
     f = Poly((0,) * 10 + (1,))
     with pytest.raises(DomainError):
-        sobolev_inner(form, f, f, 4)
+        sobolev_inner(R, f, f, 4)
 
 
 def test_gram_diagonal_exponential():
@@ -162,13 +173,13 @@ def test_gram_is_hermitian():
 
 
 def test_inner_of_partial_sums_matches_gram():
-    form = build_sobolev_form(CONFLUENT)
-    N = auto_node_count(5, form.rho)
+    R = build_sobolev_form(CONFLUENT)
+    N = auto_node_count(5, R.order)
     g2 = gn_direct(CONFLUENT, 2)
     g4 = gn_direct(CONFLUENT, 4)
-    cross = sobolev_inner(form, g2, g4, N)
+    cross = sobolev_inner(R, g2, g4, N)
     assert abs(cross) <= 1e-12
-    diag = sobolev_inner(form, g4, g4, N)
+    diag = sobolev_inner(R, g4, g4, N)
     assert diag.real == pytest.approx(1.0 / abs(kappa(CONFLUENT, 4)) ** 2, rel=1e-10)
 
 
