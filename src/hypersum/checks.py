@@ -61,10 +61,10 @@ from .ri_pencils import (
 from .roots import _location_report, _require_positive_conditions
 from .sobolev import (
     QuadratureRule,
+    _gram_stack,
     auto_node_count,
     gram_extremes,
     monomial_quadrature_defect,
-    sobolev_gram,
 )
 
 CHECK_ORDER = (
@@ -220,13 +220,13 @@ def check_sobolev(
     """
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)
-    gram = sobolev_gram(params, m)
+    gram = _gram_stack([params], m)[0]
     off, max_diag = gram_extremes(gram)
     diag_rel = 0.0
     for n in range(m + 1):
         target = 1.0 / abs(kappa(params, n)) ** 2
         denom = max(target, 0.1 * max_diag)
-        diag_rel = max(diag_rel, abs(gram[n][n] - target) / denom)
+        diag_rel = max(diag_rel, abs(complex(gram[n, n]) - target) / denom)
     rule = QuadratureRule(auto_node_count(m, max(params.p, params.q + 1)))
     pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
     defect = max(monomial_quadrature_defect(rule, k, l) for k, l in pairs)

@@ -23,6 +23,7 @@ import json
 import math
 import re as re_mod
 import sys
+from typing import Iterable
 
 from . import __version__ as VERSION
 from .checks import CHECK_ORDER, run_checks
@@ -32,7 +33,7 @@ from .partial_sums import Gn_monic, HypParams, _check_cap, delta_k, gn_direct
 from .pfq import _eval_points, convergence_report, pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
 from .roots import location_report
-from .sobolev import gram_extremes, sobolev_gram
+from .sobolev import _gram_stack, gram_extremes
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re_mod.compile(
@@ -389,30 +390,46 @@ def _sweep_root_modulus(params: HypParams, ns: list[int]) -> list[float]:
     return [location_report(params, n).min_modulus for n in ns]
 
 
-def _sweep_gram_offdiag(params: HypParams, ns: list[int]) -> list[float]:
-    _check_cap(min(ns))  # refuse a negative degree as sobolev_gram would
-    gram = sobolev_gram(params, max(ns))  # its leading blocks: the smaller Grams
-    extremes = (gram_extremes([row[: n + 1] for row in gram[: n + 1]]) for n in ns)
-    return [off / max_diag for off, max_diag in extremes]
+def _sweep_gram_offdiag(
+    cells: Iterable[HypParams], ns: list[int]
+) -> list[list[float]]:
+    def checked():  # refuse a negative degree per cell, as sobolev_gram would
+        for params in cells:
+            _check_cap(ns[0])
+            yield params
+
+    # One Gram per cell, all in one pass; their leading blocks are the
+    # smaller Grams.
+    grams = _gram_stack(checked(), ns[-1])
+    extremes = ([gram_extremes(G[: n + 1, : n + 1]) for n in ns] for G in grams)
+    return [[off / max_diag for off, max_diag in cell] for cell in extremes]
 
 
-# Each quantity maps (cell parameters, sorted degrees) to one value per degree.
+def _each_cell(func):
+    return lambda cells, ns: [func(params, ns) for params in cells]
+
+
+# Each quantity maps the grid's cells (their parameters, in grid order) and
+# the sorted degrees to one value list per cell, each one value per degree.
+# A failure is that of the first cell, in grid order, that fails.
 _SWEEP_FUNCS = {
-    "convergence": _sweep_convergence,
-    "root-modulus": _sweep_root_modulus,
+    "convergence": _each_cell(_sweep_convergence),
+    "root-modulus": _each_cell(_sweep_root_modulus),
     "gram-offdiag": _sweep_gram_offdiag,
 }
 
 
 def cmd_sweep(args, parser) -> tuple[str, int]:
     params = _params_from_args(args, parser)
-    func = _SWEEP_FUNCS[args.quantity]
     ns = sorted(args.n_list)
-    rows = []
-    for gi, gv in enumerate(args.grid_values):
-        cell_params = _apply_grid(params, args.grid_param, gv)
-        for n, value in zip(ns, func(cell_params, ns) if ns else []):
-            rows.append((args.quantity, args.grid_param, gi, gv, n, value))
+    cells = (_apply_grid(params, args.grid_param, gv) for gv in args.grid_values)
+    # Without degrees no quantity is computed, but every cell is still built.
+    values = _SWEEP_FUNCS[args.quantity](cells, ns) if ns else [[] for _ in cells]
+    rows = [
+        (args.quantity, args.grid_param, gi, gv, n, value)
+        for gi, (gv, cell_values) in enumerate(zip(args.grid_values, values))
+        for n, value in zip(ns, cell_values)
+    ]
     header = ("quantity", "grid_param", "grid_index", "grid_value", "n", "value")
     return render_csv(header, rows), 0
 

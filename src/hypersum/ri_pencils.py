@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
-from .polycore import Poly, horner
+from .polycore import DEGREE_CAP, Poly, horner
 
 RI_NODE_RTOL = 1e-12
 
@@ -262,11 +262,14 @@ def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
 
     with p_{-2} = p_{-1} = 0 and gamma/a/beta at negative indices zero.
     deg p_n = n with positive leading coefficient (alpha, a_k, gamma_n > 0).
-    This is _band_coeff_stack on a stack of one.
+    This is _band_coeff_stack on a stack of one. N may not exceed
+    DEGREE_CAP, the largest degree a Poly holds.
     """
     N = int(N)
     if N < 0:
         raise DomainError("N must be nonnegative")
+    if N > DEGREE_CAP:
+        raise DomainError(f"N = {N} exceeds the degree cap {DEGREE_CAP}")
     bands = _pencil_bands(pencil, max(N - 1, 0))[:, None]
     P = _band_coeff_stack(bands, [pencil.alpha], [pencil.beta], N)[0]
     return [Poly(row[: k + 1].tolist()) for k, row in enumerate(P)]

@@ -10,11 +10,14 @@ length on |z| = 1:
 Rank-one structure collapses this to (Rf)(z)·conj((Rh)(z)) pointwise, and
 on the unit circle the integral of a product of polynomials is the inner
 product of their coefficient vectors (Parseval). sobolev_gram evaluates it
-that way, from the closed-form coefficients of R g_n. sobolev_inner
-integrates the pointwise product on equispaced nodes with uniform weights,
-which is exact for the trigonometric-polynomial integrands arising here;
-it, and a debug path materializing M and the derivative vectors, are kept
-as oracles for the Gram matrix.
+that way, from the closed-form coefficients of R g_n. Its engine,
+_gram_stack, builds the Grams of a stack of families in one pass (the cells
+of a sweep grid), each bit for bit the Gram its family gets alone;
+sobolev_gram is that engine on a stack of one. sobolev_inner integrates the
+pointwise product on equispaced nodes with uniform weights, which is exact
+for the trigonometric-polynomial integrands arising here; it, and a debug
+path materializing M and the derivative vectors, are kept as oracles for
+the Gram matrix.
 
 Under this form the partial sums g_0, g_1, ... are orthogonal, with squared
 norms |kappa_n|^{-2} (the image identity -kappa_n·R g_n = z^n turns the Gram
@@ -27,6 +30,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -152,6 +156,50 @@ def sobolev_inner_matrix(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
     return rule.integrate(vals)
 
 
+def _gram_stack(cells: Iterable[HypParams], n_max: int) -> np.ndarray:
+    """Gram matrices of a stack of families, one (B, n_max+1, n_max+1) array.
+
+    Family i's C is built as sobolev_gram describes, and then one row loop
+    serves the whole stack: entry (n, m) of Gram i is
+    sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), so each family's Gram is bit for bit
+    the one it gets alone. Families are built in the order the cells arrive
+    until one fails: the iterable itself, the degree check, the coefficient
+    sequence or gn_direct's underflow. The error raised is that of the first
+    family failing at any stage, Gram overflow included, as if the families
+    had been taken one by one.
+    """
+    coeffs, failure = [], None
+    # Overflowing products come back as inf/nan without a numpy warning and
+    # are reported on the finished Grams. Rows are sliced, keeping their
+    # axis: numpy rounds a broadcast one-element 1-D row without FMA, unlike
+    # every longer row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for params in cells:
+                n_max = _check_cap(n_max)
+                seq = _coeff_seq(params, n_max)
+                if 0 in seq:
+                    gn_direct(params, seq.index(0))  # raises its underflow DomainError
+                coeffs.append(r_action(params, np.tril(np.tile(seq, (n_max + 1, 1)))))
+        except DomainError as exc:
+            failure = exc
+        if not coeffs:
+            if failure is not None:
+                raise failure
+            return np.empty((0, 0, 0), dtype=complex)
+        C = np.array(coeffs)
+        conj = C.conj()
+        rows = (
+            C[:, n : n + 1, : n + 1] * conj[:, :, : n + 1] for n in range(n_max + 1)
+        )
+        gram = np.stack([row.sum(axis=2) for row in rows], axis=1)
+    if not np.isfinite(gram).all():
+        raise DomainError("Gram matrix overflowed double precision")
+    if failure is not None:
+        raise failure
+    return gram
+
+
 def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval.
 
@@ -164,23 +212,10 @@ def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     with elementwise products and numpy sums, never a thread-dependent BLAS
     call. Hermitian symmetry is computed, not mirrored, so it stays a real
     check on the computation. A Gram entry that overflowed, in r_action or
-    in the row products, is a DomainError.
+    in the row products, is a DomainError. This is the stacked engine
+    _gram_stack on a stack of one.
     """
-    n_max = _check_cap(n_max)
-    seq = _coeff_seq(params, n_max)
-    if 0 in seq:
-        gn_direct(params, seq.index(0))  # raises its underflow DomainError
-    # Overflowing products come back as inf/nan without a numpy warning and
-    # are reported on the finished Gram. Rows are sliced 2-D: numpy rounds a
-    # broadcast one-element 1-D row without FMA, unlike every longer row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = r_action(params, np.tril(np.tile(seq, (n_max + 1, 1))))
-        conj = C.conj()
-        rows = (C[n : n + 1, : n + 1] * conj[:, : n + 1] for n in range(len(C)))
-        gram = np.array([row.sum(axis=1) for row in rows])
-    if not np.isfinite(gram).all():
-        raise DomainError("Gram matrix overflowed double precision")
-    return gram.tolist()
+    return _gram_stack([params], n_max)[0].tolist()
 
 
 def gram_extremes(gram) -> tuple[float, float]:

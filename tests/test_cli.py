@@ -18,7 +18,7 @@ import hypersum
 from hypersum import cli, pfq
 from hypersum.errors import ConvergenceError
 from hypersum.partial_sums import HypParams, gn_direct
-from hypersum.sobolev import gram_extremes, sobolev_gram
+from hypersum.sobolev import _gram_stack, gram_extremes, sobolev_gram
 
 # The child process imports the same hypersum package as this test.
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(hypersum.__file__))
@@ -353,16 +353,17 @@ def test_sweep_gram_offdiag_reads_every_degree_off_one_gram(monkeypatch, capsys)
     ns, grid = (17, 3, 40, 3, 0), (1.0, 3.5)
     calls = []
 
-    def recording(params, n_max):
-        calls.append(n_max)
-        return sobolev_gram(params, n_max)
+    def recording(cells, n_max):
+        cells = list(cells)
+        calls.append((len(cells), n_max))
+        return _gram_stack(cells, n_max)
 
-    monkeypatch.setattr(cli, "sobolev_gram", recording)
+    monkeypatch.setattr(cli, "_gram_stack", recording)
     argv = ["sweep", "--p", "1", "--q", "2", "--a", "1.5+0.5i",
             "--b", "2,1.25+1i", "--quantity", "gram-offdiag", "--grid-param",
             "b1", "--grid-values", "1,3.5", "--n-list", "17,3,40,3,0"]
     assert cli.main(argv) == 0
-    assert calls == [40, 40]
+    assert calls == [(2, 40)]  # one engine call covers both cells
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
     want = []
     for gi, gv in enumerate(grid):
@@ -387,6 +388,45 @@ def test_sweep_gram_cell_that_raises_is_a_domain_error(a, b, n_args, message, ca
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"domain error: {message}")
+
+
+@pytest.mark.parametrize("grid, message", [
+    # The first cell in grid order that fails, at any stage, decides: its
+    # parameters, its coefficient sequence, or the overflow of its Gram.
+    ("1e155,-1", "Gram matrix overflowed double precision"),
+    ("1e155,1e300", "Gram matrix overflowed double precision"),
+    ("1e300,1e155", "coefficient xi_3 underflowed"),
+    ("-1,1e155", "parameter (-1+0j) lies within 1e-12"),
+])
+def test_sweep_gram_fails_with_the_first_failing_cell(grid, message, capsys):
+    # b1 = 1e155 builds, and its Gram overflows; b1 = 1e300 underflows xi_3.
+    argv = ["sweep", "--p", "1", "--q", "1", "--a", "1e155", "--b", "2",
+            "--quantity", "gram-offdiag", "--grid-param", "b1",
+            f"--grid-values={grid}", "--n-list", "5"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"domain error: {message}")
+
+
+SWEEP_HEADER = "quantity,grid_param,grid_index,grid_value,n,value\n"
+
+
+@pytest.mark.parametrize("grid, n_list, code, out, err", [
+    # No cell: nothing is built, so not even a negative degree is refused.
+    ("", "-1", 0, SWEEP_HEADER, ""),
+    # No degree: every cell is still built, and none computes a Gram.
+    ("2,3", "", 0, SWEEP_HEADER, ""),
+    ("2,-1", "", 3, "", "domain error: parameter (-1+0j) lies within"),
+])
+def test_sweep_gram_with_an_empty_list(grid, n_list, code, out, err, capsys):
+    argv = ["sweep", "--p", "1", "--q", "1", "--a", "1", "--b", "2",
+            "--quantity", "gram-offdiag", "--grid-param", "b1",
+            f"--grid-values={grid}", f"--n-list={n_list}"]
+    assert cli.main(argv) == code
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err.startswith(err)
 
 
 CIRCLE_PROBES = [
@@ -473,6 +513,15 @@ def test_pencil_command_with_no_rows():
     assert doc["results"]["p"] == [[1]]
     assert doc["results"]["rows"] == 0
     assert doc["results"]["residual_max"] == 0
+
+
+def test_pencil_command_past_the_degree_cap_is_domain_error():
+    band = ",".join(["0.5"] * 172)
+    out = run_cli("pencil", "--n", "172", "--j3-diag", band, "--j3-offdiag", band,
+                  "--j5-diag", band, "--j5-off1", band, "--j5-off2", band)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("domain error: N = 172 exceeds the degree cap 170")
 
 
 @pytest.mark.parametrize("check", ["recurrence", "ode", "sobolev", "circle-rep",

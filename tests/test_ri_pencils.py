@@ -17,7 +17,7 @@ from hypersum.partial_sums import (
     PowerSeriesCoeffs,
     delta_k,
 )
-from hypersum.polycore import Poly
+from hypersum.polycore import DEGREE_CAP, Poly
 from test_acceptance import FIXED_SETS, _draw_params
 from hypersum.ri_pencils import (
     JacobiPencil,
@@ -287,6 +287,22 @@ def test_zero_rows_need_only_p_0():
         pencil_residual(WORKED_PENCIL, polys, 0.0, -1)
     with pytest.raises(DomainError, match="N must be nonnegative"):
         pencil_polynomials(WORKED_PENCIL, -1)
+
+
+def test_pencil_degree_is_capped_before_solving(monkeypatch):
+    # p_N is a Poly of degree N, so N past DEGREE_CAP is refused up front,
+    # even with bands long enough for every row.
+    band = (0.5,) * (DEGREE_CAP + 2)
+    pencil = JacobiPencil(band, band, band, band, band, alpha=1.0, beta=0.0)
+    assert len(pencil_polynomials(pencil, DEGREE_CAP)) == DEGREE_CAP + 1
+
+    def refuse(*args):
+        raise AssertionError("no solve expected")
+
+    monkeypatch.setattr(ri_pencils, "_band_coeff_stack", refuse)
+    for N in (DEGREE_CAP + 1, DEGREE_CAP + 2):
+        with pytest.raises(DomainError, match=f"exceeds the degree cap {DEGREE_CAP}"):
+            pencil_polynomials(pencil, N)
 
 
 def poly_pencil_polynomials(pencil, N):

@@ -201,6 +201,41 @@ def test_roots_match_high_precision_oracle(name, n):
     assert np.all(dist.min(axis=1) <= bound)
 
 
+def _newton_refined(coeffs, z0, dps=50):
+    """The root of the polynomial with exactly these float coefficients
+    nearest z0, by Newton's method at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(x) for x in reversed(coeffs)]
+        z = mpmath.mpc(z0)
+        for _ in range(8):
+            value, derivative = mpmath.polyval(c, z, derivative=True)
+            step = value / derivative
+            z -= step
+        assert abs(step) <= mpmath.mpf(10) ** (20 - dps) * abs(z)  # converged
+        return complex(z)
+
+
+@pytest.mark.parametrize("name, n, bound", [
+    # Each bound is about 3x the largest relative error find_roots shows
+    # (8.6e-15, 1.3e-12, 6.7e-14, 4.7e-11, 1.5e-14, 1.2e-11 in this order).
+    # Stopping the polish once |g(z)| <= gamma_2n·mass(z) loses 12-160x on
+    # every case; stopping at |g(z)| <= eps/2·mass(z) loses 12x on exp, 25.
+    ("exp", 15, 3e-14), ("exp", 25, 4e-12),
+    ("0F1(;1)", 15, 2e-13), ("0F1(;1)", 25, 1.5e-10),
+    ("2F3(1,1.5;2,2.5,3)", 15, 5e-14), ("2F3(1,1.5;2,2.5,3)", 25, 4e-11),
+])
+def test_roots_forward_error_against_refined_oracle(name, n, bound):
+    # Forward accuracy, not only backward error: each root against the
+    # root of the same float64 coefficients refined at 50 digits.
+    a, b = ROOTS_FAMILIES[name]
+    g = gn_direct(HypParams(a=a, b=b), n)
+    roots = np.array(find_roots(g))
+    ref = np.array([_newton_refined(g.coeffs, r) for r in roots])
+    assert len(set(ref.round(12).tolist())) == n  # one distinct root each
+    assert np.max(np.abs(roots - ref) / np.abs(ref)) <= bound
+
+
 def test_roots_document_is_deterministic_at_cap(capsys):
     argv = ["roots", "--p", "0", "--q", "0", "--n", str(DEGREE_CAP)]
     docs = []

@@ -15,6 +15,7 @@ from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
 from hypersum.polycore import DEGREE_CAP, Poly
 from hypersum.sobolev import (
     QuadratureRule,
+    _gram_stack,
     auto_node_count,
     build_sobolev_form,
     gram_extremes,
@@ -199,7 +200,7 @@ def test_gram_matches_quadrature_oracle(params, n_max):
     assert dev <= 1e-15 * maxdiag
 
 
-@pytest.mark.parametrize("params", (EXP, CONFLUENT, TWO_F_THREE))
+@pytest.mark.parametrize("params", (EXP, CONFLUENT, TWO_F_THREE, COMPLEX_1F2))
 def test_gram_is_bit_identical_to_per_row_gn_direct(params):
     n_max = 40
     C = np.zeros((n_max + 1, n_max + 1), dtype=complex)
@@ -222,6 +223,63 @@ def test_gram_is_the_leading_block_of_a_larger_gram(params):
     big = sobolev_gram(params, 40)
     for n in (0, 1, 5, 10, 20, 30):
         assert sobolev_gram(params, n) == [row[: n + 1] for row in big[: n + 1]]
+
+
+def _random_family(rng, complex_params):
+    def draw():
+        x = rng.uniform(0.2, 4.0)
+        return complex(x, rng.uniform(-2.0, 2.0)) if complex_params else x
+
+    p, q = rng.randint(0, 3), rng.randint(1, 3)
+    return HypParams(
+        a=tuple(draw() for _ in range(p)), b=tuple(draw() for _ in range(q))
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gram_stack_is_each_familys_gram_bit_for_bit(seed):
+    # Real and complex families in one stack; each Gram is the one its
+    # family gets alone, whatever the stack's size and neighbours.
+    rng = random.Random(seed)
+    n_max = rng.choice((0, 1, 2, 5, 10, 20, 40))
+    size = rng.randint(1, 5)
+    cells = [_random_family(rng, rng.random() < 0.5) for _ in range(size)]
+    grams = _gram_stack(iter(cells), n_max)
+    assert grams.shape == (len(cells), n_max + 1, n_max + 1)
+    for params, gram in zip(cells, grams):
+        assert gram.tolist() == sobolev_gram(params, n_max)
+
+
+def test_gram_stack_of_no_families_is_empty():
+    assert _gram_stack([], 5).shape[0] == 0
+    assert _gram_stack([], -1).shape[0] == 0  # no family, so no degree check
+
+
+OVERFLOWS = HypParams(a=(1e155,), b=(1e155,))  # C[0, 0] = -1e155
+UNDERFLOWS = HypParams(a=(1e155,), b=(1e300,))  # xi_3 underflows
+
+
+def _cells_then_failure(cells):
+    yield from cells
+    raise DomainError("cell could not be built")
+
+
+@pytest.mark.parametrize("cells, then_fail, message", [
+    # The first family to fail at any stage decides, as one by one. A
+    # failing iterable stands for a cell whose parameters are refused.
+    ((CONFLUENT, OVERFLOWS, UNDERFLOWS), False, "Gram matrix overflowed"),
+    ((CONFLUENT, UNDERFLOWS, OVERFLOWS), False, "coefficient xi_3 underflowed"),
+    ((OVERFLOWS, CONFLUENT), False, "Gram matrix overflowed"),
+    ((CONFLUENT, OVERFLOWS), True, "Gram matrix overflowed"),
+    ((CONFLUENT, EXP), True, "cell could not be built"),
+    ((), True, "cell could not be built"),
+])
+def test_gram_stack_raises_the_first_failing_familys_error(cells, then_fail, message):
+    source = _cells_then_failure(cells) if then_fail else cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            _gram_stack(source, 5)
 
 
 def test_gram_maps_every_row_in_one_r_action_call(monkeypatch):
