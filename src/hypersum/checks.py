@@ -10,7 +10,10 @@ PASS/FAIL against its tolerance. Two conventions:
   roots) report max(measured_i / tol_i) against tolerance 1.0.
 
 recurrence and rifrac hold the monic recurrence (ri_generate on the
-T-fraction) against the direct sums Gn_monic, not against itself.
+T-fraction) against the direct sums Gn_monic, not against itself; within
+one run_checks call the two read one shared comparison. ode, recurrence and
+rifrac read every degree from one coefficient sequence, in array passes
+that round each degree as its Poly arithmetic would.
 
 Boolean conditions (simple roots, validity flags, exact worked examples)
 fold in as residual 0 or inf. Randomized checks derive their generator
@@ -20,6 +23,7 @@ processes regardless of hash randomization.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import random
 from dataclasses import dataclass
@@ -29,17 +33,19 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .operators import (
-    _application_mass,
+    _apply_stack,
+    _first_nonfinite,
+    _kappa_from_xi,
+    _mass_stack,
     build_R,
     kappa,
-    op_apply,
     op_compose,
     op_theta,
 )
 from .partial_sums import (
-    Gn_by_recurrence,
-    Gn_monic,
     HypParams,
+    _coeff_prefix,
+    _monic_coeffs,
     gn_by_recurrence,
     gn_direct,
 )
@@ -113,22 +119,45 @@ def _degree(n_max: int, cap: int) -> int:
     return min(n_max, cap)
 
 
-def _rel_coeff_dev(reference, candidate) -> float:
-    """Max per-coefficient relative deviation between two Poly sequences.
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """|values| from the real and imaginary parts, as Python's abs rounds
+    it; a modulus beyond the float range is inf."""
+    with np.errstate(over="ignore"):
+        return np.hypot(values.real, values.imag)
+
+
+def _running_max(values: np.ndarray) -> float:
+    """max(worst, v) over the values from worst = 0.0, as a Python loop
+    takes it: a nan never replaces the running maximum."""
+    return float(np.fmax.reduce(np.ravel(values), initial=0.0))
+
+
+def _poly_table(polys, width: int) -> np.ndarray:
+    """The coefficients of a Poly sequence, one zero-padded row each."""
+    table = np.zeros((len(polys), width), dtype=complex)
+    for row, p in zip(table, polys):
+        row[: len(p.coeffs)] = p.coeffs
+    return table
+
+
+def _rel_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """Max per-coefficient relative deviation between two coefficient
+    tables of the same shape, one polynomial per zero-padded row.
 
     Reference coefficients of the hypergeometric family are never zero, so
-    dividing by them is safe.
+    dividing by them is safe (a zero counts as 1).
     """
-    worst = 0.0
-    for ref, cand in zip(reference, candidate):
-        for k in range(max(ref.degree, cand.degree) + 1):
-            r, c = ref.coeff(k), cand.coeff(k)
-            worst = max(worst, abs(r - c) / (abs(r) or 1.0))
-    return worst
+    ref = _modulus(reference)
+    with np.errstate(invalid="ignore"):
+        return _running_max(
+            _modulus(reference - candidate) / np.where(ref == 0, 1.0, ref)
+        )
 
 
-def _scaled_coeff_dev(reference, candidate) -> float:
-    """Max coefficient deviation relative to each pair's coefficient scale.
+def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """Max coefficient deviation relative to each pair's coefficient scale:
+    per row, the largest |r - c| over the largest |r| or |c| (1 if all are
+    zero), for two coefficient tables of the same shape.
 
     Used for the monic route: its three-term recurrence cancels like-sized
     terms at every step, so coefficients far below the polynomial's largest
@@ -136,28 +165,87 @@ def _scaled_coeff_dev(reference, candidate) -> float:
     per-coefficient relative measure would report conditioning rather than
     correctness.
     """
-    worst = 0.0
-    for ref, cand in zip(reference, candidate):
-        pairs = [(ref.coeff(k), cand.coeff(k))
-                 for k in range(max(ref.degree, cand.degree) + 1)]
-        scale = max((max(abs(r), abs(c)) for r, c in pairs), default=0.0) or 1.0
-        worst = max(worst, max((abs(r - c) for r, c in pairs), default=0.0) / scale)
-    return worst
+    scale = np.maximum(_modulus(reference), _modulus(candidate)).max(axis=1)
+    scale = np.where(scale == 0, 1.0, scale)
+    with np.errstate(invalid="ignore"):
+        return _running_max(_modulus(reference - candidate).max(axis=1) / scale)
+
+
+def _partial_sum_seq(params: HypParams, N: int) -> list[complex]:
+    """xi_0..xi_N, whose lower-triangular table is row for row gn_direct(n),
+    n = 0..N; raises what those calls raise first."""
+    seq, failure = _coeff_prefix(params, N)
+    if 0 in seq:
+        gn_direct(params, seq.index(0))  # raises its underflow DomainError
+    if failure is not None:
+        raise failure
+    return seq
+
+
+def _monic_table(seq: list[complex]) -> np.ndarray:
+    """Row n holds the coefficients of G_n, read from xi_0..xi_n as
+    Gn_monic reads them; raises their errors in degree order."""
+    table = np.zeros((len(seq), len(seq)), dtype=complex)
+    for n in range(len(seq)):
+        table[n, : n + 1] = _monic_coeffs(seq[: n + 1])
+    return table
+
+
+def _direct_monic_table(params: HypParams, N: int) -> np.ndarray:
+    """The rows of Gn_monic(params, n), n = 0..N, raising what those calls
+    raise first."""
+    seq, failure = _coeff_prefix(params, N)
+    table = _monic_table(seq)
+    if failure is not None:
+        raise failure
+    return table
+
+
+# The memo of one run_checks call: the monic comparison, keyed by
+# (params, N), which recurrence and rifrac both read. None outside a call.
+_RUN_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "hypersum_checks_run_memo", default=None
+)
+
+
+def _monic_comparison(
+    params: HypParams, N: int, direct: Callable[[], np.ndarray]
+) -> tuple[float, bool]:
+    """The monic recurrence against the direct monic sums: ri_generate on
+    the T-fraction, then direct() for the table of G_0..G_N, measured as
+    _scaled_coeff_dev, and whether the validity report is clean.
+
+    Inside run_checks it is computed once per call and read by both
+    recurrence and rifrac; nothing outlives the call.
+    """
+    memo = _RUN_MEMO.get()
+    key = (params, N)
+    if memo is not None and key in memo:
+        return memo[key]
+    polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
+    result = (_scaled_coeff_dev(direct(), _poly_table(polys, N + 1)), validity.valid)
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 def check_recurrence(
     params: HypParams, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
-    """Direct-formula vs recurrence construction of g_n and G_n."""
+    """Direct-formula vs recurrence construction of g_n and G_n.
+
+    The direct g_n and G_n are read from one coefficient sequence; the
+    errors are those of gn_direct for every n, then Gn_monic for every n,
+    then the two recurrences.
+    """
     tol = 1e-10 if tol is None else tol
     N = _degree(n_max, 25)
-    direct_g = [gn_direct(params, n) for n in range(N + 1)]
-    direct_G = [Gn_monic(params, n) for n in range(N + 1)]
-    rec_g = gn_by_recurrence(params, N)
-    rec_G = Gn_by_recurrence(params, N)
-    measured = max(
-        _rel_coeff_dev(direct_g, rec_g), _scaled_coeff_dev(direct_G, rec_G)
-    )
+    seq = _partial_sum_seq(params, N)
+    direct_g = np.tril(np.tile(np.array(seq), (N + 1, 1)))
+    direct_G = _monic_table(seq)
+    rec_g = _poly_table(gn_by_recurrence(params, N), N + 1)
+    dev_G, _ = _monic_comparison(params, N, lambda: direct_G)
+    measured = max(_rel_coeff_dev(direct_g, rec_g), dev_G)
     return _result(
         "recurrence",
         measured,
@@ -168,35 +256,92 @@ def check_recurrence(
     )
 
 
+def _scaled(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of a complex table times its entry of the column w, as
+    Poly.scale rounds it: the complex product spelled as real ufuncs."""
+    out = np.empty_like(values)
+    out.real = values.real * w.real - values.imag * w.imag
+    out.imag = values.real * w.imag + values.imag * w.real
+    return out
+
+
+def _first_failure(
+    stages: Sequence[dict[int, DomainError]]
+) -> Optional[DomainError]:
+    """The error of the first failing row, and within it of the first stage
+    in the order given; None if no row failed."""
+    rows = [row for stage in stages for row in stage]
+    if not rows:
+        return None
+    first = min(rows)
+    return next(stage[first] for stage in stages if first in stage)
+
+
+def _nonfinite_rows(values: np.ndarray) -> dict[int, DomainError]:
+    """{row: the DomainError Poly raises on it} for each row of a complex
+    table that holds a non-finite coefficient."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
+    return {row: _first_nonfinite(values[row]) for row in bad}
+
+
 def check_ode(
     params: HypParams, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """theta(R g_n) = n·(R g_n), and -kappa_n·R g_n = z^n.
 
-    R and theta∘R are expanded once per check; both clauses are read off
-    one image R g_n per degree. Residuals are scaled by the mass op_apply
-    moves forming R g_n: the exact image z^n/kappa_n can sit far below the
-    roundoff of that cancellation, where raw residuals measure conditioning.
+    R and theta∘R are expanded once per check. The partial sums g_0..g_N
+    are the rows of the lower-triangular table of one coefficient sequence,
+    and kappa_n is read from the same sequence. R and theta∘R are each
+    applied to the whole table in one engine pass (_apply_stack), and both
+    clauses are read off the one image R g_n per row. Residuals are scaled
+    by the mass the application moves forming R g_n: the exact image
+    z^n/kappa_n can sit far below the roundoff of that cancellation, where
+    raw residuals measure conditioning. An error is the one the degree-by-
+    degree loop raised first: per degree kappa_n, R g_n, theta(R g_n), then
+    the scaled images.
     """
     tol = 1e-9 if tol is None else tol
     N = _degree(n_max, 25)
     R = build_R(params)
     theta_R = op_compose(op_theta(), R)
-    worst = 0.0
-    for n in range(N + 1):
-        kappa_n = kappa(params, n)
-        g = gn_direct(params, n)
-        Rg = op_apply(R, g)
-        mass_scale = _application_mass(R, g)
-        scale = max(1.0, n * mass_scale)
-        eigen = op_apply(theta_R, g) - Rg.scale(n)
-        worst = max(worst, eigen.max_coeff() / scale)
-        mono = Rg.scale(-kappa_n)
-        mass = math.fsum(
-            abs(mono.coeff(k) - (1.0 if k == n else 0.0))
-            for k in range(max(mono.degree, n) + 1)
+    seq, failure = _coeff_prefix(params, N)
+    kappas = []
+    for n, xi_n in enumerate(seq):
+        try:
+            kappas.append(_kappa_from_xi(params, n, xi_n))
+        except DomainError as exc:
+            failure = exc
+            break
+    D = len(kappas)  # the degrees whose kappa_n exists
+    g = np.tril(np.tile(np.array(seq[:D], dtype=complex), (D, 1)))
+    Rg, r_failures = _apply_stack(R, g)
+    theta_Rg, t_failures = _apply_stack(theta_R, g)
+    width = max(Rg.shape[1], theta_Rg.shape[1])
+    Rg, theta_Rg = (np.pad(x, ((0, 0), (0, width - x.shape[1])))
+                    for x in (Rg, theta_Rg))
+    degrees = np.arange(D, dtype=float)[:, None]
+    kap = np.array(kappas, dtype=complex)[:, None]
+    # Overflow reads as inf, as in Python float arithmetic, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_Rg = _scaled(Rg, degrees + 0j)
+        # Poly subtraction adds the other side scaled by -1.
+        eigen = theta_Rg + _scaled(n_Rg, np.array([[-1.0 + 0j]]))
+        mono = _scaled(Rg, -kap)
+        first = _first_failure(
+            [r_failures, t_failures, *map(_nonfinite_rows, (n_Rg, eigen, mono))]
         )
-        worst = max(worst, mass / max(1.0, abs(kappa_n) * mass_scale))
+        if first is not None:
+            raise first
+        if failure is not None:
+            raise failure
+        mass_scale = _mass_stack(R, g)
+        scale = np.maximum(1.0, degrees[:, 0] * mass_scale)
+        eigen_ratio = _modulus(eigen).max(axis=1, initial=0.0) / scale
+        off_monomial = mono.copy()
+        off_monomial.real[np.arange(D), np.arange(D)] -= 1.0
+        mass = np.array([math.fsum(row) for row in _modulus(off_monomial)])
+        mono_ratio = mass / np.maximum(1.0, _modulus(kap[:, 0]) * mass_scale)
+        worst = _running_max(np.stack([eigen_ratio, mono_ratio], axis=1))
     return _result(
         "ode",
         worst,
@@ -358,10 +503,10 @@ def check_rifrac(
     (lambda_{n+1} != 0 and P_n(0) != 0)."""
     tol = 1e-12 if tol is None else tol
     N = _degree(n_max, 25)
-    polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
-    direct = [Gn_monic(params, n) for n in range(N + 1)]
-    measured = _scaled_coeff_dev(direct, polys)
-    if not validity.valid:
+    measured, valid = _monic_comparison(
+        params, N, lambda: _direct_monic_table(params, N)
+    )
+    if not valid:
         measured = math.inf
     return _result(
         "rifrac",
@@ -370,7 +515,7 @@ def check_rifrac(
         (
             f"max coefficient deviation {_fmt(measured)} from the direct "
             "monic sums, relative to coefficient scale, "
-            f"validity {'clean' if validity.valid else 'violated'}, N = {N}"
+            f"validity {'clean' if valid else 'violated'}, N = {N}"
         ),
     )
 
@@ -508,31 +653,35 @@ def run_checks(
         "pencil": lambda: check_pencil(random.Random(f"{seed}:pencil"), draws, tol),
     }
     results = []
-    for name in requested:
-        reason = inapplicable_reason(name, params)
-        if reason is not None:
-            if not skip_inapplicable:
-                raise DomainError(f"check {name}: {reason}")
-            results.append(
-                CheckResult(
-                    name=name,
-                    status="SKIP",
-                    max_residual=math.nan,
-                    tolerance=math.nan,
-                    detail=reason,
+    memo = _RUN_MEMO.set({})
+    try:
+        for name in requested:
+            reason = inapplicable_reason(name, params)
+            if reason is not None:
+                if not skip_inapplicable:
+                    raise DomainError(f"check {name}: {reason}")
+                results.append(
+                    CheckResult(
+                        name=name,
+                        status="SKIP",
+                        max_residual=math.nan,
+                        tolerance=math.nan,
+                        detail=reason,
+                    )
                 )
-            )
-            continue
-        try:
-            results.append(runners[name]())
-        except ConvergenceError as exc:
-            results.append(
-                CheckResult(
-                    name=name,
-                    status="FAIL",
-                    max_residual=math.inf,
-                    tolerance=math.nan,
-                    detail=f"did not converge: {exc}",
+                continue
+            try:
+                results.append(runners[name]())
+            except ConvergenceError as exc:
+                results.append(
+                    CheckResult(
+                        name=name,
+                        status="FAIL",
+                        max_residual=math.inf,
+                        tolerance=math.nan,
+                        detail=f"did not converge: {exc}",
+                    )
                 )
-            )
+    finally:
+        _RUN_MEMO.reset(memo)
     return results

@@ -11,6 +11,11 @@ identities anchor everything downstream: applied to the degree-n partial sum
 g_n, the rescaled image -kappa_n·R g_n is the monomial z^n, and consequently
 theta(R g_n) - n·R g_n = 0. Both are exposed as operations returning residual
 material rather than booleans, so callers choose their tolerances.
+
+Operators are applied by one engine, _apply_stack, to a stack of
+polynomials held as the rows of a complex array, each row rounded as Poly
+arithmetic rounds it alone; op_apply is that engine on a stack of one, and
+_mass_stack measures the coefficient mass the engine moves per row.
 """
 
 from __future__ import annotations
@@ -88,15 +93,91 @@ def op_sub(A: LinDiffOp, B: LinDiffOp) -> LinDiffOp:
     return op_add(A, op_scale(B, -1.0))
 
 
-def op_apply(A: LinDiffOp, f: Poly) -> Poly:
-    """Apply the operator: Sum_l c_l(z) · f^(l)(z)."""
-    out = Poly()
-    deriv = f
-    for c in A.coeffs:
-        if not c.is_zero and not deriv.is_zero:
-            out = out + c * deriv
-        deriv = deriv.derivative()
+def _stack_of_one(f: Poly) -> np.ndarray:
+    return np.array([f.coeffs], dtype=complex).reshape(1, -1)
+
+
+def _first_nonfinite(values) -> DomainError:
+    """The error Poly raises on these coefficients: the first non-finite."""
+    bad = np.flatnonzero(~np.isfinite(values))[0]
+    return DomainError(f"non-finite coefficient: {complex(values[bad])!r}")
+
+
+def _derivatives(f: np.ndarray, count: int) -> list[np.ndarray]:
+    """f, f', ..., f^(count) of every row of the complex stack f. Each is
+    the derivative of the one before, coefficient k-1 being k times
+    coefficient k, never a precomputed falling factorial; the product is
+    the complex one Poly.derivative forms, (k + 0j)·c, spelled as real
+    ufuncs. A derivative that overflowed holds inf; the callers report it."""
+    out = [f]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(count):
+            d = out[-1][:, 1:]
+            k = np.arange(1, d.shape[1] + 1, dtype=float)
+            nxt = np.empty_like(d)
+            nxt.real = d.real * k - 0.0 * d.imag
+            nxt.imag = d.imag * k + 0.0 * d.real
+            out.append(nxt)
     return out
+
+
+def _apply_stack(
+    A: LinDiffOp, f: np.ndarray
+) -> tuple[np.ndarray, dict[int, DomainError]]:
+    """Sum_l c_l(z) · f^(l)(z) for every row of the complex stack f
+    (B, K), one polynomial per row, low to high: the rows of the image and
+    the first overflow of each row that has one, {row: DomainError}.
+
+    Every row is rounded as Poly arithmetic rounds it alone: each complex
+    product is spelled as real ufuncs (re = ar·br - ai·bi, im = ar·bi +
+    ai·br; numpy's complex multiply fuses them on longer arrays), c_l·f^(l)
+    accumulates over the coefficients c_l[i], i ascending, into a zeroed
+    buffer that is then added to the running sum, in l order. The error of
+    a row is the one Poly raised first in that order: the product, the sum,
+    then the next derivative (the last one included), each naming its
+    first non-finite coefficient.
+    """
+    B, K = f.shape
+    derivs = _derivatives(f, len(A.coeffs))
+    terms = [
+        (l, c.coeffs) for l, c in enumerate(A.coeffs) if not c.is_zero and l < K
+    ]
+    width = max([K] + [len(c) + K - 1 - l for l, c in terms])
+    out = np.zeros((B, width), dtype=complex)
+    stages = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, coeffs in terms:
+            d = derivs[l]
+            span = d.shape[1]
+            prod = np.zeros((B, width), dtype=complex)
+            for i, ci in enumerate(coeffs):
+                ar, ai = ci.real, ci.imag
+                prod.real[:, i : i + span] += ar * d.real - ai * d.imag
+                prod.imag[:, i : i + span] += ar * d.imag + ai * d.real
+            out = out + prod
+            stages[l] = (prod, out)
+    finite = np.isfinite(out).all(axis=1)
+    for d in derivs[1:]:
+        finite &= np.isfinite(d).all(axis=1)
+    failures = {}
+    for row in np.flatnonzero(~finite).tolist():
+        for l in range(len(A.coeffs)):
+            values = [*stages.get(l, ()), derivs[l + 1]]
+            bad = [v[row] for v in values if not np.isfinite(v[row]).all()]
+            if bad:
+                failures[row] = _first_nonfinite(bad[0])
+                break
+    return out, failures
+
+
+def op_apply(A: LinDiffOp, f: Poly) -> Poly:
+    """Apply the operator: Sum_l c_l(z) · f^(l)(z). The stack engine
+    _apply_stack on a stack of one; an overflow is the DomainError Poly
+    arithmetic raises."""
+    out, failures = _apply_stack(A, _stack_of_one(f))
+    if failures:
+        raise failures[0]
+    return Poly(out[0])
 
 
 def op_compose(A: LinDiffOp, B: LinDiffOp) -> LinDiffOp:
@@ -178,7 +259,11 @@ def kappa(params: HypParams, n: int) -> complex:
     coefficients do. The anchor identity is -kappa(params,n)·R g_n = z^n.
     """
     n = _check_cap(n)
-    xi_n = _coeff_seq(params, n)[-1]
+    return _kappa_from_xi(params, n, _coeff_seq(params, n)[-1])
+
+
+def _kappa_from_xi(params: HypParams, n: int, xi_n: complex) -> complex:
+    """kappa_n from xi_n, the last entry of the coefficient sequence."""
     den = xi_n
     for aj in params.a:
         den *= aj + n
@@ -212,6 +297,22 @@ def verify_ode(params: HypParams, n: int) -> Poly:
     return op_apply(theta_R, g) - op_apply(R, g).scale(n)
 
 
+def _mass_stack(A: LinDiffOp, f: np.ndarray) -> np.ndarray:
+    """_application_mass of every row of the complex stack f, one float per
+    row, accumulated over l in the same order. A derivative that overflowed
+    makes its row's mass inf or nan."""
+    derivs = _derivatives(f, A.order)
+    total = np.zeros(f.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, c in enumerate(A.coeffs):
+            if c.is_zero:
+                continue
+            l1 = math.fsum(abs(x) for x in c.coeffs)
+            d = derivs[l]
+            total = total + l1 * np.hypot(d.real, d.imag).max(axis=1, initial=0.0)
+    return total
+
+
 def _application_mass(A: LinDiffOp, f: Poly) -> float:
     """Coefficient mass moved by op_apply(A, f): sum over derivative
     orders of L1(c_l) times max|coefficient of f^(l)|.
@@ -219,16 +320,11 @@ def _application_mass(A: LinDiffOp, f: Poly) -> float:
     op_apply sums coefficient products of this total size, so its output
     carries absolute roundoff of order eps times this mass no matter how
     small the exact image is. Residuals of identities about A f are only
-    meaningful relative to this scale.
+    meaningful relative to this scale. _mass_stack on a stack of one; a
+    derivative that overflows is the DomainError Poly raises.
     """
-    total = 0.0
-    deriv = f
-    for l in range(A.order + 1):
-        if l > 0:
-            deriv = deriv.derivative()
-        c = A.coeff(l)
-        if c.degree < 0:
-            continue
-        l1 = math.fsum(abs(c.coeff(k)) for k in range(c.degree + 1))
-        total += l1 * deriv.max_coeff()
-    return total
+    f = _stack_of_one(f)
+    for d in _derivatives(f, A.order)[1:]:
+        if not np.isfinite(d).all():
+            raise _first_nonfinite(d[0])
+    return float(_mass_stack(A, f)[0])

@@ -112,19 +112,35 @@ def _coeff_ratio(params: HypParams, k: int) -> complex:
     return num / den
 
 
-def _coeff_seq(params: HypParams, n: int) -> list[complex]:
-    """xi_0 .. xi_n, built incrementally to delay overflow.
+def _coeff_prefix(
+    params: HypParams, n: int
+) -> tuple[list[complex], DomainError | None]:
+    """xi_0 .. xi_m, built incrementally to delay overflow, for the largest
+    m <= n before a coefficient overflows, and the DomainError naming the
+    first xi_k that overflowed (is not finite), or None when m = n.
 
-    Raises DomainError at the first xi_k that overflowed (is not finite).
+    A check that reads every degree from one sequence works on the prefix
+    and raises the error where the degree-by-degree calls would have.
     """
     xi = 1 + 0j
     out = [xi]
     for k in range(n):
         xi *= _coeff_ratio(params, k)
         if not cmath.isfinite(xi):
-            raise DomainError(f"non-finite coefficient xi_{k + 1}: {xi!r}")
+            return out, DomainError(f"non-finite coefficient xi_{k + 1}: {xi!r}")
         out.append(xi)
-    return out
+    return out, None
+
+
+def _coeff_seq(params: HypParams, n: int) -> list[complex]:
+    """xi_0 .. xi_n, built incrementally to delay overflow.
+
+    Raises DomainError at the first xi_k that overflowed (is not finite).
+    """
+    seq, failure = _coeff_prefix(params, n)
+    if failure is not None:
+        raise failure
+    return seq
 
 
 def hyp_coeff(params: HypParams, k: int) -> complex:
@@ -184,7 +200,14 @@ def Gn_monic(params: HypParams, n: int) -> Poly:
     leading coefficient is exactly 1.
     """
     n = _check_cap(n)
-    seq = _coeff_seq(params, n)
+    return Poly(_monic_coeffs(_coeff_seq(params, n)))
+
+
+def _monic_coeffs(seq: list[complex]) -> list[complex]:
+    """Coefficients xi_k / xi_n of G_n, k = 0..n, from seq = xi_0..xi_n,
+    by Python complex division. Refuses a zero xi_n and a quotient that
+    overflowed."""
+    n = len(seq) - 1
     top = seq[-1]
     if top == 0:
         raise DomainError(
@@ -193,7 +216,7 @@ def Gn_monic(params: HypParams, n: int) -> Poly:
     coeffs = [x / top for x in seq]
     if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
         raise DomainError(f"monic rescaling of g_{n} overflowed")
-    return Poly(coeffs)
+    return coeffs
 
 
 def Gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:

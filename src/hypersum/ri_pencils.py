@@ -96,7 +96,9 @@ class RIValidity:
 
 
 def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
-    """Monic P_0..P_N plus the validity report."""
+    """Monic P_0..P_N plus the validity report. A coefficient that
+    overflows double precision raises DomainError naming the degree of the
+    P_n being formed, with the Poly arithmetic error as its cause."""
     N = int(N)
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -111,10 +113,14 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
     for n, (c_n, lam_n, a_n) in enumerate(triples, start=1):
         if n >= 2 and lam_n == 0:
             lambda_failures.append(n)
-        cur = polys[-1]
-        nxt = cur * Poly((-c_n, 1 + 0j))
-        if n >= 2:
-            nxt = nxt - (polys[-2] * Poly((-a_n, 1 + 0j))).scale(lam_n)
+        try:
+            nxt = polys[-1] * Poly((-c_n, 1 + 0j))
+            if n >= 2:
+                nxt = nxt - (polys[-2] * Poly((-a_n, 1 + 0j))).scale(lam_n)
+        except DomainError as exc:
+            raise DomainError(
+                f"R_I recurrence overflowed double precision at degree {n}: {exc}"
+            ) from exc
         polys.append(nxt)
         # Only the mass of z^k, k >= 1, can cancel against the constant term.
         value, _, mass = horner(nxt.coeffs, a_n)

@@ -14,6 +14,7 @@ from hypersum.checks import (
     check_axis_rep,
     check_ode,
     check_pencil,
+    check_recurrence,
     check_rifrac,
     check_roots,
     check_sobolev,
@@ -21,14 +22,13 @@ from hypersum.checks import (
     run_checks,
 )
 from hypersum.errors import DomainError
-from hypersum.operators import (
-    _application_mass,
-    build_R,
-    kappa,
-    r_image,
-    verify_ode,
+from hypersum.operators import build_R, kappa, op_compose, op_theta
+from hypersum.partial_sums import (
+    Gn_monic,
+    HypParams,
+    gn_by_recurrence,
+    gn_direct,
 )
-from hypersum.partial_sums import HypParams, gn_direct
 from hypersum.pfq import (
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
@@ -39,9 +39,12 @@ from hypersum.ri_pencils import (
     _band_coeff_stack,
     _band_row_sums,
     _pencil_bands,
+    ri_generate,
+    tfraction_from_hyp,
 )
 from hypersum.roots import location_report
 from test_acceptance import FIXED_SETS
+from test_operators import _former_application_mass, _former_op_apply
 from test_ri_pencils import _band_stack, _random_pencil
 
 EXP = HypParams(a=(), b=())
@@ -159,16 +162,21 @@ ODE_FAMILIES = [
 
 
 def _ode_by_degree(params, n_max):
-    """check_ode formed degree by degree from verify_ode and r_image, each
-    of which expands R again."""
+    """check_ode formed degree by degree, as verify_ode and r_image form
+    their residuals, on the former scalar op_apply loop rather than the
+    stack engine."""
     N = min(n_max, 25)
     R = build_R(params)
+    theta_R = op_compose(op_theta(), R)
     worst = 0.0
     for n in range(N + 1):
-        mass_scale = _application_mass(R, gn_direct(params, n))
+        g = gn_direct(params, n)
+        mass_scale = _former_application_mass(R, g)
         scale = max(1.0, n * mass_scale)
-        worst = max(worst, verify_ode(params, n).max_coeff() / scale)
-        mono = r_image(params, n)
+        Rg = _former_op_apply(R, g)
+        eigen = _former_op_apply(theta_R, g) - Rg.scale(n)
+        worst = max(worst, eigen.max_coeff() / scale)
+        mono = Rg.scale(-kappa(params, n))
         mass = math.fsum(
             abs(mono.coeff(k) - (1.0 if k == n else 0.0))
             for k in range(max(mono.degree, n) + 1)
@@ -189,6 +197,145 @@ def _ode_by_degree(params, n_max):
 @pytest.mark.parametrize("params", ODE_FAMILIES)
 def test_ode_check_equals_per_degree_reference(params, n_max):
     assert check_ode(params, n_max) == _ode_by_degree(params, n_max)
+
+
+def _former_rel_coeff_dev(reference, candidate):
+    worst = 0.0
+    for ref, cand in zip(reference, candidate):
+        for k in range(max(ref.degree, cand.degree) + 1):
+            r, c = ref.coeff(k), cand.coeff(k)
+            worst = max(worst, abs(r - c) / (abs(r) or 1.0))
+    return worst
+
+
+def _former_scaled_coeff_dev(reference, candidate):
+    worst = 0.0
+    for ref, cand in zip(reference, candidate):
+        pairs = [(ref.coeff(k), cand.coeff(k))
+                 for k in range(max(ref.degree, cand.degree) + 1)]
+        scale = max((max(abs(r), abs(c)) for r, c in pairs), default=0.0) or 1.0
+        worst = max(worst, max((abs(r - c) for r, c in pairs), default=0.0) / scale)
+    return worst
+
+
+def _recurrence_by_degree(params, n_max):
+    """The recurrence and rifrac measures formed from Poly lists, one
+    gn_direct and one Gn_monic call per degree, deviations by Python loops."""
+    N = min(n_max, 25)
+    direct_g = [gn_direct(params, n) for n in range(N + 1)]
+    direct_G = [Gn_monic(params, n) for n in range(N + 1)]
+    g_dev = _former_rel_coeff_dev(direct_g, gn_by_recurrence(params, N))
+    polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
+    G_dev = _former_scaled_coeff_dev(direct_G, polys)
+    return max(g_dev, G_dev), G_dev if validity.valid else math.inf
+
+
+def _random_family(rng):
+    """p, q in 0..3, half of them complex; real parts down to -2.5."""
+    lo = rng.choice((-2.5, 0.2))
+    cplx = rng.random() < 0.5
+
+    def draw():
+        x = rng.uniform(lo, 3.0)
+        return complex(x, rng.uniform(-1.0, 1.0)) if cplx else x
+
+    p, q = rng.randint(0, 3), rng.randint(0, 3)
+    return HypParams(a=tuple(draw() for _ in range(p)),
+                     b=tuple(draw() for _ in range(q)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_family_checks_equal_the_degree_by_degree_references(seed):
+    rng = random.Random(f"{seed}:family-checks")
+    for _ in range(8):
+        params = _random_family(rng)
+        n_max = rng.choice((0, 1, 10, 25))
+        assert check_ode(params, n_max) == _ode_by_degree(params, n_max)
+        recurrence, rifrac = _recurrence_by_degree(params, n_max)
+        assert check_recurrence(params, n_max).max_residual == recurrence
+        assert check_rifrac(params, n_max).max_residual == rifrac
+
+
+# (a, b, {check: message}) of families whose coefficients, prefactors or
+# operator overflow, with the DomainError each check raises first. "all"
+# is --check all, where recurrence runs first.
+OVERFLOW_ERRORS = [
+    ((1e200,), (), {
+        "ode": "prefactor at n=1 underflowed (denominator overflow)",
+        "recurrence": "non-finite coefficient xi_2: (inf+0j)",
+        "rifrac": "non-finite coefficient xi_2: (inf+0j)",
+        "all": "non-finite coefficient xi_2: (inf+0j)",
+    }),
+    ((1e300,), (), {
+        "ode": "prefactor at n=1 underflowed (denominator overflow)",
+        "recurrence": "non-finite coefficient xi_2: (inf+0j)",
+        "rifrac": "non-finite coefficient xi_2: (inf+0j)",
+        "all": "non-finite coefficient xi_2: (inf+0j)",
+    }),
+    ((1e200, 1e200), (), {
+        "ode": "expanding R overflowed double precision: "
+               "non-finite coefficient: (inf+0j)",
+        "recurrence": "non-finite coefficient xi_1: (nan+nanj)",
+        "rifrac": "non-finite coefficient xi_1: (nan+nanj)",
+        "all": "non-finite coefficient xi_1: (nan+nanj)",
+    }),
+    ((), (1e100, 1e100, 1e100), {
+        "ode": "prefactor at n=2 overflowed (xi underflow)",
+        "recurrence": "coefficient xi_2 underflowed to zero; degree would collapse",
+        "rifrac": "R_I recurrence overflowed double precision at degree 2: "
+                  "non-finite coefficient: (inf+0j)",
+        "all": "coefficient xi_2 underflowed to zero; degree would collapse",
+    }),
+]
+
+
+@pytest.mark.parametrize("a, b, messages", OVERFLOW_ERRORS)
+def test_family_checks_raise_the_first_error_of_the_degree_loop(a, b, messages):
+    params = HypParams(a=a, b=b)
+    for name, message in messages.items():
+        names = CHECK_ORDER if name == "all" else [name]
+        with pytest.raises(DomainError) as exc:
+            run_checks(params, 25, 0, names, skip_inapplicable=name == "all")
+        assert str(exc.value) == message
+
+
+def _count_ri_generate(monkeypatch):
+    calls = []
+    original = checks.ri_generate
+
+    def counting(rec, N):
+        calls.append(N)
+        return original(rec, N)
+
+    monkeypatch.setattr(checks, "ri_generate", counting)
+    return calls
+
+
+def test_recurrence_and_rifrac_share_one_monic_comparison(monkeypatch):
+    calls = _count_ri_generate(monkeypatch)
+    params = ODE_FAMILIES[2]
+    run_checks(params, 25, 1, CHECK_ORDER, draws=5, skip_inapplicable=True)
+    assert calls == [25]
+    # Nothing is kept from one run_checks call to the next.
+    run_checks(params, 25, 1, CHECK_ORDER, draws=5, skip_inapplicable=True)
+    assert calls == [25, 25]
+    check_rifrac(params, 25)
+    assert calls == [25, 25, 25]
+    assert checks._RUN_MEMO.get() is None
+    with pytest.raises(DomainError):
+        run_checks(GEOMETRIC, 6, 0, ("recurrence", "circle-rep"))
+    assert checks._RUN_MEMO.get() is None
+
+
+@pytest.mark.parametrize("params", ODE_FAMILIES + [GEOMETRIC])
+def test_rifrac_inside_all_equals_the_standalone_check(params):
+    for n_max in (0, 1, 10, 25):
+        results = run_checks(params, n_max, 1, CHECK_ORDER, draws=0,
+                             skip_inapplicable=True)
+        inside = {r.name: r for r in results}["rifrac"]
+        alone = check_rifrac(params, n_max)
+        assert inside == alone
+        assert inside.max_residual.hex() == alone.max_residual.hex()
 
 
 def test_ode_check_expands_R_once(monkeypatch):

@@ -19,6 +19,7 @@ from hypersum import cli, pfq
 from hypersum.errors import ConvergenceError
 from hypersum.partial_sums import HypParams, gn_direct
 from hypersum.sobolev import _gram_stack, gram_extremes, sobolev_gram
+from test_checks import OVERFLOW_ERRORS
 
 # The child process imports the same hypersum package as this test.
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(hypersum.__file__))
@@ -221,6 +222,29 @@ def test_overflowing_coefficients_are_domain_errors(args):
     assert out.stdout == ""
     if args in R_EXPANSION_OVERFLOWS:
         assert "expanding R" in out.stderr
+
+
+def test_monic_recurrence_overflow_is_domain_error_naming_the_degree():
+    out = run_cli("verify", "--p", "0", "--q", "3", "--b", "1e100,1e100,1e100",
+                  "--check", "rifrac", "--n-max", "25")
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == (
+        "domain error: R_I recurrence overflowed double precision at degree 2: "
+        "non-finite coefficient: (inf+0j)\n"
+    )
+
+
+@pytest.mark.parametrize("a, b, messages", OVERFLOW_ERRORS)
+def test_family_check_overflows_exit_3_with_the_first_error(a, b, messages, capsys):
+    family = ["--p", str(len(a)), "--q", str(len(b)),
+              "--a", ",".join(map(repr, a)), "--b", ",".join(map(repr, b))]
+    for check, message in messages.items():
+        argv = ["verify", *family, "--check", check, "--n-max", "25"]
+        assert cli.main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"domain error: {message}\n"
 
 
 def test_verify_single_check_passes():

@@ -10,6 +10,8 @@ from hypersum.errors import DomainError
 from hypersum.operators import (
     LinDiffOp,
     _application_mass,
+    _apply_stack,
+    _mass_stack,
     build_R,
     kappa,
     op_add,
@@ -31,6 +33,110 @@ EXP = HypParams(a=(), b=())
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
 BESSEL_LIKE = HypParams(a=(), b=(2.0,))
 GAUSS_LIKE = HypParams(a=(1.0, 2.0), b=(3.0,))
+
+
+def _former_op_apply(A, f):
+    """op_apply as it was written, one Poly product per derivative order:
+    the oracle of the stack engine."""
+    out = Poly()
+    deriv = f
+    for c in A.coeffs:
+        if not c.is_zero and not deriv.is_zero:
+            out = out + c * deriv
+        deriv = deriv.derivative()
+    return out
+
+
+def _former_application_mass(A, f):
+    """_application_mass as it was written, on Poly arithmetic."""
+    total = 0.0
+    deriv = f
+    for l in range(A.order + 1):
+        if l > 0:
+            deriv = deriv.derivative()
+        c = A.coeff(l)
+        if c.degree < 0:
+            continue
+        l1 = math.fsum(abs(c.coeff(k)) for k in range(c.degree + 1))
+        total += l1 * deriv.max_coeff()
+    return total
+
+
+def _engine_cases(seed):
+    """Operators (zero, d/dz, theta, R of a random real and a random
+    complex family, theta∘R) and polynomials (zero, constants, random
+    complex ones up to degree 40) to hold the engine to the former loop."""
+    rng = random.Random(seed)
+
+    def draw():
+        return complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+
+    real = HypParams(
+        a=tuple(draw().real for _ in range(rng.randint(0, 3))),
+        b=tuple(draw().real for _ in range(rng.randint(0, 3))),
+    )
+    cplx = HypParams(
+        a=tuple(draw() for _ in range(rng.randint(0, 3))),
+        b=tuple(draw() for _ in range(rng.randint(0, 3))),
+    )
+    ops = [LinDiffOp(), op_ddz(), op_theta(), build_R(real), build_R(cplx)]
+    ops.append(op_compose(op_theta(), ops[-1]))
+    polys = [Poly(), Poly((2.5,)), Poly((draw(),))]
+    polys += [Poly([draw() for _ in range(rng.randint(1, 41))]) for _ in range(4)]
+    return ops, polys
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_op_apply_equals_the_former_loop_bit_for_bit(seed):
+    ops, polys = _engine_cases(seed)
+    for A in ops:
+        for f in polys:
+            assert op_apply(A, f).coeffs == _former_op_apply(A, f).coeffs
+            assert _application_mass(A, f) == _former_application_mass(A, f)
+
+
+def test_apply_stack_maps_each_row_as_alone():
+    # Rows of different degrees share one table; each row's image and mass
+    # are the ones it gets as a stack of one.
+    ops, polys = _engine_cases(99)
+    width = max(len(f.coeffs) for f in polys)
+    stack = np.zeros((len(polys), width), dtype=complex)
+    for row, f in zip(stack, polys):
+        row[: len(f.coeffs)] = f.coeffs
+    for A in ops:
+        out, failures = _apply_stack(A, stack)
+        assert failures == {}
+        masses = _mass_stack(A, stack)
+        for f, row, mass in zip(polys, out, masses):
+            assert Poly(row).coeffs == _former_op_apply(A, f).coeffs
+            assert mass == _former_application_mass(A, f)
+
+
+def test_op_apply_overflow_is_the_former_error():
+    # The first coefficient Poly arithmetic would refuse, in its order:
+    # the product, the running sum, then the next derivative.
+    big = 1.5e308
+    cases = [
+        (LinDiffOp((Poly((big,)),)), Poly((0.5, 2.0))),  # product
+        (LinDiffOp((Poly((big,)), Poly((big,)))), Poly((1.0, 1.0))),  # sum
+        (op_identity(), Poly((0.0, 0.0, big))),  # derivative after the last c_l
+        (op_theta(), Poly((1.0, 1.0, big))),  # derivative before the product
+        (LinDiffOp((Poly((1.0,)), Poly((big * 1j,)))), Poly((0.0, big))),
+    ]
+    for A, f in cases:
+        with pytest.raises(DomainError) as former:
+            _former_op_apply(A, f)
+        with pytest.raises(DomainError) as engine:
+            op_apply(A, f)
+        assert str(engine.value) == str(former.value)
+        assert str(engine.value).startswith("non-finite coefficient: ")
+    # Rows fail on their own: a stack reports each failing row.
+    out, failures = _apply_stack(
+        LinDiffOp((Poly((big,)),)),
+        np.array([[0.5, 0.0], [2.0, 0.0], [0.25, 1.0]], dtype=complex),
+    )
+    assert sorted(failures) == [1]
+    assert out[0].tolist() == [0.5 * big, 0.0] and out[2, 0] == 0.25 * big
 
 
 def test_primitive_operators():

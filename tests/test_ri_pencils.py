@@ -92,6 +92,23 @@ def test_generated_polynomials_are_exactly_monic():
         assert f.coeff(k) == 1
 
 
+def test_monic_recurrence_overflow_names_its_degree():
+    # delta_1·delta_2 = 1e300·2e300, the constant term of P_2, overflows;
+    # the Poly arithmetic error is kept as the cause.
+    params = HypParams(b=(1e100, 1e100, 1e100))
+    for generate in (
+        lambda: ri_generate(tfraction_from_hyp(params, 25), 25),
+        lambda: Gn_by_recurrence(params, 25),
+    ):
+        with pytest.raises(DomainError) as exc:
+            generate()
+        assert str(exc.value) == (
+            "R_I recurrence overflowed double precision at degree 2: "
+            "non-finite coefficient: (inf+0j)"
+        )
+        assert isinstance(exc.value.__cause__, DomainError)
+
+
 def test_ri_generate_length_guard():
     rec = RIRecurrence(c=(1,), lam=(0,), a=(0,))
     with pytest.raises(DomainError):
