@@ -15,6 +15,13 @@ one run_checks call the two read one shared comparison. ode, recurrence and
 rifrac read every degree from one coefficient sequence, in array passes
 that round each degree as its Poly arithmetic would.
 
+The family checks (recurrence, ode, sobolev, rifrac) refuse by one rule.
+Each first reads xi_0..xi_N (partial_sums._partial_sum_seq), so a family
+refused there gets the same message from every check, alone or in --check
+all. Then come the check's own stages; one that overflows, or a modulus
+beyond the float range that would divide a residual to 0, is a
+DomainError naming the stage and its first bad degree.
+
 Boolean conditions (simple roots, validity flags, exact worked examples)
 fold in as residual 0 or inf. Randomized checks derive their generator
 from a string seed, f"{seed}:{name}", so runs are reproducible across
@@ -34,18 +41,16 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .operators import (
     _apply_stack,
-    _first_nonfinite,
     _kappa_from_xi,
     _mass_stack,
     build_R,
-    kappa,
     op_compose,
     op_theta,
 )
 from .partial_sums import (
     HypParams,
-    _coeff_prefix,
     _monic_coeffs,
+    _partial_sum_seq,
     gn_by_recurrence,
     gn_direct,
 )
@@ -55,7 +60,7 @@ from .pfq import (
     integral_rep_circle_batch,
     terminating_pfq_poly,
 )
-from .polycore import horner
+from .polycore import horner, modulus
 from .ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
@@ -119,13 +124,6 @@ def _degree(n_max: int, cap: int) -> int:
     return min(n_max, cap)
 
 
-def _modulus(values: np.ndarray) -> np.ndarray:
-    """|values| from the real and imaginary parts, as Python's abs rounds
-    it; a modulus beyond the float range is inf."""
-    with np.errstate(over="ignore"):
-        return np.hypot(values.real, values.imag)
-
-
 def _running_max(values: np.ndarray) -> float:
     """max(worst, v) over the values from worst = 0.0, as a Python loop
     takes it: a nan never replaces the running maximum."""
@@ -140,24 +138,40 @@ def _poly_table(polys, width: int) -> np.ndarray:
     return table
 
 
-def _rel_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Max per-coefficient relative deviation between two coefficient
-    tables of the same shape, one polynomial per zero-padded row.
-
-    Reference coefficients of the hypergeometric family are never zero, so
-    dividing by them is safe (a zero counts as 1).
-    """
-    ref = _modulus(reference)
-    with np.errstate(invalid="ignore"):
-        return _running_max(
-            _modulus(reference - candidate) / np.where(ref == 0, 1.0, ref)
+def _require_finite(values: np.ndarray, stage: str, check: str) -> None:
+    """Refuse a table of per-degree rows holding a non-finite entry: a
+    DomainError naming the stage, with {n} replaced by the first bad
+    degree (row), and the check."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise DomainError(
+            f"{stage.format(n=n)} overflowed double precision in the {check} check"
         )
 
 
-def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
+def _rel_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """Max per-coefficient relative deviation between two coefficient
+    tables of g_0..g_N, one polynomial per zero-padded row.
+
+    Reference coefficients of the hypergeometric family are never zero, so
+    dividing by them is safe (a zero counts as 1). A reference modulus
+    beyond the float range would hide its deviation, so the first row
+    holding one, the first |xi_n| that overflowed, is refused.
+    """
+    ref = modulus(reference)
+    _require_finite(ref, "|xi_{n}|", "recurrence")
+    with np.errstate(invalid="ignore"):
+        return _running_max(
+            modulus(reference - candidate) / np.where(ref == 0, 1.0, ref)
+        )
+
+
+def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray, check: str) -> float:
     """Max coefficient deviation relative to each pair's coefficient scale:
     per row, the largest |r - c| over the largest |r| or |c| (1 if all are
-    zero), for two coefficient tables of the same shape.
+    zero), for two coefficient tables of G_0..G_N. A scale beyond the float
+    range would hide its row's deviation, and is refused.
 
     Used for the monic route: its three-term recurrence cancels like-sized
     terms at every step, so coefficients far below the polynomial's largest
@@ -165,21 +179,11 @@ def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
     per-coefficient relative measure would report conditioning rather than
     correctness.
     """
-    scale = np.maximum(_modulus(reference), _modulus(candidate)).max(axis=1)
+    scale = np.maximum(modulus(reference), modulus(candidate)).max(axis=1)
+    _require_finite(scale[:, None], "the coefficient scale of G_{n}", check)
     scale = np.where(scale == 0, 1.0, scale)
     with np.errstate(invalid="ignore"):
-        return _running_max(_modulus(reference - candidate).max(axis=1) / scale)
-
-
-def _partial_sum_seq(params: HypParams, N: int) -> list[complex]:
-    """xi_0..xi_N, whose lower-triangular table is row for row gn_direct(n),
-    n = 0..N; raises what those calls raise first."""
-    seq, failure = _coeff_prefix(params, N)
-    if 0 in seq:
-        gn_direct(params, seq.index(0))  # raises its underflow DomainError
-    if failure is not None:
-        raise failure
-    return seq
+        return _running_max(modulus(reference - candidate).max(axis=1) / scale)
 
 
 def _monic_table(seq: list[complex]) -> np.ndarray:
@@ -191,16 +195,6 @@ def _monic_table(seq: list[complex]) -> np.ndarray:
     return table
 
 
-def _direct_monic_table(params: HypParams, N: int) -> np.ndarray:
-    """The rows of Gn_monic(params, n), n = 0..N, raising what those calls
-    raise first."""
-    seq, failure = _coeff_prefix(params, N)
-    table = _monic_table(seq)
-    if failure is not None:
-        raise failure
-    return table
-
-
 # The memo of one run_checks call: the monic comparison, keyed by
 # (params, N), which recurrence and rifrac both read. None outside a call.
 _RUN_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
@@ -209,11 +203,12 @@ _RUN_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
 
 
 def _monic_comparison(
-    params: HypParams, N: int, direct: Callable[[], np.ndarray]
+    params: HypParams, N: int, seq: list[complex], check: str
 ) -> tuple[float, bool]:
-    """The monic recurrence against the direct monic sums: ri_generate on
-    the T-fraction, then direct() for the table of G_0..G_N, measured as
-    _scaled_coeff_dev, and whether the validity report is clean.
+    """The monic recurrence against the direct monic sums: the table of
+    G_0..G_N read from seq = xi_0..xi_N (_monic_table), then ri_generate on
+    the T-fraction, measured as _scaled_coeff_dev, and whether the validity
+    report is clean. A refusal names the check that asked.
 
     Inside run_checks it is computed once per call and read by both
     recurrence and rifrac; nothing outlives the call.
@@ -222,8 +217,10 @@ def _monic_comparison(
     key = (params, N)
     if memo is not None and key in memo:
         return memo[key]
+    direct = _monic_table(seq)
     polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
-    result = (_scaled_coeff_dev(direct(), _poly_table(polys, N + 1)), validity.valid)
+    deviation = _scaled_coeff_dev(direct, _poly_table(polys, N + 1), check)
+    result = (deviation, validity.valid)
     if memo is not None:
         memo[key] = result
     return result
@@ -234,17 +231,16 @@ def check_recurrence(
 ) -> CheckResult:
     """Direct-formula vs recurrence construction of g_n and G_n.
 
-    The direct g_n and G_n are read from one coefficient sequence; the
-    errors are those of gn_direct for every n, then Gn_monic for every n,
-    then the two recurrences.
+    The direct g_n and G_n are read from one coefficient sequence. Its
+    errors come first, then those of the monic comparison, then those of
+    the recurrence for g_n.
     """
     tol = 1e-10 if tol is None else tol
     N = _degree(n_max, 25)
     seq = _partial_sum_seq(params, N)
+    dev_G, _ = _monic_comparison(params, N, seq, "recurrence")
     direct_g = np.tril(np.tile(np.array(seq), (N + 1, 1)))
-    direct_G = _monic_table(seq)
     rec_g = _poly_table(gn_by_recurrence(params, N), N + 1)
-    dev_G, _ = _monic_comparison(params, N, lambda: direct_G)
     measured = max(_rel_coeff_dev(direct_g, rec_g), dev_G)
     return _result(
         "recurrence",
@@ -265,23 +261,13 @@ def _scaled(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_failure(
-    stages: Sequence[dict[int, DomainError]]
-) -> Optional[DomainError]:
-    """The error of the first failing row, and within it of the first stage
-    in the order given; None if no row failed."""
-    rows = [row for stage in stages for row in stage]
-    if not rows:
-        return None
-    first = min(rows)
-    return next(stage[first] for stage in stages if first in stage)
-
-
-def _nonfinite_rows(values: np.ndarray) -> dict[int, DomainError]:
-    """{row: the DomainError Poly raises on it} for each row of a complex
-    table that holds a non-finite coefficient."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
-    return {row: _first_nonfinite(values[row]) for row in bad}
+def _over_scale(value: np.ndarray, factor: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """value / max(1, factor·mass), elementwise. Where the product
+    overflows, the scale is above 1 and the quotient is taken in two steps,
+    value / factor / mass, so an infinite scale never reads as 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, factor * mass)
+        return np.where(np.isinf(scale), value / factor / mass, value / scale)
 
 
 def check_ode(
@@ -289,59 +275,54 @@ def check_ode(
 ) -> CheckResult:
     """theta(R g_n) = n·(R g_n), and -kappa_n·R g_n = z^n.
 
-    R and theta∘R are expanded once per check. The partial sums g_0..g_N
-    are the rows of the lower-triangular table of one coefficient sequence,
-    and kappa_n is read from the same sequence. R and theta∘R are each
-    applied to the whole table in one engine pass (_apply_stack), and both
-    clauses are read off the one image R g_n per row. Residuals are scaled
-    by the mass the application moves forming R g_n: the exact image
-    z^n/kappa_n can sit far below the roundoff of that cancellation, where
-    raw residuals measure conditioning. An error is the one the degree-by-
-    degree loop raised first: per degree kappa_n, R g_n, theta(R g_n), then
-    the scaled images.
+    The partial sums g_0..g_N are the rows of the lower-triangular table of
+    one coefficient sequence, read first, and kappa_n is read from the same
+    sequence. R and theta∘R are expanded once per check, each applied to
+    the whole table in one engine pass (_apply_stack), and both clauses are
+    read off the one image R g_n per row. Residuals are scaled by the mass
+    the application moves forming R g_n: the exact image z^n/kappa_n can
+    sit far below the roundoff of that cancellation, where raw residuals
+    measure conditioning. The errors are those of the sequence, of
+    expanding R, of kappa_n, then of each array stage in turn (R g_n,
+    theta(R g_n), the eigen-residual, kappa_n·R g_n, the application mass,
+    |kappa_n|), naming the stage and its first bad degree. A scale whose
+    product overflows is divided out in two steps (_over_scale).
     """
     tol = 1e-9 if tol is None else tol
     N = _degree(n_max, 25)
+    seq = _partial_sum_seq(params, N)
     R = build_R(params)
     theta_R = op_compose(op_theta(), R)
-    seq, failure = _coeff_prefix(params, N)
-    kappas = []
-    for n, xi_n in enumerate(seq):
-        try:
-            kappas.append(_kappa_from_xi(params, n, xi_n))
-        except DomainError as exc:
-            failure = exc
-            break
-    D = len(kappas)  # the degrees whose kappa_n exists
-    g = np.tril(np.tile(np.array(seq[:D], dtype=complex), (D, 1)))
-    Rg, r_failures = _apply_stack(R, g)
-    theta_Rg, t_failures = _apply_stack(theta_R, g)
+    kappas = [_kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
+    kap = np.array(kappas, dtype=complex)[:, None]
+    g = np.tril(np.tile(np.array(seq, dtype=complex), (N + 1, 1)))
+    Rg = _apply_stack(R, g)
+    _require_finite(Rg, "R g_{n}", "ode")
+    theta_Rg = _apply_stack(theta_R, g)
+    _require_finite(theta_Rg, "theta(R g_{n})", "ode")
     width = max(Rg.shape[1], theta_Rg.shape[1])
     Rg, theta_Rg = (np.pad(x, ((0, 0), (0, width - x.shape[1])))
                     for x in (Rg, theta_Rg))
-    degrees = np.arange(D, dtype=float)[:, None]
-    kap = np.array(kappas, dtype=complex)[:, None]
+    degrees = np.arange(N + 1, dtype=float)[:, None]
     # Overflow reads as inf, as in Python float arithmetic, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         n_Rg = _scaled(Rg, degrees + 0j)
         # Poly subtraction adds the other side scaled by -1.
         eigen = theta_Rg + _scaled(n_Rg, np.array([[-1.0 + 0j]]))
+        _require_finite(eigen, "theta(R g_{n}) - n·R g_{n}", "ode")
         mono = _scaled(Rg, -kap)
-        first = _first_failure(
-            [r_failures, t_failures, *map(_nonfinite_rows, (n_Rg, eigen, mono))]
-        )
-        if first is not None:
-            raise first
-        if failure is not None:
-            raise failure
-        mass_scale = _mass_stack(R, g)
-        scale = np.maximum(1.0, degrees[:, 0] * mass_scale)
-        eigen_ratio = _modulus(eigen).max(axis=1, initial=0.0) / scale
+        _require_finite(mono, "kappa_{n}·R g_{n}", "ode")
+        mass_scale = _mass_stack(R, g)[:, None]
+        _require_finite(mass_scale, "the application mass of R on g_{n}", "ode")
+        kappa_mod = modulus(kap)
+        _require_finite(kappa_mod, "|kappa_{n}|", "ode")
+        eigen_max = modulus(eigen).max(axis=1, initial=0.0)[:, None]
+        eigen_ratio = _over_scale(eigen_max, degrees, mass_scale)
         off_monomial = mono.copy()
-        off_monomial.real[np.arange(D), np.arange(D)] -= 1.0
-        mass = np.array([math.fsum(row) for row in _modulus(off_monomial)])
-        mono_ratio = mass / np.maximum(1.0, _modulus(kap[:, 0]) * mass_scale)
-        worst = _running_max(np.stack([eigen_ratio, mono_ratio], axis=1))
+        off_monomial.real[np.arange(N + 1), np.arange(N + 1)] -= 1.0
+        mass = np.array([[math.fsum(row)] for row in modulus(off_monomial)])
+        mono_ratio = _over_scale(mass, kappa_mod, mass_scale)
+        worst = _running_max(np.hstack([eigen_ratio, mono_ratio]))
     return _result(
         "ode",
         worst,
@@ -362,16 +343,24 @@ def check_sobolev(
     and otherwise to the same absolute standard as the off-diagonal clause
     (a diagonal below the form's roundoff floor cannot be distinguished
     from orthogonality noise).
+
+    The coefficient sequence is read first; the Gram's errors follow, then
+    those of kappa_n, which is read from the same sequence.
     """
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)
+    seq = _partial_sum_seq(params, m)
     gram = _gram_stack([params], m)[0]
     off, max_diag = gram_extremes(gram)
-    diag_rel = 0.0
-    for n in range(m + 1):
-        target = 1.0 / abs(kappa(params, n)) ** 2
-        denom = max(target, 0.1 * max_diag)
-        diag_rel = max(diag_rel, abs(complex(gram[n, n]) - target) / denom)
+    kappas = [_kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
+    # A float64 scalar's square is Python's pow (an array's is not), but
+    # reads inf rather than raising where |kappa_n|^2 is beyond the range.
+    with np.errstate(over="ignore"):
+        target = np.array([1.0 / k**2 for k in modulus(np.array(kappas))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag_rel = _running_max(
+            modulus(gram.diagonal() - target) / np.maximum(target, 0.1 * max_diag)
+        )
     rule = QuadratureRule(auto_node_count(m, max(params.p, params.q + 1)))
     pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
     defect = max(monomial_quadrature_defect(rule, k, l) for k, l in pairs)
@@ -503,9 +492,8 @@ def check_rifrac(
     (lambda_{n+1} != 0 and P_n(0) != 0)."""
     tol = 1e-12 if tol is None else tol
     N = _degree(n_max, 25)
-    measured, valid = _monic_comparison(
-        params, N, lambda: _direct_monic_table(params, N)
-    )
+    seq = _partial_sum_seq(params, N)
+    measured, valid = _monic_comparison(params, N, seq, "rifrac")
     if not valid:
         measured = math.inf
     return _result(

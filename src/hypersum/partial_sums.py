@@ -8,7 +8,9 @@ b_1..b_q has coefficients
 and g_n is its degree-n truncation. G_n is the monic rescaling of g_n. Both
 come in two independently computed flavors: directly from the coefficients,
 and via their three-term recurrences, which downstream tests compare; the
-monic recurrence runs on the R_I engine of ri_pencils. The
+monic recurrence runs on the R_I engine of ri_pencils. The family checks
+and the Gram read xi_0..xi_N once, through _partial_sum_seq, which refuses
+a family as the first failing gn_direct(params, n), n <= N, would. The
 module also carries the generalization to an arbitrary power series with
 nonzero coefficients (f_n, F_n).
 """
@@ -112,35 +114,46 @@ def _coeff_ratio(params: HypParams, k: int) -> complex:
     return num / den
 
 
-def _coeff_prefix(
-    params: HypParams, n: int
-) -> tuple[list[complex], DomainError | None]:
-    """xi_0 .. xi_m, built incrementally to delay overflow, for the largest
-    m <= n before a coefficient overflows, and the DomainError naming the
-    first xi_k that overflowed (is not finite), or None when m = n.
+def _coeff_seq(params: HypParams, n: int) -> list[complex]:
+    """xi_0 .. xi_n, built incrementally to delay overflow.
 
-    A check that reads every degree from one sequence works on the prefix
-    and raises the error where the degree-by-degree calls would have.
+    Raises DomainError at the first xi_k that overflowed (is not finite).
     """
     xi = 1 + 0j
     out = [xi]
     for k in range(n):
         xi *= _coeff_ratio(params, k)
         if not cmath.isfinite(xi):
-            return out, DomainError(f"non-finite coefficient xi_{k + 1}: {xi!r}")
+            raise DomainError(f"non-finite coefficient xi_{k + 1}: {xi!r}")
         out.append(xi)
-    return out, None
+    return out
 
 
-def _coeff_seq(params: HypParams, n: int) -> list[complex]:
-    """xi_0 .. xi_n, built incrementally to delay overflow.
+def _partial_sum_seq(params: HypParams, N: int) -> list[complex]:
+    """xi_0 .. xi_N, whose lower-triangular table is row for row
+    gn_direct(params, n), n = 0..N: the one read of the sequence that the
+    family checks and the Gram start from.
 
-    Raises DomainError at the first xi_k that overflowed (is not finite).
+    Raises what the first failing gn_direct(params, n), n <= N, raises: at
+    the first xi_k that is zero or not finite, the underflow or the
+    overflow error of gn_direct(params, k). A zero xi_k before a non-finite
+    xi_{k+1} is the underflow at k.
     """
-    seq, failure = _coeff_prefix(params, n)
-    if failure is not None:
-        raise failure
-    return seq
+    N = _check_cap(N)
+    xi = 1 + 0j
+    out = [xi]
+    for k in range(1, N + 1):
+        xi *= _coeff_ratio(params, k - 1)
+        if not cmath.isfinite(xi):
+            raise DomainError(f"non-finite coefficient xi_{k}: {xi!r}")
+        if xi == 0:
+            raise DomainError(_underflow_message(k))
+        out.append(xi)
+    return out
+
+
+def _underflow_message(n: int) -> str:
+    return f"coefficient xi_{n} underflowed to zero; degree would collapse"
 
 
 def hyp_coeff(params: HypParams, k: int) -> complex:
@@ -154,9 +167,7 @@ def gn_direct(params: HypParams, n: int) -> Poly:
     n = _check_cap(n)
     seq = _coeff_seq(params, n)
     if seq[-1] == 0:
-        raise DomainError(
-            f"coefficient xi_{n} underflowed to zero; degree would collapse"
-        )
+        raise DomainError(_underflow_message(n))
     return Poly(seq)
 
 

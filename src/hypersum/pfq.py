@@ -40,6 +40,8 @@ SERIES_RTOL = 1e-15
 UNIT_DISK_SLACK = 1e-12
 # Trapezoid nodes of the circle representation (one FFT of this length).
 CIRCLE_NODES = 4096
+# Gauss-Legendre nodes of the negative-axis cross-check.
+AXIS_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -225,12 +227,12 @@ def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _axis_quadrature(h: Poly, n: int, xs, nodes: int = 64) -> list[complex]:
+def _axis_quadrature(h: Poly, n: int, xs) -> list[complex]:
     """integral_rep_negative_axis_numeric at every x < 0 of xs from
-    h = terminating_pfq_poly(params, n): one (len(xs), nodes) array pass.
-    Each point's integral is its own row's dot product with the weights, so
-    a point's value does not depend on the others."""
-    u, w = _unit_gauss_legendre(int(nodes))
+    h = terminating_pfq_poly(params, n): one (len(xs), AXIS_NODES) array
+    pass. Each point's integral is its own row's dot product with the
+    weights, so a point's value does not depend on the others."""
+    u, w = _unit_gauss_legendre(AXIS_NODES)
     x = np.array(xs, dtype=float)[:, None]
     t = x / u
     integrand = t ** (-n - 2) * np.polyval(h.coeffs[::-1], t) * (-x / (u * u))
@@ -241,19 +243,19 @@ def _axis_quadrature(h: Poly, n: int, xs, nodes: int = 64) -> list[complex]:
 
 
 def integral_rep_negative_axis_numeric(
-    params: HypParams, n: int, x: float, nodes: int = 64
+    params: HypParams, n: int, x: float
 ) -> complex:
     """Cross-check of the axis representation by fixed Gauss-Legendre rule.
 
     Substituting t = x/u maps the improper integral onto u in (0, 1]; the
     transformed integrand is a polynomial in u of degree <= n, which the
-    64-point rule integrates essentially exactly. The rule is built once
-    per node count and the integrand is evaluated at all nodes in one
-    array pass. Agreement with the termwise-exact path to 1e-6 is the test
+    AXIS_NODES = 64-point rule integrates essentially exactly. The rule is
+    built once and the integrand is evaluated at all nodes in one array
+    pass. Agreement with the termwise-exact path to 1e-6 is the test
     contract (observed far tighter).
     """
     n, x = _negative_axis_arguments(n, x)
-    return _axis_quadrature(terminating_pfq_poly(params, n), n, [x], nodes)[0]
+    return _axis_quadrature(terminating_pfq_poly(params, n), n, [x])[0]
 
 
 @dataclass(frozen=True)

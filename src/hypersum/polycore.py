@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DomainError
 
 # Hypergeometric constructors refuse degrees beyond this: factorial-sized
@@ -138,6 +140,19 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
+def modulus(values):
+    """|values| as Python's abs rounds it (libm's hypot of the parts, by
+    np.hypot for anything but a Python number), but inf where the modulus
+    exceeds the float range and abs raises OverflowError."""
+    if type(values) in (complex, float, int):
+        try:
+            return abs(values)
+        except OverflowError:
+            return math.inf
+    with np.errstate(over="ignore"):
+        return np.hypot(np.real(values), np.imag(values))
+
+
 def horner(coeffs, z):
     """Value, derivative and evaluation mass sum_k |c_k||z|^k at z.
 
@@ -145,15 +160,22 @@ def horner(coeffs, z):
     nested pass computes all three. The mass is the scale of the rounding
     error in the value, so residuals are judged against it. The pass never
     forms |z|**k, which for partial sums at large |z| overflows long before
-    the terms |c_k||z|^k do.
+    the terms |c_k||z|^k do. A coefficient or scalar z whose modulus is
+    beyond the float range makes the mass inf (or nan), never an
+    OverflowError (see modulus); an array of points keeps numpy's abs,
+    which rounds some moduli differently from hypot.
     """
-    r = abs(z)
+    r = abs(z) if isinstance(z, np.ndarray) else modulus(z)
+    try:
+        moduli = [abs(c) for c in coeffs]
+    except OverflowError:
+        moduli = modulus(np.asarray(coeffs, dtype=complex)).tolist()
     value = derivative = 0 * z
     mass = 0 * r
-    for c in reversed(coeffs):
+    for c, m in zip(reversed(coeffs), reversed(moduli)):
         derivative = derivative * z + value
         value = value * z + c
-        mass = mass * r + abs(c)
+        mass = mass * r + m
     return value, derivative, mass
 
 

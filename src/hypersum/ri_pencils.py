@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
-from .polycore import DEGREE_CAP, Poly, horner
+from .polycore import DEGREE_CAP, Poly, horner, modulus
 
 RI_NODE_RTOL = 1e-12
 
@@ -124,7 +124,7 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
         polys.append(nxt)
         # Only the mass of z^k, k >= 1, can cancel against the constant term.
         value, _, mass = horner(nxt.coeffs, a_n)
-        if abs(value) <= RI_NODE_RTOL * (mass - abs(nxt.coeff(0))):
+        if modulus(value) <= RI_NODE_RTOL * (mass - modulus(nxt.coeff(0))):
             node_failures.append(n)
     return polys, RIValidity(
         lambda_failures=tuple(lambda_failures),

@@ -134,11 +134,15 @@ def check_simple(roots: Sequence[complex], tol: Optional[float] = None) -> bool:
     fewer than two roots.
     """
     rs = [complex(r) for r in roots]
-    if len(rs) < 2:
-        return True
+    return _simple(_min_pair_distance(rs), [abs(r) for r in rs], tol)
+
+
+def _simple(distance: float, moduli: Sequence[float], tol=None) -> bool:
+    """check_simple's rule on the roots' minimum pairwise distance and
+    moduli."""
     if tol is None:
-        tol = 1e-7 * max(abs(r) for r in rs)
-    return _min_pair_distance(rs) > tol
+        tol = 1e-7 * max(moduli, default=0.0)
+    return len(moduli) < 2 or distance > tol
 
 
 def _min_pair_distance(roots: Sequence[complex]) -> float:
@@ -234,7 +238,7 @@ def _location_report(g: Poly) -> RootReport:
         )
     roots = find_roots(g, tol=1e-10)
     moduli = [abs(r) for r in roots]
-    distance = _min_pair_distance(roots) if len(roots) > 1 else math.inf
+    distance = _min_pair_distance(roots)
     return RootReport(
         roots=roots,
         min_pair_distance=distance,
@@ -242,7 +246,7 @@ def _location_report(g: Poly) -> RootReport:
         positive_real_root_found=any(
             (abs(r.imag) if r.real >= 1 else abs(r - 1)) < 1e-8 for r in roots
         ),
-        simple=len(roots) < 2 or distance > 1e-7 * max(moduli),  # check_simple
+        simple=_simple(distance, moduli),
         boundary_root_count=sum(1 for m in moduli if abs(m - 1.0) <= 1e-9),
         ek_annulus=enestrom_kakeya_bounds(g),
     )

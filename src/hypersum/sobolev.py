@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import LinDiffOp, build_R, op_apply, r_action
-from .partial_sums import HypParams, _check_cap, _coeff_seq, gn_direct
+from .partial_sums import HypParams, _partial_sum_seq
 from .polycore import Poly
 
 
@@ -163,10 +163,11 @@ def _gram_stack(cells: Iterable[HypParams], n_max: int) -> np.ndarray:
     serves the whole stack: entry (n, m) of Gram i is
     sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), so each family's Gram is bit for bit
     the one it gets alone. Families are built in the order the cells arrive
-    until one fails: the iterable itself, the degree check, the coefficient
-    sequence or gn_direct's underflow. The error raised is that of the first
-    family failing at any stage, Gram overflow included, as if the families
-    had been taken one by one.
+    until one fails: the iterable itself, or the read of the coefficient
+    sequence (_partial_sum_seq: the degree check, then the errors of
+    gn_direct). The error raised is that of the first family failing at any
+    stage, Gram overflow included, as if the families had been taken one by
+    one.
     """
     coeffs, failure = [], None
     # Overflowing products come back as inf/nan without a numpy warning and
@@ -176,11 +177,8 @@ def _gram_stack(cells: Iterable[HypParams], n_max: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for params in cells:
-                n_max = _check_cap(n_max)
-                seq = _coeff_seq(params, n_max)
-                if 0 in seq:
-                    gn_direct(params, seq.index(0))  # raises its underflow DomainError
-                coeffs.append(r_action(params, np.tril(np.tile(seq, (n_max + 1, 1)))))
+                seq = _partial_sum_seq(params, n_max)
+                coeffs.append(r_action(params, np.tril(np.tile(seq, (len(seq), 1)))))
         except DomainError as exc:
             failure = exc
         if not coeffs:
@@ -190,7 +188,7 @@ def _gram_stack(cells: Iterable[HypParams], n_max: int) -> np.ndarray:
         C = np.array(coeffs)
         conj = C.conj()
         rows = (
-            C[:, n : n + 1, : n + 1] * conj[:, :, : n + 1] for n in range(n_max + 1)
+            C[:, n : n + 1, : n + 1] * conj[:, :, : n + 1] for n in range(C.shape[1])
         )
         gram = np.stack([row.sum(axis=2) for row in rows], axis=1)
     if not np.isfinite(gram).all():

@@ -1,5 +1,6 @@
 """The named verification checks behind the verify command."""
 
+import cmath
 import math
 import random
 import sys
@@ -256,36 +257,24 @@ def test_family_checks_equal_the_degree_by_degree_references(seed):
         assert check_rifrac(params, n_max).max_residual == rifrac
 
 
-# (a, b, {check: message}) of families whose coefficients, prefactors or
-# operator overflow, with the DomainError each check raises first. "all"
-# is --check all, where recurrence runs first.
+def _one_refusal(message):
+    """{check: message} for the four family checks and --check all."""
+    return {name: message for name in ("recurrence", "ode", "sobolev", "rifrac")} | {
+        "all": message
+    }
+
+
+# (a, b, {check: message}) of families whose coefficient sequence
+# overflows or underflows by degree 2. Every family check reads the
+# sequence first and raises its one refusal: what the first failing
+# gn_direct(params, n) raises. "all" is --check all, whose messages are
+# those of the degree-by-degree loops that came before.
 OVERFLOW_ERRORS = [
-    ((1e200,), (), {
-        "ode": "prefactor at n=1 underflowed (denominator overflow)",
-        "recurrence": "non-finite coefficient xi_2: (inf+0j)",
-        "rifrac": "non-finite coefficient xi_2: (inf+0j)",
-        "all": "non-finite coefficient xi_2: (inf+0j)",
-    }),
-    ((1e300,), (), {
-        "ode": "prefactor at n=1 underflowed (denominator overflow)",
-        "recurrence": "non-finite coefficient xi_2: (inf+0j)",
-        "rifrac": "non-finite coefficient xi_2: (inf+0j)",
-        "all": "non-finite coefficient xi_2: (inf+0j)",
-    }),
-    ((1e200, 1e200), (), {
-        "ode": "expanding R overflowed double precision: "
-               "non-finite coefficient: (inf+0j)",
-        "recurrence": "non-finite coefficient xi_1: (nan+nanj)",
-        "rifrac": "non-finite coefficient xi_1: (nan+nanj)",
-        "all": "non-finite coefficient xi_1: (nan+nanj)",
-    }),
-    ((), (1e100, 1e100, 1e100), {
-        "ode": "prefactor at n=2 overflowed (xi underflow)",
-        "recurrence": "coefficient xi_2 underflowed to zero; degree would collapse",
-        "rifrac": "R_I recurrence overflowed double precision at degree 2: "
-                  "non-finite coefficient: (inf+0j)",
-        "all": "coefficient xi_2 underflowed to zero; degree would collapse",
-    }),
+    ((1e200,), (), _one_refusal("non-finite coefficient xi_2: (inf+0j)")),
+    ((1e300,), (), _one_refusal("non-finite coefficient xi_2: (inf+0j)")),
+    ((1e200, 1e200), (), _one_refusal("non-finite coefficient xi_1: (nan+nanj)")),
+    ((), (1e100, 1e100, 1e100), _one_refusal(
+        "coefficient xi_2 underflowed to zero; degree would collapse")),
 ]
 
 
@@ -297,6 +286,152 @@ def test_family_checks_raise_the_first_error_of_the_degree_loop(a, b, messages):
         with pytest.raises(DomainError) as exc:
             run_checks(params, 25, 0, names, skip_inapplicable=name == "all")
         assert str(exc.value) == message
+
+
+def _extreme_family(rng):
+    """p, q in 0..3, moduli 10^u with u uniform on one of a few bands
+    reaching the edge of double precision, half of them complex."""
+    lo, hi = rng.choice(((0, 50), (50, 160), (140, 160), (150, 308)))
+    cplx = rng.random() < 0.5
+
+    def draw():
+        w = 10 ** rng.uniform(lo, hi)
+        return w * cmath.exp(1j * rng.uniform(-3.0, 3.0)) if cplx else -w
+
+    return HypParams(a=tuple(draw() for _ in range(rng.randint(0, 3))),
+                     b=tuple(draw() for _ in range(rng.randint(0, 3))))
+
+
+def _refusal(run):
+    try:
+        run()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_sequence_refusal_is_the_same_for_every_family_check(seed):
+    # Every family check reads xi_0..xi_N first; where that read refuses,
+    # standalone checks and --check all refuse with the same message. No
+    # family makes a check fail with anything but a DomainError.
+    rng = random.Random(f"{seed}:extreme")
+    refused = 0
+    for _ in range(100):
+        params = _extreme_family(rng)
+        n_max = rng.choice((1, 2, 5, 25))
+        caps = {"recurrence": 25, "ode": 25, "sobolev": 15, "rifrac": 25}
+        for name, cap in caps.items():
+            got = _refusal(lambda: run_checks(params, n_max, 0, [name]))
+            want = _refusal(lambda: partial_sums._partial_sum_seq(
+                params, min(n_max, cap)))
+            if want is not None:
+                assert got == want
+        want = _refusal(lambda: partial_sums._partial_sum_seq(
+            params, min(n_max, 25)))
+        if want is not None:
+            refused += 1
+            assert _refusal(lambda: run_checks(
+                params, n_max, 0, CHECK_ORDER, draws=0, skip_inapplicable=True
+            )) == want
+    assert refused >= 25
+
+
+# (params, n_max, check, message): a stage past the sequence read that
+# overflows names itself and its first bad degree.
+STAGE_ERRORS = [
+    (HypParams(a=(-3.0373304329852997e102 + 4.781161783162749e102j,)), 2, "ode",
+     "theta(R g_2) overflowed double precision in the ode check"),
+    # b of modulus ~1e154: |kappa_2| and the scale of G_2 exceed the float
+    # range although every part is finite.
+    (HypParams(b=(9.44001724555802e153 - 2.940212464201619e153j,)), 2, "ode",
+     "|kappa_2| overflowed double precision in the ode check"),
+    (HypParams(b=(9.44001724555802e153 - 2.940212464201619e153j,)), 2,
+     "recurrence", "the coefficient scale of G_2 overflowed double precision "
+     "in the recurrence check"),
+    (HypParams(b=(9.44001724555802e153 - 2.940212464201619e153j,)), 2,
+     "rifrac", "the coefficient scale of G_2 overflowed double precision "
+     "in the rifrac check"),
+    (HypParams(a=(1e200, 1e200)), 0, "ode",
+     "expanding R overflowed double precision: non-finite coefficient: (inf+0j)"),
+]
+
+
+@pytest.mark.parametrize("params, n_max, name, message", STAGE_ERRORS)
+def test_a_stage_overflow_names_the_stage_and_degree(params, n_max, name, message):
+    with pytest.raises(DomainError) as exc:
+        run_checks(params, n_max, 0, [name])
+    assert str(exc.value) == message
+
+
+def test_an_overflowing_scale_is_divided_in_two_steps():
+    # 1e300·1e10 overflows; the ratio is still 1 / 1e310, not 1 / inf = 0.
+    value, factor, mass = (np.array([[x]]) for x in (1.0, 1e300, 1e10))
+    assert checks._over_scale(value, factor, mass)[0, 0] == 1.0 / 1e300 / 1e10 > 0
+    assert checks._over_scale(value, factor / 1e10, mass)[0, 0] == 1.0 / 1e300
+
+
+def test_a_modulus_beyond_the_float_range_is_no_crash():
+    # |kappa_1|^2 = 1.2e530 and |1/xi_2| > 1.8e308 read as inf, where
+    # Python's abs and float pow raised OverflowError. The Gram diagonal
+    # target |kappa_n|^-2 is then 0, as exact arithmetic rounds it, and the
+    # diagonal clause measures the Gram entry against 0.1 of the largest.
+    big = HypParams(b=(-1.1115136222221331e265,))
+    gram = sobolev.sobolev_gram(big, 1)
+    _, max_diag = sobolev.gram_extremes(gram)
+    diag_rel = max(abs(gram[0][0] - 1.0) / max(1.0, 0.1 * max_diag),
+                   abs(gram[1][1]) / (0.1 * max_diag))
+    assert check_sobolev(big, 1) == _sobolev_result(big, 1, diag_rel)
+    wide = HypParams(b=(9.44001724555802e153 - 2.940212464201619e153j,))
+    assert check_sobolev(wide, 2).status == "PASS"
+    polys, validity = ri_generate(tfraction_from_hyp(wide, 2), 2)
+    assert validity.valid
+    with pytest.raises(OverflowError):
+        abs(polys[2].coeffs[0])
+
+
+def _sobolev_with_kappa_calls(params, n_max):
+    """The diagonal clause of check_sobolev as written with one
+    kappa(params, n) call per degree, each rebuilding xi_0..xi_n."""
+    m = min(n_max, 15)
+    gram = sobolev._gram_stack([params], m)[0]
+    _, max_diag = sobolev.gram_extremes(gram)
+    diag_rel = 0.0
+    for n in range(m + 1):
+        target = 1.0 / abs(kappa(params, n)) ** 2
+        denom = max(target, 0.1 * max_diag)
+        diag_rel = max(diag_rel, abs(complex(gram[n, n]) - target) / denom)
+    return diag_rel
+
+
+def _sobolev_result(params, n_max, diag_rel):
+    """The CheckResult of check_sobolev with the given diagonal clause."""
+    m = min(n_max, 15)
+    off, max_diag = sobolev.gram_extremes(sobolev._gram_stack([params], m)[0])
+    rule = sobolev.QuadratureRule(
+        sobolev.auto_node_count(m, max(params.p, params.q + 1)))
+    pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
+    defect = max(sobolev.monomial_quadrature_defect(rule, k, l) for k, l in pairs)
+    measured = max(off / (1e-10 * max_diag), diag_rel / 1e-9, defect / 1e-14)
+    fmt = checks._fmt
+    return CheckResult(
+        "sobolev", "PASS" if measured <= 1.0 else "FAIL", measured, 1.0,
+        f"offdiag {fmt(off)} vs maxdiag {fmt(max_diag)}, diag rel "
+        f"{fmt(diag_rel)}, quad defect {fmt(defect)}")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sobolev_reads_kappa_from_the_one_sequence(seed, monkeypatch):
+    rng = random.Random(f"{seed}:sobolev-kappa")
+    cases = [(_random_family(rng), rng.choice((1, 10, 15))) for _ in range(8)]
+    wants = [_sobolev_with_kappa_calls(p, n) for p, n in cases]
+
+    def refuse(*args):
+        raise AssertionError("kappa_n must not rebuild the sequence")
+
+    monkeypatch.setattr(operators, "_coeff_seq", refuse)
+    for (params, n_max), want in zip(cases, wants):
+        assert check_sobolev(params, n_max) == _sobolev_result(params, n_max, want)
 
 
 def _count_ri_generate(monkeypatch):

@@ -225,14 +225,36 @@ def test_overflowing_coefficients_are_domain_errors(args):
 
 
 def test_monic_recurrence_overflow_is_domain_error_naming_the_degree():
+    # The monic recurrence of this family overflows at degree 2, but the
+    # check reads the coefficient sequence first, and xi_2 underflows.
     out = run_cli("verify", "--p", "0", "--q", "3", "--b", "1e100,1e100,1e100",
                   "--check", "rifrac", "--n-max", "25")
     assert out.returncode == 3
     assert out.stdout == ""
     assert out.stderr == (
-        "domain error: R_I recurrence overflowed double precision at degree 2: "
-        "non-finite coefficient: (inf+0j)\n"
+        "domain error: coefficient xi_2 underflowed to zero; degree would "
+        "collapse\n"
     )
+
+
+def test_a_modulus_beyond_the_float_range_is_a_refusal_not_a_crash():
+    # |1/xi_2| exceeds the float range with finite parts. The monic
+    # comparison would divide that row's deviation to 0, so it is refused;
+    # the sobolev check, whose target |kappa_2|^-2 rounds to 0, runs.
+    family = ("verify", "--p", "0", "--q", "1",
+              "--b=9.44001724555802e+153-2.940212464201619e+153i", "--n-max", "2")
+    out = run_cli(*family, "--check", "all",
+                  env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == (
+        "domain error: the coefficient scale of G_2 overflowed double "
+        "precision in the recurrence check\n"
+    )
+    out = run_cli(*family, "--check", "sobolev",
+                  env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["results"]["sobolev"]["status"] == "PASS"
 
 
 @pytest.mark.parametrize("a, b, messages", OVERFLOW_ERRORS)

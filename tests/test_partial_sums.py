@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypersum.errors import DomainError
 from hypersum.partial_sums import (
     _coeff_ratio,
+    _partial_sum_seq,
     Gn_by_recurrence,
     Gn_monic,
     HypParams,
@@ -228,6 +229,29 @@ def test_degree_cap():
         gn_direct(EXP, 171)
     with pytest.raises(DomainError):
         gn_direct(EXP, -1)
+
+
+@pytest.mark.parametrize("params", [
+    EXP,
+    HypParams(a=(1e200,)),  # xi_2 overflows
+    HypParams(b=(1e100, 1e100, 1e100)),  # xi_2 underflows
+    HypParams(b=(1e40,)),  # xi_8 underflows
+    # xi_1 underflows to zero, and the complex products make xi_3 nan:
+    # the first failing g_n is g_1, so this is the underflow at 1.
+    HypParams(b=(2.5428429466716663e154, 2.8124008144527875e153,
+                 1.3503388545122605e154)),
+])
+def test_partial_sum_seq_refuses_as_the_first_failing_gn_direct(params):
+    N = 25
+    for n in range(N + 1):
+        try:
+            gn_direct(params, n)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                _partial_sum_seq(params, N)
+            assert str(got.value) == str(exc)
+            return
+    assert tuple(_partial_sum_seq(params, N)) == gn_direct(params, N).coeffs
 
 
 def _valid_param(rng: random.Random) -> float:

@@ -1,7 +1,10 @@
 """Polynomial core: construction, arithmetic, calculus, trimming."""
 
 import cmath
+import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from hypersum.polycore import (
     DEGREE_CAP,
     Poly,
+    horner,
+    modulus,
     pochhammer,
     trim_tiny,
 )
@@ -44,6 +49,30 @@ def test_horner_evaluation():
     assert p(2) == 1 - 4 + 12
     assert p(0) == 1
     assert Poly(())(5) == 0
+
+
+def test_modulus_is_abs_and_inf_beyond_the_float_range():
+    rng = random.Random(11)
+    values = [complex(rng.uniform(-1, 1) * 10 ** rng.uniform(-300, 300),
+                      rng.uniform(-1, 1) * 10 ** rng.uniform(-300, 300))
+              for _ in range(20000)]
+    values = [w for w in values if math.hypot(w.real, w.imag) < 1.7e308]
+    got = modulus(np.array(values)).tolist()
+    assert got == [abs(w) for w in values]
+    big = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(big)
+    assert modulus(big) == math.inf
+
+
+def test_horner_mass_is_inf_where_abs_would_raise():
+    # A finite coefficient whose modulus exceeds the float range.
+    c = complex(1.5e308, 1.5e308)
+    value, derivative, mass = horner((1.0, c), 0.5)
+    assert (value, derivative, mass) == (1.0 + 0.5 * c, c, math.inf)
+    # So is a scalar point's; then, or at z = 0, inf·0 makes the mass nan.
+    assert math.isnan(horner((1.0, 1.0), c)[2])
+    assert math.isnan(horner((1.0, c), 0j)[2])
 
 
 def test_arithmetic_known_values():
