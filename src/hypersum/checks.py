@@ -69,7 +69,7 @@ from .ri_pencils import (
     ri_generate,
     tfraction_from_hyp,
 )
-from .roots import _location_report, _require_positive_conditions
+from .roots import _location_report, _require_positive_conditions, _root_table
 from .sobolev import (
     QuadratureRule,
     _gram_stack,
@@ -422,7 +422,10 @@ def check_axis_rep(
     Per degree the terminating series h is built once and serves both
     routes at all three points; the quadrature takes the three points in
     one array pass. The values are those of integral_rep_negative_axis and
-    integral_rep_negative_axis_numeric.
+    integral_rep_negative_axis_numeric. Moduli beyond the float range read
+    as inf (polycore.modulus); a clause whose measure is nan (a nan value,
+    quadrature or deviation) is a DomainError naming the clause, the
+    degree and the point, never a dropped measure.
     """
     tol = 1.0 if tol is None else tol
     N = _degree(n_max, 20)
@@ -430,14 +433,26 @@ def check_axis_rep(
     for n in range(N + 1):
         g = gn_direct(params, n)
         h = terminating_pfq_poly(params, n)
-        for x, quad in zip(_AXIS_POINTS, _axis_quadrature(h, n, _AXIS_POINTS)):
+        # An overflowing integrand reads as inf or nan; a nan is refused.
+        with np.errstate(all="ignore"):
+            quads = _axis_quadrature(h, n, _AXIS_POINTS)
+        for x, quad in zip(_AXIS_POINTS, quads):
             direct, _, scale = horner(g.coeffs, x)
             term = _axis_termwise(h, n, x)
-            denom = abs(direct) if abs(direct) >= 1e-8 * scale else scale
-            worst = max(worst, (abs(term - direct) / denom) / 1e-10)
-            worst = max(
-                worst, abs(term - quad) / (1e-6 * max(1.0, abs(direct)))
+            size = modulus(direct)
+            denom = size if size >= 1e-8 * scale else scale
+            clauses = (
+                ("termwise", modulus(term - direct) / denom / 1e-10),
+                ("quadrature", modulus(term - quad) / (1e-6 * max(1.0, size))),
             )
+            for clause, measure in clauses:
+                if math.isnan(measure):
+                    raise DomainError(
+                        f"the {clause} clause is nan at degree {n}, x = {x} "
+                        f"(g_{n}(x) = {direct}, termwise {term}, quadrature "
+                        f"{quad}) in the axis-rep check"
+                    )
+                worst = max(worst, measure)
     return _result(
         "axis-rep",
         worst,
@@ -452,8 +467,13 @@ def check_roots(
     """Zero localization: simple roots, moduli >= 1 - 1e-9, clearance of
     the real ray (1, oo), and Vieta product reconstruction to 1e-8.
 
-    Each g_n is built once; its location report and its Vieta target
-    (-1)^n c_0/c_n are both read from it."""
+    Each g_n, n = 2..N, is built once (gn_direct), and all of them are
+    solved together as one root table (roots._root_table), each row bit
+    for bit find_roots on its g_n. Each row then gives its degree's
+    location report and root product, as one g_n alone gives them. A
+    refusal or convergence failure is the one of the lowest degree at
+    which a degree-by-degree pass would meet one.
+    """
     tol = 1.0 if tol is None else tol
     N = _degree(n_max, 25)
     worst = 0.0
@@ -462,9 +482,18 @@ def check_roots(
     degrees = range(2, N + 1)
     if degrees:  # refused where location_report refused them: at n = 2
         _require_positive_conditions(params)
+    polys, failure = [], None
     for n in degrees:
-        g = gn_direct(params, n)
-        rep = _location_report(g)
+        try:
+            polys.append(gn_direct(params, n))
+        except DomainError as exc:
+            failure = exc
+            break
+    table, mask = _root_table(polys)
+    if failure is not None:
+        raise failure
+    for n, g, row, present in zip(degrees, polys, table, mask):
+        rep = _location_report(g, tuple(row[present].tolist()))
         min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
         boundary += rep.boundary_root_count
         worst = max(worst, max(0.0, 1.0 - rep.min_modulus) / 1e-9)
@@ -515,6 +544,7 @@ _PENCIL_BAND_RANGES = ((-2.0, 2.0), (0.1, 2.0), (-2.0, 2.0), (-2.0, 2.0), (0.1, 
 _PENCIL_SEED_RANGES = ((0.1, 2.0), (-2.0, 2.0))  # alpha, beta
 _PENCIL_LAMBDA_RANGES = ((-3.0, 3.0), (-1.0, 1.0))  # re, im
 _PENCIL_LAMBDAS = 20
+_PENCIL_MAX_N = 12  # N is drawn from 2..12
 
 
 def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
@@ -526,7 +556,7 @@ def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
     uniform01 = rng.random
     raw: dict[int, list[float]] = {}
     for _ in range(int(draws)):
-        N = rng.randint(2, 12)
+        N = rng.randint(2, _PENCIL_MAX_N)
         count = 5 * N + 2 + 2 * _PENCIL_LAMBDAS
         raw.setdefault(N, []).extend([uniform01() for _ in range(count)])
     groups = {}
@@ -536,6 +566,30 @@ def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
         lo, hi = np.array(ranges).T
         groups[N] = lo + (hi - lo) * np.array(flat).reshape(-1, len(ranges))
     return groups
+
+
+def _pencil_stack(rng: random.Random, draws: int) -> tuple:
+    """The draws of _draw_pencils as one stack for the pencil engine, in
+    size order and in draw order within a size: each draw's N, the (5, B,
+    _PENCIL_MAX_N - 1) band array, alpha, beta and the (B, _PENCIL_LAMBDAS)
+    lambdas. Past a pencil's N - 1 read entries the bands hold a_k =
+    gamma_k = 1 and 0 elsewhere, so the array validates."""
+    groups = sorted(_draw_pencils(rng, draws).items())
+    sizes = np.repeat([N for N, _ in groups], [len(v) for _, v in groups])
+    bands = np.zeros((5, len(sizes), _PENCIL_MAX_N - 1))
+    bands[[1, 4]] = 1.0
+    alpha, beta = np.empty(len(sizes)), np.empty(len(sizes))
+    lams = np.empty((len(sizes), _PENCIL_LAMBDAS), dtype=complex)
+    stop = 0
+    for N, values in groups:
+        rows = slice(stop, stop + len(values))
+        drawn = values[:, : 5 * N].reshape(-1, 5, N).transpose(1, 0, 2)
+        bands[:, rows, : N - 1] = drawn[:, :, : N - 1]
+        alpha[rows], beta[rows] = values[:, 5 * N], values[:, 5 * N + 1]
+        # The (re, im) pairs are laid out as complex128 once contiguous.
+        lams[rows] = np.ascontiguousarray(values[:, 5 * N + 2 :]).view(complex)
+        stop = rows.stop
+    return sizes, bands, alpha, beta, lams
 
 
 def check_pencil(
@@ -548,14 +602,17 @@ def check_pencil(
     The pencils are drawn from rng alone, so the result depends only on the
     seed and `draws`, not on the family being verified. Each draw takes N in
     2..12, the pencil's bands, alpha and beta, then _PENCIL_LAMBDAS lambdas
-    (_draw_pencils). The draws are grouped by N, and each group is solved as
-    one band array by the pencil engine (_band_coeff_stack) and checked by
-    one pass of _band_row_sums; no JacobiPencil is built for them. Degree n
-    with a positive leading coefficient means exact zeros above the
-    diagonal of the coefficient array and a positive diagonal. Per lambda
-    the measure is the largest row residual over the largest row scale (at
-    least 1). Negative draws are a DomainError; zero draws check only the
-    worked example.
+    (_draw_pencils). The draws are laid out in size order as one band
+    array, padded past each pencil's N - 1 read entries (_pencil_stack),
+    and solved to degree 12 by one call of the pencil engine (_band_coeff_stack): row n
+    reads band entries <= n only, so p_0..p_N of each pencil are bit for
+    bit its own size's solve. Each size is then checked by one pass of
+    _band_row_sums on its slice of the stack; no JacobiPencil is built for
+    them. Degree n with a positive leading coefficient means, for k <= N,
+    exact zeros above the diagonal of the coefficient array and a positive
+    diagonal. Per lambda the measure is the largest row residual over the
+    largest row scale (at least 1). Negative draws are a DomainError; zero
+    draws check only the worked example.
     """
     tol = 1e-10 if tol is None else tol
     if int(draws) < 0:
@@ -572,16 +629,19 @@ def check_pencil(
     worst = 0.0
     if pencil_polynomials(worked, 2)[2].coeffs != (0, 0, 1):
         worst = math.inf
-    for N, values in sorted(_draw_pencils(rng, draws).items()):
-        bands = values[:, : 5 * N].reshape(-1, 5, N).transpose(1, 0, 2)
-        alpha, beta = values[:, 5 * N], values[:, 5 * N + 1]
-        # The (re, im) pairs are laid out as complex128 once contiguous.
-        lams = np.ascontiguousarray(values[:, 5 * N + 2 :]).view(complex)
-        coeffs = _band_coeff_stack(bands, alpha, beta, N)
-        diagonal = np.diagonal(coeffs, axis1=1, axis2=2)
-        if np.triu(coeffs, 1).any() or not (diagonal > 0).all():
-            worst = math.inf
-        total, scale = _band_row_sums(bands, coeffs, lams, N - 1)
+    sizes, bands, alpha, beta, lams = _pencil_stack(rng, draws)
+    coeffs = _band_coeff_stack(bands, alpha, beta, _PENCIL_MAX_N)
+    k = np.arange(_PENCIL_MAX_N + 1)
+    read = k <= sizes[:, None]  # p_k and its x^k, k <= N
+    upper = read[:, :, None] & read[:, None, :] & (k[:, None] < k)
+    diagonal = np.diagonal(coeffs, axis1=1, axis2=2)[read]
+    if coeffs[upper].any() or not (diagonal > 0).all():
+        worst = math.inf
+    for N in sorted(set(sizes.tolist())):
+        rows = slice(*np.searchsorted(sizes, [N, N + 1]).tolist())
+        total, scale = _band_row_sums(
+            bands[:, rows], coeffs[rows, : N + 1, : N + 1], lams[rows], N - 1
+        )
         ratio = np.abs(total).max(axis=1) / np.maximum(scale.max(axis=1), 1.0)
         worst = float(np.max([worst, ratio.max()]))
     return _result(

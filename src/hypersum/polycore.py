@@ -161,21 +161,28 @@ def horner(coeffs, z):
     error in the value, so residuals are judged against it. The pass never
     forms |z|**k, which for partial sums at large |z| overflows long before
     the terms |c_k||z|^k do. A coefficient or scalar z whose modulus is
-    beyond the float range makes the mass inf (or nan), never an
-    OverflowError (see modulus); an array of points keeps numpy's abs,
-    which rounds some moduli differently from hypot.
+    beyond the float range reads as inf (see modulus), never as an
+    OverflowError; an array of points keeps numpy's abs, which rounds some
+    moduli differently from hypot. The mass is inf wherever a term is
+    infinite, never nan: a product 0·inf in the pass multiplies terms that
+    vanish (zero coefficients, or z = 0), so it is taken as 0.
     """
-    r = abs(z) if isinstance(z, np.ndarray) else modulus(z)
+    scalar = not isinstance(z, np.ndarray)
+    r = modulus(z) if scalar else abs(z)
     try:
         moduli = [abs(c) for c in coeffs]
     except OverflowError:
         moduli = modulus(np.asarray(coeffs, dtype=complex)).tolist()
     value = derivative = 0 * z
-    mass = 0 * r
+    mass = 0.0 if scalar else np.zeros(np.shape(r))
     for c, m in zip(reversed(coeffs), reversed(moduli)):
         derivative = derivative * z + value
         value = value * z + c
-        mass = mass * r + m
+        if scalar:
+            mass = (mass * r if mass and r else 0.0) + m
+        else:
+            vanish = (mass == 0) | (r == 0)
+            mass = np.where(vanish, 0.0, mass) * np.where(vanish, 0.0, r) + m
     return value, derivative, mass
 
 

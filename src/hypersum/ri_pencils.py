@@ -25,7 +25,10 @@ The engine works on band arrays: a (5, B, K) float array holding b_k, a_k,
 alpha_k, beta_k, gamma_k of B pencils, with (B,) arrays of alpha and beta.
 It is the only pencil route: pencil_polynomials and pencil_residual hand it
 one JacobiPencil as a stack of one (_pencil_bands), and the verify check
-draws its random pencils directly as band arrays. JacobiPencil and the
+draws its random pencils directly as band arrays and solves all of their
+sizes in one call. Row n of the solve reads band entries <= n only, so a
+pencil padded past its last read entry and solved to a larger N has p_0..
+p_N bit for bit those of its own solve. JacobiPencil and the
 engine refuse the same data through one rule, _require_valid: every entry
 finite; a_k, gamma_k and alpha positive.
 """

@@ -11,6 +11,14 @@ root, accepting a step only when it strictly lowers the backward error, and
 a residual gate rejects any root whose residual is not small against the
 evaluation mass sum_k |c_k||z|^k.
 
+The engine is the root table (_root_table): a stack of polynomials, one
+LAPACK call each, whose coefficients go into one zero-padded table and
+whose roots into one masked (D, n) array. The polish and the gate run
+elementwise on all (polynomial, root) pairs at once, each pair starting
+Horner's pass at its own top coefficient, so every row is bit for bit its
+polynomial solved alone. find_roots is the table on a stack of one; the
+verify roots check solves all of its degrees as one table.
+
 Localization checks for the hypergeometric family (all parameters real and
 positive with a_j <= b_j pairwise and remaining b_k >= 1, p <= q): all roots
 simple, none inside the open unit disk, none on the ray (1, oo), and the
@@ -27,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .partial_sums import HypParams, _check_cap, gn_direct
-from .polycore import Poly, horner
+from .polycore import Poly, modulus
 
 # Newton passes after the eigenvalue solve. Four are needed at 2F3 g_100,
 # whose top coefficient is the smallest subnormal double.
@@ -59,21 +67,57 @@ def _companion_roots(coeffs: list) -> np.ndarray:
     return w.astype(complex) * math.exp(log_s)
 
 
-def _polish(coeffs: list, z: np.ndarray) -> np.ndarray:
-    """Guarded Newton steps on all roots at once; refines z in place.
+def _horner_pairs(table, moduli, degree, owner, z):
+    """Value, derivative and evaluation mass of one polynomial per point:
+    entry i is horner(row owner[i] of table, z[i]).
+
+    table and moduli are (D, W) arrays whose row k holds the coefficients
+    (low to high, zero-padded above degree[k]) of polynomial k and their
+    moduli; degree[owner] is ascending. Each entry starts at its own top
+    coefficient, from the state horner starts from, and takes horner's
+    elementwise steps, so it is bit for bit horner's unpadded pass at its
+    point. The products are formed as new arrays, as horner forms them:
+    numpy rounds an in-place complex product of one entry without the
+    fused multiply-add of its array loop.
+    """
+    table, moduli = table[owner], moduli[owner]  # one row per entry
+    r = np.abs(z)
+    value, derivative, mass = 0 * z, 0 * z, 0 * r
+    starts = degree[owner].searchsorted(np.arange(table.shape[1])).tolist()
+    for j in range(table.shape[1] - 1, -1, -1):
+        s = starts[j]  # the entries of degree >= j
+        if s:  # the others have not reached their top coefficient
+            d, v, m = derivative[s:], value[s:], mass[s:]
+            d[...] = d * z[s:] + v
+            v[...] = v * z[s:] + table[s:, j]
+            m[...] = m * r[s:] + moduli[s:, j]
+        else:
+            derivative = derivative * z + value
+            value = value * z + table[:, j]
+            mass = mass * r + moduli[:, j]
+    return value, derivative, mass
+
+
+def _polish(table, moduli, degree, owner, z):
+    """Guarded Newton steps on all (polynomial, root) pairs at once;
+    refines z in place. Pair i is root z[i] of polynomial owner[i], laid
+    out as for _horner_pairs.
 
     The backward error of a root is |p(z)| / max(1, mass(z)). A root takes
     a step only if the step is finite and strictly lowers that error; a
-    root whose step is refused is final. At most POLISH_STEPS passes.
+    root whose step is refused is final, and each pass evaluates only the
+    roots still active. At most POLISH_STEPS passes.
     """
-    value, derivative, mass = horner(coeffs, z)
+    value, derivative, mass = _horner_pairs(table, moduli, degree, owner, z)
     err = np.abs(value) / np.maximum(1.0, mass)
     active = np.flatnonzero(err > 0)
     for _ in range(POLISH_STEPS):
         if not active.size:
             break
         trial = z[active] - value[active] / derivative[active]
-        t_value, t_derivative, t_mass = horner(coeffs, trial)
+        t_value, t_derivative, t_mass = _horner_pairs(
+            table, moduli, degree, owner[active], trial
+        )
         t_err = np.abs(t_value) / np.maximum(1.0, t_mass)
         take = np.isfinite(trial) & (t_err < err[active])
         active = active[take]
@@ -82,6 +126,95 @@ def _polish(coeffs: list, z: np.ndarray) -> np.ndarray:
         derivative[active] = t_derivative[take]
         err[active] = t_err[take]
     return z
+
+
+def _pairs(rows: list, points: list) -> tuple:
+    """The (polynomial, point) pairs of coefficient lists rows[k] (low to
+    high) and point arrays points[k], laid out for _horner_pairs: the
+    coefficient table (complex, zero-padded), its moduli (polycore.modulus,
+    which rounds as Python's abs) and the degrees, one row per polynomial;
+    then, grouped by polynomial in ascending degree, each group in its
+    points' order, the polynomial k and the point of every pair."""
+    table = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for out, row in zip(table, rows):
+        out[: len(row)] = row
+    degree = np.array([len(row) - 1 for row in rows])
+    order = np.argsort(degree, kind="stable").tolist()
+    owner = np.repeat(order, [len(points[k]) for k in order])
+    z = np.concatenate([points[k] for k in order])
+    return table, modulus(table), degree, owner, z
+
+
+def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """The roots find_roots finds for every polynomial of polys, at once.
+
+    Returns a (D, n) complex table, n the largest degree, and its mask: row
+    i holds the deg(polys[i]) roots of polys[i] in its first columns, in
+    find_roots' order. Each polynomial is normalized and its companion
+    eigenvalues are taken as in find_roots, one LAPACK call each. The
+    guarded polish and the residual gate then run elementwise on every
+    (polynomial, root) pair at once, so each row is bit for bit the roots
+    of its polynomial solved alone. Raises what find_roots raises on the
+    first polynomial on which it raises.
+    """
+    short = next((i for i, f in enumerate(polys) if f.degree < 1), None)
+    if short is not None:
+        _root_table(polys[:short], tol)  # an earlier polynomial's error first
+        raise DomainError("root finding needs degree >= 1")
+    full, rests = [], []
+    for f in polys:
+        scale = f.max_coeff()
+        coeffs = [c / scale for c in f.coeffs]
+        if not any(c.imag for c in coeffs):
+            coeffs = [c.real for c in coeffs]  # real companion matrix
+        zeros = next(k for k, c in enumerate(coeffs) if c)
+        full.append(coeffs)
+        rests.append(coeffs[zeros:] if zeros else coeffs)
+    errors: list[Optional[Exception]] = [None] * len(polys)
+    roots = [np.zeros(len(rest) - 1, dtype=complex) for rest in rests]
+    with np.errstate(all="ignore"):
+        eigen = []  # the polynomials whose eigenvalues are polished
+        for i, rest in enumerate(rests):
+            if len(rest) > 2:
+                try:
+                    roots[i] = _companion_roots(rest)
+                    eigen.append(i)
+                except ConvergenceError as exc:
+                    errors[i] = exc
+            elif len(rest) == 2:
+                roots[i][0] = -rest[0] / rest[1]
+        if eigen:
+            *layout, z = _pairs([rests[i] for i in eigen], [roots[i] for i in eigen])
+            z = _polish(*layout, z)
+            owner = layout[-1]
+            for k, i in enumerate(eigen):
+                roots[i] = z[owner == k]
+        for i, (c, rest) in enumerate(zip(full, rests)):
+            if rest is not c:  # the zero roots of the factor z^m
+                zero = np.zeros(len(c) - len(rest), dtype=complex)
+                roots[i] = np.concatenate((zero, roots[i]))
+        gated = [i for i, error in enumerate(errors) if error is None]
+        if gated != eigen or any(full[i] is not rests[i] for i in gated):
+            *layout, z = _pairs([full[i] for i in gated], [roots[i] for i in gated])
+        # else the gate's pairs are the polished ones
+        if gated:
+            value, _, mass = _horner_pairs(*layout, z)
+            bad = ~(np.isfinite(mass) & (np.abs(value) <= tol * np.maximum(1.0, mass)))
+            owner = layout[-1]
+            for j in np.flatnonzero(bad).tolist():  # in each polynomial's root order
+                i = gated[owner[j]]
+                if errors[i] is None:
+                    errors[i] = ConvergenceError(
+                        f"residual {abs(value[j]):.3e} at root {z[j]} exceeds tolerance"
+                    )
+    for error in errors:
+        if error is not None:
+            raise error
+    degrees = np.array([len(r) for r in roots], dtype=int)
+    table = np.zeros((len(polys), degrees.max(initial=0)), dtype=complex)
+    mask = np.arange(table.shape[1]) < degrees[:, None]
+    table[mask] = np.concatenate(roots) if roots else []
+    return table, mask
 
 
 def find_roots(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
@@ -99,32 +232,10 @@ def find_roots(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
     Every root must satisfy |f(root)| <= tol · max(1, sum_k |c_k||root|^k)
     (backward-stable form; an absolute bound in terms of max|c_k| alone is
     meaningless for roots far outside the unit disk), else ConvergenceError.
+    This is _root_table on a stack of one.
     """
-    n = f.degree
-    if n < 1:
-        raise DomainError("root finding needs degree >= 1")
-    scale = f.max_coeff()
-    coeffs = [c / scale for c in f.coeffs]
-    if not any(c.imag for c in coeffs):
-        coeffs = [c.real for c in coeffs]  # real companion matrix
-    zeros = next(k for k, c in enumerate(coeffs) if c)
-    rest = coeffs[zeros:]
-    with np.errstate(all="ignore"):
-        if len(rest) > 2:
-            found = _polish(rest, _companion_roots(rest))
-        elif len(rest) == 2:
-            found = np.array([-rest[0] / rest[1]], dtype=complex)
-        else:
-            found = np.zeros(0, dtype=complex)
-        roots = np.concatenate((np.zeros(zeros, dtype=complex), found))
-        value, _, mass = horner(coeffs, roots)
-        bad = ~(np.isfinite(mass) & (np.abs(value) <= tol * np.maximum(1.0, mass)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"residual {abs(value[i]):.3e} at root {roots[i]} exceeds tolerance"
-        )
-    return tuple(complex(r) for r in roots)
+    roots, _ = _root_table([f], tol)
+    return tuple(complex(r) for r in roots[0])
 
 
 def check_simple(roots: Sequence[complex], tol: Optional[float] = None) -> bool:
@@ -223,9 +334,10 @@ def location_report(params: HypParams, n: int) -> RootReport:
     return _location_report(gn_direct(params, n))
 
 
-def _location_report(g: Poly) -> RootReport:
+def _location_report(g: Poly, roots: Optional[tuple[complex, ...]] = None) -> RootReport:
     """The report of location_report on a g_n already built, for a caller
-    that has checked the preconditions."""
+    that has checked the preconditions; from its roots, when the caller has
+    found them as find_roots finds them."""
     if g.degree == 0:
         return RootReport(
             roots=(),
@@ -236,7 +348,8 @@ def _location_report(g: Poly) -> RootReport:
             boundary_root_count=0,
             ek_annulus=None,
         )
-    roots = find_roots(g, tol=1e-10)
+    if roots is None:
+        roots = find_roots(g, tol=1e-10)
     moduli = [abs(r) for r in roots]
     distance = _min_pair_distance(roots)
     return RootReport(

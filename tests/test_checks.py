@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypersum import checks, operators, partial_sums, pfq, roots, sobolev
+from hypersum import checks, cli, operators, partial_sums, pfq, roots, sobolev
 from hypersum.checks import (
     CHECK_ORDER,
     CheckResult,
@@ -22,7 +22,7 @@ from hypersum.checks import (
     inapplicable_reason,
     run_checks,
 )
-from hypersum.errors import DomainError
+from hypersum.errors import ConvergenceError, DomainError
 from hypersum.operators import build_R, kappa, op_compose, op_theta
 from hypersum.partial_sums import (
     Gn_monic,
@@ -43,10 +43,11 @@ from hypersum.ri_pencils import (
     ri_generate,
     tfraction_from_hyp,
 )
-from hypersum.roots import location_report
+from hypersum.roots import find_roots, location_report
 from test_acceptance import FIXED_SETS
 from test_operators import _former_application_mass, _former_op_apply
 from test_ri_pencils import _band_stack, _random_pencil
+from test_roots import _admissible_families, _find_roots_oracle
 
 EXP = HypParams(a=(), b=())
 GEOMETRIC = HypParams(a=(1.0,), b=())
@@ -583,52 +584,74 @@ def test_pencil_check_is_family_independent():
 def _record_pencil_calls(monkeypatch, perturb=None):
     """Wrap the band-level solve and residual that check_pencil calls on its
     random draws. The worked p_2 example goes through pencil_polynomials,
-    which calls the engine inside ri_pencils, so it is not recorded here."""
-    calls = []
-    solve, row_sums = checks._band_coeff_stack, checks._band_row_sums
+    which calls the engine inside ri_pencils, so it is not recorded here.
+    Returns the lists of solve calls (N, bands, alpha, beta) and of
+    row-sum calls (rows, lams)."""
+    solves, row_sums = [], []
+    solve, sums = checks._band_coeff_stack, checks._band_row_sums
 
     def recording_solve(bands, alpha, beta, N):
         out = solve(bands, alpha, beta, N)
-        if perturb is not None and not calls:
+        if perturb is not None:
             perturb(out)
-        calls.append([N, bands, alpha, beta, None])
+        solves.append((N, bands, alpha, beta))
         return out
 
     def recording_row_sums(bands, coeffs, lams, rows):
-        calls[-1][4] = lams
-        return row_sums(bands, coeffs, lams, rows)
+        row_sums.append((rows, lams))
+        return sums(bands, coeffs, lams, rows)
 
     monkeypatch.setattr(checks, "_band_coeff_stack", recording_solve)
     monkeypatch.setattr(checks, "_band_row_sums", recording_row_sums)
-    return calls
+    return solves, row_sums
 
 
 def test_pencil_check_draws_the_same_stream(monkeypatch):
-    calls = _record_pencil_calls(monkeypatch)
+    solves, row_sums = _record_pencil_calls(monkeypatch)
     rng = random.Random("7:pencil")
     assert check_pencil(rng, 200).status == "PASS"
     reference = random.Random("7:pencil")
-    want = _pencil_draws(reference, 200)
+    want = sorted(_pencil_draws(reference, 200), key=lambda w: w[0])
     assert rng.getstate() == reference.getstate()
+    # One solve of every draw, to the largest size: row n reads band
+    # entries <= n only, so a pencil of size N reads its first N - 1.
+    [(N, bands, alpha, beta)] = solves
+    assert N == 12 and bands.shape == (5, 200, 11)
+    # One row-sum pass per size, in size order, each in draw order.
+    assert [rows + 1 for rows, _ in row_sums] == sorted({w[0] for w in want})
+    sizes = [rows + 1 for rows, lams in row_sums for _ in lams]
+    lams = [row.tolist() for _, lams in row_sums for row in lams]
     got = []
-    for N, bands, alpha, beta, lams in calls:
-        assert bands.shape == (5, len(alpha), N)
-        for i, lam_row in enumerate(lams):
-            got.append((N, tuple(tuple(band[i].tolist()) for band in bands),
-                        float(alpha[i]), float(beta[i]), lam_row.tolist()))
-    # One stack per size, in size order, each in draw order.
-    assert [c[0] for c in calls] == sorted({w[0] for w in want})
-    assert got == sorted(want, key=lambda w: w[0])
+    for i, (size, lam_row) in enumerate(zip(sizes, lams)):
+        read = tuple(tuple(band[i, : size - 1].tolist()) for band in bands)
+        got.append((size, read, float(alpha[i]), float(beta[i]), lam_row))
+        padding = bands[:, i, size - 1 :]
+        assert (padding == np.array([[0.0], [1.0], [0.0], [0.0], [1.0]])).all()
+    assert got == [(size, tuple(band[: size - 1] for band in drawn), al, be, lam)
+                   for size, drawn, al, be, lam in want]
 
 
 def test_pencil_check_fails_on_one_perturbed_coefficient(monkeypatch):
+    # The last pencil has size 12, so its p_12 is read: the leading
+    # coefficient enters row 10 and the degree test.
     def perturb(coeffs):
-        coeffs[0, -1, -1] *= 1 + 1e-6
+        coeffs[-1, -1, -1] *= 1 + 1e-6
 
     _record_pencil_calls(monkeypatch, perturb)
     result = check_pencil(random.Random("7:pencil"), 200)
     assert result.status == "FAIL"
     assert 1e-10 < result.max_residual < 1e-3
+
+
+def test_pencil_check_reads_no_padded_coefficient(monkeypatch):
+    # p_12 of the first pencil (size 2) lies past its N: changing it
+    # changes nothing.
+    def perturb(coeffs):
+        coeffs[0, -1, :] = -1.0
+
+    baseline = check_pencil(random.Random("7:pencil"), 200)
+    _record_pencil_calls(monkeypatch, perturb)
+    assert check_pencil(random.Random("7:pencil"), 200) == baseline
 
 
 def _axis_rep_by_point(params, n_max):
@@ -682,27 +705,33 @@ def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
         assert built == list(range(N + 1))
 
 
-def _roots_check_by_report(params, n_max):
-    """check_roots from the public location_report, with the Vieta target
-    read from a second gn_direct per degree."""
-    N = min(n_max, 25)
+def _roots_check_oracle(params, n_max, tol=None):
+    """check_roots as it was written degree by degree: each g_n built once
+    and solved alone by the per-polynomial finder (test_roots'
+    _find_roots_oracle); its location report and its Vieta target are both
+    read from it."""
+    tol = 1.0 if tol is None else tol
+    N = checks._degree(n_max, 25)
     worst, min_modulus_seen, boundary = 0.0, math.inf, 0
-    for n in range(2, N + 1):
-        rep = location_report(params, n)
+    degrees = range(2, N + 1)
+    if degrees:
+        roots._require_positive_conditions(params)
+    for n in degrees:
+        g = gn_direct(params, n)
+        rep = roots._location_report(g, _find_roots_oracle(g, tol=1e-10))
         min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
         boundary += rep.boundary_root_count
         worst = max(worst, max(0.0, 1.0 - rep.min_modulus) / 1e-9)
         if not rep.simple or rep.positive_real_root_found:
             worst = math.inf
-        g = gn_direct(params, n)
         target = (-1) ** n * g.coeff(0) / g.coeff(n)
         prod = math.prod(rep.roots, start=1 + 0j)
         worst = max(worst, (abs(prod - target) / abs(target)) / 1e-8)
     return CheckResult(
         "roots",
-        "PASS" if worst <= 1.0 else "FAIL",
+        "PASS" if worst <= tol else "FAIL",
         worst,
-        1.0,
+        tol,
         f"min modulus {checks._fmt(min_modulus_seen)}, boundary roots "
         f"{boundary}, n in [2, {N}]",
     )
@@ -729,7 +758,64 @@ def test_roots_check_builds_each_partial_sum_once(params, monkeypatch):
     result = check_roots(params, 30)
     assert built == list(range(2, 26))
     monkeypatch.undo()
-    assert result == _roots_check_by_report(params, 30)
+    assert result == _roots_check_oracle(params, 30)
+
+
+def _check_outcome(check, *args):
+    """A check's result, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Families whose g_n refuse within the roots check's degrees: xi_8 of
+# 0F1(;1e40) underflows, xi_2 of 0F2(;1e300,1e300) (xi_1 already), and
+# xi_3 of 0F1(;2.2e154), whose xi_2 is subnormal.
+ROOTS_REFUSED = (
+    HypParams(a=(), b=(1e40,)),
+    HypParams(a=(), b=(1e300, 1e300)),
+    HypParams(a=(), b=(2.2e154,)),
+)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 10, 25, 40])
+@pytest.mark.parametrize(
+    "params", ROOTS_FAMILIES + list(ROOTS_REFUSED) + _admissible_families(7, 12)
+)
+def test_roots_check_equals_the_per_degree_oracle(params, n_max):
+    assert (_check_outcome(check_roots, params, n_max)
+            == _check_outcome(_roots_check_oracle, params, n_max))
+
+
+def test_roots_check_raises_the_lowest_degree_failure(monkeypatch):
+    # Roots of g_6 and g_9 made to fail the residual gate, and gn_direct
+    # refusing from degree 11: the check raises g_6's convergence error,
+    # which run_checks reports as a FAIL.
+    companion = roots._companion_roots
+
+    def shifted(coeffs):
+        w = companion(coeffs)
+        return w * 0 + 100.0 if len(coeffs) - 1 in (6, 9) else w
+
+    def refusing(params, n):
+        if n >= 11:
+            raise DomainError(f"refused at {n}")
+        return gn_direct(params, n)
+
+    monkeypatch.setattr(roots, "_companion_roots", shifted)
+    monkeypatch.setattr(checks, "gn_direct", refusing)
+    with pytest.raises(ConvergenceError) as got:
+        check_roots(EXP, 25)
+    with pytest.raises(ConvergenceError) as want:
+        find_roots(gn_direct(EXP, 6))
+    assert str(got.value) == str(want.value)
+    [result] = run_checks(EXP, 25, 0, ["roots"])
+    assert result.status == "FAIL"
+    assert result.detail == f"did not converge: {want.value}"
+    monkeypatch.setattr(roots, "_companion_roots", companion)
+    with pytest.raises(DomainError, match="refused at 11"):
+        check_roots(EXP, 25)
 
 
 def test_roots_check_raises_where_location_report_raises():
@@ -750,6 +836,48 @@ def test_roots_check_raises_where_location_report_raises():
         check_roots(bad, 5)
     assert str(got.value) == str(want.value)
     assert check_roots(bad, 1).status == "PASS"
+
+
+# verify --check all documents: real and complex families at n_max 10 and
+# 25, roots applicable (PASS or FAIL) on some and skipped on the others.
+DOCUMENT_FAMILIES = (
+    (["--p", "0", "--q", "0"], 10, True),
+    (["--p", "2", "--q", "3", "--a", "1,1.5", "--b", "2,2.5,3"], 25, True),
+    (["--p", "1", "--q", "1", "--a", "1", "--b", "2"], 25, True),
+    (["--p", "0", "--q", "2", "--b", "1.3,2.2"], 10, True),
+    (["--p", "0", "--q", "1", "--b", "1"], 10, True),  # g_2 has a double root
+    (["--p", "1", "--q", "2", "--a", "0.5+0.3i", "--b", "1.2-0.4i,2.1+0.2i"], 25, False),
+    (["--p", "3", "--q", "1", "--a", "1,1.5,2", "--b", "2.5"], 25, False),
+    (["--p", "2", "--q", "2", "--a", "1+0.5i,3", "--b", "2+0.5i,4"], 10, False),
+)
+
+
+@pytest.mark.parametrize("family, n_max, roots_runs", DOCUMENT_FAMILIES)
+def test_verify_document_equals_the_oracle_checks(
+    family, n_max, roots_runs, capsys, monkeypatch
+):
+    # The same run with check_roots and check_pencil swapped for their
+    # per-degree and per-size oracles prints the same bytes.
+    argv = ["verify", *family, "--check", "all", "--n-max", str(n_max), "--seed", "3"]
+    used = []
+
+    def recorded(oracle):
+        def run(*args):
+            used.append(oracle)
+            return oracle(*args)
+        return run
+
+    documents = []
+    for swap in (False, True):
+        if swap:
+            monkeypatch.setattr(checks, "check_roots", recorded(_roots_check_oracle))
+            monkeypatch.setattr(checks, "check_pencil", recorded(_pencil_check_oracle))
+        code = cli.main(argv)
+        documents.append((code, capsys.readouterr().out))
+    assert documents[0] == documents[1]
+    assert documents[0][0] in (0, 4)
+    assert _pencil_check_oracle in used
+    assert (_roots_check_oracle in used) == roots_runs
 
 
 def test_rifrac_fails_when_one_delta_is_perturbed(monkeypatch):

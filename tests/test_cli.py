@@ -257,6 +257,29 @@ def test_a_modulus_beyond_the_float_range_is_a_refusal_not_a_crash():
     assert json.loads(out.stdout)["results"]["sobolev"]["status"] == "PASS"
 
 
+@pytest.mark.parametrize("family, n_max, message", [
+    # |g_3(-0.1)| is beyond the float range: Python's abs used to raise
+    # (exit 1); the termwise integral is nan.
+    (("--p", "1", "--q", "3",
+      "--a=1.1936179894187185e+153-1.3402462889824693e+153i",
+      "--b=1680217685.9134743-946698586.9080684i,"
+      "-1872940909705610.2+3300280769800696.5i,-2.32772429875795e+25"),
+     "25", "the termwise clause is nan at degree 3, x = -0.1"),
+    # The Gauss-Legendre integrand overflows: the quadrature is nan, and
+    # the check used to drop it and PASS, printing numpy RuntimeWarnings.
+    (("--p", "1", "--q", "0",
+      "--a=2.1591727072926584e+152-7.419495869424143e+151i"),
+     "2", "the quadrature clause is nan at degree 2, x = -0.1"),
+])
+def test_a_nan_axis_rep_clause_is_a_refusal(family, n_max, message):
+    out = run_cli("verify", *family, "--check", "axis-rep", "--n-max", n_max)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"domain error: {message} (g_")
+    assert out.stderr.endswith(") in the axis-rep check\n")
+    assert "Warning" not in out.stderr
+
+
 @pytest.mark.parametrize("a, b, messages", OVERFLOW_ERRORS)
 def test_family_check_overflows_exit_3_with_the_first_error(a, b, messages, capsys):
     family = ["--p", str(len(a)), "--q", str(len(b)),

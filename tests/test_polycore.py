@@ -70,9 +70,28 @@ def test_horner_mass_is_inf_where_abs_would_raise():
     c = complex(1.5e308, 1.5e308)
     value, derivative, mass = horner((1.0, c), 0.5)
     assert (value, derivative, mass) == (1.0 + 0.5 * c, c, math.inf)
-    # So is a scalar point's; then, or at z = 0, inf·0 makes the mass nan.
-    assert math.isnan(horner((1.0, 1.0), c)[2])
-    assert math.isnan(horner((1.0, c), 0j)[2])
+    # So is a scalar point's: every term but the constant one is infinite.
+    assert horner((1.0, 1.0), c)[2] == math.inf
+    assert horner((1.0, 1.0), complex(math.inf, 0.0))[2] == math.inf
+    # A zero coefficient's term vanishes at |z| = inf, and at z = 0 every
+    # term but the constant one vanishes, however large the coefficient.
+    assert horner((1.0, 0.0), c)[2] == 1.0
+    assert horner((1.0, c), 0j)[2] == 1.0
+    assert horner((c, 1.0), 0j)[2] == math.inf
+    # The same on an array of points.
+    mass = horner((1.0, 1.0), np.array([c, 0j, 2.0]))[2]
+    assert mass.tolist() == [math.inf, 1.0, 3.0]
+    assert horner((1.0, c), np.array([0j]))[2].tolist() == [1.0]
+    # Finite inputs keep the one nested pass, bit for bit.
+    rng = random.Random(11)
+    for _ in range(200):
+        coeffs = [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) * 10.0 ** rng.randint(-300, 300)
+                  for _ in range(rng.randint(1, 8))]
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-40, 40)
+        want = 0.0
+        for coeff in reversed(coeffs):
+            want = want * abs(z) + abs(coeff)
+        assert horner(coeffs, z)[2] == want
 
 
 def test_arithmetic_known_values():

@@ -10,10 +10,11 @@ from hypersum import cli
 from hypersum.errors import ConvergenceError, DomainError
 from hypersum.partial_sums import HypParams, gn_direct
 from hypersum.polycore import DEGREE_CAP, Poly, horner
+from hypersum import roots as roots_module
 from hypersum.roots import (
     _companion_roots,
     _min_pair_distance,
-    _polish,
+    _root_table,
     check_simple,
     enestrom_kakeya_bounds,
     find_roots,
@@ -123,18 +124,178 @@ def test_horner_matches_poly_and_keeps_mass_finite():
     ), rel=1e-12)
 
 
+def _polish_oracle(coeffs: list, z: np.ndarray) -> np.ndarray:
+    """The guarded Newton polish on one polynomial, as find_roots ran it
+    before the root table: horner on all of its roots, then on the roots
+    still active. Refines z in place."""
+    value, derivative, mass = horner(coeffs, z)
+    err = np.abs(value) / np.maximum(1.0, mass)
+    active = np.flatnonzero(err > 0)
+    for _ in range(roots_module.POLISH_STEPS):
+        if not active.size:
+            break
+        trial = z[active] - value[active] / derivative[active]
+        t_value, t_derivative, t_mass = horner(coeffs, trial)
+        t_err = np.abs(t_value) / np.maximum(1.0, t_mass)
+        take = np.isfinite(trial) & (t_err < err[active])
+        active = active[take]
+        z[active] = trial[take]
+        value[active] = t_value[take]
+        derivative[active] = t_derivative[take]
+        err[active] = t_err[take]
+    return z
+
+
+def _find_roots_oracle(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
+    """find_roots one polynomial at a time, with _polish_oracle and
+    horner: the reference the root table is held to bit for bit."""
+    if f.degree < 1:
+        raise DomainError("root finding needs degree >= 1")
+    scale = f.max_coeff()
+    coeffs = [c / scale for c in f.coeffs]
+    if not any(c.imag for c in coeffs):
+        coeffs = [c.real for c in coeffs]
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    rest = coeffs[zeros:]
+    with np.errstate(all="ignore"):
+        if len(rest) > 2:
+            found = _polish_oracle(rest, _companion_roots(rest))
+        elif len(rest) == 2:
+            found = np.array([-rest[0] / rest[1]], dtype=complex)
+        else:
+            found = np.zeros(0, dtype=complex)
+        roots = np.concatenate((np.zeros(zeros, dtype=complex), found))
+        value, _, mass = horner(coeffs, roots)
+        bad = ~(np.isfinite(mass) & (np.abs(value) <= tol * np.maximum(1.0, mass)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"residual {abs(value[i]):.3e} at root {roots[i]} exceeds tolerance"
+        )
+    return tuple(complex(r) for r in roots)
+
+
+def _bits(roots) -> bytes:
+    """The bytes of a root sequence: equal bit for bit, signed zeros too."""
+    return np.asarray(roots, dtype=complex).tobytes()
+
+
+def _outcome(solve, f):
+    """The roots' bytes, or the type and message of what solve raised."""
+    try:
+        return _bits(solve(f))
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 @pytest.mark.parametrize("name, n", [
     ("exp", 123), ("exp", 170), ("2F3(1,1.5;2,2.5,3)", 100), ("0F1(;1)", 90),
 ])
 def test_polish_never_raises_a_backward_error(name, n):
+    # find_roots keeps the companion's root order, so each polished root
+    # stands against its own eigenvalue.
     a, b = ROOTS_FAMILIES[name]
     g = gn_direct(HypParams(a=a, b=b), n)
-    coeffs = [c.real for c in g.coeffs]
-    raw = _companion_roots(coeffs)
+    raw = _companion_roots([c.real for c in g.coeffs])
     before = _backward_errors(g, raw)
-    after = _backward_errors(g, _polish(coeffs, raw.copy()))
+    after = _backward_errors(g, find_roots(g))
     assert np.all(after <= before)
     assert np.max(after) <= 1e-10
+
+
+def _admissible_families(seed: int, count: int) -> list[HypParams]:
+    """Seeded real families that meet location_report's preconditions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        q = rng.randint(0, 3)
+        p = rng.randint(0, q)
+        b = tuple(rng.uniform(1.0, 4.0) for _ in range(q))
+        a = tuple(rng.uniform(0.05, b[j]) for j in range(p))
+        out.append(HypParams(a=a, b=b))
+    return out
+
+
+TABLE_FAMILIES = [
+    HypParams(a=a, b=b) for a, b in (
+        ((), ()), ((), (1.0,)), ((1.0,), (2.0,)),
+        ((1.0, 1.5), (2.0, 2.5, 3.0)), ((), (1.3, 2.2)),
+    )
+] + _admissible_families(20261019, 20)
+
+
+@pytest.mark.parametrize("params", TABLE_FAMILIES)
+def test_root_table_rows_are_the_roots_of_each_degree_alone(params):
+    polys = [gn_direct(params, n) for n in range(2, 26)]
+    table, mask = _root_table(polys)
+    assert table.shape == (24, 25)
+    for g, row, present in zip(polys, table, mask):
+        assert present.tolist() == [k < g.degree for k in range(25)]
+        want = _bits(find_roots(g))
+        assert _bits(row[: g.degree]) == want == _bits(_find_roots_oracle(g))
+        assert not row[g.degree :].any()
+
+
+def test_stack_of_one_equals_the_oracle_at_the_cap():
+    # Every degree of 166..170 that gn_direct accepts: exp, 1F1(1;1),
+    # 1F1(1;2) and 2F1(1,1;2) reach the cap; 0F1(;1) and 2F3 stop earlier.
+    solved = set()
+    for name, (a, b) in sorted(ROOTS_FAMILIES.items()):
+        for n in range(166, DEGREE_CAP + 1):
+            try:
+                g = gn_direct(HypParams(a=a, b=b), n)
+            except DomainError:  # gn_direct's limit for this family
+                continue
+            assert _outcome(find_roots, g) == _outcome(_find_roots_oracle, g), (name, n)
+            solved.add(name)
+    assert solved == {"exp", "1F1(1;1)", "1F1(1;2)", "2F1(1,1;2)"}
+
+
+COMPLEX_POLYS = (
+    gn_direct(HypParams(a=(0.5 + 0.3j,), b=(1.2 - 0.4j, 2.1 + 0.2j)), 14),
+    Poly((0, 0, 1j, 2 - 1j, 0.5, -3j, 1 + 1e-3j)),  # z^2 times a quintic
+    Poly((-2j, 2 - 1j, 1)),
+    Poly((1.5 - 2j, -3)),  # degree 1, solved exactly
+    Poly((0, 0, 0, 2.5j)),  # z^3: zero roots only
+)
+
+
+def test_complex_coefficients_take_the_complex_companion_path():
+    # A real row and complex rows in one table: each row is its own solve,
+    # whatever its neighbours.
+    polys = [gn_direct(EXP, 9), *COMPLEX_POLYS]
+    table, mask = _root_table(polys)
+    for f, row, present in zip(polys, table, mask):
+        assert _bits(row[present]) == _bits(find_roots(f)) == _bits(_find_roots_oracle(f))
+    assert _bits(find_roots(COMPLEX_POLYS[1])[:2]) == _bits([0j, 0j])
+
+
+def test_root_table_raises_the_first_failing_polynomial(monkeypatch):
+    # Eigenvalues moved far off the roots of g_5 and g_8 fail the residual
+    # gate after the polish; the table raises g_5's error, the one
+    # find_roots raises on g_5 alone.
+    companion = roots_module._companion_roots
+
+    def shifted(coeffs):
+        w = companion(coeffs)
+        return w * 0 + 100.0 if len(coeffs) - 1 in (5, 8) else w
+
+    monkeypatch.setattr(roots_module, "_companion_roots", shifted)
+    polys = [gn_direct(EXP, n) for n in range(2, 11)]
+    with pytest.raises(ConvergenceError) as first:
+        _root_table(polys)
+    with pytest.raises(ConvergenceError) as alone:
+        find_roots(polys[3])
+    assert str(first.value) == str(alone.value)
+    assert _root_table(polys[:3])[0].shape == (3, 4)
+    with pytest.raises(DomainError, match="degree >= 1"):
+        _root_table([Poly((1,)), *polys])
+    # A constant after a failing polynomial: the failure comes first.
+    with pytest.raises(ConvergenceError) as before:
+        _root_table([*polys, Poly((1,))])
+    assert str(before.value) == str(alone.value)
+    table, mask = _root_table([])
+    assert table.shape == mask.shape == (0, 0)
 
 
 @pytest.mark.parametrize("garbage", [
