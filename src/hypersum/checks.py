@@ -10,17 +10,19 @@ PASS/FAIL against its tolerance. Two conventions:
   roots) report max(measured_i / tol_i) against tolerance 1.0.
 
 recurrence and rifrac hold the monic recurrence (ri_generate on the
-T-fraction) against the direct sums Gn_monic, not against itself; within
-one run_checks call the two read one shared comparison. ode, recurrence and
-rifrac read every degree from one coefficient sequence, in array passes
+T-fraction) against the direct sums Gn_monic, not against itself; the two
+read one comparison, kept on the family record. ode, recurrence and rifrac
+read every degree from the record's coefficient sequence, in array passes
 that round each degree as its Poly arithmetic would.
 
-The family checks (recurrence, ode, sobolev, rifrac) refuse by one rule.
-Each first reads xi_0..xi_N (partial_sums._partial_sum_seq), so a family
-refused there gets the same message from every check, alone or in --check
-all. Then come the check's own stages; one that overflows, or a modulus
-beyond the float range that would divide a residual to 0, is a
-DomainError naming the stage and its first bad degree.
+The seven degree-taking checks (all but pencil) read one family record
+(partial_sums.read_family) and refuse by one rule. Each first reads
+xi_0..xi_N at its own clamp (Family.seq), so a family refused there gets
+the same message from every check, alone or in --check all. Then come the
+check's own stages; one that overflows, or a modulus beyond the float range
+that would divide a residual to 0, is a DomainError naming the stage and
+its first bad degree. A nan measure is a DomainError naming the clause,
+the degree and the check (_worst), never a dropped measure.
 
 Boolean conditions (simple roots, validity flags, exact worked examples)
 fold in as residual 0 or inf. Randomized checks derive their generator
@@ -30,7 +32,7 @@ processes regardless of hash randomization.
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -48,11 +50,11 @@ from .operators import (
     op_theta,
 )
 from .partial_sums import (
+    Family,
     HypParams,
     _monic_coeffs,
-    _partial_sum_seq,
     gn_by_recurrence,
-    gn_direct,
+    read_family,
 )
 from .pfq import (
     _axis_quadrature,
@@ -60,7 +62,7 @@ from .pfq import (
     integral_rep_circle_batch,
     terminating_pfq_poly,
 )
-from .polycore import horner, modulus
+from .polycore import Poly, horner, modulus
 from .ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
@@ -69,7 +71,7 @@ from .ri_pencils import (
     ri_generate,
     tfraction_from_hyp,
 )
-from .roots import _location_report, _require_positive_conditions, _root_table
+from .roots import _location_reports, _require_positive_conditions
 from .sobolev import (
     QuadratureRule,
     _gram_stack,
@@ -104,14 +106,8 @@ def _fmt(x: float) -> str:
 
 
 def _result(name: str, measured: float, tol: float, detail: str) -> CheckResult:
-    ok = measured <= tol
-    return CheckResult(
-        name=name,
-        status="PASS" if ok else "FAIL",
-        max_residual=float(measured),
-        tolerance=float(tol),
-        detail=detail,
-    )
+    status = "PASS" if measured <= tol else "FAIL"
+    return CheckResult(name, status, float(measured), float(tol), detail)
 
 
 def _degree(n_max: int, cap: int) -> int:
@@ -124,10 +120,21 @@ def _degree(n_max: int, cap: int) -> int:
     return min(n_max, cap)
 
 
-def _running_max(values: np.ndarray) -> float:
-    """max(worst, v) over the values from worst = 0.0, as a Python loop
-    takes it: a nan never replaces the running maximum."""
-    return float(np.fmax.reduce(np.ravel(values), initial=0.0))
+def _worst(measures, check: str, clauses: Sequence[str], first: int = 0,
+           note: Optional[Callable[[int, int], str]] = None) -> float:
+    """The largest of a table of measures, from 0.0: row i holds degree
+    first + i, and column j measures the clause clauses[j % len(clauses)].
+    A nan measure is a DomainError naming the clause, the first degree
+    holding one (then note(i, j), if given) and the check, never a dropped
+    measure."""
+    measures = np.asarray(measures, dtype=float)
+    bad = np.isnan(measures)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        clause = clauses[j % len(clauses)]
+        raise DomainError(f"the {clause} clause is nan at degree {first + i}"
+                          f"{note(i, j) if note else ''} in the {check} check")
+    return float(measures.max(initial=0.0))
 
 
 def _poly_table(polys, width: int) -> np.ndarray:
@@ -162,9 +169,8 @@ def _rel_coeff_dev(reference: np.ndarray, candidate: np.ndarray) -> float:
     ref = modulus(reference)
     _require_finite(ref, "|xi_{n}|", "recurrence")
     with np.errstate(invalid="ignore"):
-        return _running_max(
-            modulus(reference - candidate) / np.where(ref == 0, 1.0, ref)
-        )
+        deviation = modulus(reference - candidate) / np.where(ref == 0, 1.0, ref)
+    return _worst(deviation, "recurrence", ("g coefficient",))
 
 
 def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray, check: str) -> float:
@@ -183,7 +189,8 @@ def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray, check: str) 
     _require_finite(scale[:, None], "the coefficient scale of G_{n}", check)
     scale = np.where(scale == 0, 1.0, scale)
     with np.errstate(invalid="ignore"):
-        return _running_max(modulus(reference - candidate).max(axis=1) / scale)
+        deviation = modulus(reference - candidate).max(axis=1) / scale
+    return _worst(deviation[:, None], check, ("G coefficient",))
 
 
 def _monic_table(seq: list[complex]) -> np.ndarray:
@@ -195,61 +202,39 @@ def _monic_table(seq: list[complex]) -> np.ndarray:
     return table
 
 
-# The memo of one run_checks call: the monic comparison, keyed by
-# (params, N), which recurrence and rifrac both read. None outside a call.
-_RUN_MEMO: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
-    "hypersum_checks_run_memo", default=None
-)
-
-
-def _monic_comparison(
-    params: HypParams, N: int, seq: list[complex], check: str
-) -> tuple[float, bool]:
+def _monic_comparison(family: Family, N: int, check: str) -> tuple[float, bool]:
     """The monic recurrence against the direct monic sums: the table of
-    G_0..G_N read from seq = xi_0..xi_N (_monic_table), then ri_generate on
-    the T-fraction, measured as _scaled_coeff_dev, and whether the validity
-    report is clean. A refusal names the check that asked.
-
-    Inside run_checks it is computed once per call and read by both
-    recurrence and rifrac; nothing outlives the call.
+    G_0..G_N read from the record's xi_0..xi_N (_monic_table), then
+    ri_generate on the T-fraction, measured as _scaled_coeff_dev, and
+    whether the validity report is clean. A refusal names the check that
+    asked. Computed once per record and degree, by the first of recurrence
+    and rifrac to ask, and kept on the record (Family.monic) for the other.
     """
-    memo = _RUN_MEMO.get()
-    key = (params, N)
-    if memo is not None and key in memo:
-        return memo[key]
-    direct = _monic_table(seq)
-    polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
-    deviation = _scaled_coeff_dev(direct, _poly_table(polys, N + 1), check)
-    result = (deviation, validity.valid)
-    if memo is not None:
-        memo[key] = result
-    return result
+    if N not in family.monic:
+        direct = _monic_table(family.seq(N))
+        polys, validity = ri_generate(tfraction_from_hyp(family.params, N), N)
+        deviation = _scaled_coeff_dev(direct, _poly_table(polys, N + 1), check)
+        family.monic[N] = (deviation, validity.valid)
+    return family.monic[N]
 
 
 def check_recurrence(
-    params: HypParams, n_max: int, tol: Optional[float] = None
+    family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """Direct-formula vs recurrence construction of g_n and G_n.
 
-    The direct g_n and G_n are read from one coefficient sequence. Its
-    errors come first, then those of the monic comparison, then those of
-    the recurrence for g_n.
+    The direct g_n and G_n are read from the family record. Its errors come
+    first, then those of the monic comparison, then those of the recurrence
+    for g_n.
     """
     tol = 1e-10 if tol is None else tol
     N = _degree(n_max, 25)
-    seq = _partial_sum_seq(params, N)
-    dev_G, _ = _monic_comparison(params, N, seq, "recurrence")
-    direct_g = np.tril(np.tile(np.array(seq), (N + 1, 1)))
-    rec_g = _poly_table(gn_by_recurrence(params, N), N + 1)
-    measured = max(_rel_coeff_dev(direct_g, rec_g), dev_G)
-    return _result(
-        "recurrence",
-        measured,
-        tol,
-        "max coefficient deviation "
-        f"{_fmt(measured)} (g per-coefficient relative, G relative to "
-        f"coefficient scale) over n <= {N}",
-    )
+    dev_G, _ = _monic_comparison(family, N, "recurrence")
+    rec_g = _poly_table(gn_by_recurrence(family.params, N), N + 1)
+    measured = max(_rel_coeff_dev(family.table(N), rec_g), dev_G)
+    return _result("recurrence", measured, tol, (
+        f"max coefficient deviation {_fmt(measured)} (g per-coefficient "
+        f"relative, G relative to coefficient scale) over n <= {N}"))
 
 
 def _scaled(values: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -271,12 +256,12 @@ def _over_scale(value: np.ndarray, factor: np.ndarray, mass: np.ndarray) -> np.n
 
 
 def check_ode(
-    params: HypParams, n_max: int, tol: Optional[float] = None
+    family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """theta(R g_n) = n·(R g_n), and -kappa_n·R g_n = z^n.
 
-    The partial sums g_0..g_N are the rows of the lower-triangular table of
-    one coefficient sequence, read first, and kappa_n is read from the same
+    The partial sums g_0..g_N are the rows of the family record's
+    lower-triangular table, read first, and kappa_n is read from the same
     sequence. R and theta∘R are expanded once per check, each applied to
     the whole table in one engine pass (_apply_stack), and both clauses are
     read off the one image R g_n per row. Residuals are scaled by the mass
@@ -290,12 +275,12 @@ def check_ode(
     """
     tol = 1e-9 if tol is None else tol
     N = _degree(n_max, 25)
-    seq = _partial_sum_seq(params, N)
+    seq, params = family.seq(N), family.params
     R = build_R(params)
     theta_R = op_compose(op_theta(), R)
     kappas = [_kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
     kap = np.array(kappas, dtype=complex)[:, None]
-    g = np.tril(np.tile(np.array(seq, dtype=complex), (N + 1, 1)))
+    g = family.table(N)
     Rg = _apply_stack(R, g)
     _require_finite(Rg, "R g_{n}", "ode")
     theta_Rg = _apply_stack(theta_R, g)
@@ -322,17 +307,14 @@ def check_ode(
         off_monomial.real[np.arange(N + 1), np.arange(N + 1)] -= 1.0
         mass = np.array([[math.fsum(row)] for row in modulus(off_monomial)])
         mono_ratio = _over_scale(mass, kappa_mod, mass_scale)
-        worst = _running_max(np.hstack([eigen_ratio, mono_ratio]))
-    return _result(
-        "ode",
-        worst,
-        tol,
-        f"max of scaled eigen-residual and off-monomial mass, n <= {N}",
-    )
+        ratios = np.hstack([eigen_ratio, mono_ratio])
+    worst = _worst(ratios, "ode", ("eigen-residual", "off-monomial"))
+    detail = f"max of scaled eigen-residual and off-monomial mass, n <= {N}"
+    return _result("ode", worst, tol, detail)
 
 
 def check_sobolev(
-    params: HypParams, n_max: int, tol: Optional[float] = None
+    family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """Gram diagonality, |kappa_n|^-2 diagonal values, monomial exactness.
 
@@ -344,13 +326,13 @@ def check_sobolev(
     (a diagonal below the form's roundoff floor cannot be distinguished
     from orthogonality noise).
 
-    The coefficient sequence is read first; the Gram's errors follow, then
-    those of kappa_n, which is read from the same sequence.
+    The family record's sequence is read first; the Gram's errors follow,
+    then those of kappa_n, which is read from the same sequence.
     """
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)
-    seq = _partial_sum_seq(params, m)
-    gram = _gram_stack([params], m)[0]
+    seq, params = family.seq(m), family.params
+    gram = _gram_stack([family], m)[0]
     off, max_diag = gram_extremes(gram)
     kappas = [_kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
     # A float64 scalar's square is Python's pow (an array's is not), but
@@ -358,55 +340,42 @@ def check_sobolev(
     with np.errstate(over="ignore"):
         target = np.array([1.0 / k**2 for k in modulus(np.array(kappas))])
     with np.errstate(divide="ignore", invalid="ignore"):
-        diag_rel = _running_max(
-            modulus(gram.diagonal() - target) / np.maximum(target, 0.1 * max_diag)
-        )
+        diag = modulus(gram.diagonal() - target) / np.maximum(target, 0.1 * max_diag)
+    diag_rel = _worst(diag[:, None], "sobolev", ("diagonal",))
     rule = QuadratureRule(auto_node_count(m, max(params.p, params.q + 1)))
     pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
     defect = max(monomial_quadrature_defect(rule, k, l) for k, l in pairs)
     measured = max(off / (1e-10 * max_diag), diag_rel / 1e-9, defect / 1e-14)
-    return _result(
-        "sobolev",
-        measured,
-        tol,
-        (
-            f"offdiag {_fmt(off)} vs maxdiag {_fmt(max_diag)}, "
-            f"diag rel {_fmt(diag_rel)}, quad defect {_fmt(defect)}"
-        ),
-    )
+    return _result("sobolev", measured, tol, (
+        f"offdiag {_fmt(off)} vs maxdiag {_fmt(max_diag)}, "
+        f"diag rel {_fmt(diag_rel)}, quad defect {_fmt(defect)}"))
 
 
 def check_circle_rep(
-    params: HypParams,
-    n_max: int,
-    rng: random.Random,
-    tol: Optional[float] = None,
+    family: Family, n_max: int, rng: random.Random, tol: Optional[float] = None
 ) -> CheckResult:
-    """Kernel quadrature on T vs direct evaluation, 16 random angles."""
+    """Kernel quadrature on T vs direct evaluation of each g_n, a row of the
+    family record, at 16 random angles."""
     tol = 1e-8 if tol is None else tol
     N = _degree(n_max, 10)
+    seq = family.seq(N)
     angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(16)]
-    ns = list(range(N + 1))
-    recovered = integral_rep_circle_batch(params, ns, angles)
-    worst = 0.0
-    for n in ns:
-        g = gn_direct(params, n)
-        for j, tau in enumerate(angles):
-            z = complex(math.cos(tau), math.sin(tau))
-            worst = max(worst, abs(recovered[n][j] - g(z)))
-    return _result(
-        "circle-rep",
-        worst,
-        tol,
-        f"max |quadrature - direct| {_fmt(worst)} over n <= {N}, 16 angles",
-    )
+    recovered = integral_rep_circle_batch(family.params, range(N + 1), angles)
+    points = [complex(math.cos(tau), math.sin(tau)) for tau in angles]
+    measures = []
+    for n, row in enumerate(recovered):
+        g = Poly(seq[: n + 1])
+        measures.append([modulus(value - g(z)) for value, z in zip(row, points)])
+    worst = _worst(measures, "circle-rep", ("quadrature",))
+    detail = f"max |quadrature - direct| {_fmt(worst)} over n <= {N}, 16 angles"
+    return _result("circle-rep", worst, tol, detail)
 
 
 _AXIS_POINTS = (-0.1, -1.0, -10.0)
 
 
 def check_axis_rep(
-    params: HypParams, n_max: int, tol: Optional[float] = None
+    family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """Termwise-exact axis representation vs direct evaluation, plus the
     Gauss-Legendre cross-check, at x in {-0.1, -1, -10}.
@@ -419,122 +388,94 @@ def check_axis_rep(
     zero), neither route carries 10 trustworthy digits of the value, and
     the deviation is measured against S instead.
 
-    Per degree the terminating series h is built once and serves both
-    routes at all three points; the quadrature takes the three points in
-    one array pass. The values are those of integral_rep_negative_axis and
+    g_n is a row of the family record. Per degree the terminating series h
+    is built once and serves both routes at all three points; the
+    quadrature takes the three points in one array pass. The values are
+    those of integral_rep_negative_axis and
     integral_rep_negative_axis_numeric. Moduli beyond the float range read
     as inf (polycore.modulus); a clause whose measure is nan (a nan value,
     quadrature or deviation) is a DomainError naming the clause, the
-    degree and the point, never a dropped measure.
+    degree and the point (_worst), never a dropped measure.
     """
     tol = 1.0 if tol is None else tol
     N = _degree(n_max, 20)
-    worst = 0.0
+    seq = family.seq(N)
+    measures, values = [], []
     for n in range(N + 1):
-        g = gn_direct(params, n)
-        h = terminating_pfq_poly(params, n)
+        h = terminating_pfq_poly(family.params, n)
         # An overflowing integrand reads as inf or nan; a nan is refused.
         with np.errstate(all="ignore"):
             quads = _axis_quadrature(h, n, _AXIS_POINTS)
+        row = []
         for x, quad in zip(_AXIS_POINTS, quads):
-            direct, _, scale = horner(g.coeffs, x)
+            direct, _, scale = horner(seq[: n + 1], x)
             term = _axis_termwise(h, n, x)
             size = modulus(direct)
             denom = size if size >= 1e-8 * scale else scale
-            clauses = (
-                ("termwise", modulus(term - direct) / denom / 1e-10),
-                ("quadrature", modulus(term - quad) / (1e-6 * max(1.0, size))),
-            )
-            for clause, measure in clauses:
-                if math.isnan(measure):
-                    raise DomainError(
-                        f"the {clause} clause is nan at degree {n}, x = {x} "
-                        f"(g_{n}(x) = {direct}, termwise {term}, quadrature "
-                        f"{quad}) in the axis-rep check"
-                    )
-                worst = max(worst, measure)
-    return _result(
-        "axis-rep",
-        worst,
-        tol,
-        f"normalized worst deviation {_fmt(worst)} over n <= {N}",
-    )
+            row += [modulus(term - direct) / denom / 1e-10,
+                    modulus(term - quad) / (1e-6 * max(1.0, size))]
+            values.append((x, direct, term, quad))
+        measures.append(row)
+
+    def note(n: int, j: int) -> str:
+        x, direct, term, quad = values[n * len(_AXIS_POINTS) + j // 2]
+        return f", x = {x} (g_{n}(x) = {direct}, termwise {term}, quadrature {quad})"
+
+    worst = _worst(measures, "axis-rep", ("termwise", "quadrature"), note=note)
+    detail = f"normalized worst deviation {_fmt(worst)} over n <= {N}"
+    return _result("axis-rep", worst, tol, detail)
 
 
 def check_roots(
-    params: HypParams, n_max: int, tol: Optional[float] = None
+    family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """Zero localization: simple roots, moduli >= 1 - 1e-9, clearance of
     the real ray (1, oo), and Vieta product reconstruction to 1e-8.
 
-    Each g_n, n = 2..N, is built once (gn_direct), and all of them are
-    solved together as one root table (roots._root_table), each row bit
-    for bit find_roots on its g_n. Each row then gives its degree's
-    location report and root product, as one g_n alone gives them. A
-    refusal or convergence failure is the one of the lowest degree at
-    which a degree-by-degree pass would meet one.
+    Each g_n, n = 2..N, is a row of the family record, and all of them are
+    solved together as one root table (roots._location_reports), each row
+    bit for bit find_roots on its g_n; each gives its degree's location
+    report and root product, as one g_n alone gives them. A convergence
+    failure is the one of the lowest degree that meets one.
     """
     tol = 1.0 if tol is None else tol
     N = _degree(n_max, 25)
-    worst = 0.0
-    min_modulus_seen = math.inf
-    boundary = 0
+    seq = family.seq(N)
     degrees = range(2, N + 1)
     if degrees:  # refused where location_report refused them: at n = 2
-        _require_positive_conditions(params)
-    polys, failure = [], None
-    for n in degrees:
-        try:
-            polys.append(gn_direct(params, n))
-        except DomainError as exc:
-            failure = exc
-            break
-    table, mask = _root_table(polys)
-    if failure is not None:
-        raise failure
-    for n, g, row, present in zip(degrees, polys, table, mask):
-        rep = _location_report(g, tuple(row[present].tolist()))
+        _require_positive_conditions(family.params)
+    measures, min_modulus_seen, boundary = [], math.inf, 0
+    for n, rep in zip(degrees, _location_reports(seq, degrees)):
         min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
         boundary += rep.boundary_root_count
-        worst = max(worst, max(0.0, 1.0 - rep.min_modulus) / 1e-9)
-        if not rep.simple or rep.positive_real_root_found:
-            worst = math.inf
-        target = (-1) ** n * g.coeff(0) / g.coeff(n)
+        located = rep.simple and not rep.positive_real_root_found
+        target = (-1) ** n * seq[0] / seq[n]
         prod = math.prod(rep.roots, start=1 + 0j)
-        worst = max(worst, (abs(prod - target) / abs(target)) / 1e-8)
-    return _result(
-        "roots",
-        worst,
-        tol,
-        (
-            f"min modulus {_fmt(min_modulus_seen)}, boundary roots {boundary}, "
-            f"n in [2, {N}]"
-        ),
-    )
+        measures.append([
+            max(0.0, 1.0 - rep.min_modulus) / 1e-9 if located else math.inf,
+            modulus(prod - target) / modulus(target) / 1e-8,
+        ])
+    worst = _worst(measures, "roots", ("localization", "Vieta"), first=2)
+    return _result("roots", worst, tol, (
+        f"min modulus {_fmt(min_modulus_seen)}, boundary roots {boundary}, "
+        f"n in [2, {N}]"))
 
 
 def check_rifrac(
-    params: HypParams, n_max: int, tol: Optional[float] = None
+    family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
     """The T-fraction reproduces the direct monic sums Gn_monic, measured
     as _scaled_coeff_dev; the validity report must be clean
     (lambda_{n+1} != 0 and P_n(0) != 0)."""
     tol = 1e-12 if tol is None else tol
     N = _degree(n_max, 25)
-    seq = _partial_sum_seq(params, N)
-    measured, valid = _monic_comparison(params, N, seq, "rifrac")
+    measured, valid = _monic_comparison(family, N, "rifrac")
     if not valid:
         measured = math.inf
-    return _result(
-        "rifrac",
-        measured,
-        tol,
-        (
-            f"max coefficient deviation {_fmt(measured)} from the direct "
-            "monic sums, relative to coefficient scale, "
-            f"validity {'clean' if valid else 'violated'}, N = {N}"
-        ),
-    )
+    return _result("rifrac", measured, tol, (
+        f"max coefficient deviation {_fmt(measured)} from the direct "
+        "monic sums, relative to coefficient scale, "
+        f"validity {'clean' if valid else 'violated'}, N = {N}"))
 
 
 # A draw of the pencil check is N, then the five bands (N entries each, in
@@ -680,6 +621,10 @@ def run_checks(
     otherwise (explicitly selected checks). A ConvergenceError inside a
     check body is an honest FAIL, not an error. tol overrides the tolerance
     of a single requested check; with more than one it is a DomainError.
+
+    The degree-taking checks read one family record, read on first use to
+    the largest clamp, 25, so nothing is read before the first check that
+    needs it; nothing outlives the call.
     """
     requested = [n for n in CHECK_ORDER if n in set(names)]
     unknown = set(names) - set(CHECK_ORDER)
@@ -687,49 +632,31 @@ def run_checks(
         raise DomainError(f"unknown checks: {sorted(unknown)}")
     if tol is not None and len(requested) > 1:
         raise DomainError("a tolerance override needs a single check")
+    family = functools.cache(lambda: read_family(params, min(n_max, 25)))
     # Looked up when called, so a wrapped or substituted check_* is what runs.
     runners: dict[str, Callable[[], CheckResult]] = {
-        "recurrence": lambda: check_recurrence(params, n_max, tol),
-        "ode": lambda: check_ode(params, n_max, tol),
-        "sobolev": lambda: check_sobolev(params, n_max, tol),
+        "recurrence": lambda: check_recurrence(family(), n_max, tol),
+        "ode": lambda: check_ode(family(), n_max, tol),
+        "sobolev": lambda: check_sobolev(family(), n_max, tol),
         "circle-rep": lambda: check_circle_rep(
-            params, n_max, random.Random(f"{seed}:circle-rep"), tol
+            family(), n_max, random.Random(f"{seed}:circle-rep"), tol
         ),
-        "axis-rep": lambda: check_axis_rep(params, n_max, tol),
-        "roots": lambda: check_roots(params, n_max, tol),
-        "rifrac": lambda: check_rifrac(params, n_max, tol),
+        "axis-rep": lambda: check_axis_rep(family(), n_max, tol),
+        "roots": lambda: check_roots(family(), n_max, tol),
+        "rifrac": lambda: check_rifrac(family(), n_max, tol),
         "pencil": lambda: check_pencil(random.Random(f"{seed}:pencil"), draws, tol),
     }
     results = []
-    memo = _RUN_MEMO.set({})
-    try:
-        for name in requested:
-            reason = inapplicable_reason(name, params)
-            if reason is not None:
-                if not skip_inapplicable:
-                    raise DomainError(f"check {name}: {reason}")
-                results.append(
-                    CheckResult(
-                        name=name,
-                        status="SKIP",
-                        max_residual=math.nan,
-                        tolerance=math.nan,
-                        detail=reason,
-                    )
-                )
-                continue
-            try:
-                results.append(runners[name]())
-            except ConvergenceError as exc:
-                results.append(
-                    CheckResult(
-                        name=name,
-                        status="FAIL",
-                        max_residual=math.inf,
-                        tolerance=math.nan,
-                        detail=f"did not converge: {exc}",
-                    )
-                )
-    finally:
-        _RUN_MEMO.reset(memo)
+    for name in requested:
+        reason = inapplicable_reason(name, params)
+        if reason is not None:
+            if not skip_inapplicable:
+                raise DomainError(f"check {name}: {reason}")
+            results.append(CheckResult(name, "SKIP", math.nan, math.nan, reason))
+            continue
+        try:
+            results.append(runners[name]())
+        except ConvergenceError as exc:
+            detail = f"did not converge: {exc}"
+            results.append(CheckResult(name, "FAIL", math.inf, math.nan, detail))
     return results

@@ -29,10 +29,17 @@ from . import __version__ as VERSION
 from .checks import CHECK_ORDER, run_checks
 from .errors import ConvergenceError, DomainError
 from .operators import build_R, kappa
-from .partial_sums import Gn_monic, HypParams, _check_cap, delta_k, gn_direct
+from .partial_sums import (
+    Gn_monic,
+    HypParams,
+    _check_cap,
+    delta_k,
+    gn_direct,
+    read_family,
+)
 from .pfq import _eval_points, convergence_report, pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
-from .roots import location_report
+from .roots import _location_reports, _require_positive_conditions, location_report
 from .sobolev import _gram_stack, gram_extremes
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -387,20 +394,24 @@ def _sweep_convergence(params: HypParams, ns: list[int]) -> list[float]:
 
 
 def _sweep_root_modulus(params: HypParams, ns: list[int]) -> list[float]:
-    return [location_report(params, n).min_modulus for n in ns]
+    # location_report's min_modulus per degree, all degrees in one root table.
+    _check_cap(ns[0])
+    _require_positive_conditions(params)
+    seq = read_family(params, ns[-1]).seq(ns[-1])
+    return [report.min_modulus for report in _location_reports(seq, ns)]
 
 
 def _sweep_gram_offdiag(
     cells: Iterable[HypParams], ns: list[int]
 ) -> list[list[float]]:
-    def checked():  # refuse a negative degree per cell, as sobolev_gram would
+    def families():  # refuse a negative degree per cell, as sobolev_gram would
         for params in cells:
             _check_cap(ns[0])
-            yield params
+            yield read_family(params, ns[-1])
 
     # One Gram per cell, all in one pass; their leading blocks are the
     # smaller Grams.
-    grams = _gram_stack(checked(), ns[-1])
+    grams = _gram_stack(families(), ns[-1])
     extremes = ([gram_extremes(G[: n + 1, : n + 1]) for n in ns] for G in grams)
     return [[off / max_diag for off, max_diag in cell] for cell in extremes]
 

@@ -8,18 +8,22 @@ b_1..b_q has coefficients
 and g_n is its degree-n truncation. G_n is the monic rescaling of g_n. Both
 come in two independently computed flavors: directly from the coefficients,
 and via their three-term recurrences, which downstream tests compare; the
-monic recurrence runs on the R_I engine of ri_pencils. The family checks
-and the Gram read xi_0..xi_N once, through _partial_sum_seq, which refuses
-a family as the first failing gn_direct(params, n), n <= N, would. The
-module also carries the generalization to an arbitrary power series with
-nonzero coefficients (f_n, F_n).
+monic recurrence runs on the R_I engine of ri_pencils. The verify checks
+and the Gram read xi_0..xi_N once, as one family record (read_family),
+which refuses a family as the first failing gn_direct(params, n), n <= N,
+would, but only when a reader reaches that degree. The module also
+carries the generalization to an arbitrary power series with nonzero
+coefficients (f_n, F_n).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
 
 from .errors import DomainError
 from .polycore import DEGREE_CAP, Poly
@@ -129,27 +133,48 @@ def _coeff_seq(params: HypParams, n: int) -> list[complex]:
     return out
 
 
-def _partial_sum_seq(params: HypParams, N: int) -> list[complex]:
-    """xi_0 .. xi_N, whose lower-triangular table is row for row
-    gn_direct(params, n), n = 0..N: the one read of the sequence that the
-    family checks and the Gram start from.
-
-    Raises what the first failing gn_direct(params, n), n <= N, raises: at
-    the first xi_k that is zero or not finite, the underflow or the
-    overflow error of gn_direct(params, k). A zero xi_k before a non-finite
-    xi_{k+1} is the underflow at k.
+@dataclass(frozen=True)
+class Family:
+    """One family's coefficient sequence, read once (read_family): xi_0..xi_m
+    and, where the read stopped short, the DomainError of the first failing
+    degree m + 1, recorded rather than raised. The verify checks read their
+    prefixes of it and keep their monic comparison on it (monic, by degree).
     """
+
+    params: HypParams
+    xi: tuple[complex, ...]
+    error: Optional[DomainError] = None
+    monic: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def seq(self, N: int) -> tuple[complex, ...]:
+        """xi_0..xi_N, whose lower-triangular table is row for row
+        gn_direct(params, n), n <= N; raises the recorded error from the
+        failing degree on."""
+        if N >= len(self.xi):
+            raise self.error or ValueError(f"family read to degree {len(self.xi) - 1}")
+        return self.xi[: N + 1]
+
+    def table(self, N: int) -> np.ndarray:
+        """The lower-triangular (N+1, N+1) table of seq(N): row n is g_n."""
+        return np.tril(np.tile(np.array(self.seq(N), dtype=complex), (N + 1, 1)))
+
+
+def read_family(params: HypParams, N: int) -> Family:
+    """The family record of params read to degree N. The read stops at the
+    first xi_k that is zero or not finite and records what the first
+    failing gn_direct(params, n), n <= N, raises: the underflow or overflow
+    error of gn_direct(params, k); a zero xi_k before a non-finite xi_{k+1}
+    is the underflow at k. Only a degree outside 0..DEGREE_CAP is raised."""
     N = _check_cap(N)
-    xi = 1 + 0j
-    out = [xi]
+    xi, out = 1 + 0j, [1 + 0j]
     for k in range(1, N + 1):
         xi *= _coeff_ratio(params, k - 1)
-        if not cmath.isfinite(xi):
-            raise DomainError(f"non-finite coefficient xi_{k}: {xi!r}")
-        if xi == 0:
-            raise DomainError(_underflow_message(k))
+        if xi == 0 or not cmath.isfinite(xi):
+            message = _underflow_message(k) if xi == 0 else (
+                f"non-finite coefficient xi_{k}: {xi!r}")
+            return Family(params, tuple(out), DomainError(message))
         out.append(xi)
-    return out
+    return Family(params, tuple(out))
 
 
 def _underflow_message(n: int) -> str:

@@ -17,7 +17,8 @@ whose roots into one masked (D, n) array. The polish and the gate run
 elementwise on all (polynomial, root) pairs at once, each pair starting
 Horner's pass at its own top coefficient, so every row is bit for bit its
 polynomial solved alone. find_roots is the table on a stack of one; the
-verify roots check solves all of its degrees as one table.
+verify roots check and sweep root-modulus solve all of their degrees as one
+table (_location_reports).
 
 Localization checks for the hypergeometric family (all parameters real and
 positive with a_j <= b_j pairwise and remaining b_k >= 1, p <= q): all roots
@@ -332,6 +333,18 @@ def location_report(params: HypParams, n: int) -> RootReport:
     n = _check_cap(n)
     _require_positive_conditions(params)
     return _location_report(gn_direct(params, n))
+
+
+def _location_reports(seq: Sequence[complex], degrees: Sequence[int]) -> list[RootReport]:
+    """location_report's report of g_n for each n of degrees, read from
+    seq = xi_0..xi_N, for a caller that has read the sequence and checked
+    the preconditions. Every g_n of degree >= 1 is solved in one root table
+    (_root_table), each row bit for bit find_roots on g_n; g_0 gets the
+    report of no roots and no row."""
+    polys = [Poly(seq[: n + 1]) for n in degrees]
+    table, mask = _root_table([g for g in polys if g.degree > 0])
+    roots = (tuple(row[m].tolist()) for row, m in zip(table, mask))
+    return [_location_report(g, next(roots) if g.degree else None) for g in polys]
 
 
 def _location_report(g: Poly, roots: Optional[tuple[complex, ...]] = None) -> RootReport:

@@ -11,8 +11,8 @@ Rank-one structure collapses this to (Rf)(z)·conj((Rh)(z)) pointwise, and
 on the unit circle the integral of a product of polynomials is the inner
 product of their coefficient vectors (Parseval). sobolev_gram evaluates it
 that way, from the closed-form coefficients of R g_n. Its engine,
-_gram_stack, builds the Grams of a stack of families in one pass (the cells
-of a sweep grid), each bit for bit the Gram its family gets alone;
+_gram_stack, builds the Grams of a stack of family records in one pass (the
+cells of a sweep grid), each bit for bit the Gram its family gets alone;
 sobolev_gram is that engine on a stack of one. sobolev_inner integrates the
 pointwise product on equispaced nodes with uniform weights, which is exact
 for the trigonometric-polynomial integrands arising here; it, and a debug
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import LinDiffOp, build_R, op_apply, r_action
-from .partial_sums import HypParams, _partial_sum_seq
+from .partial_sums import Family, HypParams, read_family
 from .polycore import Poly
 
 
@@ -156,18 +156,18 @@ def sobolev_inner_matrix(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
     return rule.integrate(vals)
 
 
-def _gram_stack(cells: Iterable[HypParams], n_max: int) -> np.ndarray:
-    """Gram matrices of a stack of families, one (B, n_max+1, n_max+1) array.
+def _gram_stack(families: Iterable[Family], n_max: int) -> np.ndarray:
+    """Gram matrices of a stack of family records, one (B, n_max+1, n_max+1)
+    array.
 
-    Family i's C is built as sobolev_gram describes, and then one row loop
-    serves the whole stack: entry (n, m) of Gram i is
-    sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), so each family's Gram is bit for bit
-    the one it gets alone. Families are built in the order the cells arrive
-    until one fails: the iterable itself, or the read of the coefficient
-    sequence (_partial_sum_seq: the degree check, then the errors of
-    gn_direct). The error raised is that of the first family failing at any
-    stage, Gram overflow included, as if the families had been taken one by
-    one.
+    Family i's C is built as sobolev_gram describes, from the table of its
+    record, and then one row loop serves the whole stack: entry (n, m) of
+    Gram i is sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), so each family's Gram is
+    bit for bit the one it gets alone. Families are built in the order the
+    records arrive until one fails: the iterable itself, or the record's
+    sequence (Family.table, the errors of gn_direct). The error raised is
+    that of the first family failing at any stage, Gram overflow included,
+    as if the families had been taken one by one.
     """
     coeffs, failure = [], None
     # Overflowing products come back as inf/nan without a numpy warning and
@@ -176,9 +176,8 @@ def _gram_stack(cells: Iterable[HypParams], n_max: int) -> np.ndarray:
     # every longer row.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for params in cells:
-                seq = _partial_sum_seq(params, n_max)
-                coeffs.append(r_action(params, np.tril(np.tile(seq, (len(seq), 1)))))
+            for family in families:
+                coeffs.append(r_action(family.params, family.table(n_max)))
         except DomainError as exc:
             failure = exc
         if not coeffs:
@@ -202,9 +201,9 @@ def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval.
 
     C holds the coefficients of every R g_n from one r_action call on the
-    lower-triangular stack of one running-product sequence: its row n,
+    lower-triangular table of the family record (read_family): its row n,
     xi_0..xi_n and zeros after, is exactly gn_direct(params, n), and the
-    errors are gn_direct's. Entry (n, m) is sum_{k<=n} C[n,k]·conj(C[m,k]),
+    error is that of the first failing one. Entry (n, m) is sum_{k<=n} C[n,k]·conj(C[m,k]),
     leaving out only exact zeros, so the Gram of degree n is bit for bit the
     leading block of every larger one. Every entry is computed, row by row
     with elementwise products and numpy sums, never a thread-dependent BLAS
@@ -213,7 +212,7 @@ def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     in the row products, is a DomainError. This is the stacked engine
     _gram_stack on a stack of one.
     """
-    return _gram_stack([params], n_max)[0].tolist()
+    return _gram_stack([read_family(params, n_max)], n_max)[0].tolist()
 
 
 def gram_extremes(gram) -> tuple[float, float]:

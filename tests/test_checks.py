@@ -29,12 +29,13 @@ from hypersum.partial_sums import (
     HypParams,
     gn_by_recurrence,
     gn_direct,
+    read_family,
 )
 from hypersum.pfq import (
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
 )
-from hypersum.polycore import horner
+from hypersum.polycore import horner, modulus
 from hypersum.ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
@@ -51,6 +52,11 @@ from test_roots import _admissible_families, _find_roots_oracle
 
 EXP = HypParams(a=(), b=())
 GEOMETRIC = HypParams(a=(1.0,), b=())
+
+
+def _family(params):
+    """The family record run_checks reads: to the largest clamp, 25."""
+    return read_family(params, 25)
 
 
 def test_all_checks_pass_on_exponential():
@@ -198,7 +204,7 @@ def _ode_by_degree(params, n_max):
 @pytest.mark.parametrize("n_max", [10, 25])
 @pytest.mark.parametrize("params", ODE_FAMILIES)
 def test_ode_check_equals_per_degree_reference(params, n_max):
-    assert check_ode(params, n_max) == _ode_by_degree(params, n_max)
+    assert check_ode(_family(params), n_max) == _ode_by_degree(params, n_max)
 
 
 def _former_rel_coeff_dev(reference, candidate):
@@ -252,10 +258,10 @@ def test_family_checks_equal_the_degree_by_degree_references(seed):
     for _ in range(8):
         params = _random_family(rng)
         n_max = rng.choice((0, 1, 10, 25))
-        assert check_ode(params, n_max) == _ode_by_degree(params, n_max)
+        assert check_ode(_family(params), n_max) == _ode_by_degree(params, n_max)
         recurrence, rifrac = _recurrence_by_degree(params, n_max)
-        assert check_recurrence(params, n_max).max_residual == recurrence
-        assert check_rifrac(params, n_max).max_residual == rifrac
+        assert check_recurrence(_family(params), n_max).max_residual == recurrence
+        assert check_rifrac(_family(params), n_max).max_residual == rifrac
 
 
 def _one_refusal(message):
@@ -304,38 +310,44 @@ def _extreme_family(rng):
 
 
 def _refusal(run):
+    """The message of the DomainError or ConvergenceError run raises, or
+    None; any other exception escapes."""
     try:
         run()
-    except DomainError as exc:
+    except (ConvergenceError, DomainError) as exc:
         return str(exc)
     return None
 
 
+# Each degree-taking check's clamp: the degree it reads the sequence to.
+CLAMPS = {"recurrence": 25, "ode": 25, "sobolev": 15, "circle-rep": 10,
+          "axis-rep": 20, "roots": 25, "rifrac": 25}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_sequence_refusal_is_the_same_for_every_family_check(seed):
-    # Every family check reads xi_0..xi_N first; where that read refuses,
-    # standalone checks and --check all refuse with the same message. No
-    # family makes a check fail with anything but a DomainError.
+    # Every degree-taking check first reads xi_0..xi_N of the family record
+    # at its own clamp; where that read refuses, the check alone and
+    # --check all refuse with the same message. No family makes a check
+    # raise anything but a DomainError or a ConvergenceError.
     rng = random.Random(f"{seed}:extreme")
     refused = 0
-    for _ in range(100):
+    for _ in range(25):
         params = _extreme_family(rng)
         n_max = rng.choice((1, 2, 5, 25))
-        caps = {"recurrence": 25, "ode": 25, "sobolev": 15, "rifrac": 25}
-        for name, cap in caps.items():
+        family = _family(params)
+        for name, clamp in CLAMPS.items():
             got = _refusal(lambda: run_checks(params, n_max, 0, [name]))
-            want = _refusal(lambda: partial_sums._partial_sum_seq(
-                params, min(n_max, cap)))
-            if want is not None:
+            want = _refusal(lambda: family.seq(min(n_max, clamp)))
+            if want is not None and inapplicable_reason(name, params) is None:
                 assert got == want
-        want = _refusal(lambda: partial_sums._partial_sum_seq(
-            params, min(n_max, 25)))
+        want = _refusal(lambda: family.seq(min(n_max, 25)))
         if want is not None:
             refused += 1
             assert _refusal(lambda: run_checks(
                 params, n_max, 0, CHECK_ORDER, draws=0, skip_inapplicable=True
             )) == want
-    assert refused >= 25
+    assert refused >= 6
 
 
 # (params, n_max, check, message): a stage past the sequence read that
@@ -382,9 +394,9 @@ def test_a_modulus_beyond_the_float_range_is_no_crash():
     _, max_diag = sobolev.gram_extremes(gram)
     diag_rel = max(abs(gram[0][0] - 1.0) / max(1.0, 0.1 * max_diag),
                    abs(gram[1][1]) / (0.1 * max_diag))
-    assert check_sobolev(big, 1) == _sobolev_result(big, 1, diag_rel)
+    assert check_sobolev(_family(big), 1) == _sobolev_result(big, 1, diag_rel)
     wide = HypParams(b=(9.44001724555802e153 - 2.940212464201619e153j,))
-    assert check_sobolev(wide, 2).status == "PASS"
+    assert check_sobolev(_family(wide), 2).status == "PASS"
     polys, validity = ri_generate(tfraction_from_hyp(wide, 2), 2)
     assert validity.valid
     with pytest.raises(OverflowError):
@@ -395,7 +407,7 @@ def _sobolev_with_kappa_calls(params, n_max):
     """The diagonal clause of check_sobolev as written with one
     kappa(params, n) call per degree, each rebuilding xi_0..xi_n."""
     m = min(n_max, 15)
-    gram = sobolev._gram_stack([params], m)[0]
+    gram = sobolev._gram_stack([read_family(params, m)], m)[0]
     _, max_diag = sobolev.gram_extremes(gram)
     diag_rel = 0.0
     for n in range(m + 1):
@@ -408,7 +420,7 @@ def _sobolev_with_kappa_calls(params, n_max):
 def _sobolev_result(params, n_max, diag_rel):
     """The CheckResult of check_sobolev with the given diagonal clause."""
     m = min(n_max, 15)
-    off, max_diag = sobolev.gram_extremes(sobolev._gram_stack([params], m)[0])
+    off, max_diag = sobolev.gram_extremes(sobolev.sobolev_gram(params, m))
     rule = sobolev.QuadratureRule(
         sobolev.auto_node_count(m, max(params.p, params.q + 1)))
     pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
@@ -432,7 +444,8 @@ def test_sobolev_reads_kappa_from_the_one_sequence(seed, monkeypatch):
 
     monkeypatch.setattr(operators, "_coeff_seq", refuse)
     for (params, n_max), want in zip(cases, wants):
-        assert check_sobolev(params, n_max) == _sobolev_result(params, n_max, want)
+        got = check_sobolev(_family(params), n_max)
+        assert got == _sobolev_result(params, n_max, want)
 
 
 def _count_ri_generate(monkeypatch):
@@ -455,12 +468,14 @@ def test_recurrence_and_rifrac_share_one_monic_comparison(monkeypatch):
     # Nothing is kept from one run_checks call to the next.
     run_checks(params, 25, 1, CHECK_ORDER, draws=5, skip_inapplicable=True)
     assert calls == [25, 25]
-    check_rifrac(params, 25)
+    # One ri_generate per record and degree, whichever check asks first.
+    family = _family(params)
+    check_rifrac(family, 25)
+    check_recurrence(family, 25)
+    check_rifrac(family, 25)
     assert calls == [25, 25, 25]
-    assert checks._RUN_MEMO.get() is None
-    with pytest.raises(DomainError):
-        run_checks(GEOMETRIC, 6, 0, ("recurrence", "circle-rep"))
-    assert checks._RUN_MEMO.get() is None
+    check_recurrence(family, 10)
+    assert calls == [25, 25, 25, 10]
 
 
 @pytest.mark.parametrize("params", ODE_FAMILIES + [GEOMETRIC])
@@ -469,7 +484,7 @@ def test_rifrac_inside_all_equals_the_standalone_check(params):
         results = run_checks(params, n_max, 1, CHECK_ORDER, draws=0,
                              skip_inapplicable=True)
         inside = {r.name: r for r in results}["rifrac"]
-        alone = check_rifrac(params, n_max)
+        alone = check_rifrac(_family(params), n_max)
         assert inside == alone
         assert inside.max_residual.hex() == alone.max_residual.hex()
 
@@ -488,7 +503,7 @@ def test_ode_check_expands_R_once(monkeypatch):
     monkeypatch.setattr(checks, "build_R", counting_build_R)
     monkeypatch.setattr(operators, "verify_ode", refuse)
     monkeypatch.setattr(operators, "r_image", refuse)
-    assert check_ode(ODE_FAMILIES[2], 25).status == "PASS"
+    assert check_ode(_family(ODE_FAMILIES[2]), 25).status == "PASS"
     assert len(calls) == 1
 
 
@@ -498,7 +513,7 @@ def test_sobolev_check_does_not_expand_R(monkeypatch):
 
     monkeypatch.setattr(sobolev, "build_sobolev_form", refuse)
     monkeypatch.setattr(sobolev, "build_R", refuse)
-    assert check_sobolev(ODE_FAMILIES[2], 10).status == "PASS"
+    assert check_sobolev(_family(ODE_FAMILIES[2]), 10).status == "PASS"
 
 
 def _pencil_draws(rng, draws):
@@ -688,7 +703,7 @@ AXIS_FAMILIES = FIXED_SETS + (
 @pytest.mark.parametrize("n_max", [0, 3, 20, 25])
 @pytest.mark.parametrize("params", AXIS_FAMILIES)
 def test_axis_rep_check_equals_per_point_reference(params, n_max):
-    assert check_axis_rep(params, n_max) == _axis_rep_by_point(params, n_max)
+    assert check_axis_rep(_family(params), n_max) == _axis_rep_by_point(params, n_max)
 
 
 def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
@@ -701,15 +716,16 @@ def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
     monkeypatch.setattr(checks, "terminating_pfq_poly", counting)
     for n_max, N in ((7, 7), (25, 20)):
         built.clear()
-        assert check_axis_rep(AXIS_FAMILIES[-2], n_max).status == "PASS"
+        assert check_axis_rep(_family(AXIS_FAMILIES[-2]), n_max).status == "PASS"
         assert built == list(range(N + 1))
 
 
-def _roots_check_oracle(params, n_max, tol=None):
+def _roots_check_oracle(family, n_max, tol=None):
     """check_roots as it was written degree by degree: each g_n built once
-    and solved alone by the per-polynomial finder (test_roots'
+    by gn_direct and solved alone by the per-polynomial finder (test_roots'
     _find_roots_oracle); its location report and its Vieta target are both
-    read from it."""
+    read from it. A nan Vieta measure is refused."""
+    params = family.params
     tol = 1.0 if tol is None else tol
     N = checks._degree(n_max, 25)
     worst, min_modulus_seen, boundary = 0.0, math.inf, 0
@@ -726,7 +742,11 @@ def _roots_check_oracle(params, n_max, tol=None):
             worst = math.inf
         target = (-1) ** n * g.coeff(0) / g.coeff(n)
         prod = math.prod(rep.roots, start=1 + 0j)
-        worst = max(worst, (abs(prod - target) / abs(target)) / 1e-8)
+        vieta = (modulus(prod - target) / modulus(target)) / 1e-8
+        if math.isnan(vieta):
+            raise DomainError(
+                f"the Vieta clause is nan at degree {n} in the roots check")
+        worst = max(worst, vieta)
     return CheckResult(
         "roots",
         "PASS" if worst <= tol else "FAIL",
@@ -747,18 +767,18 @@ ROOTS_FAMILIES = [
 
 @pytest.mark.parametrize("params", ROOTS_FAMILIES)
 def test_roots_check_builds_each_partial_sum_once(params, monkeypatch):
-    built = []
+    # Each g_n is a row of the family record, built once; gn_direct is not
+    # called.
+    def refuse(*args):
+        raise AssertionError("g_n must be read from the family record")
 
-    def counting(params, n):
-        built.append(n)
-        return gn_direct(params, n)
-
-    monkeypatch.setattr(checks, "gn_direct", counting)
-    monkeypatch.setattr(roots, "gn_direct", counting)
-    result = check_roots(params, 30)
-    assert built == list(range(2, 26))
+    family = _family(params)
+    monkeypatch.setattr(partial_sums, "gn_direct", refuse)
+    monkeypatch.setattr(roots, "gn_direct", refuse)
+    result = check_roots(family, 30)
     monkeypatch.undo()
-    assert result == _roots_check_oracle(params, 30)
+    assert not hasattr(checks, "gn_direct")
+    assert result == _roots_check_oracle(family, 30)
 
 
 def _check_outcome(check, *args):
@@ -771,7 +791,8 @@ def _check_outcome(check, *args):
 
 # Families whose g_n refuse within the roots check's degrees: xi_8 of
 # 0F1(;1e40) underflows, xi_2 of 0F2(;1e300,1e300) (xi_1 already), and
-# xi_3 of 0F1(;2.2e154), whose xi_2 is subnormal.
+# xi_3 of 0F1(;2.2e154), whose xi_2 is subnormal (at n_max 2 its Vieta
+# target is inf, and the clause nan).
 ROOTS_REFUSED = (
     HypParams(a=(), b=(1e40,)),
     HypParams(a=(), b=(1e300, 1e300)),
@@ -784,38 +805,35 @@ ROOTS_REFUSED = (
     "params", ROOTS_FAMILIES + list(ROOTS_REFUSED) + _admissible_families(7, 12)
 )
 def test_roots_check_equals_the_per_degree_oracle(params, n_max):
-    assert (_check_outcome(check_roots, params, n_max)
-            == _check_outcome(_roots_check_oracle, params, n_max))
+    # Where the family record refuses within the clamp, the check refuses
+    # first, with the line --check all prints: for 0F2(;1e300,1e300) that
+    # names xi_1, where the per-degree oracle meets gn_direct's xi_2.
+    family = _family(params)
+    want = _check_outcome(_roots_check_oracle, family, n_max)
+    if _refusal(lambda: family.seq(min(n_max, 25))) is not None:
+        want = ("DomainError", _refusal(lambda: run_checks(
+            params, n_max, 0, CHECK_ORDER, draws=0, skip_inapplicable=True)))
+    assert _check_outcome(check_roots, family, n_max) == want
 
 
 def test_roots_check_raises_the_lowest_degree_failure(monkeypatch):
-    # Roots of g_6 and g_9 made to fail the residual gate, and gn_direct
-    # refusing from degree 11: the check raises g_6's convergence error,
-    # which run_checks reports as a FAIL.
+    # Roots of g_6 and g_9 made to fail the residual gate: the check
+    # raises g_6's convergence error, which run_checks reports as a FAIL.
     companion = roots._companion_roots
 
     def shifted(coeffs):
         w = companion(coeffs)
         return w * 0 + 100.0 if len(coeffs) - 1 in (6, 9) else w
 
-    def refusing(params, n):
-        if n >= 11:
-            raise DomainError(f"refused at {n}")
-        return gn_direct(params, n)
-
     monkeypatch.setattr(roots, "_companion_roots", shifted)
-    monkeypatch.setattr(checks, "gn_direct", refusing)
     with pytest.raises(ConvergenceError) as got:
-        check_roots(EXP, 25)
+        check_roots(_family(EXP), 25)
     with pytest.raises(ConvergenceError) as want:
         find_roots(gn_direct(EXP, 6))
     assert str(got.value) == str(want.value)
     [result] = run_checks(EXP, 25, 0, ["roots"])
     assert result.status == "FAIL"
     assert result.detail == f"did not converge: {want.value}"
-    monkeypatch.setattr(roots, "_companion_roots", companion)
-    with pytest.raises(DomainError, match="refused at 11"):
-        check_roots(EXP, 25)
 
 
 def test_roots_check_raises_where_location_report_raises():
@@ -825,7 +843,7 @@ def test_roots_check_raises_where_location_report_raises():
     with pytest.raises(DomainError) as want:
         location_report(params, 8)
     with pytest.raises(DomainError) as got:
-        check_roots(params, 25)
+        check_roots(_family(params), 25)
     assert str(got.value) == str(want.value)
     # The preconditions are refused as location_report refused them at
     # n = 2; below that degree nothing is checked.
@@ -833,9 +851,9 @@ def test_roots_check_raises_where_location_report_raises():
     with pytest.raises(DomainError) as want:
         location_report(bad, 2)
     with pytest.raises(DomainError) as got:
-        check_roots(bad, 5)
+        check_roots(_family(bad), 5)
     assert str(got.value) == str(want.value)
-    assert check_roots(bad, 1).status == "PASS"
+    assert check_roots(_family(bad), 1).status == "PASS"
 
 
 # verify --check all documents: real and complex families at n_max 10 and
@@ -897,6 +915,6 @@ def test_rifrac_fails_when_one_delta_is_perturbed(monkeypatch):
                     monkeypatch.setattr(module, attr, perturbed)
                     patched.append(name)
     assert {"hypersum", "hypersum.partial_sums", "hypersum.ri_pencils"} <= set(patched)
-    result = check_rifrac(HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0)), 25)
+    result = check_rifrac(_family(HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0))), 25)
     assert result.status == "FAIL"
     assert 1e-10 < result.max_residual < 1e-8

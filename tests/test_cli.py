@@ -5,6 +5,7 @@ Covers the documented output schema, exit codes (0 ok, 2 usage, 3 domain,
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,9 +16,10 @@ import sys
 import pytest
 
 import hypersum
-from hypersum import cli, pfq
+from hypersum import cli, pfq, roots
 from hypersum.errors import ConvergenceError
 from hypersum.partial_sums import HypParams, gn_direct
+from hypersum.roots import location_report
 from hypersum.sobolev import _gram_stack, gram_extremes, sobolev_gram
 from test_checks import OVERFLOW_ERRORS
 
@@ -259,12 +261,13 @@ def test_a_modulus_beyond_the_float_range_is_a_refusal_not_a_crash():
 
 @pytest.mark.parametrize("family, n_max, message", [
     # |g_3(-0.1)| is beyond the float range: Python's abs used to raise
-    # (exit 1); the termwise integral is nan.
+    # (exit 1); the termwise integral is nan. From n_max 4 the sequence
+    # refuses first, at xi_4, as in --check all.
     (("--p", "1", "--q", "3",
       "--a=1.1936179894187185e+153-1.3402462889824693e+153i",
       "--b=1680217685.9134743-946698586.9080684i,"
       "-1872940909705610.2+3300280769800696.5i,-2.32772429875795e+25"),
-     "25", "the termwise clause is nan at degree 3, x = -0.1"),
+     "3", "the termwise clause is nan at degree 3, x = -0.1"),
     # The Gauss-Legendre integrand overflows: the quadrature is nan, and
     # the check used to drop it and PASS, printing numpy RuntimeWarnings.
     (("--p", "1", "--q", "0",
@@ -278,6 +281,20 @@ def test_a_nan_axis_rep_clause_is_a_refusal(family, n_max, message):
     assert out.stderr.startswith(f"domain error: {message} (g_")
     assert out.stderr.endswith(") in the axis-rep check\n")
     assert "Warning" not in out.stderr
+
+
+@pytest.mark.parametrize("b", ["1e154", "2.2e154"])
+def test_a_nan_vieta_clause_is_a_refusal(b):
+    # xi_2 is subnormal, so the Vieta target c_0/c_2 is inf and the measure
+    # nan; the check used to drop it and PASS.
+    out = run_cli("verify", "--p", "0", "--q", "1", "--b", b, "--check",
+                  "roots", "--n-max", "2",
+                  env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == (
+        "domain error: the Vieta clause is nan at degree 2 in the roots check\n"
+    )
 
 
 @pytest.mark.parametrize("a, b, messages", OVERFLOW_ERRORS)
@@ -382,6 +399,32 @@ def test_sweep_rows_and_ordering():
     ]
     for c in cells:
         assert float(c[5]) >= 1.0
+
+
+def test_sweep_root_modulus_solves_each_cell_in_one_root_table(monkeypatch, capsys):
+    # Unsorted and repeated degrees, 0 and 1 among them: every value is
+    # location_report's, bit for bit, and each cell is one root table
+    # without a row for g_0.
+    ns, grid = (12, 0, 5, 1, 12), (1.0, 3.5)
+    want = [
+        (str(gi), str(n), location_report(HypParams((0.5,), (gv, 2.25)), n).min_modulus)
+        for gi, gv in enumerate(grid) for n in sorted(ns)
+    ]
+    degrees = []
+    table = roots._root_table
+
+    def recording(polys, *args):
+        degrees.append([g.degree for g in polys])
+        return table(polys, *args)
+
+    monkeypatch.setattr(roots, "_root_table", recording)
+    argv = ["sweep", "--p", "1", "--q", "2", "--a", "0.5", "--b", "1.5,2.25",
+            "--quantity", "root-modulus", "--grid-param", "b1",
+            "--grid-values", "1,3.5", "--n-list", "12,0,5,1,12"]
+    assert cli.main(argv) == 0
+    assert degrees == [[1, 5, 12, 12]] * len(grid)
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [(r[2], r[4], float(r[5])) for r in rows] == want
 
 
 def test_sweep_empty_grid_is_header_only():
@@ -643,3 +686,51 @@ def test_in_process_sequence_matches_separate_runs(capsys):
         capsys.readouterr()
     assert in_process == separate
     assert cli.build_parser() is cli.build_parser()
+
+
+# sha256 of the stdout of default documents: verify --check all on fixed
+# real and complex families and one sweep of each quantity. A change that
+# moves a byte of one changes its digest; where that is meant, say so and
+# retake the digests from the changed program. Taken with numpy 2.4 on
+# x86-64: another numpy or LAPACK build may round the companion
+# eigenvalues differently.
+DOCUMENT_DIGESTS = [
+    ("verify --p 0 --q 0 --check all --n-max 10 --seed 3",
+     0, "7b140af9b0e5831ed4f74fb9ec07d614d84d9b32db1f27a91c8a7f8829a048a6"),
+    ("verify --p 2 --q 3 --a 1,1.5 --b 2,2.5,3 --check all --n-max 25 --seed 3",
+     0, "47d4939e5a49aef927e5dc3273082ce9184efa18dad5410ed826068200174ba2"),
+    ("verify --p 1 --q 1 --a 1 --b 2 --check all --n-max 25 --seed 3",
+     0, "d1d97ee2cdf3a746b69abe4224664c149cd5e34cc90c95e74bcd9d528786f926"),
+    ("verify --p 0 --q 2 --b 1.3,2.2 --check all --n-max 10 --seed 3",
+     0, "aa6e61c7ffead9d79a68dbeec8d18f31cbe006cc91c608ff54a18f231ae02b59"),
+    ("verify --p 0 --q 1 --b 1 --check all --n-max 10 --seed 3",
+     4, "69d921e64f274ff89ef8b7df02090de37e08e81b627b724789c1afb5b2e7e66b"),
+    ("verify --p 1 --q 0 --a 0.75 --check all --n-max 10 --seed 3",
+     0, "04bb038ec180183516fcded3901623f483ef401207eaa969ef4b658c4c7cef43"),
+    ("verify --p 1 --q 2 --a 0.5+0.3i --b 1.2-0.4i,2.1+0.2i "
+     "--check all --n-max 25 --seed 3",
+     0, "eb74b2ea890529639019a01312ea8eae9edbdabaa9a59fea820a2ff7e825278f"),
+    ("verify --p 3 --q 1 --a 1,1.5,2 --b 2.5 --check all --n-max 25 --seed 3",
+     0, "19d71e08d5001d867ea7c486f13d257665caebbf166e623f8d11e790e9026386"),
+    ("verify --p 2 --q 2 --a 1+0.5i,3 --b 2+0.5i,4 --check all --n-max 10 --seed 3",
+     0, "c7cd391b24ea1132acae32253bc1f48297b79feae2a3802968105af1493f3b67"),
+    ("verify --p 3 --q 3 --a 0.5,1.25-0.5i,2 --b 1.5+1i,2.5,3.25 "
+     "--check all --n-max 25 --seed 3",
+     0, "9283db9be0032490ce38cc130ad73666aa6067d048509b10e8d645d01a3f959b"),
+    ("sweep --p 0 --q 1 --b 2 --quantity convergence --grid-param b1 "
+     "--grid-values 1.5,2.5,3.25 --n-list 2,5,10,20",
+     0, "7bf811b707564afa8fe9a36071407ca6a65124164d1d6ccf2917f02b1ef6812f"),
+    ("sweep --p 0 --q 1 --b 2 --quantity gram-offdiag --grid-param b1 "
+     "--grid-values 1.5,2.5,3.25 --n-list 2,5,10,20",
+     0, "f44be5b6c3b26c99d2e74a2cf04f0f53dfa3b9e80750aad2a86d875496adb8f8"),
+    ("sweep --p 0 --q 1 --b 2 --quantity root-modulus --grid-param b1 "
+     "--grid-values 1.5,2.5,3.25 --n-list 2,5,10,20",
+     0, "9a5571ebb8ef95522caa2a7d5f36184be1b63ccd8f78e735e937846e5f4ea037"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", DOCUMENT_DIGESTS,
+                         ids=[argv for argv, _, _ in DOCUMENT_DIGESTS])
+def test_default_documents_stay_byte_identical(argv, code, digest, capsys):
+    assert cli.main(argv.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

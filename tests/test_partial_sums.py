@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypersum.errors import DomainError
 from hypersum.partial_sums import (
     _coeff_ratio,
-    _partial_sum_seq,
     Gn_by_recurrence,
     Gn_monic,
     HypParams,
@@ -25,6 +24,7 @@ from hypersum.partial_sums import (
     gn_by_recurrence,
     gn_direct,
     hyp_coeff,
+    read_family,
 )
 from hypersum.polycore import Poly
 
@@ -242,16 +242,22 @@ def test_degree_cap():
                  1.3503388545122605e154)),
 ])
 def test_partial_sum_seq_refuses_as_the_first_failing_gn_direct(params):
+    # The family record's sequence reads every degree gn_direct accepts,
+    # row for row, and refuses from the first degree gn_direct refuses,
+    # with its message.
     N = 25
+    family = read_family(params, N)
     for n in range(N + 1):
         try:
-            gn_direct(params, n)
+            g = gn_direct(params, n)
         except DomainError as exc:
-            with pytest.raises(DomainError) as got:
-                _partial_sum_seq(params, N)
-            assert str(got.value) == str(exc)
+            for m in (n, N):
+                with pytest.raises(DomainError) as got:
+                    family.seq(m)
+                assert str(got.value) == str(exc)
             return
-    assert tuple(_partial_sum_seq(params, N)) == gn_direct(params, N).coeffs
+        assert family.seq(n) == g.coeffs
+        assert family.table(n)[n].tolist() == list(g.coeffs)
 
 
 def _valid_param(rng: random.Random) -> float:

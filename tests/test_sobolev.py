@@ -11,7 +11,7 @@ import pytest
 from hypersum import sobolev
 from hypersum.errors import DomainError
 from hypersum.operators import build_R, kappa, op_apply, r_action
-from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
+from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct, read_family
 from hypersum.polycore import DEGREE_CAP, Poly
 from hypersum.sobolev import (
     QuadratureRule,
@@ -244,7 +244,7 @@ def test_gram_stack_is_each_familys_gram_bit_for_bit(seed):
     n_max = rng.choice((0, 1, 2, 5, 10, 20, 40))
     size = rng.randint(1, 5)
     cells = [_random_family(rng, rng.random() < 0.5) for _ in range(size)]
-    grams = _gram_stack(iter(cells), n_max)
+    grams = _gram_stack((read_family(params, n_max) for params in cells), n_max)
     assert grams.shape == (len(cells), n_max + 1, n_max + 1)
     for params, gram in zip(cells, grams):
         assert gram.tolist() == sobolev_gram(params, n_max)
@@ -279,7 +279,7 @@ def test_gram_stack_raises_the_first_failing_familys_error(cells, then_fail, mes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
-            _gram_stack(source, 5)
+            _gram_stack((read_family(params, 5) for params in source), 5)
 
 
 def test_gram_maps_every_row_in_one_r_action_call(monkeypatch):
