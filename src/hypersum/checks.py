@@ -62,7 +62,7 @@ from .pfq import (
     integral_rep_circle_batch,
     terminating_pfq_poly,
 )
-from .polycore import Poly, horner, modulus
+from .polycore import Poly, complex_product, horner, modulus
 from .ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
@@ -112,7 +112,7 @@ def _result(name: str, measured: float, tol: float, detail: str) -> CheckResult:
 
 def _degree(n_max: int, cap: int) -> int:
     """The degree a check runs to: n_max clamped to the check's cap. A
-    negative n_max raises the DomainError gn_direct raises for a negative
+    negative n_max raises the DomainError read_family raises for a negative
     order, instead of an empty degree range that passes."""
     n_max = int(n_max)
     if n_max < 0:
@@ -237,15 +237,6 @@ def check_recurrence(
         f"relative, G relative to coefficient scale) over n <= {N}"))
 
 
-def _scaled(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each row of a complex table times its entry of the column w, as
-    Poly.scale rounds it: the complex product spelled as real ufuncs."""
-    out = np.empty_like(values)
-    out.real = values.real * w.real - values.imag * w.imag
-    out.imag = values.real * w.imag + values.imag * w.real
-    return out
-
-
 def _over_scale(value: np.ndarray, factor: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """value / max(1, factor·mass), elementwise. Where the product
     overflows, the scale is above 1 and the quotient is taken in two steps,
@@ -291,11 +282,11 @@ def check_ode(
     degrees = np.arange(N + 1, dtype=float)[:, None]
     # Overflow reads as inf, as in Python float arithmetic, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        n_Rg = _scaled(Rg, degrees + 0j)
+        n_Rg = complex_product(Rg, degrees)
         # Poly subtraction adds the other side scaled by -1.
-        eigen = theta_Rg + _scaled(n_Rg, np.array([[-1.0 + 0j]]))
+        eigen = theta_Rg + complex_product(n_Rg, -1.0)
         _require_finite(eigen, "theta(R g_{n}) - n·R g_{n}", "ode")
-        mono = _scaled(Rg, -kap)
+        mono = complex_product(Rg, -kap)
         _require_finite(mono, "kappa_{n}·R g_{n}", "ode")
         mass_scale = _mass_stack(R, g)[:, None]
         _require_finite(mass_scale, "the application mass of R on g_{n}", "ode")

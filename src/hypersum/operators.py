@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .partial_sums import HypParams, _check_cap, _coeff_seq, gn_direct
-from .polycore import Poly, modulus
+from .partial_sums import HypParams, _check_cap, gn_direct, read_family
+from .polycore import Poly, complex_product, modulus
 
 
 class LinDiffOp:
@@ -104,17 +104,13 @@ def _derivatives(f: np.ndarray, count: int) -> list[np.ndarray]:
     """f, f', ..., f^(count) of every row of the complex stack f. Each is
     the derivative of the one before, coefficient k-1 being k times
     coefficient k, never a precomputed falling factorial; the product is
-    the complex one Poly.derivative forms, (k + 0j)·c, spelled as real
-    ufuncs. A derivative that overflowed holds inf or nan."""
+    the complex one Poly.derivative forms, (k + 0j)·c (complex_product). A
+    derivative that overflowed holds inf or nan."""
     out = [f]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(count):
             d = out[-1][:, 1:]
-            k = np.arange(1, d.shape[1] + 1, dtype=float)
-            nxt = np.empty_like(d)
-            nxt.real = d.real * k - 0.0 * d.imag
-            nxt.imag = d.imag * k + 0.0 * d.real
-            out.append(nxt)
+            out.append(complex_product(d, np.arange(1, d.shape[1] + 1, dtype=float)))
     return out
 
 
@@ -123,13 +119,11 @@ def _apply_stack(A: LinDiffOp, f: np.ndarray) -> np.ndarray:
     (B, K), one polynomial per row, low to high: the rows of the image.
 
     Every row is rounded as Poly arithmetic rounds it alone: each complex
-    product is spelled as real ufuncs (re = ar·br - ai·bi, im = ar·bi +
-    ai·br; numpy's complex multiply fuses them on longer arrays), c_l·f^(l)
-    accumulates over the coefficients c_l[i], i ascending, into a zeroed
-    buffer that is then added to the running sum, in l order. Only the
-    derivatives up to the order of A are formed. An overflow anywhere
-    leaves a non-finite coefficient in its row's image; the caller refuses
-    it.
+    product rounds as Python's (complex_product), and c_l·f^(l) accumulates
+    over the coefficients c_l[i], i ascending, into a zeroed buffer that is
+    then added to the running sum, in l order. Only the derivatives up to
+    the order of A are formed. An overflow anywhere leaves a non-finite
+    coefficient in its row's image; the caller refuses it.
     """
     B, K = f.shape
     derivs = _derivatives(f, A.order)
@@ -144,9 +138,7 @@ def _apply_stack(A: LinDiffOp, f: np.ndarray) -> np.ndarray:
             span = d.shape[1]
             prod = np.zeros((B, width), dtype=complex)
             for i, ci in enumerate(coeffs):
-                ar, ai = ci.real, ci.imag
-                prod.real[:, i : i + span] += ar * d.real - ai * d.imag
-                prod.imag[:, i : i + span] += ar * d.imag + ai * d.real
+                prod[:, i : i + span] += complex_product(d, ci)
             out = out + prod
     return out
 
@@ -232,12 +224,11 @@ def r_action(params: HypParams, coeffs) -> np.ndarray:
 def kappa(params: HypParams, n: int) -> complex:
     """Normalizing prefactor n!(b_1)_n···(b_q)_n / ((a_1)_{n+1}···(a_p)_{n+1}).
 
-    Computed from the incremental coefficient sequence as
-    1 / (xi_n · prod_j (a_j + n)), which delays overflow the same way the
-    coefficients do. The anchor identity is -kappa(params,n)·R g_n = z^n.
+    Computed from the family record's xi_n as 1 / (xi_n · prod_j (a_j + n)),
+    which delays overflow the same way the coefficients do. The anchor
+    identity is -kappa(params,n)·R g_n = z^n.
     """
-    n = _check_cap(n)
-    return _kappa_from_xi(params, n, _coeff_seq(params, n)[-1])
+    return _kappa_from_xi(params, n, read_family(params, n).seq(n)[-1])
 
 
 def _kappa_from_xi(params: HypParams, n: int, xi_n: complex) -> complex:

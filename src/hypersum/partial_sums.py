@@ -8,10 +8,9 @@ b_1..b_q has coefficients
 and g_n is its degree-n truncation. G_n is the monic rescaling of g_n. Both
 come in two independently computed flavors: directly from the coefficients,
 and via their three-term recurrences, which downstream tests compare; the
-monic recurrence runs on the R_I engine of ri_pencils. The verify checks
-and the Gram read xi_0..xi_N once, as one family record (read_family),
-which refuses a family as the first failing gn_direct(params, n), n <= N,
-would, but only when a reader reaches that degree. The module also
+monic recurrence runs on the R_I engine of ri_pencils. Only read_family
+multiplies out xi_0..xi_N: the family record, which refuses from the first
+zero or non-finite xi_k on. Every route reads a prefix of it. The module also
 carries the generalization to an arbitrary power series with nonzero
 coefficients (f_n, F_n).
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,27 +117,12 @@ def _coeff_ratio(params: HypParams, k: int) -> complex:
     return num / den
 
 
-def _coeff_seq(params: HypParams, n: int) -> list[complex]:
-    """xi_0 .. xi_n, built incrementally to delay overflow.
-
-    Raises DomainError at the first xi_k that overflowed (is not finite).
-    """
-    xi = 1 + 0j
-    out = [xi]
-    for k in range(n):
-        xi *= _coeff_ratio(params, k)
-        if not cmath.isfinite(xi):
-            raise DomainError(f"non-finite coefficient xi_{k + 1}: {xi!r}")
-        out.append(xi)
-    return out
-
-
 @dataclass(frozen=True)
 class Family:
     """One family's coefficient sequence, read once (read_family): xi_0..xi_m
-    and, where the read stopped short, the DomainError of the first failing
-    degree m + 1, recorded rather than raised. The verify checks read their
-    prefixes of it and keep their monic comparison on it (monic, by degree).
+    and, where the read stopped short, the DomainError of xi_{m+1}, recorded
+    rather than raised. Readers take prefixes of it; the verify checks keep
+    their monic comparison on it (monic, by degree).
     """
 
     params: HypParams
@@ -147,9 +131,8 @@ class Family:
     monic: dict = field(default_factory=dict, repr=False, compare=False)
 
     def seq(self, N: int) -> tuple[complex, ...]:
-        """xi_0..xi_N, whose lower-triangular table is row for row
-        gn_direct(params, n), n <= N; raises the recorded error from the
-        failing degree on."""
+        """xi_0..xi_N, the coefficients of g_N; raises the recorded error
+        from the failing degree on."""
         if N >= len(self.xi):
             raise self.error or ValueError(f"family read to degree {len(self.xi) - 1}")
         return self.xi[: N + 1]
@@ -160,40 +143,32 @@ class Family:
 
 
 def read_family(params: HypParams, N: int) -> Family:
-    """The family record of params read to degree N. The read stops at the
-    first xi_k that is zero or not finite and records what the first
-    failing gn_direct(params, n), n <= N, raises: the underflow or overflow
-    error of gn_direct(params, k); a zero xi_k before a non-finite xi_{k+1}
-    is the underflow at k. Only a degree outside 0..DEGREE_CAP is raised."""
+    """The family record of params read to degree N, built incrementally
+    (xi_k = xi_{k-1}·_coeff_ratio) to delay overflow. The read stops at the
+    first xi_k that is zero or not finite and records that coefficient's
+    error; a zero xi_k before a non-finite xi_{k+1} is the underflow at k.
+    Only a degree outside 0..DEGREE_CAP is raised."""
     N = _check_cap(N)
     xi, out = 1 + 0j, [1 + 0j]
     for k in range(1, N + 1):
         xi *= _coeff_ratio(params, k - 1)
         if xi == 0 or not cmath.isfinite(xi):
-            message = _underflow_message(k) if xi == 0 else (
-                f"non-finite coefficient xi_{k}: {xi!r}")
+            message = f"non-finite coefficient xi_{k}: {xi!r}" if xi else (
+                f"coefficient xi_{k} underflowed to zero; degree would collapse")
             return Family(params, tuple(out), DomainError(message))
         out.append(xi)
     return Family(params, tuple(out))
 
 
-def _underflow_message(n: int) -> str:
-    return f"coefficient xi_{n} underflowed to zero; degree would collapse"
-
-
 def hyp_coeff(params: HypParams, k: int) -> complex:
-    """Series coefficient xi_k; empty parameter products are 1."""
-    k = _check_cap(k)
-    return _coeff_seq(params, k)[-1]
+    """Series coefficient xi_k, the last entry of the family record read to
+    degree k; empty parameter products are 1."""
+    return read_family(params, k).seq(k)[-1]
 
 
 def gn_direct(params: HypParams, n: int) -> Poly:
-    """Degree-n partial sum g_n straight from the coefficients xi_0..xi_n."""
-    n = _check_cap(n)
-    seq = _coeff_seq(params, n)
-    if seq[-1] == 0:
-        raise DomainError(_underflow_message(n))
-    return Poly(seq)
+    """Degree-n partial sum g_n: the family record's xi_0..xi_n."""
+    return Poly(read_family(params, n).seq(n))
 
 
 def delta_k(params: HypParams, k: int) -> complex:
@@ -235,23 +210,16 @@ def Gn_monic(params: HypParams, n: int) -> Poly:
     The prefactor is 1/xi_n, so coefficient k of G_n is xi_k/xi_n and the
     leading coefficient is exactly 1.
     """
-    n = _check_cap(n)
-    return Poly(_monic_coeffs(_coeff_seq(params, n)))
+    return Poly(_monic_coeffs(read_family(params, n).seq(n)))
 
 
-def _monic_coeffs(seq: list[complex]) -> list[complex]:
-    """Coefficients xi_k / xi_n of G_n, k = 0..n, from seq = xi_0..xi_n,
-    by Python complex division. Refuses a zero xi_n and a quotient that
-    overflowed."""
-    n = len(seq) - 1
-    top = seq[-1]
-    if top == 0:
-        raise DomainError(
-            f"coefficient xi_{n} underflowed to zero; monic scaling impossible"
-        )
-    coeffs = [x / top for x in seq]
+def _monic_coeffs(seq: Sequence[complex]) -> list[complex]:
+    """Coefficients xi_k / xi_n of G_n, k = 0..n, from seq = xi_0..xi_n, a
+    prefix of a family record (so xi_n is nonzero), by Python complex
+    division. Refuses a quotient that overflowed."""
+    coeffs = [x / seq[-1] for x in seq]
     if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
-        raise DomainError(f"monic rescaling of g_{n} overflowed")
+        raise DomainError(f"monic rescaling of g_{len(seq) - 1} overflowed")
     return coeffs
 
 

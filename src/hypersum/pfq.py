@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .partial_sums import HypParams, _check_cap, _coeff_ratio, gn_direct
+from .partial_sums import HypParams, _check_cap, _coeff_ratio, read_family
 from .polycore import Poly
 
 SERIES_TERM_CAP = 10000
@@ -282,9 +282,10 @@ def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceR
     """Sup over the sample points of |g_n - series| for each n in n_list.
 
     The series is summed at all points in one _sum_series call, each point
-    stopping on its own, after the domain check pfq_eval applies. A point
-    that does not converge goes to failed_points (input order, repeats
-    kept); the sup is over the converged points only.
+    stopping on its own, after the domain check pfq_eval applies. Every g_n
+    is read from one family record. A point that does not converge goes to
+    failed_points (input order, repeats kept); the sup is over the
+    converged points only.
     """
     cls = _domain_class(params)
     if cls == "divergent":
@@ -298,13 +299,17 @@ def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceR
                 )
     for z in points:
         _domain_class(params, z)
+    ns = sorted({int(n) for n in n_list})
+    if ns:
+        _check_cap(ns[0])
+        seq = read_family(params, ns[-1]).seq(ns[-1])
     sums, terms_used = _sum_series(params, np.array(points, dtype=complex))
     converged = list(zip(points, sums.tolist(), terms_used.tolist()))
     values = {z: fz for z, fz, used in converged if used}
     failed = [z for z, _, used in converged if not used]
     rows = []
-    for n in sorted(set(int(n) for n in n_list)):
-        g = gn_direct(params, n)
+    for n in ns:
+        g = Poly(seq[: n + 1])
         errs = [abs(g(z) - fz) for z, fz in values.items()]
         sup = max(errs) if errs else math.nan
         rows.append(ConvergenceRow(n=n, sup_error=sup))

@@ -153,6 +153,30 @@ def modulus(values):
         return np.hypot(np.real(values), np.imag(values))
 
 
+def finite_moduli(values, name: str) -> list[float]:
+    """|v| of every value, as Python's abs rounds it. A modulus beyond the
+    float range with finite parts, where abs raises OverflowError, is a
+    DomainError naming the first such value by name.format(k=its index)."""
+    try:
+        return [abs(v) for v in values]
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if math.isinf(modulus(v)))
+        raise DomainError(f"the modulus of {name.format(k=k)} exceeds the "
+                          f"float range: {values[k]!r}") from None
+
+
+def complex_product(a, b) -> np.ndarray:
+    """a·b elementwise for an array a (b an array or a number), rounded as
+    Python's complex multiply rounds it: re = ar·br - ai·bi, im = ar·bi +
+    ai·br as real ufuncs, never the multiply-adds numpy's complex multiply
+    fuses."""
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def horner(coeffs, z):
     """Value, derivative and evaluation mass sum_k |c_k||z|^k at z.
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .partial_sums import HypParams, _check_cap, gn_direct
-from .polycore import Poly, modulus
+from .polycore import Poly, finite_moduli, modulus
 
 # Newton passes after the eigenvalue solve. Four are needed at 2F3 g_100,
 # whose top coefficient is the smallest subnormal double.
@@ -158,13 +158,15 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
     of its polynomial solved alone. Raises what find_roots raises on the
     first polynomial on which it raises.
     """
-    short = next((i for i, f in enumerate(polys) if f.degree < 1), None)
-    if short is not None:
-        _root_table(polys[:short], tol)  # an earlier polynomial's error first
-        raise DomainError("root finding needs degree >= 1")
     full, rests = [], []
-    for f in polys:
-        scale = f.max_coeff()
+    for i, f in enumerate(polys):
+        try:
+            if f.degree < 1:
+                raise DomainError("root finding needs degree >= 1")
+            scale = max(finite_moduli(f.coeffs, "the coefficient of z^{k}"))
+        except DomainError:
+            _root_table(polys[:i], tol)  # an earlier polynomial's error first
+            raise
         coeffs = [c / scale for c in f.coeffs]
         if not any(c.imag for c in coeffs):
             coeffs = [c.real for c in coeffs]  # real companion matrix
@@ -233,7 +235,8 @@ def find_roots(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
     Every root must satisfy |f(root)| <= tol · max(1, sum_k |c_k||root|^k)
     (backward-stable form; an absolute bound in terms of max|c_k| alone is
     meaningless for roots far outside the unit disk), else ConvergenceError.
-    This is _root_table on a stack of one.
+    A coefficient whose modulus exceeds the float range is a DomainError
+    naming it. This is _root_table on a stack of one.
     """
     roots, _ = _root_table([f], tol)
     return tuple(complex(r) for r in roots[0])
@@ -243,10 +246,11 @@ def check_simple(roots: Sequence[complex], tol: Optional[float] = None) -> bool:
     """True iff the minimum pairwise distance exceeds tol.
 
     Default tol: 1e-7 times the largest root modulus. Vacuously true for
-    fewer than two roots.
+    fewer than two roots. A root whose modulus exceeds the float range is a
+    DomainError naming it.
     """
     rs = [complex(r) for r in roots]
-    return _simple(_min_pair_distance(rs), [abs(r) for r in rs], tol)
+    return _simple(_min_pair_distance(rs), finite_moduli(rs, "root {k}"), tol)
 
 
 def _simple(distance: float, moduli: Sequence[float], tol=None) -> bool:
@@ -260,8 +264,9 @@ def _simple(distance: float, moduli: Sequence[float], tol=None) -> bool:
 def _min_pair_distance(roots: Sequence[complex]) -> float:
     # hypot on the parts, not np.abs: it rounds like Python's abs(complex).
     r = np.asarray(roots, dtype=complex)
-    d = r[:, None] - r[None, :]
-    dist = np.hypot(d.real, d.imag)
+    with np.errstate(over="ignore"):
+        d = r[:, None] - r[None, :]
+        dist = np.hypot(d.real, d.imag)
     np.fill_diagonal(dist, math.inf)
     return float(dist.min(initial=math.inf))
 
@@ -270,13 +275,14 @@ def enestrom_kakeya_bounds(f: Poly) -> tuple[float, float]:
     """Annulus [min_k c_k/c_{k+1}, max_k c_k/c_{k+1}] containing all roots.
 
     Requires every coefficient real and strictly positive (the classical
-    hypothesis); refuses otherwise.
+    hypothesis), and of a modulus within the float range; refuses otherwise.
     """
     if f.degree < 1:
         raise DomainError("bounds need degree >= 1")
     reals = []
-    for k, c in enumerate(f.coeffs):
-        if abs(c.imag) > 1e-14 * abs(c) or c.real <= 0:
+    moduli = finite_moduli(f.coeffs, "the coefficient of z^{k}")
+    for k, (c, m) in enumerate(zip(f.coeffs, moduli)):
+        if abs(c.imag) > 1e-14 * m or c.real <= 0:
             raise DomainError(
                 f"coefficient of z^{k} is not strictly positive real"
             )

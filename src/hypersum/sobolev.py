@@ -165,9 +165,10 @@ def _gram_stack(families: Iterable[Family], n_max: int) -> np.ndarray:
     Gram i is sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), so each family's Gram is
     bit for bit the one it gets alone. Families are built in the order the
     records arrive until one fails: the iterable itself, or the record's
-    sequence (Family.table, the errors of gn_direct). The error raised is
-    that of the first family failing at any stage, Gram overflow included,
-    as if the families had been taken one by one.
+    sequence (Family.table, the error of its first zero or non-finite
+    xi_k). The error raised is that of the first family failing at any
+    stage, Gram overflow included, as if the families had been taken one by
+    one.
     """
     coeffs, failure = [], None
     # Overflowing products come back as inf/nan without a numpy warning and
@@ -203,7 +204,7 @@ def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     C holds the coefficients of every R g_n from one r_action call on the
     lower-triangular table of the family record (read_family): its row n,
     xi_0..xi_n and zeros after, is exactly gn_direct(params, n), and the
-    error is that of the first failing one. Entry (n, m) is sum_{k<=n} C[n,k]·conj(C[m,k]),
+    error is the record's. Entry (n, m) is sum_{k<=n} C[n,k]·conj(C[m,k]),
     leaving out only exact zeros, so the Gram of degree n is bit for bit the
     leading block of every larger one. Every entry is computed, row by row
     with elementwise products and numpy sums, never a thread-dependent BLAS

@@ -29,9 +29,11 @@ from hypersum.partial_sums import (
     HypParams,
     gn_by_recurrence,
     gn_direct,
+    hyp_coeff,
     read_family,
 )
 from hypersum.pfq import (
+    convergence_report,
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
 )
@@ -328,8 +330,9 @@ CLAMPS = {"recurrence": 25, "ode": 25, "sobolev": 15, "circle-rep": 10,
 def test_a_sequence_refusal_is_the_same_for_every_family_check(seed):
     # Every degree-taking check first reads xi_0..xi_N of the family record
     # at its own clamp; where that read refuses, the check alone and
-    # --check all refuse with the same message. No family makes a check
-    # raise anything but a DomainError or a ConvergenceError.
+    # --check all refuse with the same message, and so do the routes that
+    # read the sequence at one degree, and the convergence report. No family
+    # makes a check raise anything but a DomainError or a ConvergenceError.
     rng = random.Random(f"{seed}:extreme")
     refused = 0
     for _ in range(25):
@@ -341,12 +344,17 @@ def test_a_sequence_refusal_is_the_same_for_every_family_check(seed):
             want = _refusal(lambda: family.seq(min(n_max, clamp)))
             if want is not None and inapplicable_reason(name, params) is None:
                 assert got == want
-        want = _refusal(lambda: family.seq(min(n_max, 25)))
+        n = min(n_max, 25)
+        want = _refusal(lambda: family.seq(n))
         if want is not None:
             refused += 1
             assert _refusal(lambda: run_checks(
                 params, n_max, 0, CHECK_ORDER, draws=0, skip_inapplicable=True
             )) == want
+            for route in (gn_direct, Gn_monic, hyp_coeff, kappa):
+                assert _refusal(lambda: route(params, n)) == want
+            if params.p <= params.q + 1:
+                assert _refusal(lambda: convergence_report(params, [1, n], [1j])) == want
     assert refused >= 6
 
 
@@ -442,7 +450,8 @@ def test_sobolev_reads_kappa_from_the_one_sequence(seed, monkeypatch):
     def refuse(*args):
         raise AssertionError("kappa_n must not rebuild the sequence")
 
-    monkeypatch.setattr(operators, "_coeff_seq", refuse)
+    # kappa() reads the family record through operators.read_family.
+    monkeypatch.setattr(operators, "read_family", refuse)
     for (params, n_max), want in zip(cases, wants):
         got = check_sobolev(_family(params), n_max)
         assert got == _sobolev_result(params, n_max, want)

@@ -297,6 +297,27 @@ def test_a_nan_vieta_clause_is_a_refusal(b):
     )
 
 
+# 0F2(;1e300,1e300): xi_1 = 1e-600 is already 0. Every command names xi_1,
+# as verify does; gen, eval and roots named the degree asked for (xi_5) and
+# the convergence sweep its smallest degree (xi_2).
+@pytest.mark.parametrize("argv", [
+    ("roots", "--n", "5"),
+    ("gen", "--n", "5"),
+    ("gen", "--n", "5", "--monic"),
+    ("eval", "--n", "5", "--z", "1"),
+    ("sweep", "--quantity", "convergence", "--grid-param", "b1",
+     "--grid-values", "1e300", "--n-list", "2,5"),
+    ("verify", "--n-max", "5"),
+])
+def test_every_command_names_the_first_underflowed_coefficient(argv, capsys):
+    family = ("--p", "0", "--q", "2", "--b", "1e300,1e300")
+    assert cli.main([argv[0], *family, *argv[1:]]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("domain error: coefficient xi_1 underflowed to zero; "
+                       "degree would collapse\n")
+
+
 @pytest.mark.parametrize("a, b, messages", OVERFLOW_ERRORS)
 def test_family_check_overflows_exit_3_with_the_first_error(a, b, messages, capsys):
     family = ["--p", str(len(a)), "--q", str(len(b)),

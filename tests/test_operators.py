@@ -27,7 +27,7 @@ from hypersum.operators import (
     r_image,
     verify_ode,
 )
-from hypersum.partial_sums import HypParams, _coeff_seq, gn_direct
+from hypersum.partial_sums import HypParams, gn_direct, read_family
 from hypersum.polycore import Poly
 
 EXP = HypParams(a=(), b=())
@@ -324,14 +324,14 @@ def test_r_action_on_a_prefix_rounds_like_the_whole_sequence():
     # Entries 0..n-1 of R on xi_0..xi_n read only xi_0..xi_n, so they equal
     # the same entries of the call on the whole sequence, bit for bit; at
     # n = 1 the product over b has one element.
-    seq = _coeff_seq(COMPLEX_B, 30)
+    seq = read_family(COMPLEX_B, 30).seq(30)
     whole = r_action(COMPLEX_B, seq)
     for n in range(1, 31):
         assert r_action(COMPLEX_B, seq[: n + 1])[:n].tolist() == whole[:n].tolist()
 
 
 def test_r_action_maps_each_row_of_a_stack():
-    seq = _coeff_seq(COMPLEX_B, 12)
+    seq = read_family(COMPLEX_B, 12).seq(12)
     stack = np.tril(np.tile(seq, (len(seq), 1)))
     rows = r_action(COMPLEX_B, stack)
     assert rows.shape == stack.shape

@@ -4,6 +4,7 @@ Oracle values were derived independently with exact rational arithmetic
 (Fraction) and are frozen here as literals.
 """
 
+import cmath
 import math
 import random
 import struct
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersum.errors import DomainError
+from hypersum.operators import kappa
 from hypersum.partial_sums import (
     _coeff_ratio,
     Gn_by_recurrence,
@@ -231,6 +233,26 @@ def test_degree_cap():
         gn_direct(EXP, -1)
 
 
+def _coeff_seq_oracle(params, N):
+    """xi_0..xi_N by the scalar loop, each xi_k = xi_{k-1}·(xi_k/xi_{k-1}),
+    written apart from read_family. Stops at the first xi_k that is zero
+    or not finite: returns the coefficients before it and the refusal
+    message for it, or all N + 1 coefficients and None."""
+    xi, out = 1 + 0j, [1 + 0j]
+    for k in range(1, N + 1):
+        xi = xi * _coeff_ratio(params, k - 1)
+        if xi == 0:
+            return out, f"coefficient xi_{k} underflowed to zero; degree would collapse"
+        if not cmath.isfinite(xi):
+            return out, f"non-finite coefficient xi_{k}: {xi!r}"
+        out.append(xi)
+    return out, None
+
+
+# Every public route that reads the coefficient sequence at one degree.
+SINGLE_DEGREE_ROUTES = (gn_direct, Gn_monic, hyp_coeff, kappa)
+
+
 @pytest.mark.parametrize("params", [
     EXP,
     HypParams(a=(1e200,)),  # xi_2 overflows
@@ -242,22 +264,35 @@ def test_degree_cap():
                  1.3503388545122605e154)),
 ])
 def test_partial_sum_seq_refuses_as_the_first_failing_gn_direct(params):
-    # The family record's sequence reads every degree gn_direct accepts,
-    # row for row, and refuses from the first degree gn_direct refuses,
-    # with its message.
+    # The family record's sequence, and every route reading it at one
+    # degree, equals the scalar loop at every degree before its first zero
+    # or non-finite xi_k, and refuses every degree from k on with that
+    # coefficient's message.
     N = 25
+    seq, message = _coeff_seq_oracle(params, N)
     family = read_family(params, N)
     for n in range(N + 1):
-        try:
-            g = gn_direct(params, n)
-        except DomainError as exc:
-            for m in (n, N):
-                with pytest.raises(DomainError) as got:
-                    family.seq(m)
-                assert str(got.value) == str(exc)
-            return
-        assert family.seq(n) == g.coeffs
-        assert family.table(n)[n].tolist() == list(g.coeffs)
+        if n < len(seq):
+            assert family.seq(n) == tuple(seq[: n + 1])
+            assert family.table(n)[n].tolist() == seq[: n + 1]
+            assert gn_direct(params, n).coeffs == tuple(seq[: n + 1])
+            assert hyp_coeff(params, n) == seq[n]
+            continue
+        for route in (lambda _, m: family.seq(m), *SINGLE_DEGREE_ROUTES):
+            with pytest.raises(DomainError) as got:
+                route(params, n)
+            assert str(got.value) == message
+
+
+def test_single_degree_routes_name_the_first_underflowed_coefficient():
+    # 0F2(;1e300,1e300): xi_1 = 1e-600 is already 0. Each route used to
+    # name the coefficient it was asked for, or return 0j (hyp_coeff).
+    params = HypParams(b=(1e300, 1e300))
+    for route in SINGLE_DEGREE_ROUTES:
+        with pytest.raises(DomainError) as got:
+            route(params, 3)
+        assert str(got.value) == (
+            "coefficient xi_1 underflowed to zero; degree would collapse")
 
 
 def _valid_param(rng: random.Random) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,40 @@ def test_enestrom_kakeya():
         enestrom_kakeya_bounds(Poly((-1, 1)))
     with pytest.raises(DomainError):
         enestrom_kakeya_bounds(Poly((1j, 1)))
+
+
+# A coefficient with finite parts whose modulus exceeds the float range:
+# Python's abs raises OverflowError on it.
+BEYOND = 1.5e308 + 1.5e308j
+
+
+def test_a_coefficient_modulus_beyond_the_float_range_is_a_domain_error():
+    f = Poly((1, BEYOND))
+    message = ("the modulus of the coefficient of z^1 exceeds the float "
+               "range: (1.5e+308+1.5e+308j)")
+    for call in (find_roots, enestrom_kakeya_bounds):
+        with pytest.raises(DomainError) as got:
+            call(f)
+        assert str(got.value) == message
+    # In a table the polynomials before it are solved first; a constant
+    # before it is the first failure.
+    with pytest.raises(DomainError) as got:
+        _root_table([Poly((1, 2, 1)), f])
+    assert str(got.value) == message
+    with pytest.raises(DomainError, match="degree >= 1"):
+        _root_table([Poly((1,)), f])
+
+
+def test_check_simple_refuses_a_root_beyond_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as got:
+            check_simple([BEYOND, 0])
+        assert str(got.value) == ("the modulus of root 0 exceeds the float "
+                                  "range: (1.5e+308+1.5e+308j)")
+        # Finite roots whose distance is beyond the range: inf, no warning.
+        assert _min_pair_distance([1e308, -1e308]) == math.inf
+        assert check_simple([1e308, -1e308])
 
 
 def test_boundary_case_report():
