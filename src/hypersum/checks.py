@@ -9,11 +9,13 @@ PASS/FAIL against its tolerance. Two conventions:
 - composite checks with heterogeneous sub-tolerances (sobolev, axis-rep,
   roots) report max(measured_i / tol_i) against tolerance 1.0.
 
-recurrence and rifrac hold the monic recurrence (ri_generate on the
-T-fraction) against the direct sums Gn_monic, not against itself; the two
-read one comparison, kept on the family record. ode, recurrence and rifrac
-read every degree from the record's coefficient sequence, in array passes
-that round each degree as its Poly arithmetic would.
+recurrence and rifrac hold the monic recurrence (the R_I engine of
+ri_generate on the T-fraction) against the direct sums Gn_monic, not
+against itself; the two read one comparison, kept on the family record.
+Every degree-taking check reads its degrees from the record's coefficient
+sequence and computes them together, in array passes (the ode, axis and
+exactness passes) or row engines (the recurrences) that round each degree
+as its one-degree Poly or Python arithmetic would.
 
 The seven degree-taking checks (all but pencil) read one family record
 (partial_sums.read_family) and refuse by one rule. Each first reads
@@ -52,32 +54,32 @@ from .operators import (
 from .partial_sums import (
     Family,
     HypParams,
+    _gn_rows,
     _monic_coeffs,
-    gn_by_recurrence,
     read_family,
 )
 from .pfq import (
     _axis_quadrature,
     _axis_termwise,
+    _terminating_table,
     integral_rep_circle_batch,
-    terminating_pfq_poly,
 )
-from .polycore import Poly, complex_product, horner, modulus
+from .polycore import Poly, coeff_table, complex_product, horner_rows, modulus
 from .ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
     _band_row_sums,
+    _ri_rows,
     pencil_polynomials,
-    ri_generate,
     tfraction_from_hyp,
 )
 from .roots import _location_reports, _require_positive_conditions
 from .sobolev import (
     QuadratureRule,
     _gram_stack,
+    _quadrature_defects,
     auto_node_count,
     gram_extremes,
-    monomial_quadrature_defect,
 )
 
 CHECK_ORDER = (
@@ -135,14 +137,6 @@ def _worst(measures, check: str, clauses: Sequence[str], first: int = 0,
         raise DomainError(f"the {clause} clause is nan at degree {first + i}"
                           f"{note(i, j) if note else ''} in the {check} check")
     return float(measures.max(initial=0.0))
-
-
-def _poly_table(polys, width: int) -> np.ndarray:
-    """The coefficients of a Poly sequence, one zero-padded row each."""
-    table = np.zeros((len(polys), width), dtype=complex)
-    for row, p in zip(table, polys):
-        row[: len(p.coeffs)] = p.coeffs
-    return table
 
 
 def _require_finite(values: np.ndarray, stage: str, check: str) -> None:
@@ -204,16 +198,17 @@ def _monic_table(seq: list[complex]) -> np.ndarray:
 
 def _monic_comparison(family: Family, N: int, check: str) -> tuple[float, bool]:
     """The monic recurrence against the direct monic sums: the table of
-    G_0..G_N read from the record's xi_0..xi_N (_monic_table), then
-    ri_generate on the T-fraction, measured as _scaled_coeff_dev, and
+    G_0..G_N read from the record's xi_0..xi_N (_monic_table), then the
+    coefficients of ri_generate on the T-fraction (its engine,
+    ri_pencils._ri_rows), measured as _scaled_coeff_dev, and
     whether the validity report is clean. A refusal names the check that
     asked. Computed once per record and degree, by the first of recurrence
     and rifrac to ask, and kept on the record (Family.monic) for the other.
     """
     if N not in family.monic:
         direct = _monic_table(family.seq(N))
-        polys, validity = ri_generate(tfraction_from_hyp(family.params, N), N)
-        deviation = _scaled_coeff_dev(direct, _poly_table(polys, N + 1), check)
+        monic, validity = _ri_rows(tfraction_from_hyp(family.params, N), N)
+        deviation = _scaled_coeff_dev(direct, coeff_table(monic, N + 1), check)
         family.monic[N] = (deviation, validity.valid)
     return family.monic[N]
 
@@ -223,14 +218,15 @@ def check_recurrence(
 ) -> CheckResult:
     """Direct-formula vs recurrence construction of g_n and G_n.
 
-    The direct g_n and G_n are read from the family record. Its errors come
-    first, then those of the monic comparison, then those of the recurrence
-    for g_n.
+    The direct g_n and G_n are read from the family record, the recurrence
+    g_n from the coefficients of gn_by_recurrence (its engine,
+    partial_sums._gn_rows). The record's errors come first, then those of
+    the monic comparison, then those of the recurrence for g_n.
     """
     tol = 1e-10 if tol is None else tol
     N = _degree(n_max, 25)
     dev_G, _ = _monic_comparison(family, N, "recurrence")
-    rec_g = _poly_table(gn_by_recurrence(family.params, N), N + 1)
+    rec_g = coeff_table(_gn_rows(family.params, N), N + 1)
     measured = max(_rel_coeff_dev(family.table(N), rec_g), dev_G)
     return _result("recurrence", measured, tol, (
         f"max coefficient deviation {_fmt(measured)} (g per-coefficient "
@@ -318,7 +314,11 @@ def check_sobolev(
     from orthogonality noise).
 
     The family record's sequence is read first; the Gram's errors follow,
-    then those of kappa_n, which is read from the same sequence.
+    then those of kappa_n, which is read from the same sequence. The
+    exactness clause takes z^k·conj(z)^l, k, l <= 6, and z^(N-1) on the
+    N-node rule: all 50 pairs in one pass over the nodes
+    (sobolev._quadrature_defects), each defect bit for bit
+    monomial_quadrature_defect of its pair.
     """
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)
@@ -335,7 +335,7 @@ def check_sobolev(
     diag_rel = _worst(diag[:, None], "sobolev", ("diagonal",))
     rule = QuadratureRule(auto_node_count(m, max(params.p, params.q + 1)))
     pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
-    defect = max(monomial_quadrature_defect(rule, k, l) for k, l in pairs)
+    defect = max(_quadrature_defects(rule, pairs))
     measured = max(off / (1e-10 * max_diag), diag_rel / 1e-9, defect / 1e-14)
     return _result("sobolev", measured, tol, (
         f"offdiag {_fmt(off)} vs maxdiag {_fmt(max_diag)}, "
@@ -379,40 +379,41 @@ def check_axis_rep(
     zero), neither route carries 10 trustworthy digits of the value, and
     the deviation is measured against S instead.
 
-    g_n is a row of the family record. Per degree the terminating series h
-    is built once and serves both routes at all three points; the
-    quadrature takes the three points in one array pass. The values are
-    those of integral_rep_negative_axis and
-    integral_rep_negative_axis_numeric. Moduli beyond the float range read
-    as inf (polycore.modulus); a clause whose measure is nan (a nan value,
+    One pass serves every degree and all three points: the g_n are the
+    rows of the family record's table, evaluated by polycore.horner_rows;
+    the terminating series of every degree are the rows of one
+    pfq._terminating_table, which both routes read (_axis_termwise and
+    _axis_quadrature), each value bit for bit that of
+    integral_rep_negative_axis and integral_rep_negative_axis_numeric at
+    its degree and point. Moduli beyond the float range read as inf
+    (polycore.modulus); a clause whose measure is nan (a nan value,
     quadrature or deviation) is a DomainError naming the clause, the
     degree and the point (_worst), never a dropped measure.
     """
     tol = 1.0 if tol is None else tol
     N = _degree(n_max, 20)
-    seq = family.seq(N)
-    measures, values = [], []
-    for n in range(N + 1):
-        h = terminating_pfq_poly(family.params, n)
-        # An overflowing integrand reads as inf or nan; a nan is refused.
-        with np.errstate(all="ignore"):
-            quads = _axis_quadrature(h, n, _AXIS_POINTS)
-        row = []
-        for x, quad in zip(_AXIS_POINTS, quads):
-            direct, _, scale = horner(seq[: n + 1], x)
-            term = _axis_termwise(h, n, x)
-            size = modulus(direct)
-            denom = size if size >= 1e-8 * scale else scale
-            row += [modulus(term - direct) / denom / 1e-10,
-                    modulus(term - quad) / (1e-6 * max(1.0, size))]
-            values.append((x, direct, term, quad))
-        measures.append(row)
+    g = family.table(N)
+    degrees = np.arange(N + 1)
+    h = _terminating_table(family.params, degrees)
+    # An overflowing integrand reads as inf or nan; a nan is refused.
+    with np.errstate(all="ignore"):
+        term = _axis_termwise(h, degrees, _AXIS_POINTS)
+        quad = _axis_quadrature(h, degrees, _AXIS_POINTS)
+        direct, scale = horner_rows(g, _AXIS_POINTS)
+        size = modulus(direct)
+        denom = np.where(size >= 1e-8 * scale, size, scale)
+        # max(1.0, size) as Python's max takes it: a nan size reads as 1.
+        floor = 1e-6 * np.where(size > 1.0, size, 1.0)
+        measures = np.stack([modulus(term - direct) / denom / 1e-10,
+                             modulus(term - quad) / floor], axis=2)
 
     def note(n: int, j: int) -> str:
-        x, direct, term, quad = values[n * len(_AXIS_POINTS) + j // 2]
-        return f", x = {x} (g_{n}(x) = {direct}, termwise {term}, quadrature {quad})"
+        p = j // 2
+        return (f", x = {_AXIS_POINTS[p]} (g_{n}(x) = {complex(direct[n, p])}, termwise "
+                f"{complex(term[n, p])}, quadrature {complex(quad[n, p])})")
 
-    worst = _worst(measures, "axis-rep", ("termwise", "quadrature"), note=note)
+    worst = _worst(measures.reshape(N + 1, -1), "axis-rep", ("termwise", "quadrature"),
+                   note=note)
     detail = f"normalized worst deviation {_fmt(worst)} over n <= {N}"
     return _result("axis-rep", worst, tol, detail)
 

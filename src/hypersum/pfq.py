@@ -16,7 +16,11 @@ equispaced nodes (discrete convolution theorem). On the negative real
 axis, g_n is recovered by integrating a terminating series of one higher
 order: the integrand is polynomial-times-power, so the integral is done by
 exact termwise antidifferentiation, with a Gauss-Legendre cross-check on a
-substituted finite interval.
+substituted finite interval. Both axis routes run on one table of the
+terminating series of every degree asked for (_terminating_table) and take
+all degrees and points in one array pass, each element rounded as the
+one-degree scalar arithmetic rounds it; the public functions are that pass
+at one degree and one point.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .partial_sums import HypParams, _check_cap, _coeff_ratio, read_family
-from .polycore import Poly
+from .polycore import Poly, complex_product, poly_coeffs, real_quotient
 
 SERIES_TERM_CAP = 10000
 # A term below this fraction of the running sum counts as negligible.
@@ -170,6 +174,35 @@ def integral_rep_circle(params: HypParams, n: int, tau: float) -> complex:
     return integral_rep_circle_batch(params, [n], [tau])[0][0]
 
 
+def _terminating_table(params: HypParams, ns) -> np.ndarray:
+    """The coefficients of terminating_pfq_poly(params, n) for every degree
+    n of ns, one zero-padded row each: column k + 1 is column k times
+
+        _coeff_ratio(params, k) · (k - n) / (k - n - 1),
+
+    every factor formed in one pass and the columns multiplied out for all
+    rows at once, each product and quotient rounded as the Python complex
+    arithmetic of a term-by-term loop rounds it (complex_product,
+    real_quotient). Raises the DomainError of the first row holding a
+    non-finite coefficient, as Poly construction does."""
+    ns = np.asarray(ns, dtype=int)
+    width = int(ns.max(initial=0)) + 1
+    ratios = np.array([_coeff_ratio(params, k) for k in range(width - 1)], dtype=complex)
+    steps = np.arange(width - 1) - ns[:, None]  # k - n
+    table = np.zeros((len(ns), width), dtype=complex)
+    table[:, 0] = 1.0
+    # Python complex arithmetic overflows to inf or nan without a warning.
+    with np.errstate(all="ignore"):
+        factors = real_quotient(complex_product(steps.astype(complex), ratios), steps - 1)
+        factors[steps >= 0] = 0.0  # past the degree
+        for k in range(width - 1):
+            table[:, k + 1] = complex_product(table[:, k], factors[:, k])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        poly_coeffs(table[np.argmax(bad)].tolist())
+    return table
+
+
 def terminating_pfq_poly(params: HypParams, n: int) -> Poly:
     """The degree-n polynomial with coefficients
 
@@ -178,14 +211,10 @@ def terminating_pfq_poly(params: HypParams, n: int) -> Poly:
     i.e. the higher-order terminating series appearing under the integral
     sign in the negative-axis representation. (-n-1)_k never vanishes for
     k <= n, and the top coefficient is nonzero, so the degree is exactly n.
+    This is _terminating_table at one degree.
     """
     n = _check_cap(n)
-    coeffs = [1 + 0j]
-    e = 1 + 0j
-    for k in range(n):
-        e *= _coeff_ratio(params, k) * (complex(-n) + k) / (complex(-n - 1) + k)
-        coeffs.append(e)
-    return Poly(coeffs)
+    return Poly(_terminating_table(params, [n])[0].tolist())
 
 
 def _negative_axis_arguments(n: int, x: float) -> tuple[int, float]:
@@ -196,12 +225,29 @@ def _negative_axis_arguments(n: int, x: float) -> tuple[int, float]:
     return n, x
 
 
-def _axis_termwise(h: Poly, n: int, x: float) -> complex:
-    """integral_rep_negative_axis from h = terminating_pfq_poly(params, n)."""
-    antiderivative_at_x = 0j
-    for k, e_k in enumerate(h.coeffs):
-        antiderivative_at_x += e_k * x ** (k - n - 1) / (k - n - 1)
-    return -(n + 1) * x ** (n + 1) * antiderivative_at_x
+def _axis_termwise(table: np.ndarray, ns, xs) -> np.ndarray:
+    """integral_rep_negative_axis at every x < 0 of xs for each row of a
+    _terminating_table of the degrees ns: a (len(ns), len(xs)) array. Row
+    n sums its terms e_k·x^(k-n-1)/(k-n-1), k = 0..n, one column at a time
+    for all rows and points; the powers of x are Python's float pow, and
+    every product, quotient and sum is rounded as the term-by-term loop of
+    Python complex arithmetic rounds it."""
+    ns = np.asarray(ns, dtype=int)
+    top = int(ns.max(initial=0)) + 1
+    powers = np.array([[x ** e for e in range(-top, top + 1)] for x in xs])
+    exponents = np.arange(table.shape[1]) - ns[:, None] - 1
+    live = exponents < 0  # the columns k <= n; the others add zero terms
+    # Python complex arithmetic overflows to inf or nan without a warning.
+    with np.errstate(all="ignore"):
+        terms = real_quotient(
+            complex_product(table, powers[:, np.where(live, exponents, 0) + top]),
+            np.where(live, exponents, 1),
+        )
+        total = np.zeros(terms.shape[:2], dtype=complex)
+        for k in range(table.shape[1]):
+            total = total + terms[:, :, k]
+        values = complex_product(total, -(ns + 1.0) * powers[:, ns + 1 + top])
+    return values.T
 
 
 def integral_rep_negative_axis(params: HypParams, n: int, x: float) -> complex:
@@ -212,10 +258,11 @@ def integral_rep_negative_axis(params: HypParams, n: int, x: float) -> complex:
     Every integrand term t^{k-n-2} (k <= n) has an exponent <= -2, so its
     antiderivative t^{k-n-1}/(k-n-1) vanishes at the lower limit and the
     integral is a finite sum evaluated at t = x. No quadrature is involved;
-    the only approximation is floating-point roundoff.
+    the only approximation is floating-point roundoff. This is
+    _axis_termwise at one degree and one point.
     """
     n, x = _negative_axis_arguments(n, x)
-    return _axis_termwise(terminating_pfq_poly(params, n), n, x)
+    return complex(_axis_termwise(_terminating_table(params, [n]), [n], [x])[0, 0])
 
 
 @functools.cache
@@ -227,19 +274,28 @@ def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _axis_quadrature(h: Poly, n: int, xs) -> list[complex]:
-    """integral_rep_negative_axis_numeric at every x < 0 of xs from
-    h = terminating_pfq_poly(params, n): one (len(xs), AXIS_NODES) array
-    pass. Each point's integral is its own row's dot product with the
-    weights, so a point's value does not depend on the others."""
+def _axis_quadrature(table: np.ndarray, ns, xs) -> np.ndarray:
+    """integral_rep_negative_axis_numeric at every x < 0 of xs for each row
+    of a _terminating_table of the ascending degrees ns: a (len(ns),
+    len(xs)) array from one (len(ns), len(xs), AXIS_NODES) array pass. The
+    terminating series is evaluated by Horner's rule over the table's
+    columns, each row from its own degree down, as np.polyval evaluates
+    it, and t^(-n-2) is one broadcast power. Each (degree, point) integral
+    is its own row's dot product with the weights, so no value depends on
+    the other degrees or points."""
     u, w = _unit_gauss_legendre(AXIS_NODES)
+    ns = np.asarray(ns, dtype=int)
     x = np.array(xs, dtype=float)[:, None]
     t = x / u
-    integrand = t ** (-n - 2) * np.polyval(h.coeffs[::-1], t) * (-x / (u * u))
-    return [
-        complex(-(n + 1) * xi ** (n + 1) * (w @ row))
-        for xi, row in zip(map(float, xs), integrand)
-    ]
+    series = np.zeros((len(ns),) + t.shape, dtype=complex)
+    for k in range(table.shape[1] - 1, -1, -1):
+        rows = slice(np.searchsorted(ns, k), None)  # the degrees n >= k
+        series[rows] = series[rows] * t + table[rows, k, None, None]
+    integrand = t ** (-ns - 2.0)[:, None, None] * series * (-x / (u * u))
+    return np.array([
+        [-(n + 1) * xi ** (n + 1) * (w @ row) for xi, row in zip(map(float, xs), rows)]
+        for n, rows in zip(ns.tolist(), integrand)
+    ], dtype=complex)
 
 
 def integral_rep_negative_axis_numeric(
@@ -250,12 +306,12 @@ def integral_rep_negative_axis_numeric(
     Substituting t = x/u maps the improper integral onto u in (0, 1]; the
     transformed integrand is a polynomial in u of degree <= n, which the
     AXIS_NODES = 64-point rule integrates essentially exactly. The rule is
-    built once and the integrand is evaluated at all nodes in one array
-    pass. Agreement with the termwise-exact path to 1e-6 is the test
-    contract (observed far tighter).
+    built once; this is _axis_quadrature at one degree and one point.
+    Agreement with the termwise-exact path to 1e-6 is the test contract
+    (observed far tighter).
     """
     n, x = _negative_axis_arguments(n, x)
-    return _axis_quadrature(terminating_pfq_poly(params, n), n, [x])[0]
+    return complex(_axis_quadrature(_terminating_table(params, [n]), [n], [x])[0, 0])
 
 
 @dataclass(frozen=True)

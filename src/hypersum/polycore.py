@@ -9,6 +9,7 @@ all downstream checks are tolerance-based and parameters may be irrational.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable
 
@@ -76,8 +77,10 @@ class Poly:
         return 0j
 
     def max_coeff(self) -> float:
-        """Largest coefficient modulus; 0.0 for the zero polynomial."""
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        """Largest coefficient modulus; 0.0 for the zero polynomial. A
+        modulus beyond the float range is a DomainError naming its
+        coefficient (finite_moduli)."""
+        return max(finite_moduli(self.coeffs, "the coefficient of z^{k}"), default=0.0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -153,6 +156,42 @@ def modulus(values):
         return np.hypot(np.real(values), np.imag(values))
 
 
+def poly_coeffs(values: list[complex]) -> list[complex]:
+    """The coefficients Poly(values) keeps, for a list of Python complex
+    numbers: its DomainError for the first non-finite value, then the list
+    without its trailing exact zeros. A finite sum vouches for every value,
+    so only a sum that is not finite looks at the values one by one."""
+    if not cmath.isfinite(sum(values, 0j)):
+        for value in values:
+            _as_coeff(value)
+    while values and values[-1] == 0:
+        values.pop()
+    return values
+
+
+def coeff_sum(a: list[complex], b: list[complex]) -> list[complex]:
+    """The coefficients of Poly(a) + Poly(b) for two coefficient lists as
+    Poly keeps them, summed as Poly's addition sums them."""
+    if len(a) < len(b):
+        a, b = b, a
+    return poly_coeffs([x + y for x, y in zip(a, b)] + a[len(b):])
+
+
+def coeff_difference(a: list[complex], b: list[complex]) -> list[complex]:
+    """The coefficients of Poly(a) - Poly(b), formed as Poly's subtraction
+    forms them: a plus b scaled by -1."""
+    minus_one = complex(-1.0)
+    return coeff_sum(a, poly_coeffs([c * minus_one for c in b]))
+
+
+def coeff_table(rows, width: int) -> np.ndarray:
+    """Coefficient lists as a table, one zero-padded row each."""
+    table = np.zeros((len(rows), width), dtype=complex)
+    for out, row in zip(table, rows):
+        out[: len(row)] = row
+    return table
+
+
 def finite_moduli(values, name: str) -> list[float]:
     """|v| of every value, as Python's abs rounds it. A modulus beyond the
     float range with finite parts, where abs raises OverflowError, is a
@@ -174,6 +213,18 @@ def complex_product(a, b) -> np.ndarray:
     out = np.empty(real.shape, dtype=complex)
     out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def real_quotient(a, d) -> np.ndarray:
+    """a/d elementwise for an array a and a real d != 0 (an array or a
+    number), rounded as Python's complex division by complex(d) rounds it:
+    its ratio b.imag/b.real is the signed zero 0.0/d, which turns an
+    infinite part of a into a nan of the other part, as Python's does."""
+    ratio = 0.0 / np.asarray(d, dtype=float)
+    out = np.empty(np.broadcast_shapes(np.shape(a), ratio.shape), dtype=complex)
+    out.real = (a.real + a.imag * ratio) / d
+    out.imag = (a.imag - a.real * ratio) / d
     return out
 
 
@@ -210,6 +261,33 @@ def horner(coeffs, z):
     return value, derivative, mass
 
 
+def horner_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+    """Value and mass of horner at finite points z for every row of a
+    coefficient table (low to high, zero-padded): one pass over the
+    columns for all rows and points. z broadcasts against (rows, 1): one
+    point per row as a (rows, 1) array, shared points as a (P,) array.
+    Each value and mass is the one horner's scalar path forms for the row
+    at that point, its products rounded as Python's (complex_product) on
+    the real and imaginary parts; the padding leaves them unchanged but
+    for the sign of a zero."""
+    z = np.asarray(z)
+    zr, zi, r = z.real, z.imag, modulus(z)
+    moduli = modulus(table)
+    columns = zip(table.real.T[::-1, :, None], table.imag.T[::-1, :, None],
+                  moduli.T[::-1, :, None])
+    shape = np.broadcast_shapes((len(table), 1), z.shape)
+    re, im, mass = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    # Python float arithmetic overflows to inf without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c_re, c_im, m in columns:
+            re, im = re * zr - im * zi + c_re, re * zi + im * zr + c_im
+            mass = mass * r + m
+    value = np.empty(shape, dtype=complex)
+    value.real, value.imag = re, im
+    # At z = 0 horner skips mass·r, so its mass is |c_0|.
+    return value, np.where(r == 0, moduli[:, :1], mass)
+
+
 def trim_tiny(p: Poly, rel_tol: float = TRIM_REL_TOL) -> Poly:
     """Strip trailing coefficients below rel_tol × (max coefficient modulus).
 
@@ -217,14 +295,16 @@ def trim_tiny(p: Poly, rel_tol: float = TRIM_REL_TOL) -> Poly:
     artifacts of cancellation, to be applied before degree-sensitive
     operations such as root finding. Never applied automatically: partial
     sums legitimately carry top coefficients many orders below their largest
-    one, and those must survive.
+    one, and those must survive. A modulus beyond the float range is a
+    DomainError naming its coefficient, as for max_coeff.
     """
-    scale = p.max_coeff()
+    moduli = finite_moduli(p.coeffs, "the coefficient of z^{k}")
+    scale = max(moduli, default=0.0)
     if scale == 0.0:
         return Poly()
     cutoff = rel_tol * scale
     vals = list(p.coeffs)
-    while vals and abs(vals[-1]) < cutoff:
+    while vals and moduli[len(vals) - 1] < cutoff:
         vals.pop()
     return Poly(vals)
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
-from .polycore import DEGREE_CAP, Poly, horner, modulus
+from .polycore import DEGREE_CAP, Poly, coeff_difference, horner, modulus, poly_coeffs
 
 RI_NODE_RTOL = 1e-12
 
@@ -98,10 +98,19 @@ class RIValidity:
         return not self.lambda_failures and not self.node_failures
 
 
-def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
-    """Monic P_0..P_N plus the validity report. A coefficient that
-    overflows double precision raises DomainError naming the degree of the
-    P_n being formed, with the Poly arithmetic error as its cause."""
+def _times_monic_linear(p: list[complex], c0: complex) -> list[complex]:
+    """The coefficients of Poly(p) * Poly((c0, 1)), formed as Poly's
+    product forms them: coefficient k is 0j + p_{k-1}·1, then plus p_k·c0."""
+    low = [c * c0 for c in p]
+    high = [0j + c * (1 + 0j) for c in p]
+    return poly_coeffs([0j + low[0]] + [h + l for h, l in zip(high, low[1:])] + high[-1:])
+
+
+def _ri_rows(rec: RIRecurrence, N: int) -> tuple[list[list[complex]], RIValidity]:
+    """The coefficients of P_0..P_N, one list per degree, and the validity
+    report: the engine of ri_generate. Each P_n is formed from P_{n-1} and
+    P_{n-2} in Python complex arithmetic, rounded and refused as Poly
+    arithmetic rounds and refuses it, and tested at a_n by horner."""
     N = int(N)
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -109,7 +118,7 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
         raise DomainError(
             f"recurrence holds {len(rec)} coefficient triples, needs {N}"
         )
-    polys = [Poly([1 + 0j])]
+    rows = [[1 + 0j]]
     lambda_failures = []
     node_failures = []
     triples = zip(rec.c[:N], rec.lam[:N], rec.a[:N])
@@ -117,22 +126,32 @@ def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
         if n >= 2 and lam_n == 0:
             lambda_failures.append(n)
         try:
-            nxt = polys[-1] * Poly((-c_n, 1 + 0j))
+            nxt = _times_monic_linear(rows[-1], -c_n)
             if n >= 2:
-                nxt = nxt - (polys[-2] * Poly((-a_n, 1 + 0j))).scale(lam_n)
+                lower = _times_monic_linear(rows[-2], -a_n)
+                nxt = coeff_difference(nxt, poly_coeffs([c * lam_n for c in lower]))
         except DomainError as exc:
             raise DomainError(
                 f"R_I recurrence overflowed double precision at degree {n}: {exc}"
             ) from exc
-        polys.append(nxt)
+        rows.append(nxt)
         # Only the mass of z^k, k >= 1, can cancel against the constant term.
-        value, _, mass = horner(nxt.coeffs, a_n)
-        if modulus(value) <= RI_NODE_RTOL * (mass - modulus(nxt.coeff(0))):
+        value, _, mass = horner(nxt, a_n)
+        if modulus(value) <= RI_NODE_RTOL * (mass - modulus(nxt[0])):
             node_failures.append(n)
-    return polys, RIValidity(
+    return rows, RIValidity(
         lambda_failures=tuple(lambda_failures),
         node_failures=tuple(node_failures),
     )
+
+
+def ri_generate(rec: RIRecurrence, N: int) -> tuple[list[Poly], RIValidity]:
+    """Monic P_0..P_N plus the validity report. A coefficient that
+    overflows double precision raises DomainError naming the degree of the
+    P_n being formed, with the Poly arithmetic error as its cause. This is
+    the engine _ri_rows, its rows as Poly."""
+    rows, validity = _ri_rows(rec, N)
+    return [Poly(row) for row in rows], validity
 
 
 def tfraction_from_hyp(params: HypParams, N: int) -> RIRecurrence:

@@ -1,6 +1,5 @@
 """The named verification checks behind the verify command."""
 
-import cmath
 import math
 import random
 import sys
@@ -13,6 +12,7 @@ from hypersum.checks import (
     CHECK_ORDER,
     CheckResult,
     check_axis_rep,
+    check_circle_rep,
     check_ode,
     check_pencil,
     check_recurrence,
@@ -37,7 +37,7 @@ from hypersum.pfq import (
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
 )
-from hypersum.polycore import horner, modulus
+from hypersum.polycore import Poly, coeff_table, horner, modulus
 from hypersum.ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
@@ -49,8 +49,15 @@ from hypersum.ri_pencils import (
 from hypersum.roots import find_roots, location_report
 from test_acceptance import FIXED_SETS
 from test_operators import _former_application_mass, _former_op_apply
-from test_ri_pencils import _band_stack, _random_pencil
+from test_partial_sums import _bits, _extreme_family, _former_gn_by_recurrence
+from test_pfq import (
+    _former_axis_quadrature,
+    _former_axis_termwise,
+    _former_terminating_pfq_poly,
+)
+from test_ri_pencils import _band_stack, _former_ri_generate, _random_pencil
 from test_roots import _admissible_families, _find_roots_oracle
+from test_sobolev import _former_monomial_quadrature_defect
 
 EXP = HypParams(a=(), b=())
 GEOMETRIC = HypParams(a=(1.0,), b=())
@@ -297,20 +304,6 @@ def test_family_checks_raise_the_first_error_of_the_degree_loop(a, b, messages):
         assert str(exc.value) == message
 
 
-def _extreme_family(rng):
-    """p, q in 0..3, moduli 10^u with u uniform on one of a few bands
-    reaching the edge of double precision, half of them complex."""
-    lo, hi = rng.choice(((0, 50), (50, 160), (140, 160), (150, 308)))
-    cplx = rng.random() < 0.5
-
-    def draw():
-        w = 10 ** rng.uniform(lo, hi)
-        return w * cmath.exp(1j * rng.uniform(-3.0, 3.0)) if cplx else -w
-
-    return HypParams(a=tuple(draw() for _ in range(rng.randint(0, 3))),
-                     b=tuple(draw() for _ in range(rng.randint(0, 3))))
-
-
 def _refusal(run):
     """The message of the DomainError or ConvergenceError run raises, or
     None; any other exception escapes."""
@@ -457,27 +450,28 @@ def test_sobolev_reads_kappa_from_the_one_sequence(seed, monkeypatch):
         assert got == _sobolev_result(params, n_max, want)
 
 
-def _count_ri_generate(monkeypatch):
+def _count_ri_engine(monkeypatch):
+    # The checks run the monic recurrence on ri_generate's engine.
     calls = []
-    original = checks.ri_generate
+    original = checks._ri_rows
 
     def counting(rec, N):
         calls.append(N)
         return original(rec, N)
 
-    monkeypatch.setattr(checks, "ri_generate", counting)
+    monkeypatch.setattr(checks, "_ri_rows", counting)
     return calls
 
 
 def test_recurrence_and_rifrac_share_one_monic_comparison(monkeypatch):
-    calls = _count_ri_generate(monkeypatch)
+    calls = _count_ri_engine(monkeypatch)
     params = ODE_FAMILIES[2]
     run_checks(params, 25, 1, CHECK_ORDER, draws=5, skip_inapplicable=True)
     assert calls == [25]
     # Nothing is kept from one run_checks call to the next.
     run_checks(params, 25, 1, CHECK_ORDER, draws=5, skip_inapplicable=True)
     assert calls == [25, 25]
-    # One ri_generate per record and degree, whichever check asks first.
+    # One monic recurrence per record and degree, whichever check asks first.
     family = _family(params)
     check_rifrac(family, 25)
     check_recurrence(family, 25)
@@ -716,17 +710,201 @@ def test_axis_rep_check_equals_per_point_reference(params, n_max):
 
 
 def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
-    built = []
+    # One table of every degree's terminating series, whose row n is bit
+    # for bit terminating_pfq_poly(params, n).
+    tables = []
 
-    def counting(params, n):
-        built.append(n)
-        return pfq.terminating_pfq_poly(params, n)
+    def recording(params, ns):
+        tables.append((list(ns), pfq._terminating_table(params, ns)))
+        return tables[-1][1]
 
-    monkeypatch.setattr(checks, "terminating_pfq_poly", counting)
+    monkeypatch.setattr(checks, "_terminating_table", recording)
+    params = AXIS_FAMILIES[-2]
     for n_max, N in ((7, 7), (25, 20)):
-        built.clear()
-        assert check_axis_rep(_family(AXIS_FAMILIES[-2]), n_max).status == "PASS"
-        assert built == list(range(N + 1))
+        tables.clear()
+        assert check_axis_rep(_family(params), n_max).status == "PASS"
+        [(degrees, table)] = tables
+        assert degrees == list(range(N + 1))
+        for n, row in enumerate(table):
+            want = pfq.terminating_pfq_poly(params, n).coeffs
+            assert _bits(row[: n + 1].tolist()) == _bits(list(want))
+            assert not row[n + 1 :].any()
+
+
+def _former_axis_rep_check(family, n_max):
+    """check_axis_rep as it was written degree by degree: the terminating
+    series, the quadrature over the three points, and at each point horner
+    and the termwise sum, in the former scalar loops of test_pfq."""
+    N = checks._degree(n_max, 20)
+    seq = family.seq(N)
+    measures, values = [], []
+    for n in range(N + 1):
+        h = _former_terminating_pfq_poly(family.params, n)
+        with np.errstate(all="ignore"):
+            quads = _former_axis_quadrature(h, n, checks._AXIS_POINTS)
+        row = []
+        for x, quad in zip(checks._AXIS_POINTS, quads):
+            direct, _, scale = horner(seq[: n + 1], x)
+            term = _former_axis_termwise(h, n, x)
+            size = modulus(direct)
+            denom = size if size >= 1e-8 * scale else scale
+            row += [modulus(term - direct) / denom / 1e-10,
+                    modulus(term - quad) / (1e-6 * max(1.0, size))]
+            values.append((x, direct, term, quad))
+        measures.append(row)
+
+    def note(n, j):
+        x, direct, term, quad = values[n * 3 + j // 2]
+        return f", x = {x} (g_{n}(x) = {direct}, termwise {term}, quadrature {quad})"
+
+    worst = checks._worst(measures, "axis-rep", ("termwise", "quadrature"), note=note)
+    return CheckResult("axis-rep", "PASS" if worst <= 1.0 else "FAIL", worst, 1.0,
+                       f"normalized worst deviation {checks._fmt(worst)} over n <= {N}")
+
+
+def _former_sobolev_check(family, n_max):
+    """check_sobolev with its exactness clause pair by pair, by the former
+    node loop of test_sobolev."""
+    m = checks._degree(n_max, 15)
+    seq, params = family.seq(m), family.params
+    gram = sobolev._gram_stack([family], m)[0]
+    off, max_diag = sobolev.gram_extremes(gram)
+    kappas = [operators._kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
+    with np.errstate(over="ignore"):
+        target = np.array([1.0 / k**2 for k in modulus(np.array(kappas))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = modulus(gram.diagonal() - target) / np.maximum(target, 0.1 * max_diag)
+    diag_rel = checks._worst(diag[:, None], "sobolev", ("diagonal",))
+    rule = sobolev.QuadratureRule(sobolev.auto_node_count(m, max(params.p, params.q + 1)))
+    pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
+    defect = max(_former_monomial_quadrature_defect(rule, k, l) for k, l in pairs)
+    measured = max(off / (1e-10 * max_diag), diag_rel / 1e-9, defect / 1e-14)
+    fmt = checks._fmt
+    return CheckResult(
+        "sobolev", "PASS" if measured <= 1.0 else "FAIL", measured, 1.0,
+        f"offdiag {fmt(off)} vs maxdiag {fmt(max_diag)}, diag rel "
+        f"{fmt(diag_rel)}, quad defect {fmt(defect)}")
+
+
+def _former_monic_comparison(family, N, check):
+    """_monic_comparison on the former Poly loop of ri_generate."""
+    direct = checks._monic_table(family.seq(N))
+    polys, validity = _former_ri_generate(tfraction_from_hyp(family.params, N), N)
+    table = coeff_table([list(P.coeffs) for P in polys], N + 1)
+    return checks._scaled_coeff_dev(direct, table, check), validity.valid
+
+
+def _former_recurrence_check(family, n_max):
+    """check_recurrence on the former Poly loops of both recurrences."""
+    N = checks._degree(n_max, 25)
+    dev_G, _ = _former_monic_comparison(family, N, "recurrence")
+    rec_g = coeff_table([list(g.coeffs) for g in _former_gn_by_recurrence(family.params, N)], N + 1)
+    measured = max(checks._rel_coeff_dev(family.table(N), rec_g), dev_G)
+    return CheckResult("recurrence", "PASS" if measured <= 1e-10 else "FAIL", measured, 1e-10, (
+        f"max coefficient deviation {checks._fmt(measured)} (g per-coefficient "
+        f"relative, G relative to coefficient scale) over n <= {N}"))
+
+
+def _former_rifrac_check(family, n_max):
+    """check_rifrac on the former Poly loop of ri_generate."""
+    N = checks._degree(n_max, 25)
+    measured, valid = _former_monic_comparison(family, N, "rifrac")
+    if not valid:
+        measured = math.inf
+    return CheckResult("rifrac", "PASS" if measured <= 1e-12 else "FAIL", measured, 1e-12, (
+        f"max coefficient deviation {checks._fmt(measured)} from the direct "
+        "monic sums, relative to coefficient scale, "
+        f"validity {'clean' if valid else 'violated'}, N = {N}"))
+
+
+# The checks that run their degrees as one array pass or row engine, each
+# with the former per-degree loop it replaced.
+PER_DEGREE_ORACLES = {
+    "axis-rep": (check_axis_rep, _former_axis_rep_check),
+    "sobolev": (check_sobolev, _former_sobolev_check),
+    "recurrence": (check_recurrence, _former_recurrence_check),
+    "rifrac": (check_rifrac, _former_rifrac_check),
+}
+
+
+def _assert_checks_equal_their_oracles(params, n_max):
+    """Each array check gives its oracle's CheckResult, or the same error
+    type and message (the same first degree, clause and point); returns the
+    outcomes. No check PASSes with a nan measure: the oracles refuse one
+    (_worst). A RuntimeWarning fails the test."""
+    outcomes = []
+    for name, (check, oracle) in PER_DEGREE_ORACLES.items():
+        got = _check_outcome(check, _family(params), n_max)
+        assert got == _check_outcome(oracle, _family(params), n_max), (name, params, n_max)
+        if isinstance(got, CheckResult):
+            assert not math.isnan(got.max_residual)
+        outcomes.append(got.status if isinstance(got, CheckResult) else got[0])
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_checks_equal_their_per_degree_oracles(seed):
+    # Extreme families, every fourth one a mild family.
+    rng = random.Random(f"{seed}:per-degree-oracles")
+    seen = set()
+    for i in range(40):
+        params = _extreme_family(rng) if i % 4 else _random_family(rng)
+        seen.update(_assert_checks_equal_their_oracles(params, rng.choice((1, 2, 5, 25))))
+    assert {"PASS", "DomainError"} <= seen
+
+
+# (params, n_max, outcomes of axis-rep, sobolev, recurrence, rifrac):
+# families whose array passes meet a FAIL or a stage refusal.
+ORACLE_EDGE_FAMILIES = [
+    # The monic recurrence loses digits: rifrac FAILs at 4.79e-12.
+    (HypParams(a=(-3.79 + 1.84j, -2.88 - 1.47j, -5.04 - 0.21j), b=(4.27 + 1.47j,)), 25,
+     ["PASS", "PASS", "PASS", "FAIL"]),
+    # The quadrature overflows to nan at degree 2: axis-rep refuses it.
+    (HypParams(a=(2.1591727072926584e152 - 7.419495869424143e151j,)), 2,
+     ["DomainError", "DomainError", "PASS", "PASS"]),
+    (HypParams(a=(1.1936179894187185e153 - 1.3402462889824693e153j,),
+               b=(1680217685.9134743 - 946698586.9080684j,
+                  -1872940909705610.2 + 3300280769800696.5j, -2.32772429875795e25)), 25,
+     ["DomainError"] * 4),
+]
+
+
+@pytest.mark.parametrize("params, n_max, outcomes", ORACLE_EDGE_FAMILIES)
+def test_array_checks_equal_their_oracles_at_the_edges(params, n_max, outcomes):
+    assert _assert_checks_equal_their_oracles(params, n_max) == outcomes
+
+
+def _circle_rep_by_point(family, n_max, rng, tol=None):
+    """check_circle_rep with its direct side taken point by point: each
+    g_n built as a Poly from the family record and evaluated at each of the
+    16 angles, against the recovered values of the batch route."""
+    tol = 1e-8 if tol is None else tol
+    N = checks._degree(n_max, 10)
+    seq = family.seq(N)
+    angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(16)]
+    recovered = pfq.integral_rep_circle_batch(family.params, range(N + 1), angles)
+    measures = []
+    for n, row in enumerate(recovered):
+        g = Poly(seq[: n + 1])
+        measures.append([modulus(value - g(complex(math.cos(tau), math.sin(tau))))
+                         for value, tau in zip(row, angles)])
+    worst = checks._worst(measures, "circle-rep", ("quadrature",))
+    detail = f"max |quadrature - direct| {checks._fmt(worst)} over n <= {N}, 16 angles"
+    return CheckResult("circle-rep", "PASS" if worst <= tol else "FAIL", worst, tol, detail)
+
+
+CIRCLE_FAMILIES = FIXED_SETS + (
+    HypParams(a=(0.5 + 0.3j,), b=(1.2 - 0.4j, 2.1 + 0.2j)),
+    HypParams(a=(1 + 0.5j, 3.0), b=(2 + 0.5j, 4.0, 1.5 - 1.0j)),
+)
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 10, 25])
+@pytest.mark.parametrize("params", CIRCLE_FAMILIES)
+def test_circle_rep_check_equals_per_point_reference(params, n_max):
+    got = _check_outcome(check_circle_rep, _family(params), n_max, random.Random("5:circle-rep"))
+    want = _check_outcome(_circle_rep_by_point, _family(params), n_max, random.Random("5:circle-rep"))
+    assert got == want
 
 
 def _roots_check_oracle(family, n_max, tol=None):

@@ -747,6 +747,18 @@ DOCUMENT_DIGESTS = [
     ("sweep --p 0 --q 1 --b 2 --quantity root-modulus --grid-param b1 "
      "--grid-values 1.5,2.5,3.25 --n-list 2,5,10,20",
      0, "9a5571ebb8ef95522caa2a7d5f36184be1b63ccd8f78e735e937846e5f4ea037"),
+    # axis-rep on a complex family; a 128-node exactness rule (its (127, 0)
+    # pair takes Python's pow); rifrac FAILing at 4.79e-12, which shows
+    # any change in the rounding of the monic recurrence.
+    ("verify --p 2 --q 2 --a=-2.5+0.5i,0.7+0.2i --b=0.3-1.2i,4.0+2.0i "
+     "--check axis-rep --n-max 25",
+     0, "8b3142db227095cbf70912c467cbdf84df9f743c7c21794a7eda422e1aeeb89b"),
+    ("verify --p 0 --q 13 --b 1.5,1.75,2,2.25,2.5,2.75,3,3.25,3.5,3.75,4,4.25,4.5 "
+     "--check sobolev --n-max 15",
+     0, "d74daa16cd2179cab43977b852ab2bf2f2ce8805632c7ddd80a47ab13d103962"),
+    ("verify --p 3 --q 1 --a=-3.79+1.84i,-2.88-1.47i,-5.04-0.21i --b=4.27+1.47i "
+     "--check all --n-max 25 --draws 0",
+     4, "f320b7a35308bb37a63b32c39ba1a785a42579ea2edc3d62d63b94d6f75f5bcc"),
 ]
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypersum.errors import DomainError
 from hypersum.operators import kappa
 from hypersum.partial_sums import (
+    _check_cap,
     _coeff_ratio,
     Gn_by_recurrence,
     Gn_monic,
@@ -189,6 +190,68 @@ def _random_family(rng):
 
     return HypParams(a=tuple(param() for _ in range(rng.randint(0, 3))),
                      b=tuple(param() for _ in range(rng.randint(0, 3))))
+
+
+def _extreme_family(rng):
+    """p, q in 0..3, moduli 10^u with u uniform on one of a few bands
+    reaching the edge of double precision, half of them complex."""
+    lo, hi = rng.choice(((0, 50), (50, 160), (140, 160), (150, 308)))
+    cplx = rng.random() < 0.5
+
+    def draw():
+        w = 10 ** rng.uniform(lo, hi)
+        return w * cmath.exp(1j * rng.uniform(-3.0, 3.0)) if cplx else -w
+
+    return HypParams(a=tuple(draw() for _ in range(rng.randint(0, 3))),
+                     b=tuple(draw() for _ in range(rng.randint(0, 3))))
+
+
+def _bits(value):
+    """value with every float and complex as its bytes, so that == is bit
+    equality (signed zeros included); Poly, lists and tuples elementwise."""
+    if isinstance(value, complex):
+        return struct.pack("dd", value.real, value.imag)
+    if isinstance(value, float):
+        return struct.pack("d", value)
+    if isinstance(value, Poly):
+        return "Poly", _bits(value.coeffs)
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(_bits(v) for v in value)
+    return value
+
+
+def _exact_outcome(run):
+    """What run returns, bit for bit (_bits), or the type, message and
+    cause type of the DomainError or ZeroDivisionError it raises."""
+    try:
+        return "value", _bits(run())
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc), type(exc.__cause__).__name__
+
+
+def _former_gn_by_recurrence(params, N):
+    # The Poly loop gn_by_recurrence ran before its list engine.
+    N = _check_cap(N)
+    out = [Poly((1 + 0j,))]
+    prev = Poly()  # g_{-1} := 0
+    for n in range(N):
+        d = delta_k(params, n + 1)
+        step = (out[-1] - prev).shift_up().scale(1 / d)
+        prev = out[-1]
+        out.append(prev + step)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gn_by_recurrence_equals_the_former_loop_bit_for_bit(seed):
+    # Mild and extreme families, errors included: the list engine rounds
+    # and refuses as the Poly loop did, signed zeros too.
+    rng = random.Random(f"{seed}:gn-recurrence")
+    for i in range(40):
+        params = _extreme_family(rng) if i % 2 else _random_family(rng)
+        N = rng.choice((0, 1, 2, 10, 25, 60))
+        assert _exact_outcome(lambda: gn_by_recurrence(params, N)) == _exact_outcome(
+            lambda: _former_gn_by_recurrence(params, N)), (params, N)
 
 
 def test_monic_recurrence_equals_the_former_loop_exactly():

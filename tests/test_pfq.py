@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from hypersum import pfq
 from hypersum.errors import ConvergenceError, DomainError
-from hypersum.partial_sums import HypParams, _coeff_ratio, gn_direct
+from hypersum.partial_sums import HypParams, _check_cap, _coeff_ratio, gn_direct
 from hypersum.pfq import (
     SERIES_TERM_CAP,
     _sum_series,
@@ -21,6 +22,8 @@ from hypersum.pfq import (
     pfq_eval,
     terminating_pfq_poly,
 )
+from hypersum.polycore import Poly
+from test_partial_sums import _exact_outcome, _extreme_family, _random_family
 
 EXP = HypParams(a=(), b=())
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
@@ -277,6 +280,71 @@ def test_axis_rep_numeric_matches_per_node_loop():
     assert not (u.flags.writeable or w.flags.writeable)
     with pytest.raises(DomainError):
         integral_rep_negative_axis_numeric(EXP, 3, 0.0)
+
+
+def _former_terminating_pfq_poly(params, n):
+    # The term-by-term loop terminating_pfq_poly ran before its table engine.
+    n = _check_cap(n)
+    coeffs = [1 + 0j]
+    e = 1 + 0j
+    for k in range(n):
+        e *= _coeff_ratio(params, k) * (complex(-n) + k) / (complex(-n - 1) + k)
+        coeffs.append(e)
+    return Poly(coeffs)
+
+
+def _former_axis_termwise(h, n, x):
+    # integral_rep_negative_axis's former scalar sum, from h of degree n.
+    antiderivative_at_x = 0j
+    for k, e_k in enumerate(h.coeffs):
+        antiderivative_at_x += e_k * x ** (k - n - 1) / (k - n - 1)
+    return -(n + 1) * x ** (n + 1) * antiderivative_at_x
+
+
+def _former_axis_quadrature(h, n, xs):
+    # The former one-degree quadrature pass over the points xs.
+    u, w = _unit_gauss_legendre(64)
+    x = np.array(xs, dtype=float)[:, None]
+    t = x / u
+    integrand = t ** (-n - 2) * np.polyval(h.coeffs[::-1], t) * (-x / (u * u))
+    return [
+        complex(-(n + 1) * xi ** (n + 1) * (w @ row))
+        for xi, row in zip(map(float, xs), integrand)
+    ]
+
+
+def _former_integral_rep_negative_axis(params, n, x):
+    n, x = pfq._negative_axis_arguments(n, x)
+    return _former_axis_termwise(_former_terminating_pfq_poly(params, n), n, x)
+
+
+def _former_integral_rep_negative_axis_numeric(params, n, x):
+    n, x = pfq._negative_axis_arguments(n, x)
+    return _former_axis_quadrature(_former_terminating_pfq_poly(params, n), n, [x])[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_axis_routes_equal_their_former_loops_bit_for_bit(seed):
+    # Mild and extreme families, errors included: the terminating series
+    # and both axis routes at one degree and one point are their table
+    # engines, rounded and refused as the former scalar loops.
+    rng = random.Random(f"{seed}:axis-routes")
+    pairs = (
+        (terminating_pfq_poly, lambda params, n, x: _former_terminating_pfq_poly(params, n)),
+        (integral_rep_negative_axis, _former_integral_rep_negative_axis),
+        (integral_rep_negative_axis_numeric, _former_integral_rep_negative_axis_numeric),
+    )
+    for i in range(30):
+        params = _extreme_family(rng) if i % 2 else _random_family(rng)
+        n = rng.choice((0, 1, 2, 5, 12, 20, 40))
+        x = rng.choice((-0.1, -1.0, -10.0, -3.7, 0.0))
+        for route, former in pairs:
+            args = (params, n) if route is terminating_pfq_poly else (params, n, x)
+            # An overflowing quadrature warns, as it did.
+            with np.errstate(all="ignore"):
+                got = _exact_outcome(lambda: route(*args))
+                want = _exact_outcome(lambda: former(params, n, x))
+            assert got == want, (route.__name__, params, n, x)
 
 
 def test_axis_rep_numeric_cross_check():

@@ -3,18 +3,24 @@
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersum.errors import DomainError
 from hypersum.polycore import (
     DEGREE_CAP,
     Poly,
+    coeff_sum,
     horner,
+    horner_rows,
     modulus,
     pochhammer,
+    poly_coeffs,
+    real_quotient,
     trim_tiny,
 )
 
@@ -132,6 +138,72 @@ def test_trim_tiny_relative_threshold():
     q = Poly((1e-20, 1.0))
     assert trim_tiny(q).degree == 1
     assert trim_tiny(Poly(())).is_zero
+
+
+def test_trim_tiny_refuses_a_modulus_beyond_the_float_range():
+    # |1.5e308 + 1.5e308i| exceeds the float range although both parts are
+    # finite; Python's abs raised OverflowError from max_coeff.
+    p = Poly((1, 1.5e308 + 1.5e308j))
+    message = ("the modulus of the coefficient of z^1 exceeds the float "
+               "range: (1.5e+308+1.5e+308j)")
+    for run in (lambda: trim_tiny(p), p.max_coeff):
+        with pytest.raises(DomainError) as exc:
+            run()
+        assert str(exc.value) == message
+    assert trim_tiny(Poly((1.5e308, 1.0, 1e-300))).coeffs == (1.5e308 + 0j,)
+
+
+def test_poly_coeffs_keep_what_poly_keeps():
+    # A sum that overflows is no refusal; a non-finite value is Poly's.
+    assert poly_coeffs([1e308 + 0j, 1e308 + 0j, 0j]) == [1e308 + 0j] * 2
+    assert coeff_sum([1 + 0j, 1 + 0j], [2 + 0j, -1 + 0j]) == [3 + 0j]
+    for values in ([1 + 0j, complex(math.inf, 0.0)], [complex(0.0, math.nan)]):
+        with pytest.raises(DomainError) as want:
+            Poly(values)
+        with pytest.raises(DomainError) as got:
+            poly_coeffs(list(values))
+        assert str(got.value) == str(want.value)
+
+
+def test_real_quotient_rounds_as_python_division():
+    rng = random.Random(5)
+    parts = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-310, 1e308]
+    values = [complex(rng.choice(parts + [rng.uniform(-9, 9)] * 4),
+                      rng.choice(parts + [rng.uniform(-9, 9)] * 4)) for _ in range(2000)]
+    divisors = [rng.choice((-21, -3, -1, 1, 7)) for _ in values]
+    with np.errstate(all="ignore"):
+        got = real_quotient(np.array(values), np.array(divisors)).tolist()
+    want = [v / d for v, d in zip(values, divisors)]
+    assert [struct.pack("dd", w.real, w.imag) for w in got] == [
+        struct.pack("dd", w.real, w.imag) for w in want]
+
+
+def test_horner_rows_are_horner_on_each_row():
+    # Per-row points and shared points; a zero-padded table of g_n-like
+    # rows, with a point at 0 and a coefficient of modulus beyond the range.
+    rng = random.Random(9)
+    rows = [[complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n + 1)]
+            for n in range(8)]
+    rows[5][2] = complex(1.5e308, 1.5e308)
+    table = np.zeros((8, 8), dtype=complex)
+    for out, row in zip(table, rows):
+        out[: len(row)] = row
+    points = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in rows]
+    points[3] = points[5] = 0j
+    def bits(w):
+        w = complex(w)
+        return struct.pack("dd", w.real, w.imag)
+
+    value, mass = horner_rows(table, np.array(points)[:, None])
+    for i, (row, z) in enumerate(zip(rows, points)):
+        want_value, _, want_mass = horner(row, z)
+        assert bits(value[i, 0]) == bits(want_value) and mass[i, 0] == want_mass
+    shared = (-0.1, -1.0, -10.0)
+    value, mass = horner_rows(table, shared)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(shared):
+            want_value, _, want_mass = horner(row, x)
+            assert bits(value[i, j]) == bits(want_value) and mass[i, j] == want_mass
 
 
 def test_pochhammer_values():

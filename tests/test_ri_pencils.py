@@ -1,5 +1,6 @@
 """R_I recurrences, T-fraction bridge, pencil solves, Chebyshev pieces."""
 
+import cmath
 import math
 import random
 
@@ -17,8 +18,9 @@ from hypersum.partial_sums import (
     PowerSeriesCoeffs,
     delta_k,
 )
-from hypersum.polycore import DEGREE_CAP, Poly
+from hypersum.polycore import DEGREE_CAP, Poly, horner, modulus
 from test_acceptance import FIXED_SETS, _draw_params
+from test_partial_sums import _exact_outcome, _extreme_family, _random_family
 from hypersum.ri_pencils import (
     JacobiPencil,
     RIRecurrence,
@@ -107,6 +109,76 @@ def test_monic_recurrence_overflow_names_its_degree():
             "non-finite coefficient: (inf+0j)"
         )
         assert isinstance(exc.value.__cause__, DomainError)
+
+
+def _former_ri_generate(rec, N):
+    # The Poly loop ri_generate ran before its list engine.
+    N = int(N)
+    if N < 0:
+        raise DomainError("N must be nonnegative")
+    if N > len(rec):
+        raise DomainError(
+            f"recurrence holds {len(rec)} coefficient triples, needs {N}"
+        )
+    polys = [Poly([1 + 0j])]
+    lambda_failures = []
+    node_failures = []
+    triples = zip(rec.c[:N], rec.lam[:N], rec.a[:N])
+    for n, (c_n, lam_n, a_n) in enumerate(triples, start=1):
+        if n >= 2 and lam_n == 0:
+            lambda_failures.append(n)
+        try:
+            nxt = polys[-1] * Poly((-c_n, 1 + 0j))
+            if n >= 2:
+                nxt = nxt - (polys[-2] * Poly((-a_n, 1 + 0j))).scale(lam_n)
+        except DomainError as exc:
+            raise DomainError(
+                f"R_I recurrence overflowed double precision at degree {n}: {exc}"
+            ) from exc
+        polys.append(nxt)
+        value, _, mass = horner(nxt.coeffs, a_n)
+        if modulus(value) <= ri_pencils.RI_NODE_RTOL * (mass - modulus(nxt.coeff(0))):
+            node_failures.append(n)
+    return polys, ri_pencils.RIValidity(
+        lambda_failures=tuple(lambda_failures),
+        node_failures=tuple(node_failures),
+    )
+
+
+def _random_recurrence(rng, N):
+    """N coefficient triples of moduli 10^u, u uniform on one of a few
+    bands up to the edge of double precision, some lambda_n and a_n zero,
+    some a_n = c_{n-1} (a node hit one step late)."""
+    lo, hi = rng.choice(((-2, 1), (-2, 1), (0, 60), (100, 200)))
+
+    def draw():
+        w = 10 ** rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-3.0, 3.0))
+        return complex(w.real, 0.0) if rng.random() < 0.3 else w
+
+    c = [draw() for _ in range(N)]
+    lam = [0j if rng.random() < 0.1 else draw() for _ in range(N)]
+    a = [0j if rng.random() < 0.3 else (c[n - 1] if n and rng.random() < 0.2 else draw())
+         for n in range(N)]
+    return RIRecurrence(c=c, lam=lam, a=a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ri_generate_equals_the_former_loop_bit_for_bit(seed):
+    # General recurrences and T-fractions of mild and extreme families,
+    # validity reports and errors included.
+    rng = random.Random(f"{seed}:ri-engine")
+    for i in range(40):
+        N = rng.choice((0, 1, 2, 5, 12, 25))
+        if i % 2:
+            params = _extreme_family(rng) if i % 4 == 1 else _random_family(rng)
+            try:
+                rec = tfraction_from_hyp(params, N)
+            except DomainError:
+                continue
+        else:
+            rec = _random_recurrence(rng, N)
+        assert _exact_outcome(lambda: ri_generate(rec, N)) == _exact_outcome(
+            lambda: _former_ri_generate(rec, N)), (rec, N)
 
 
 def test_ri_generate_length_guard():

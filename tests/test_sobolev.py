@@ -87,6 +87,27 @@ def test_monomial_defect_within_exactness_window():
     assert monomial_quadrature_defect(rule, 15, 0) <= 1e-14
 
 
+def _former_monomial_quadrature_defect(rule, k, m):
+    # The node-by-node loop of Python complex powers the defect ran before
+    # its one-pass engine.
+    vals = [z**k * (z.conjugate() ** m) for z in rule.points]
+    exact = 1.0 if k == m else 0.0
+    return abs(rule.integrate(vals) - exact)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 7, 16, 64, 128, 256])
+def test_monomial_defects_equal_the_node_loop_bit_for_bit(nodes):
+    # Binary powering up to exponent 100, Python's pow beyond it (the
+    # (127, 0) pair of a 128-node rule), negative and non-int exponents.
+    rule = QuadratureRule(nodes)
+    pairs = [(k, m) for k in range(12) for m in range(12)] + [
+        (nodes - 1, 0), (nodes, 3), (100, 1), (101, 1), (150, 2), (-3, 1),
+        (2, -120), (2.0, 1), (True, 1), (2, 2.0)]
+    want = [_former_monomial_quadrature_defect(rule, k, m).hex() for k, m in pairs]
+    assert [d.hex() for d in sobolev._quadrature_defects(rule, pairs)] == want
+    assert [monomial_quadrature_defect(rule, k, m).hex() for k, m in pairs] == want
+
+
 def test_auto_node_count():
     n = auto_node_count(15, 1)
     assert n == 64  # next power of two above 2*(15+1)+8
