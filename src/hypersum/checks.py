@@ -437,7 +437,7 @@ def check_roots(
     if degrees:  # refused where location_report refused them: at n = 2
         _require_positive_conditions(family.params)
     measures, min_modulus_seen, boundary = [], math.inf, 0
-    for n, rep in zip(degrees, _location_reports(seq, degrees)):
+    for n, rep in zip(degrees, _location_reports([seq], degrees)[0]):
         min_modulus_seen = min(min_modulus_seen, rep.min_modulus)
         boundary += rep.boundary_root_count
         located = rep.simple and not rep.positive_real_root_found

@@ -25,6 +25,8 @@ import re as re_mod
 import sys
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__ as VERSION
 from .checks import CHECK_ORDER, run_checks
 from .errors import ConvergenceError, DomainError
@@ -37,7 +39,7 @@ from .partial_sums import (
     gn_direct,
     read_family,
 )
-from .pfq import _eval_points, convergence_report, pfq_eval
+from .pfq import _eval_points, _sum_series, _sup_errors, pfq_eval
 from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
 from .roots import _location_reports, _require_positive_conditions, location_report
 from .sobolev import _gram_stack, gram_extremes
@@ -380,25 +382,51 @@ def _apply_grid(params: HypParams, name: str, value: float) -> HypParams:
     return HypParams(a=tuple(a), b=tuple(b))
 
 
-def _sweep_convergence(params: HypParams, ns: list[int]) -> list[float]:
-    if params.p > params.q:
-        raise DomainError("convergence sweep requires p <= q")
-    taus = (2.0 * math.pi * j / 64.0 for j in range(64))
-    points = [complex(math.cos(t), math.sin(t)) for t in taus]
-    report = convergence_report(params, ns, points)
-    if report.failed_points:
-        # Raises the ConvergenceError of the first point that failed.
-        pfq_eval(params, report.failed_points[0])
-    sup = {row.n: row.sup_error for row in report.rows}
-    return [sup[n] for n in ns]
+# The convergence sweep's probes: 64 equispaced points on the unit circle.
+_PROBES = np.array([complex(math.cos(t), math.sin(t))
+                    for t in (2.0 * math.pi * j / 64.0 for j in range(64))])
 
 
-def _sweep_root_modulus(params: HypParams, ns: list[int]) -> list[float]:
-    # location_report's min_modulus per degree, all degrees in one root table.
-    _check_cap(ns[0])
-    _require_positive_conditions(params)
-    seq = read_family(params, ns[-1]).seq(ns[-1])
-    return [report.min_modulus for report in _location_reports(seq, ns)]
+def _sweep_convergence(cells: Iterable[HypParams], ns: list[int]) -> list[list[float]]:
+    # The sup of |g_n - series| over the probes, every cell's probes summed
+    # in one call. A cell failing before its series comes after the first
+    # failed probe of an earlier cell.
+    stack, seqs, failure = [], [], None
+    try:
+        for params in cells:
+            if params.p > params.q:
+                raise DomainError("convergence sweep requires p <= q")
+            _check_cap(ns[0])
+            seqs.append(read_family(params, ns[-1]).seq(ns[-1]))
+            stack.append(params)
+    except DomainError as exc:
+        failure = exc
+    owner = np.repeat(np.arange(len(stack)), len(_PROBES))
+    sums, used = _sum_series(stack, owner, np.tile(_PROBES, len(stack)))
+    for params, cell_used in zip(stack, used.reshape(-1, len(_PROBES))):
+        if not cell_used.all():  # raises at the cell's first failed probe
+            pfq_eval(params, _PROBES[np.argmin(cell_used)])
+    if failure is not None:
+        raise failure
+    return _sup_errors(seqs, ns, _PROBES, sums.reshape(-1, len(_PROBES)))
+
+
+def _sweep_root_modulus(cells: Iterable[HypParams], ns: list[int]) -> list[list[float]]:
+    # location_report's min_modulus, every cell and degree in one root
+    # table. A cell failing before the table comes after a table error of
+    # an earlier cell.
+    seqs, failure = [], None
+    try:
+        for params in cells:
+            _check_cap(ns[0])
+            _require_positive_conditions(params)
+            seqs.append(read_family(params, ns[-1]).seq(ns[-1]))
+    except DomainError as exc:
+        failure = exc
+    reports = _location_reports(seqs, ns)
+    if failure is not None:
+        raise failure
+    return [[report.min_modulus for report in cell] for cell in reports]
 
 
 def _sweep_gram_offdiag(
@@ -416,16 +444,13 @@ def _sweep_gram_offdiag(
     return [[off / max_diag for off, max_diag in cell] for cell in extremes]
 
 
-def _each_cell(func):
-    return lambda cells, ns: [func(params, ns) for params in cells]
-
-
 # Each quantity maps the grid's cells (their parameters, in grid order) and
-# the sorted degrees to one value list per cell, each one value per degree.
-# A failure is that of the first cell, in grid order, that fails.
+# the sorted degrees to one value list per cell, each one value per degree,
+# in one pass. A failure is that of the first cell, in grid order, that
+# fails at any stage, as if the cells were taken one by one.
 _SWEEP_FUNCS = {
-    "convergence": _each_cell(_sweep_convergence),
-    "root-modulus": _each_cell(_sweep_root_modulus),
+    "convergence": _sweep_convergence,
+    "root-modulus": _sweep_root_modulus,
     "gram-offdiag": _sweep_gram_offdiag,
 }
 

@@ -2,8 +2,8 @@
 
 The series is entire for p <= q, has unit convergence radius for p = q+1,
 and diverges for p > q+1 (defined at z = 0 only). Every value of the series
-comes from one summation, _sum_series, vectorized over a set of points:
-each point sums terms incrementally and stops on its own after three
+comes from one summation, _sum_series, vectorized over (family, point)
+pairs: each point sums terms incrementally and stops on its own after three
 consecutive terms fall below SERIES_RTOL relative to its running sum,
 guarding against odd/even alternation. pfq_eval is its one-point case.
 
@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .partial_sums import HypParams, _check_cap, _coeff_ratio, read_family
-from .polycore import Poly, complex_product, poly_coeffs, real_quotient
+from .polycore import (Poly, coeff_table, complex_product, horner_rows, modulus,
+                       poly_coeffs, real_quotient)
 
 SERIES_TERM_CAP = 10000
 # A term below this fraction of the running sum counts as negligible.
@@ -75,16 +76,21 @@ def _domain_class(params: HypParams, z: complex = 0j) -> str:
     return "unit-disk"
 
 
-def _sum_series(params: HypParams, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Series sums and terms used at each point of the 1-D array zs (the
-    domain is not checked). A point stops once |term| < SERIES_RTOL·|its
-    running sum| has held for 3 consecutive terms; terms_used is 0 (and the
-    sum nan) where SERIES_TERM_CAP terms do not get there. Stopped points
-    leave the arrays, and every product is elementwise and out of place
-    (numpy's in-place complex *= can round a one-element array differently),
-    so no point depends on the others.
+def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Series sums and terms used at each point of the 1-D array zs, point
+    i summing family stack[owner[i]] (owner: an index per point, or one for
+    all; the domain is not checked). A point stops once |term| <
+    SERIES_RTOL·|its running sum| has held for 3 consecutive terms;
+    terms_used is 0 (and the sum nan) where SERIES_TERM_CAP terms do not get
+    there. Each step forms each family's _coeff_ratio once, as a Python
+    complex, gathered per point (a product with the gathered ratios rounds
+    as one with the scalar). Stopped points leave the arrays, and every
+    product is elementwise and out of place (numpy's in-place complex *=
+    can round a one-element array differently), so no point depends on the
+    others.
     """
     z = np.asarray(zs, dtype=complex)
+    owner = np.asarray(owner, dtype=int)
     sums = np.full(z.shape, complex(math.nan, math.nan))
     terms_used = np.zeros(z.shape, dtype=int)
     live, term, total = np.arange(z.size), np.ones_like(z), np.ones_like(z)
@@ -93,7 +99,11 @@ def _sum_series(params: HypParams, zs) -> tuple[np.ndarray, np.ndarray]:
         for k in range(1, SERIES_TERM_CAP + 1):
             if not live.size:
                 break
-            term = term * _coeff_ratio(params, k - 1) * z
+            if owner.ndim:
+                ratio = np.array([_coeff_ratio(f, k - 1) for f in stack])[owner]
+            else:
+                ratio = _coeff_ratio(stack[owner], k - 1)
+            term = term * ratio * z
             total = total + term
             small = np.abs(term) < SERIES_RTOL * np.abs(total)
             done = small & small1 & small2
@@ -103,6 +113,8 @@ def _sum_series(params: HypParams, zs) -> tuple[np.ndarray, np.ndarray]:
                 live, z, term, total, small1, small2 = (
                     x[~done] for x in (live, z, term, total, small1, small2)
                 )
+                if owner.ndim:
+                    owner = owner[~done]
     return sums, terms_used
 
 
@@ -113,7 +125,7 @@ def _eval_points(params: HypParams, zs) -> list[PfqValue]:
     with contextlib.suppress(DomainError):
         for z in zs:
             classes.append(_domain_class(params, z))
-    sums, terms = _sum_series(params, zs[: len(classes)])
+    sums, terms = _sum_series([params], 0, zs[: len(classes)])
     for i, z in enumerate(zs):
         if i == len(classes) or not terms[i]:
             _domain_class(params, z)  # raises if z is outside the domain
@@ -158,7 +170,7 @@ def integral_rep_circle_batch(
     if not ns:
         return []
     t = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-    fvals, terms_used = _sum_series(params, np.exp(1j * t))
+    fvals, terms_used = _sum_series([params], 0, np.exp(1j * t))
     if not terms_used.all():
         raise ConvergenceError("series did not converge at some circle node")
     k = np.arange(max(ns) + 1)
@@ -340,8 +352,8 @@ def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceR
     The series is summed at all points in one _sum_series call, each point
     stopping on its own, after the domain check pfq_eval applies. Every g_n
     is read from one family record. A point that does not converge goes to
-    failed_points (input order, repeats kept); the sup is over the
-    converged points only.
+    failed_points (input order, repeats kept); the sup is _sup_errors over
+    the converged points only.
     """
     cls = _domain_class(params)
     if cls == "divergent":
@@ -356,21 +368,32 @@ def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceR
     for z in points:
         _domain_class(params, z)
     ns = sorted({int(n) for n in n_list})
+    seq = ()
     if ns:
         _check_cap(ns[0])
         seq = read_family(params, ns[-1]).seq(ns[-1])
-    sums, terms_used = _sum_series(params, np.array(points, dtype=complex))
-    converged = list(zip(points, sums.tolist(), terms_used.tolist()))
-    values = {z: fz for z, fz, used in converged if used}
-    failed = [z for z, _, used in converged if not used]
-    rows = []
-    for n in ns:
-        g = Poly(seq[: n + 1])
-        errs = [abs(g(z) - fz) for z, fz in values.items()]
-        sup = max(errs) if errs else math.nan
-        rows.append(ConvergenceRow(n=n, sup_error=sup))
+    zs = np.array(points, dtype=complex)
+    sums, used = _sum_series([params], 0, zs)
+    failed = [z for z, u in zip(points, used) if not u]
+    sups = _sup_errors([seq], ns, zs[used > 0], [sums[used > 0]])[0]
     return ConvergenceReport(
-        rows=tuple(rows),
+        rows=tuple(ConvergenceRow(n=n, sup_error=sup) for n, sup in zip(ns, sups)),
         all_samples_converged=not failed,
         failed_points=tuple(failed),
     )
+
+
+def _sup_errors(seqs, ns, zs, sums) -> list[list[float]]:
+    """Python's max over the finite points zs, in order, of |g_n(z) -
+    sums[i]|, for each n of ns and each family record prefix seqs[i], nan
+    without points. g_n is evaluated by one horner_rows table, as Poly rounds
+    it up to the sign of a zero, and modulus rounds as Python's abs. Python's
+    max keeps a nan in first place and passes over any other."""
+    if not len(zs) or not ns:
+        return [[math.nan] * len(ns) for _ in seqs]
+    table = coeff_table([seq[: n + 1] for seq in seqs for n in ns], max(ns) + 1)
+    values = horner_rows(table, np.array(zs, dtype=complex))[0]
+    errors = modulus(values.reshape(len(seqs), len(ns), len(zs))
+                     - np.array(sums, dtype=complex)[:, None, :])
+    sup = np.fmax.reduce(errors, axis=2)
+    return np.where(np.isnan(errors[..., 0]), math.nan, sup).tolist()

@@ -17,8 +17,8 @@ whose roots into one masked (D, n) array. The polish and the gate run
 elementwise on all (polynomial, root) pairs at once, each pair starting
 Horner's pass at its own top coefficient, so every row is bit for bit its
 polynomial solved alone. find_roots is the table on a stack of one; the
-verify roots check and sweep root-modulus solve all of their degrees as one
-table (_location_reports).
+verify roots check solves all of its degrees, and sweep root-modulus those
+of every grid cell, as one table (_location_reports).
 
 Localization checks for the hypergeometric family (all parameters real and
 positive with a_j <= b_j pairwise and remaining b_k >= 1, p <= q): all roots
@@ -107,7 +107,8 @@ def _polish(table, moduli, degree, owner, z):
     The backward error of a root is |p(z)| / max(1, mass(z)). A root takes
     a step only if the step is finite and strictly lowers that error; a
     root whose step is refused is final, and each pass evaluates only the
-    roots still active. At most POLISH_STEPS passes.
+    roots still active. At most POLISH_STEPS passes. Returns z and the
+    value and mass at each final root, as a fresh pass would give them.
     """
     value, derivative, mass = _horner_pairs(table, moduli, degree, owner, z)
     err = np.abs(value) / np.maximum(1.0, mass)
@@ -125,8 +126,9 @@ def _polish(table, moduli, degree, owner, z):
         z[active] = trial[take]
         value[active] = t_value[take]
         derivative[active] = t_derivative[take]
+        mass[active] = t_mass[take]
         err[active] = t_err[take]
-    return z
+    return z, value, mass
 
 
 def _pairs(rows: list, points: list) -> tuple:
@@ -155,8 +157,9 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
     eigenvalues are taken as in find_roots, one LAPACK call each. The
     guarded polish and the residual gate then run elementwise on every
     (polynomial, root) pair at once, so each row is bit for bit the roots
-    of its polynomial solved alone. Raises what find_roots raises on the
-    first polynomial on which it raises.
+    of its polynomial solved alone; the gate reads the polish's last
+    evaluation unless a factor z^m or a degree-1 polynomial adds pairs.
+    Raises what find_roots raises on the first polynomial on which it raises.
     """
     full, rests = [], []
     for i, f in enumerate(polys):
@@ -188,7 +191,7 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
                 roots[i][0] = -rest[0] / rest[1]
         if eigen:
             *layout, z = _pairs([rests[i] for i in eigen], [roots[i] for i in eigen])
-            z = _polish(*layout, z)
+            z, value, mass = _polish(*layout, z)
             owner = layout[-1]
             for k, i in enumerate(eigen):
                 roots[i] = z[owner == k]
@@ -199,9 +202,9 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
         gated = [i for i, error in enumerate(errors) if error is None]
         if gated != eigen or any(full[i] is not rests[i] for i in gated):
             *layout, z = _pairs([full[i] for i in gated], [roots[i] for i in gated])
+            value, _, mass = _horner_pairs(*layout, z)
         # else the gate's pairs are the polished ones
         if gated:
-            value, _, mass = _horner_pairs(*layout, z)
             bad = ~(np.isfinite(mass) & (np.abs(value) <= tol * np.maximum(1.0, mass)))
             owner = layout[-1]
             for j in np.flatnonzero(bad).tolist():  # in each polynomial's root order
@@ -341,16 +344,18 @@ def location_report(params: HypParams, n: int) -> RootReport:
     return _location_report(gn_direct(params, n))
 
 
-def _location_reports(seq: Sequence[complex], degrees: Sequence[int]) -> list[RootReport]:
-    """location_report's report of g_n for each n of degrees, read from
-    seq = xi_0..xi_N, for a caller that has read the sequence and checked
-    the preconditions. Every g_n of degree >= 1 is solved in one root table
-    (_root_table), each row bit for bit find_roots on g_n; g_0 gets the
-    report of no roots and no row."""
-    polys = [Poly(seq[: n + 1]) for n in degrees]
-    table, mask = _root_table([g for g in polys if g.degree > 0])
+def _location_reports(seqs: Sequence[Sequence], degrees: Sequence[int]) -> list[list]:
+    """location_report's report of g_n for each n of degrees, one list per
+    seq = xi_0..xi_N of seqs, for a caller that has read the sequences and
+    checked the preconditions (under which _location_report refuses
+    nothing). Every g_n of degree >= 1 of every seq is solved in one root
+    table (_root_table), each row bit for bit find_roots on g_n; g_0 gets
+    the report of no roots and no row."""
+    polys = [[Poly(seq[: n + 1]) for n in degrees] for seq in seqs]
+    table, mask = _root_table([g for row in polys for g in row if g.degree > 0])
     roots = (tuple(row[m].tolist()) for row, m in zip(table, mask))
-    return [_location_report(g, next(roots) if g.degree else None) for g in polys]
+    return [[_location_report(g, next(roots) if g.degree else None) for g in row]
+            for row in polys]
 
 
 def _location_report(g: Poly, roots: Optional[tuple[complex, ...]] = None) -> RootReport:

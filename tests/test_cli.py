@@ -17,8 +17,9 @@ import pytest
 
 import hypersum
 from hypersum import cli, pfq, roots
-from hypersum.errors import ConvergenceError
-from hypersum.partial_sums import HypParams, gn_direct
+from hypersum.errors import ConvergenceError, DomainError
+from hypersum.partial_sums import HypParams, _check_cap, gn_direct, read_family
+from hypersum.polycore import Poly
 from hypersum.roots import location_report
 from hypersum.sobolev import _gram_stack, gram_extremes, sobolev_gram
 from test_checks import OVERFLOW_ERRORS
@@ -422,9 +423,9 @@ def test_sweep_rows_and_ordering():
         assert float(c[5]) >= 1.0
 
 
-def test_sweep_root_modulus_solves_each_cell_in_one_root_table(monkeypatch, capsys):
+def test_sweep_root_modulus_solves_the_grid_in_one_root_table(monkeypatch, capsys):
     # Unsorted and repeated degrees, 0 and 1 among them: every value is
-    # location_report's, bit for bit, and each cell is one root table
+    # location_report's, bit for bit, and the whole grid is one root table
     # without a row for g_0.
     ns, grid = (12, 0, 5, 1, 12), (1.0, 3.5)
     want = [
@@ -443,7 +444,7 @@ def test_sweep_root_modulus_solves_each_cell_in_one_root_table(monkeypatch, caps
             "--quantity", "root-modulus", "--grid-param", "b1",
             "--grid-values", "1,3.5", "--n-list", "12,0,5,1,12"]
     assert cli.main(argv) == 0
-    assert degrees == [[1, 5, 12, 12]] * len(grid)
+    assert degrees == [[1, 5, 12, 12] * len(grid)]
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
     assert [(r[2], r[4], float(r[5])) for r in rows] == want
 
@@ -584,7 +585,7 @@ def test_sweep_convergence_is_the_sup_over_circle_probes(params):
             for z in CIRCLE_PROBES)
         for n in ns
     ]
-    assert cli._sweep_convergence(params, ns) == want
+    assert cli._sweep_convergence([params], ns) == [want]
 
 
 def test_sweep_with_no_degrees_evaluates_nothing(monkeypatch, capsys):
@@ -593,6 +594,7 @@ def test_sweep_with_no_degrees_evaluates_nothing(monkeypatch, capsys):
 
     monkeypatch.setattr(pfq, "pfq_eval", refuse)
     monkeypatch.setattr(pfq, "_sum_series", refuse)
+    monkeypatch.setattr(cli, "_sum_series", refuse)
     for p, a in (("1", "1.0"), ("2", "1.0,1.0")):
         argv = ["sweep", "--p", p, "--q", "1", "--a", a, "--b", "2.0",
                 "--quantity", "convergence", "--grid-param", "b1",
@@ -606,8 +608,122 @@ def test_sweep_with_no_degrees_evaluates_nothing(monkeypatch, capsys):
 def test_sweep_convergence_reports_the_first_failed_point(monkeypatch):
     monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 2)
     with pytest.raises(ConvergenceError) as exc:
-        cli._sweep_convergence(HypParams(a=(1.0,), b=(2.0,)), [3])
+        cli._sweep_convergence([HypParams(a=(1.0,), b=(2.0,))], [3])
     assert str(exc.value) == "series did not converge within 2 terms at z = (1+0j)"
+
+
+def _convergence_cell(params, ns):
+    """Oracle: the convergence sweep of one cell, as it was computed cell
+    by cell: convergence_report's refusals, the series point by point
+    (pfq_eval raises at the first probe that fails), g_n by Poly
+    evaluation, and Python's max."""
+    if params.p > params.q:
+        raise DomainError("convergence sweep requires p <= q")
+    _check_cap(ns[0])
+    seq = read_family(params, ns[-1]).seq(ns[-1])
+    series = [pfq.pfq_eval(params, z).value for z in CIRCLE_PROBES]
+    return [max(abs(Poly(seq[: n + 1])(z) - fz) for z, fz in zip(CIRCLE_PROBES, series))
+            for n in ns]
+
+
+def _root_modulus_cell(params, ns):
+    """Oracle: the root-modulus sweep of one cell, one root table per
+    cell."""
+    _check_cap(ns[0])
+    roots._require_positive_conditions(params)
+    seq = read_family(params, ns[-1]).seq(ns[-1])
+    return [report.min_modulus for report in roots._location_reports([seq], ns)[0]]
+
+
+SWEEP_ORACLES = {"convergence": _convergence_cell, "root-modulus": _root_modulus_cell}
+
+
+def _sweep_outcome(argv, capsys):
+    code = cli.main(argv)
+    got = capsys.readouterr()
+    return code, got.out, got.err
+
+
+def _equals_cell_by_cell(monkeypatch, capsys, quantity, family, grid, n_list):
+    """The stacked sweep's document or refusal is the one of its oracle
+    taken cell by cell, in grid order."""
+    argv = ["sweep", *family, "--quantity", quantity, "--grid-param", "b1",
+            f"--grid-values={grid}", f"--n-list={n_list}"]
+    stacked = _sweep_outcome(argv, capsys)
+    oracle = SWEEP_ORACLES[quantity]
+    with monkeypatch.context() as m:
+        m.setitem(cli._SWEEP_FUNCS, quantity,
+                  lambda cells, ns: [oracle(params, ns) for params in cells])
+        assert stacked == _sweep_outcome(argv, capsys)
+    return stacked
+
+
+CONVERGENCE_FAMILY = ("--p", "1", "--q", "2", "--a", "0.5+0.25i", "--b", "1.5,2.0-0.5i")
+ROOT_FAMILY = ("--p", "1", "--q", "2", "--a", "0.5", "--b", "1.5,2.25")
+
+
+@pytest.mark.parametrize("quantity, family, grid, n_list", [
+    # Unsorted and repeated degrees, 0 and 1 among them; complex parameters.
+    ("convergence", CONVERGENCE_FAMILY, "1.5,2.5,3.25,4", "0,2,5,5,9"),
+    ("convergence", ("--p", "0", "--q", "1", "--b", "2"), "0.37,1.3", "9,1,0,1"),
+    ("root-modulus", ROOT_FAMILY, "1,3.5,2,1.25", "12,0,5,1,12,40"),
+    ("root-modulus", ("--p", "0", "--q", "1", "--b", "2"), "1.5,2.5", "3,2"),
+])
+def test_stacked_sweep_values_are_the_cell_by_cell_values(
+        quantity, family, grid, n_list, monkeypatch, capsys):
+    code, out, _ = _equals_cell_by_cell(monkeypatch, capsys, quantity, family,
+                                        grid, n_list)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(grid.split(",")) * len(n_list.split(","))
+
+
+@pytest.mark.parametrize("quantity", ["convergence", "root-modulus"])
+def test_stacked_sweep_of_an_empty_grid_is_header_only(quantity, monkeypatch, capsys):
+    got = _equals_cell_by_cell(monkeypatch, capsys, quantity, ROOT_FAMILY, "", "2,5")
+    assert got == (0, SWEEP_HEADER, "")
+
+
+@pytest.mark.parametrize("grid, err", [
+    # Cell 0's root table fails (g_5's eigenvalues are moved off its roots);
+    # cell 1 fails the localization preconditions (a_1 > b_1), or its
+    # parameter is excluded. The earlier cell decides, whatever its stage.
+    ("1.5,0.25", "convergence failure: residual"),
+    ("0.25,1.5", "domain error: need 0 < a_1 <= b_1"),
+    ("1.5,-1", "convergence failure: residual"),
+    ("1.5,1.25,0.25", "convergence failure: residual"),
+])
+def test_stacked_root_modulus_fails_with_the_first_failing_cell(
+        grid, err, monkeypatch, capsys):
+    companion = roots._companion_roots
+
+    def shifted(coeffs):
+        w = companion(coeffs)
+        return w * 0 + 100.0 if len(coeffs) - 1 == 5 else w
+
+    monkeypatch.setattr(roots, "_companion_roots", shifted)
+    family = ("--p", "1", "--q", "1", "--a", "0.5", "--b", "1.5")
+    code, out, got = _equals_cell_by_cell(monkeypatch, capsys, "root-modulus",
+                                          family, grid, "3,5")
+    assert (code, out) == (3, "")
+    assert got.startswith(err)
+
+
+@pytest.mark.parametrize("grid, err", [
+    # With the series cap lowered, every probe of b1 = 1.5 fails; b1 = 1e300
+    # underflows xi_2, b1 = -1 is excluded. The earlier cell decides.
+    ("1.5,1e300", "convergence failure: series did not converge within 5 terms"),
+    ("1e300,1.5", "domain error: coefficient xi_2 underflowed"),
+    ("1.5,-1", "convergence failure: series did not converge within 5 terms"),
+    ("-1,1.5", "domain error: parameter (-1+0j) lies within"),
+])
+def test_stacked_convergence_fails_with_the_first_failing_cell(
+        grid, err, monkeypatch, capsys):
+    monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 5)
+    family = ("--p", "0", "--q", "1", "--b", "2")
+    code, out, got = _equals_cell_by_cell(monkeypatch, capsys, "convergence",
+                                          family, grid, "2,4")
+    assert (code, out) == (3, "")
+    assert got.startswith(err)
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -759,6 +875,19 @@ DOCUMENT_DIGESTS = [
     ("verify --p 3 --q 1 --a=-3.79+1.84i,-2.88-1.47i,-5.04-0.21i --b=4.27+1.47i "
      "--check all --n-max 25 --draws 0",
      4, "f320b7a35308bb37a63b32c39ba1a785a42579ea2edc3d62d63b94d6f75f5bcc"),
+    # The stacked sweeps on complex parameters and on unsorted, repeated
+    # degrees with 0 and 1 among them; two root tables whose residual gate
+    # reads the polish's last evaluation.
+    ("sweep --p 1 --q 2 --a 0.5+0.25i --b 1.5,2.0-0.5i --quantity convergence "
+     "--grid-param b1 --grid-values 1.5,2.5,3.25,4 --n-list 0,2,5,5,9",
+     0, "05999e66bde5e300d891efb50bf255341d9145b43f6ad3c20b5f5d01804eddc5"),
+    ("sweep --p 1 --q 2 --a 0.5 --b 1.5,2.25 --quantity root-modulus "
+     "--grid-param b1 --grid-values 1,3.5,2,1.25 --n-list 12,0,5,1,12,40",
+     0, "f6e4b6ccfcf89ba963e325c9f98e248d76440b811f74adfcdcf8b2de14b27292"),
+    ("roots --p 0 --q 0 --n 60",
+     0, "c17098878f20cc91483cfce73a127575bd7b7c612a409e8b3d8ea819361c0690"),
+    ("roots --p 1 --q 1 --a 1 --b 2 --n 100",
+     0, "ed8e9bb7d01bf9741b8498f1c23520bbd41bfb0fae0f98cd31416f091e14619a"),
 ]
 
 

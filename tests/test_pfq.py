@@ -142,15 +142,51 @@ def test_each_point_is_summed_on_its_own():
         "1F0(0.5)": [0j, 0.5, -0.3 + 0.2j, 0.99, -1.0, 0.5],
     }
     for name, zs in points.items():
-        sums, used = _sum_series(ORACLE_FAMILIES[name], zs)
+        sums, used = _sum_series([ORACLE_FAMILIES[name]], 0, zs)
         assert sums.shape == used.shape == (len(zs),)
         for i, z in enumerate(zs):
-            one_sum, one_used = _sum_series(ORACLE_FAMILIES[name], [z])
+            one_sum, one_used = _sum_series([ORACLE_FAMILIES[name]], 0, [z])
             assert used[i] == one_used[0], (name, z)
             assert sums[i].tobytes() == one_sum[0].tobytes(), (name, z)
     # The point that reached the cap carries terms_used 0 and a nan sum.
     assert used[4] == 0 and cmath.isnan(sums[4])
     assert used.tolist().count(0) == 1
+
+
+def test_a_stack_of_families_sums_each_family_alone():
+    # Every family's points, interleaved in one call, are bit for bit the
+    # family summed alone: each step multiplies by the point's own ratio.
+    stack = list(ORACLE_FAMILIES.values())
+    rng = random.Random(7)
+    owner = [rng.randrange(len(stack)) for _ in range(120)]
+    zs = [ORACLE_POINTS[rng.randrange(len(ORACLE_POINTS))] * rng.uniform(0.5, 1.0)
+          for _ in owner]
+    sums, used = _sum_series(stack, owner, zs)
+    for i, params in enumerate(stack):
+        mine = [k for k, o in enumerate(owner) if o == i]
+        alone_sums, alone_used = _sum_series([params], 0, [zs[k] for k in mine])
+        assert used[mine].tolist() == alone_used.tolist()
+        assert sums[mine].tobytes() == alone_sums.tobytes()
+    assert _sum_series([], [], [])[0].shape == (0,)
+
+
+def test_sup_errors_is_pythons_max_over_poly_values():
+    # Python's max keeps a nan in first place and skips any later one;
+    # an inf sum gives an inf error.
+    seqs = [(1 + 0j, 0.5 - 0.25j, 0.125j), (1 + 0j, -2 + 0j, 3 + 1j)]
+    zs = [0.5 + 0.5j, -1.0 + 0j, 0.25j]
+    nan, inf = math.nan, math.inf
+    sums = [[complex(nan, 0), 1.0, 2j], [0.5, complex(0, nan), complex(inf, 1)]]
+    ns = [2, 0, 1, 1]
+    got = pfq._sup_errors(seqs, ns, zs, sums)
+    for seq, cell_sums, cell_got in zip(seqs, sums, got):
+        want = [max(abs(Poly(seq[: n + 1])(z) - s) for z, s in zip(zs, cell_sums))
+                for n in ns]
+        assert repr(cell_got) == repr(want)
+    assert math.isnan(got[0][0]) and got[1][0] == inf
+    no_points = pfq._sup_errors(seqs, ns, [], [[], []])
+    assert [len(row) for row in no_points] == [4, 4]
+    assert all(math.isnan(x) for row in no_points for x in row)
 
 
 def explicit_trapezoid_circle_rep(params, n, tau, N=4096):

@@ -271,6 +271,49 @@ def test_complex_coefficients_take_the_complex_companion_path():
     assert _bits(find_roots(COMPLEX_POLYS[1])[:2]) == _bits([0j, 0j])
 
 
+def _gate_passes(monkeypatch, polys) -> int:
+    """The _horner_pairs passes _root_table makes outside the polish; its
+    rows must be bit for bit _find_roots_oracle's."""
+    passes, polishing = [], []
+    horner_pairs, polish = roots_module._horner_pairs, roots_module._polish
+
+    def counting(*args):
+        passes.append(bool(polishing))
+        return horner_pairs(*args)
+
+    def counted_polish(*args):
+        polishing.append(True)
+        try:
+            return polish(*args)
+        finally:
+            polishing.pop()
+
+    monkeypatch.setattr(roots_module, "_horner_pairs", counting)
+    monkeypatch.setattr(roots_module, "_polish", counted_polish)
+    table, mask = _root_table(polys)
+    for f, row, present in zip(polys, table, mask):
+        assert _bits(row[present]) == _bits(_find_roots_oracle(f))
+    assert passes.count(True) >= 1  # the polish evaluated the roots
+    return passes.count(False)
+
+
+def test_the_gate_reads_the_polished_evaluation(monkeypatch):
+    # Where the gate's pairs are the polished ones it makes no pass of its
+    # own: one fewer than a gate that evaluates every root afresh.
+    polys = [gn_direct(EXP, n) for n in (2, 5, 9)] + [COMPLEX_POLYS[0]]
+    assert _gate_passes(monkeypatch, polys) == 0
+
+
+@pytest.mark.parametrize("extra", [
+    COMPLEX_POLYS[1],  # a factor z^2 stripped before the polish
+    COMPLEX_POLYS[3],  # degree 1, solved exactly and never polished
+    gn_direct(EXP, 1),
+])
+def test_the_gate_evaluates_roots_the_polish_did_not(extra, monkeypatch):
+    polys = [gn_direct(EXP, 6), extra]
+    assert _gate_passes(monkeypatch, polys) == 1
+
+
 def test_root_table_raises_the_first_failing_polynomial(monkeypatch):
     # Eigenvalues moved far off the roots of g_5 and g_8 fail the residual
     # gate after the polish; the table raises g_5's error, the one
