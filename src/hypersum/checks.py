@@ -55,7 +55,7 @@ from .partial_sums import (
     Family,
     HypParams,
     _gn_rows,
-    _monic_coeffs,
+    _monic_table,
     read_family,
 )
 from .pfq import (
@@ -185,15 +185,6 @@ def _scaled_coeff_dev(reference: np.ndarray, candidate: np.ndarray, check: str) 
     with np.errstate(invalid="ignore"):
         deviation = modulus(reference - candidate).max(axis=1) / scale
     return _worst(deviation[:, None], check, ("G coefficient",))
-
-
-def _monic_table(seq: list[complex]) -> np.ndarray:
-    """Row n holds the coefficients of G_n, read from xi_0..xi_n as
-    Gn_monic reads them; raises their errors in degree order."""
-    table = np.zeros((len(seq), len(seq)), dtype=complex)
-    for n in range(len(seq)):
-        table[n, : n + 1] = _monic_coeffs(seq[: n + 1])
-    return table
 
 
 def _monic_comparison(family: Family, N: int, check: str) -> tuple[float, bool]:
@@ -482,22 +473,25 @@ _PENCIL_MAX_N = 12  # N is drawn from 2..12
 
 def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
     """The pencil check's draws, grouped by N in draw order: a (B, 5N + 2 +
-    2·_PENCIL_LAMBDAS) array per N. Value i is lo_i + (hi_i - lo_i)·r with
-    r = rng.random(), drawn in the same order as rng.uniform(lo_i, hi_i)
-    would be and mapped in one numpy pass per N; the doubles are the ones
-    rng.uniform returns, which is that same expression."""
-    uniform01 = rng.random
-    raw: dict[int, list[float]] = {}
+    2·_PENCIL_LAMBDAS) array per N. Value i is lo_i + (hi_i - lo_i)·r_i as
+    rng.uniform gives it: a draw takes 64 bits per value from one
+    rng.getrandbits, each pair of its 32-bit words (w0, w1), low first, being
+    CPython's random() r = ((w0 >> 5)·2^26 + (w1 >> 6))·2^-53; rng ends as
+    random() leaves it (test_checks.py::test_draws_equal_the_random_loop)."""
+    blocks: dict[int, list[bytes]] = {}
     for _ in range(int(draws)):
         N = rng.randint(2, _PENCIL_MAX_N)
-        count = 5 * N + 2 + 2 * _PENCIL_LAMBDAS
-        raw.setdefault(N, []).extend([uniform01() for _ in range(count)])
-    groups = {}
-    for N, flat in raw.items():
+        size = 8 * (5 * N + 2 + 2 * _PENCIL_LAMBDAS)  # bytes: 64 bits per value
+        blocks.setdefault(N, []).append(rng.getrandbits(8 * size).to_bytes(size, "little"))
+    words = np.frombuffer(b"".join(b"".join(v) for v in blocks.values()), dtype="<u4")
+    uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
+    groups, stop = {}, 0
+    for N, drawn in blocks.items():  # one numpy pass per size
         ranges = [r for r in _PENCIL_BAND_RANGES for _ in range(N)]
         ranges += _PENCIL_SEED_RANGES + _PENCIL_LAMBDA_RANGES * _PENCIL_LAMBDAS
         lo, hi = np.array(ranges).T
-        groups[N] = lo + (hi - lo) * np.array(flat).reshape(-1, len(ranges))
+        r = uniform[stop : stop + len(drawn) * len(ranges)].reshape(len(drawn), -1)
+        groups[N], stop = lo + (hi - lo) * r, stop + r.size
     return groups
 
 
@@ -532,33 +526,23 @@ def check_pencil(
     generated p_n have degree n with positive leading coefficient, and the
     worked p_2 = lambda^2 example is reproduced exactly.
 
-    The pencils are drawn from rng alone, so the result depends only on the
-    seed and `draws`, not on the family being verified. Each draw takes N in
-    2..12, the pencil's bands, alpha and beta, then _PENCIL_LAMBDAS lambdas
-    (_draw_pencils). The draws are laid out in size order as one band
-    array, padded past each pencil's N - 1 read entries (_pencil_stack),
-    and solved to degree 12 by one call of the pencil engine (_band_coeff_stack): row n
-    reads band entries <= n only, so p_0..p_N of each pencil are bit for
-    bit its own size's solve. Each size is then checked by one pass of
-    _band_row_sums on its slice of the stack; no JacobiPencil is built for
-    them. Degree n with a positive leading coefficient means, for k <= N,
-    exact zeros above the diagonal of the coefficient array and a positive
-    diagonal. Per lambda the measure is the largest row residual over the
-    largest row scale (at least 1). Negative draws are a DomainError; zero
-    draws check only the worked example.
+    The pencils are drawn from rng alone (_draw_pencils), so the result
+    depends only on the seed and `draws`, not on the family verified. Each
+    draw takes N in 2..12, the pencil's bands, alpha and beta, then
+    _PENCIL_LAMBDAS lambdas. All draws, padded into one band array in size
+    order (_pencil_stack), are solved to degree 12 by one engine call, each
+    pencil's p_0..p_N bit for bit its own size's solve; each size is then
+    summed by one _band_row_sums pass on its slice. Degree n with a positive
+    leading coefficient means, for k <= N, exact zeros above the diagonal
+    and a positive diagonal. Per lambda the measure is the largest row
+    residual over the largest row scale (at least 1). Negative draws are a
+    DomainError; zero draws check only the worked example.
     """
     tol = 1e-10 if tol is None else tol
     if int(draws) < 0:
         raise DomainError("draws must be nonnegative")
-    worked = JacobiPencil(
-        j3_diag=(0.0, 0.0),
-        j3_offdiag=(1.0, 1.0),
-        j5_diag=(0.0, 0.0),
-        j5_off1=(0.0, 0.0),
-        j5_off2=(1.0, 1.0),
-        alpha=1.0,
-        beta=0.0,
-    )
+    worked = JacobiPencil(j3_diag=(0.0, 0.0), j3_offdiag=(1.0, 1.0), j5_diag=(0.0, 0.0),
+                          j5_off1=(0.0, 0.0), j5_off2=(1.0, 1.0), alpha=1.0, beta=0.0)
     worst = 0.0
     if pencil_polynomials(worked, 2)[2].coeffs != (0, 0, 1):
         worst = math.inf
@@ -572,17 +556,12 @@ def check_pencil(
         worst = math.inf
     for N in sorted(set(sizes.tolist())):
         rows = slice(*np.searchsorted(sizes, [N, N + 1]).tolist())
-        total, scale = _band_row_sums(
-            bands[:, rows], coeffs[rows, : N + 1, : N + 1], lams[rows], N - 1
-        )
+        total, scale = _band_row_sums(bands[:, rows], coeffs[rows, : N + 1, : N + 1],
+                                      lams[rows], N - 1)
         ratio = np.abs(total).max(axis=1) / np.maximum(scale.max(axis=1), 1.0)
         worst = float(np.max([worst, ratio.max()]))
-    return _result(
-        "pencil",
-        worst,
-        tol,
-        f"max residual/scale over {draws} pencils, {_PENCIL_LAMBDAS} lambdas each",
-    )
+    return _result("pencil", worst, tol, f"max residual/scale over {draws} pencils, "
+                   f"{_PENCIL_LAMBDAS} lambdas each")
 
 
 def inapplicable_reason(name: str, params: HypParams) -> Optional[str]:

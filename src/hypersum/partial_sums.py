@@ -210,9 +210,10 @@ def gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:
         (n+1)(b_1+n)···(b_q+n) / ((a_1+n)···(a_p+n)) · (g_{n+1} - g_n)
             = z (g_n - g_{n-1}),
 
-    whose prefactor is delta_{n+1}. This is the engine _gn_rows, its
-    rows as Poly.
+    whose prefactor is delta_{n+1}. This is the engine _gn_rows, its rows
+    as Poly, once the family record shows gn_direct would not refuse.
     """
+    read_family(params, N).seq(N)
     return [Poly(row) for row in _gn_rows(params, N)]
 
 
@@ -233,6 +234,18 @@ def _monic_coeffs(seq: Sequence[complex]) -> list[complex]:
     if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
         raise DomainError(f"monic rescaling of g_{len(seq) - 1} overflowed")
     return coeffs
+
+
+def _monic_table(seq: Sequence[complex]) -> np.ndarray:
+    """Row n holds _monic_coeffs(seq[:n + 1]), zero above the diagonal, by
+    the same divisions; it raises their error for the first bad degree."""
+    table = np.zeros((len(seq), len(seq)), dtype=complex)
+    lower = np.tri(len(seq), dtype=bool)
+    table[lower] = [x / d for n, d in enumerate(seq) for x in seq[: n + 1]]
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"monic rescaling of g_{int(finite.argmin())} overflowed")
+    return table
 
 
 def Gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:

@@ -81,13 +81,14 @@ def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray]:
     i summing family stack[owner[i]] (owner: an index per point, or one for
     all; the domain is not checked). A point stops once |term| <
     SERIES_RTOL·|its running sum| has held for 3 consecutive terms;
-    terms_used is 0 (and the sum nan) where SERIES_TERM_CAP terms do not get
-    there. Each step forms each family's _coeff_ratio once, as a Python
-    complex, gathered per point (a product with the gathered ratios rounds
-    as one with the scalar). Stopped points leave the arrays, and every
-    product is elementwise and out of place (numpy's in-place complex *=
-    can round a one-element array differently), so no point depends on the
-    others.
+    terms_used is 0 where SERIES_TERM_CAP terms do not get there (the sum
+    nan) or a point stops on an overflowed total (the sum that total: any
+    finite term is small against inf). Each step forms each family's
+    _coeff_ratio once, as a Python complex, gathered per point (a product
+    with the gathered ratios rounds as one with the scalar). Stopped points
+    leave the arrays, and every product is elementwise and out of place
+    (numpy's in-place complex *= can round one entry differently), so no
+    point depends on the others.
     """
     z = np.asarray(zs, dtype=complex)
     owner = np.asarray(owner, dtype=int)
@@ -109,7 +110,8 @@ def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray]:
             done = small & small1 & small2
             small1, small2 = small, small1
             if done.any():
-                sums[live[done]], terms_used[live[done]] = total[done], k + 1
+                sums[live[done]] = total[done]
+                terms_used[live[done]] = np.where(np.isfinite(total[done]), k + 1, 0)
                 live, z, term, total, small1, small2 = (
                     x[~done] for x in (live, z, term, total, small1, small2)
                 )
@@ -129,16 +131,16 @@ def _eval_points(params: HypParams, zs) -> list[PfqValue]:
     for i, z in enumerate(zs):
         if i == len(classes) or not terms[i]:
             _domain_class(params, z)  # raises if z is outside the domain
-            raise ConvergenceError(
-                f"series did not converge within {SERIES_TERM_CAP} terms at z = {z}"
-            )
+            failure = ("overflowed double precision" if np.isinf(sums[i]) else
+                       f"did not converge within {SERIES_TERM_CAP} terms")
+            raise ConvergenceError(f"series {failure} at z = {z}")
     return [PfqValue(complex(s), int(t), c) for s, t, c in zip(sums, terms, classes)]
 
 
 def pfq_eval(params: HypParams, z: complex) -> PfqValue:
     """Sum the series at z: the one-point case of _eval_points. Raises
     DomainError where the series is undefined and ConvergenceError if
-    SERIES_TERM_CAP terms do not meet the stopping rule."""
+    SERIES_TERM_CAP terms do not meet the stopping rule or the sum overflows."""
     return _eval_points(params, [z])[0]
 
 

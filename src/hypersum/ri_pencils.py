@@ -13,24 +13,19 @@ partial sums G_n: partial_sums.Gn_by_recurrence runs on this engine.
 
 The pencil engine solves the five-term scalar relation of a pentadiagonal/
 tridiagonal symmetric pair forward for p_{n+2}; gamma_n > 0 makes the solve
-unconditionally legal. Every band entry, alpha and beta is real, so the
-solve runs on a stack of B same-size pencils at once as a real float64
-coefficient array of shape (B, N+1, N+1). The residual evaluates all p_k at
-an array of lambda by Horner and sums the five row addends, with their
-moduli as the scale, in one vectorized pass. pencil_row_terms keeps the
-scalar form of one row as the reference the vectorized pass is tested
-against.
-
-The engine works on band arrays: a (5, B, K) float array holding b_k, a_k,
-alpha_k, beta_k, gamma_k of B pencils, with (B,) arrays of alpha and beta.
-It is the only pencil route: pencil_polynomials and pencil_residual hand it
-one JacobiPencil as a stack of one (_pencil_bands), and the verify check
-draws its random pencils directly as band arrays and solves all of their
-sizes in one call. Row n of the solve reads band entries <= n only, so a
-pencil padded past its last read entry and solved to a larger N has p_0..
-p_N bit for bit those of its own solve. JacobiPencil and the
-engine refuse the same data through one rule, _require_valid: every entry
-finite; a_k, gamma_k and alpha positive.
+unconditionally legal. It works on band arrays: a (5, B, K) float array of
+b_k, a_k, alpha_k, beta_k, gamma_k of B pencils, with (B,) arrays of alpha
+and beta, solved at once into a real (B, N+1, N+1) coefficient array. Row n
+reads band entries <= n only, so a pencil padded past its last read entry
+and solved to a larger N has p_0..p_N bit for bit those of its own solve.
+The residual (_band_row_sums) evaluates every p_k at an array of lambda by
+Horner and sums the five row addends, with their moduli as the scale, in
+one pass; pencil_row_terms is the scalar form of one row it is tested
+against. This is the only pencil route: pencil_polynomials and
+pencil_residual hand it one JacobiPencil as a stack of one, and the verify
+check hands it its random draws as band arrays. JacobiPencil and the engine
+refuse the same data through one rule, _require_valid: every entry finite;
+a_k, gamma_k and alpha positive.
 """
 
 from __future__ import annotations
@@ -43,7 +38,8 @@ import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
-from .polycore import DEGREE_CAP, Poly, coeff_difference, horner, modulus, poly_coeffs
+from .polycore import (DEGREE_CAP, Poly, coeff_difference, coeff_table, horner, modulus,
+                       poly_coeffs)
 
 RI_NODE_RTOL = 1e-12
 
@@ -332,26 +328,39 @@ def _band_row_sums(bands, coeffs, lams, rows: int) -> tuple[np.ndarray, np.ndarr
     positive); lams holds the lambdas, of shape (L,) for all pencils or
     (B, L) per pencil. Returns two (B, rows, L) arrays: the sum of the five
     addends of pencil_row_terms, and the sum of their moduli.
+
+    The values p_k(lambda) are laid out (k, pencil, lambda). Horner's step
+    for x^j updates in place the rows from the first p_k of degree >= j on,
+    at least two (numpy rounds an in-place complex product of one entry
+    without FMA). The rows left out hold zeros where a full pass holds
+    signed zeros (or nan at a non-finite lambda, where addend 2 is nan
+    anyway): each result is bit for bit, up to the sign of a zero, that of
+    the full pass tests/test_ri_pencils.py keeps as the oracle.
     """
-    C = np.asarray(coeffs)
-    bands = np.ascontiguousarray(bands[:, :, :rows])  # as in _band_coeff_stack
-    b, a, al, be, ga = (x[:, :, None] for x in bands)
-    lam = np.broadcast_to(np.asarray(lams, dtype=complex),
-                          (bands.shape[1], np.shape(lams)[-1]))[:, None, :]
+    K = rows + 2 if rows else 0  # p_0..p_{rows+1}; zero rows read none
+    C = np.ascontiguousarray(np.asarray(coeffs)[:, :K].transpose(2, 1, 0), dtype=complex)
+    b, a, al, be, ga = np.ascontiguousarray(
+        bands[:, :, :rows].transpose(0, 2, 1), dtype=complex)[..., None]
+    lam = np.asarray(lams, dtype=complex)
+    reach = np.logical_or.accumulate(C.any(axis=2)[::-1], axis=0)[::-1]  # (D, K)
+    starts = np.minimum(reach.argmax(axis=1), K - 2).tolist() if K else []
     # A lambda far outside the spectrum can overflow the values; the
     # non-finite sums are the report, so numpy's warnings are muted.
     with np.errstate(over="ignore", invalid="ignore"):
-        V = np.zeros(C.shape[:2] + lam.shape[-1:], dtype=complex)
-        for j in range(C.shape[2] - 1, -1, -1):
-            V = V * lam + C[:, :, j, None]
+        V = np.zeros((K, C.shape[2], lam.shape[-1]), dtype=complex)
+        for j, s in reversed(list(enumerate(starts))):
+            np.multiply(V[s:], lam, out=V[s:])
+            np.add(V[s:], C[j, s:, :, None], out=V[s:])
         r1, r2 = max(rows - 1, 0), max(rows - 2, 0)
-        terms = np.zeros((5,) + V[:, :rows].shape, dtype=complex)
-        terms[0, :, 2:] = ga[:, :r2] * V[:, :r2]
-        terms[1, :, 1:] = (be[:, :r1] - lam * a[:, :r1]) * V[:, :r1]
-        terms[2] = (al - lam * b) * V[:, :rows]
-        terms[3] = (be - lam * a) * V[:, 1 : rows + 1]
-        terms[4] = ga * V[:, 2 : rows + 2]
-        return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+        shifted = be - lam * a  # for addends 1 and 3
+        terms = np.zeros((5, rows) + V.shape[1:], dtype=complex)
+        np.multiply(ga[:r2], V[:r2], out=terms[0, 2:])
+        np.multiply(shifted[:r1], V[:r1], out=terms[1, 1:])
+        np.multiply(al - lam * b, V[:rows], out=terms[2])
+        np.multiply(shifted, V[1 : rows + 1], out=terms[3])
+        np.multiply(ga, V[2 : rows + 2], out=terms[4])
+        total, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    return total.transpose(1, 0, 2), scale.transpose(1, 0, 2)
 
 
 def pencil_residual(
@@ -365,11 +374,8 @@ def pencil_residual(
         raise DomainError("rows must be nonnegative")
     if rows and len(polys) < rows + 2:
         raise DomainError(f"{rows} rows need {rows + 2} polynomials")
-    used = polys[: rows + 2]
-    width = max((len(f.coeffs) for f in used), default=1)
-    C = np.zeros((1, len(used), width), dtype=complex)
-    for k, f in enumerate(used):
-        C[0, k, : len(f.coeffs)] = f.coeffs
+    used = [f.coeffs for f in polys[: rows + 2]]
+    C = coeff_table(used, max(map(len, used), default=1))[None]
     bands = _pencil_bands(pencil, rows)[:, None]
     total, _ = _band_row_sums(bands, C, np.atleast_1d(lam), rows)
     return float(np.abs(total).max(initial=0.0))

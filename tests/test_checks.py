@@ -41,7 +41,6 @@ from hypersum.polycore import Poly, coeff_table, horner, modulus
 from hypersum.ri_pencils import (
     JacobiPencil,
     _band_coeff_stack,
-    _band_row_sums,
     _pencil_bands,
     ri_generate,
     tfraction_from_hyp,
@@ -55,7 +54,12 @@ from test_pfq import (
     _former_axis_termwise,
     _former_terminating_pfq_poly,
 )
-from test_ri_pencils import _band_stack, _former_ri_generate, _random_pencil
+from test_ri_pencils import (
+    _band_stack,
+    _former_band_row_sums,
+    _former_ri_generate,
+    _random_pencil,
+)
 from test_roots import _admissible_families, _find_roots_oracle
 from test_sobolev import _former_monomial_quadrature_defect
 
@@ -536,11 +540,40 @@ def _pencil_draws(rng, draws):
     return out
 
 
+def _former_draw_pencils(rng, draws):
+    """checks._draw_pencils as it was: one rng.random() per value."""
+    raw = {}
+    for _ in range(int(draws)):
+        N = rng.randint(2, 12)
+        count = 5 * N + 2 + 2 * 20
+        raw.setdefault(N, []).extend([rng.random() for _ in range(count)])
+    groups = {}
+    for N, flat in raw.items():
+        ranges = [r for r in checks._PENCIL_BAND_RANGES for _ in range(N)]
+        ranges += checks._PENCIL_SEED_RANGES + checks._PENCIL_LAMBDA_RANGES * 20
+        lo, hi = np.array(ranges).T
+        groups[N] = lo + (hi - lo) * np.array(flat).reshape(-1, len(ranges))
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_draws_equal_the_random_loop(seed):
+    # getrandbits words turned into doubles by CPython's random() formula:
+    # the same doubles, and the generator left in the same state.
+    for draws in (0, 1, 7, 200, 1000):
+        rng, reference = (random.Random(f"{seed}:pencil") for _ in range(2))
+        got = checks._draw_pencils(rng, draws)
+        want = _former_draw_pencils(reference, draws)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[N], want[N]) for N in want)
+        assert rng.getstate() == reference.getstate()
+
+
 def _pencil_check_oracle(rng, draws=200, tol=None):
     """The pencil check as it was written on JacobiPencil objects: each
     draw builds a validated pencil with random.uniform, and each size group
-    is stacked from _pencil_bands of its pencils and goes through the band
-    engine."""
+    is stacked from _pencil_bands of its pencils, solved by the band engine
+    and summed by the former row-sum pass."""
     tol = 1e-10 if tol is None else tol
     worked = JacobiPencil(
         j3_diag=(0.0, 0.0),
@@ -570,7 +603,7 @@ def _pencil_check_oracle(rng, draws=200, tol=None):
         diagonal = np.diagonal(coeffs, axis1=1, axis2=2)
         if np.triu(coeffs, 1).any() or not (diagonal > 0).all():
             worst = math.inf
-        total, scale = _band_row_sums(bands, coeffs, lams, N - 1)
+        total, scale = _former_band_row_sums(bands, coeffs, lams, N - 1)
         ratio = np.abs(total).max(axis=1) / np.maximum(scale.max(axis=1), 1.0)
         worst = float(np.max([worst, ratio.max()]))
     return CheckResult(
@@ -604,7 +637,8 @@ def _record_pencil_calls(monkeypatch, perturb=None):
     random draws. The worked p_2 example goes through pencil_polynomials,
     which calls the engine inside ri_pencils, so it is not recorded here.
     Returns the lists of solve calls (N, bands, alpha, beta) and of
-    row-sum calls (rows, lams)."""
+    row-sum calls (rows, lams); each row-sum call must return what the
+    former row-sum pass returns on the same arguments."""
     solves, row_sums = [], []
     solve, sums = checks._band_coeff_stack, checks._band_row_sums
 
@@ -617,7 +651,10 @@ def _record_pencil_calls(monkeypatch, perturb=None):
 
     def recording_row_sums(bands, coeffs, lams, rows):
         row_sums.append((rows, lams))
-        return sums(bands, coeffs, lams, rows)
+        out = sums(bands, coeffs, lams, rows)
+        want = _former_band_row_sums(bands, coeffs, lams, rows)
+        assert all(np.array_equal(o, w) for o, w in zip(out, want))
+        return out
 
     monkeypatch.setattr(checks, "_band_coeff_stack", recording_solve)
     monkeypatch.setattr(checks, "_band_row_sums", recording_row_sums)

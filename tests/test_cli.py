@@ -884,6 +884,20 @@ DOCUMENT_DIGESTS = [
     ("sweep --p 1 --q 2 --a 0.5 --b 1.5,2.25 --quantity root-modulus "
      "--grid-param b1 --grid-values 1,3.5,2,1.25 --n-list 12,0,5,1,12,40",
      0, "f6e4b6ccfcf89ba963e325c9f98e248d76440b811f74adfcdcf8b2de14b27292"),
+    # The pencil command on one pencil at four lambdas and at one (a row
+    # sum over a single entry), and the pencil check on 1000 draws and 1.
+    ("pencil --n 4 --j3-diag=0.3,-1.1,0.7 --j3-offdiag 1.3,0.4,1.9 "
+     "--j5-diag=-0.6,1.2,0.1 --j5-off1=0.5,-1.7,0.9 --j5-off2 0.35,1.6,0.8 "
+     "--alpha 0.9 --beta=-0.4",
+     0, "77d574fa754a4356726c5f3010e12a9a2d7d72a8a188fdc0d781348690812257"),
+    ("pencil --n 4 --j3-diag=0.3,-1.1,0.7 --j3-offdiag 1.3,0.4,1.9 "
+     "--j5-diag=-0.6,1.2,0.1 --j5-off1=0.5,-1.7,0.9 --j5-off2 0.35,1.6,0.8 "
+     "--alpha 0.9 --beta=-0.4 --lam 2.5-0.75i",
+     0, "b4fd4acad1fc4678da74c7090014019fe1f1dac11904c122b90aca45ca8d56b4"),
+    ("verify --p 0 --q 0 --check pencil --draws 1000 --seed 5",
+     0, "201d3bf6ebd1ced06e93da4f692e5a61d1c891a279f1d1c3475e9c30af0272ce"),
+    ("verify --p 0 --q 0 --check pencil --draws 1 --seed 5",
+     0, "b6d6e9a3dccdd74b3189a47efb1fb695059e116bd23beec715e0fb494b4375f8"),
     ("roots --p 0 --q 0 --n 60",
      0, "c17098878f20cc91483cfce73a127575bd7b7c612a409e8b3d8ea819361c0690"),
     ("roots --p 1 --q 1 --a 1 --b 2 --n 100",

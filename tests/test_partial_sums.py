@@ -9,6 +9,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from hypersum.operators import kappa
 from hypersum.partial_sums import (
     _check_cap,
     _coeff_ratio,
+    _monic_coeffs,
+    _monic_table,
     Gn_by_recurrence,
     Gn_monic,
     HypParams,
@@ -244,14 +247,65 @@ def _former_gn_by_recurrence(params, N):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gn_by_recurrence_equals_the_former_loop_bit_for_bit(seed):
-    # Mild and extreme families, errors included: the list engine rounds
-    # and refuses as the Poly loop did, signed zeros too.
+    # Mild and extreme families, errors included: a family gn_direct
+    # refuses is refused with its error; on any other the list engine
+    # rounds and refuses as the Poly loop did, signed zeros too.
     rng = random.Random(f"{seed}:gn-recurrence")
     for i in range(40):
         params = _extreme_family(rng) if i % 2 else _random_family(rng)
         N = rng.choice((0, 1, 2, 10, 25, 60))
-        assert _exact_outcome(lambda: gn_by_recurrence(params, N)) == _exact_outcome(
-            lambda: _former_gn_by_recurrence(params, N)), (params, N)
+        want = _exact_outcome(lambda: gn_direct(params, N))
+        if want[0] == "value":
+            want = _exact_outcome(lambda: _former_gn_by_recurrence(params, N))
+        assert _exact_outcome(lambda: gn_by_recurrence(params, N)) == want, (params, N)
+
+
+def test_gn_by_recurrence_refuses_what_gn_direct_refuses():
+    # delta_1 = 0 here: the former loop divided by it (ZeroDivisionError),
+    # where the family record holds a non-finite xi_1.
+    params = HypParams(
+        a=(-1.2787624683585395e208, 1.8646141335495207e71, -1.723950054127906e45),
+        b=(-2.9307019274074324e125,))
+    assert delta_k(params, 1) == 0
+    with pytest.raises(ZeroDivisionError):
+        _former_gn_by_recurrence(params, 1)
+    for N in (1, 5):
+        with pytest.raises(DomainError) as direct:
+            gn_direct(params, N)
+        with pytest.raises(DomainError) as recurrence:
+            gn_by_recurrence(params, N)
+        assert str(recurrence.value) == str(direct.value) == (
+            "non-finite coefficient xi_1: (nan+nanj)")
+    assert [g.coeffs for g in gn_by_recurrence(params, 0)] == [(1 + 0j,)]
+
+
+def _former_monic_table(seq):
+    # The per-degree loop _monic_table replaced: _monic_coeffs per row.
+    table = np.zeros((len(seq), len(seq)), dtype=complex)
+    for n in range(len(seq)):
+        table[n, : n + 1] = _monic_coeffs(seq[: n + 1])
+    return table
+
+
+def test_monic_table_equals_the_per_degree_loop():
+    rng = random.Random("monic-table")
+    for i in range(200):
+        params = _extreme_family(rng) if i % 2 else _random_family(rng)
+        family = read_family(params, 25)
+        seq = family.xi
+        assert _exact_outcome(lambda: _monic_table(seq).tolist()) == _exact_outcome(
+            lambda: _former_monic_table(seq).tolist()), params
+    # 1F1(1e-11;1e300): xi_1 = 1e-311 is subnormal, 1/xi_1 overflows.
+    params = HypParams(a=(1e-11,), b=(1e300,))
+    seq = read_family(params, 1).seq(1)
+    with pytest.raises(DomainError, match=r"^monic rescaling of g_1 overflowed$"):
+        Gn_monic(params, 1)
+    # Rows 1 and 2 overflow, row 3 does not: the error names g_1.
+    for seq in (seq, (1 + 0j, 1e-320 + 0j, 1e-321 + 0j, 1 + 0j)):
+        with pytest.raises(DomainError, match=r"^monic rescaling of g_1 overflowed$"):
+            _monic_table(seq)
+        with pytest.raises(DomainError, match=r"^monic rescaling of g_1 overflowed$"):
+            _former_monic_table(seq)
 
 
 def test_monic_recurrence_equals_the_former_loop_exactly():

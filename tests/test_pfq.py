@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from hypersum import pfq
+from hypersum import cli, pfq
 from hypersum.errors import ConvergenceError, DomainError
 from hypersum.partial_sums import HypParams, _check_cap, _coeff_ratio, gn_direct
 from hypersum.pfq import (
@@ -128,6 +128,30 @@ def test_eval_on_real_data_is_the_scalar_loop_bit_for_bit():
             want, used, _ = scalar_series(ORACLE_FAMILIES[name], z)
             got = pfq_eval(ORACLE_FAMILIES[name], z)
             assert (got.value, got.terms_used) == (want, used), (name, z)
+
+
+# 1F0(a) with this a: on the unit circle the terms overflow, and once the
+# total is inf every finite term is small against it.
+OVERFLOWING = HypParams(a=(262.97806711803645,), b=())
+
+
+@pytest.mark.parametrize("z", [1.0, cmath.exp(0.3j)])
+def test_an_overflowed_sum_is_never_converged(z, capsys):
+    total, used, _ = scalar_series(OVERFLOWING, z)
+    assert used and cmath.isinf(total)  # what the stopping rule alone accepts
+    sums, terms = pfq._sum_series([OVERFLOWING], 0, [z, 0.5])
+    assert terms[0] == 0 and cmath.isinf(sums[0])
+    assert terms[1] == scalar_series(OVERFLOWING, 0.5)[1]
+    message = f"series overflowed double precision at z = {complex(z)}"
+    with pytest.raises(ConvergenceError) as exc:
+        pfq_eval(OVERFLOWING, z)
+    assert str(exc.value) == message
+    argv = ["eval", "--p", "1", "--q", "0", "--a", "262.97806711803645",
+            "--n", "3", "--z", f"{z.real!r}{z.imag:+.17g}i", "--series"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"convergence failure: {message}\n"
 
 
 def test_each_point_is_summed_on_its_own():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersum.errors import DomainError
-from hypersum import ri_pencils
+from hypersum import checks, ri_pencils
 from hypersum.partial_sums import (
     Gn_by_recurrence,
     Gn_monic,
@@ -535,6 +535,105 @@ def test_band_engine_reads_any_layout_and_ignores_extra_entries():
         got = _band_row_sums(strided, stack, lams, N - 1)
         want = _band_row_sums(exact, stack, lams, N - 1)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _former_band_row_sums(bands, coeffs, lams, rows):
+    """_band_row_sums as it was: Horner over every row and every power on a
+    (pencil, k, lambda) layout, each product formed as a new array, with
+    numpy casting the real bands and coefficients per product."""
+    C = np.asarray(coeffs)
+    bands = np.ascontiguousarray(bands[:, :, :rows])
+    b, a, al, be, ga = (x[:, :, None] for x in bands)
+    lam = np.broadcast_to(np.asarray(lams, dtype=complex),
+                          (bands.shape[1], np.shape(lams)[-1]))[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = np.zeros(C.shape[:2] + lam.shape[-1:], dtype=complex)
+        for j in range(C.shape[2] - 1, -1, -1):
+            V = V * lam + C[:, :, j, None]
+        r1, r2 = max(rows - 1, 0), max(rows - 2, 0)
+        terms = np.zeros((5,) + V[:, :rows].shape, dtype=complex)
+        terms[0, :, 2:] = ga[:, :r2] * V[:, :r2]
+        terms[1, :, 1:] = (be[:, :r1] - lam * a[:, :r1]) * V[:, :r1]
+        terms[2] = (al - lam * b) * V[:, :rows]
+        terms[3] = (be - lam * a) * V[:, 1 : rows + 1]
+        terms[4] = ga * V[:, 2 : rows + 2]
+        return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+def _assert_row_sums_equal_the_former(bands, coeffs, lams, rows):
+    got = _band_row_sums(bands, coeffs, lams, rows)
+    want = _former_band_row_sums(bands, coeffs, lams, rows)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("first", range(0, 200, 20))
+def test_row_sums_equal_the_former_pass_on_the_check_stacks(first):
+    # Every row-sum pass of the pencil check, 200 draws on each seed.
+    for seed in range(first, first + 20):
+        rng = random.Random(f"{seed}:pencil")
+        sizes, bands, alpha, beta, lams = checks._pencil_stack(rng, 200)
+        coeffs = _band_coeff_stack(bands, alpha, beta, 12)
+        for N in sorted(set(sizes.tolist())):
+            rows = slice(*np.searchsorted(sizes, [N, N + 1]).tolist())
+            _assert_row_sums_equal_the_former(
+                bands[:, rows], coeffs[rows, : N + 1, : N + 1], lams[rows], N - 1)
+
+
+def test_row_sums_equal_the_former_pass_on_single_pencils():
+    # One pencil at L lambdas, shared (L,) or per pencil (1, L): with one
+    # lambda every product is of rows entries, down to one entry.
+    rng = random.Random(29)
+    for _ in range(100):
+        N = rng.randint(2, 12)
+        pencil = _random_pencil(rng, N)
+        coeffs = _coeff_stack([pencil], N)
+        for L in (1, 2, 4, 20):
+            lams = np.array([complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+                             for _ in range(L)])
+            for rows in sorted({0, 1, N - 1}):
+                bands = _band_stack([pencil], rows)[0]
+                for lam in (lams, lams[None]):
+                    _assert_row_sums_equal_the_former(bands, coeffs, lam, rows)
+
+
+def test_row_sums_equal_the_former_pass_on_any_table():
+    # pencil_residual takes any polynomials: p_k of degree above k, zero
+    # polynomials, complex coefficients, more polynomials than the rows
+    # read, lambdas that overflow the values or are not finite.
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        B, L, rows = (int(x) for x in rng.integers((1, 1, 0), (4, 4, 5)))
+        K, D = rows + 2 + int(rng.integers(0, 2)), int(rng.integers(0, 8))
+        shape = (B, K, D)
+        coeffs = rng.normal(size=shape) * (rng.random(shape) < 0.4)
+        if rng.random() < 0.7:
+            coeffs = coeffs + 1j * rng.normal(size=shape) * (rng.random(shape) < 0.4)
+        bands = rng.normal(size=(5, B, rows + 1))
+        lams = rng.normal(size=(B, L)) + 1j * rng.normal(size=(B, L))
+        pick = rng.random()
+        if pick < 0.1:
+            lams[0, 0] = complex(math.inf, 0.0)
+        elif pick < 0.2:
+            lams[0, 0] = complex(math.nan, 1.0)
+        elif pick < 0.3:
+            lams[0, 0] *= 1e200
+        _assert_row_sums_equal_the_former(bands, coeffs, lams, rows)
+
+
+def test_row_sums_round_a_lone_top_polynomial_as_the_former_pass():
+    # p_2 of degree 6 over p_0 and p_1 of degree 0, one pencil, one lambda:
+    # only p_2 reaches x^6..x^1, one entry, whose in-place product numpy
+    # would round without the fused multiply-add of the former pass.
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        coeffs = np.zeros((1, 3, 7), dtype=complex)
+        coeffs[0, :2, 0] = 1.0, rng.normal()
+        coeffs[0, 2] = rng.normal(size=7) + 1j * rng.normal(size=7)
+        lam = rng.normal(size=1) + 1j * rng.normal(size=1)
+        bands = rng.normal(size=(5, 1, 1))
+        _assert_row_sums_equal_the_former(bands, coeffs, lam, 1)
 
 
 BAND_NAMES = ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")
