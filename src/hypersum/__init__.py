@@ -8,149 +8,84 @@ representations on the circle and the negative real axis, zero
 localization with a simultaneous root finder, R_I/T-fraction recurrences,
 Jacobi-type matrix pencils, and Chebyshev decompositions of partial sums
 with positive coefficients.
+
+`import hypersum` loads no submodule. Each exported name, and each
+submodule as `hypersum.<module>`, is imported on first access (PEP 562),
+so a process pays only for the modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import ConvergenceError, DomainError
-from .polycore import (
-    DEGREE_CAP,
-    Poly,
-    pochhammer,
-    trim_tiny,
+# The verify checks, in the order a document lists them. They live here,
+# not in checks, so the CLI builds its --check choices without loading the
+# checks' engines.
+CHECK_ORDER = (
+    "recurrence",
+    "ode",
+    "sobolev",
+    "circle-rep",
+    "axis-rep",
+    "roots",
+    "rifrac",
+    "pencil",
 )
-from .partial_sums import (
-    Gn_by_recurrence,
-    Gn_monic,
-    HypParams,
-    PowerSeriesCoeffs,
-    delta_k,
-    generic_partial_sums,
-    gn_by_recurrence,
-    gn_direct,
-    hyp_coeff,
-)
-from .operators import (
-    LinDiffOp,
-    build_R,
-    kappa,
-    op_add,
-    op_apply,
-    op_compose,
-    op_ddz,
-    op_identity,
-    op_scale,
-    op_sub,
-    op_theta,
-    r_action,
-    r_image,
-    verify_ode,
-)
-from .sobolev import (
-    QuadratureRule,
-    auto_node_count,
-    build_sobolev_form,
-    monomial_quadrature_defect,
-    sobolev_gram,
-    sobolev_inner,
-    sobolev_inner_matrix,
-)
-from .roots import (
-    RootReport,
-    check_simple,
-    enestrom_kakeya_bounds,
-    find_roots,
-    location_report,
-)
-from .pfq import (
-    ConvergenceReport,
-    PfqValue,
-    convergence_report,
-    integral_rep_circle,
-    integral_rep_circle_batch,
-    integral_rep_negative_axis,
-    integral_rep_negative_axis_numeric,
-    pfq_eval,
-    terminating_pfq_poly,
-)
-from .ri_pencils import (
-    ChebDecomposition,
-    JacobiPencil,
-    RIRecurrence,
-    RIValidity,
-    chebyshev_eval,
-    kernel_decompose,
-    pencil_polynomials,
-    pencil_residual,
-    pencil_row_terms,
-    ri_generate,
-    tfraction_from_hyp,
-)
-from .checks import CheckResult, run_checks
 
-__all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "DEGREE_CAP",
-    "Poly",
-    "pochhammer",
-    "trim_tiny",
-    "Gn_by_recurrence",
-    "Gn_monic",
-    "HypParams",
-    "PowerSeriesCoeffs",
-    "delta_k",
-    "generic_partial_sums",
-    "gn_by_recurrence",
-    "gn_direct",
-    "hyp_coeff",
-    "LinDiffOp",
-    "build_R",
-    "kappa",
-    "op_add",
-    "op_apply",
-    "op_compose",
-    "op_ddz",
-    "op_identity",
-    "op_scale",
-    "op_sub",
-    "op_theta",
-    "r_action",
-    "r_image",
-    "verify_ode",
-    "QuadratureRule",
-    "auto_node_count",
-    "build_sobolev_form",
-    "monomial_quadrature_defect",
-    "sobolev_gram",
-    "sobolev_inner",
-    "sobolev_inner_matrix",
-    "RootReport",
-    "check_simple",
-    "enestrom_kakeya_bounds",
-    "find_roots",
-    "location_report",
-    "ConvergenceReport",
-    "PfqValue",
-    "convergence_report",
-    "integral_rep_circle",
-    "integral_rep_circle_batch",
-    "integral_rep_negative_axis",
-    "integral_rep_negative_axis_numeric",
-    "pfq_eval",
-    "terminating_pfq_poly",
-    "ChebDecomposition",
-    "JacobiPencil",
-    "RIRecurrence",
-    "RIValidity",
-    "chebyshev_eval",
-    "kernel_decompose",
-    "pencil_polynomials",
-    "pencil_residual",
-    "pencil_row_terms",
-    "ri_generate",
-    "tfraction_from_hyp",
-    "CheckResult",
-    "run_checks",
-    "__version__",
-]
+# Every exported name, by the submodule that defines it.
+_EXPORTS = {
+    "errors": ("ConvergenceError", "DomainError"),
+    "polycore": ("DEGREE_CAP", "Poly", "pochhammer", "trim_tiny"),
+    "partial_sums": (
+        "Gn_by_recurrence", "Gn_monic", "HypParams", "PowerSeriesCoeffs",
+        "delta_k", "generic_partial_sums", "gn_by_recurrence", "gn_direct",
+        "hyp_coeff",
+    ),
+    "operators": (
+        "LinDiffOp", "build_R", "kappa", "op_add", "op_apply", "op_compose",
+        "op_ddz", "op_identity", "op_scale", "op_sub", "op_theta", "r_action",
+        "r_image", "verify_ode",
+    ),
+    "sobolev": (
+        "QuadratureRule", "auto_node_count", "build_sobolev_form",
+        "monomial_quadrature_defect", "sobolev_gram", "sobolev_inner",
+        "sobolev_inner_matrix",
+    ),
+    "roots": (
+        "RootReport", "check_simple", "enestrom_kakeya_bounds", "find_roots",
+        "location_report",
+    ),
+    "pfq": (
+        "ConvergenceReport", "PfqValue", "convergence_report",
+        "integral_rep_circle", "integral_rep_circle_batch",
+        "integral_rep_negative_axis", "integral_rep_negative_axis_numeric",
+        "pfq_eval", "terminating_pfq_poly",
+    ),
+    "ri_pencils": (
+        "ChebDecomposition", "JacobiPencil", "RIRecurrence", "RIValidity",
+        "chebyshev_eval", "kernel_decompose", "pencil_polynomials",
+        "pencil_residual", "pencil_row_terms", "ri_generate",
+        "tfraction_from_hyp",
+    ),
+    "checks": ("CheckResult", "run_checks"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    # Called only for a name the package namespace lacks. The value is not
+    # stored here: each access reads the defining module's current binding,
+    # so a name patched or wrapped there, and later restored, reads the same
+    # through the package.
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -42,6 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import CHECK_ORDER
 from .errors import ConvergenceError, DomainError
 from .operators import (
     _apply_stack,
@@ -81,18 +82,6 @@ from .sobolev import (
     auto_node_count,
     gram_extremes,
 )
-
-CHECK_ORDER = (
-    "recurrence",
-    "ode",
-    "sobolev",
-    "circle-rep",
-    "axis-rep",
-    "roots",
-    "rifrac",
-    "pencil",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -11,6 +11,11 @@ imaginary part is exactly zero and as a two-element [re, im] array
 otherwise; non-finite values are the strings "nan", "inf", "-inf". JSON
 objects are emitted with sorted keys, so identical configurations produce
 byte-identical documents.
+
+Importing this module loads only what every command needs: numpy and the
+coefficient layer (partial_sums, polycore). Each command imports its own
+engines when it runs, so `roots` never loads the verify checks and `verify`
+loads them in its first call.
 """
 
 from __future__ import annotations
@@ -27,10 +32,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__ as VERSION
-from .checks import CHECK_ORDER, run_checks
+from . import CHECK_ORDER, __version__ as VERSION
 from .errors import ConvergenceError, DomainError
-from .operators import build_R, kappa
 from .partial_sums import (
     Gn_monic,
     HypParams,
@@ -39,10 +42,6 @@ from .partial_sums import (
     gn_direct,
     read_family,
 )
-from .pfq import _eval_points, _sum_series, _sup_errors, pfq_eval
-from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
-from .roots import _location_reports, _require_positive_conditions, location_report
-from .sobolev import _gram_stack, gram_extremes
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re_mod.compile(
@@ -203,6 +202,8 @@ def _params_from_args(args, parser) -> HypParams:
 
 
 def cmd_gen(args, parser) -> tuple[str, int]:
+    from .operators import build_R, kappa
+
     params = _params_from_args(args, parser)
     n = args.n
     g = gn_direct(params, n)
@@ -236,6 +237,8 @@ def cmd_gen(args, parser) -> tuple[str, int]:
 
 
 def cmd_eval(args, parser) -> tuple[str, int]:
+    from .pfq import _eval_points
+
     params = _params_from_args(args, parser)
     if not args.z:
         parser.error("--z expects at least one point")
@@ -265,6 +268,8 @@ def cmd_eval(args, parser) -> tuple[str, int]:
 
 
 def cmd_roots(args, parser) -> tuple[str, int]:
+    from .roots import location_report
+
     params = _params_from_args(args, parser)
     report = location_report(params, args.n)
     ordered = sorted(report.roots, key=lambda r: (r.real, r.imag))
@@ -287,6 +292,8 @@ def cmd_roots(args, parser) -> tuple[str, int]:
 
 
 def cmd_verify(args, parser) -> tuple[str, int]:
+    from .checks import run_checks
+
     params = _params_from_args(args, parser)
     if args.tol is not None and args.check == "all":
         # The checks' tolerances have different scales (see checks).
@@ -330,6 +337,8 @@ def cmd_verify(args, parser) -> tuple[str, int]:
 
 
 def cmd_pencil(args, parser) -> tuple[str, int]:
+    from .ri_pencils import JacobiPencil, pencil_polynomials, pencil_residual
+
     params = _params_from_args(args, parser)
     pencil = JacobiPencil(
         j3_diag=args.j3_diag,
@@ -391,6 +400,8 @@ def _sweep_convergence(cells: Iterable[HypParams], ns: list[int]) -> list[list[f
     # The sup of |g_n - series| over the probes, every cell's probes summed
     # in one call. A cell failing before its series comes after the first
     # failed probe of an earlier cell.
+    from .pfq import _sum_series, _sup_errors, pfq_eval
+
     stack, seqs, failure = [], [], None
     try:
         for params in cells:
@@ -415,6 +426,8 @@ def _sweep_root_modulus(cells: Iterable[HypParams], ns: list[int]) -> list[list[
     # location_report's min_modulus, every cell and degree in one root
     # table. A cell failing before the table comes after a table error of
     # an earlier cell.
+    from .roots import _location_reports, _require_positive_conditions
+
     seqs, failure = [], None
     try:
         for params in cells:
@@ -432,6 +445,8 @@ def _sweep_root_modulus(cells: Iterable[HypParams], ns: list[int]) -> list[list[
 def _sweep_gram_offdiag(
     cells: Iterable[HypParams], ns: list[int]
 ) -> list[list[float]]:
+    from .sobolev import _gram_stack, gram_extremes
+
     def families():  # refuse a negative degree per cell, as sobolev_gram would
         for params in cells:
             _check_cap(ns[0])

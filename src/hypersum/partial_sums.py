@@ -177,12 +177,18 @@ def delta_k(params: HypParams, k: int) -> complex:
     """Recurrence coefficient: delta_0 = 0 and, for k >= 1,
 
     delta_k = k · (b_1+k-1)···(b_q+k-1) / ((a_1+k-1)···(a_p+k-1)).
+
+    A ratio that is not finite (its products overflowed) is a DomainError,
+    as it is in the T-fraction built from it (tfraction_from_hyp).
     """
     k = _check_cap(k)
     if k == 0:
         return 0j
     num, den = _param_products(params, k - 1)
-    return den / num
+    d = den / num
+    if not cmath.isfinite(d):
+        raise DomainError(f"non-finite delta_{k}: {d!r}")
+    return d
 
 
 def _gn_rows(params: HypParams, N: int) -> list[list[complex]]:

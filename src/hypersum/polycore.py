@@ -313,12 +313,16 @@ def pochhammer(c: complex, k: int) -> complex:
     """Shifted factorial (c)_k = c(c+1)···(c+k-1), with (c)_0 = 1.
 
     Computed as a running product, so pochhammer(c, k+1) equals
-    pochhammer(c, k)·(c+k) exactly as floating-point operations.
+    pochhammer(c, k)·(c+k) exactly as floating-point operations. A
+    negative order, or a product that overflows, is a DomainError.
     """
     if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
+        raise DomainError("pochhammer order must be nonnegative")
     w = complex(c)
     out = 1 + 0j
     for m in range(k):
         out *= w + m
+    if not cmath.isfinite(out):
+        raise DomainError(
+            f"pochhammer({c!r}, {k}) overflowed double precision: {out!r}")
     return out

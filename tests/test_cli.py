@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import hypersum
-from hypersum import cli, pfq, roots
+from hypersum import cli, pfq, roots, sobolev
 from hypersum.errors import ConvergenceError, DomainError
 from hypersum.partial_sums import HypParams, _check_cap, gn_direct, read_family
 from hypersum.polycore import Poly
@@ -492,7 +492,7 @@ def test_sweep_gram_offdiag_reads_every_degree_off_one_gram(monkeypatch, capsys)
         calls.append((len(cells), n_max))
         return _gram_stack(cells, n_max)
 
-    monkeypatch.setattr(cli, "_gram_stack", recording)
+    monkeypatch.setattr(sobolev, "_gram_stack", recording)
     argv = ["sweep", "--p", "1", "--q", "2", "--a", "1.5+0.5i",
             "--b", "2,1.25+1i", "--quantity", "gram-offdiag", "--grid-param",
             "b1", "--grid-values", "1,3.5", "--n-list", "17,3,40,3,0"]
@@ -594,7 +594,6 @@ def test_sweep_with_no_degrees_evaluates_nothing(monkeypatch, capsys):
 
     monkeypatch.setattr(pfq, "pfq_eval", refuse)
     monkeypatch.setattr(pfq, "_sum_series", refuse)
-    monkeypatch.setattr(cli, "_sum_series", refuse)
     for p, a in (("1", "1.0"), ("2", "1.0,1.0")):
         argv = ["sweep", "--p", p, "--q", "1", "--a", a, "--b", "2.0",
                 "--quantity", "convergence", "--grid-param", "b1",
@@ -740,6 +739,68 @@ def test_out_flag_writes_file(tmp_path):
 def test_unknown_command_is_usage_error():
     out = run_cli("frobnicate")
     assert out.returncode == 2
+
+
+# What argparse prints at a terminal 80 columns wide, taken from the program
+# before the --check choices moved out of hypersum.checks: the root and the
+# verify help, and the refusal of an unknown check.
+ROOT_HELP = """\
+usage: hypersum [-h] [--version] {gen,eval,roots,verify,pencil,sweep} ...
+
+Partial sums of generalized hypergeometric series: construction, evaluation,
+root localization, identity verification, and parameter sweeps.
+
+positional arguments:
+  {gen,eval,roots,verify,pencil,sweep}
+    gen                 emit g_n/G_n coefficients, delta_k, kappa_n, R
+    eval                evaluate g_n (and optionally the series)
+    roots               roots of g_n with localization report
+    verify              run identity checks (PASS/FAIL)
+    pencil              pencil-associated polynomials and residuals
+    sweep               CSV sweep over a parameter grid
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+VERIFY_USAGE = """\
+usage: hypersum verify [-h] [--p P] [--q Q] [--a A] [--b B] [--out OUT]
+                       [--format {json,csv}] [--n-max N_MAX]
+                       [--check {recurrence,ode,sobolev,circle-rep,axis-rep,roots,rifrac,pencil,all}]
+                       [--seed SEED] [--draws DRAWS] [--tol TOL]
+"""
+VERIFY_HELP = VERIFY_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 number of a parameters
+  --q Q                 number of b parameters
+  --a A                 comma-separated a parameters (complex literals like
+                        1.5-0.25i)
+  --b B                 comma-separated b parameters
+  --out OUT             write the document to FILE
+  --format {json,csv}
+  --n-max N_MAX
+  --check {recurrence,ode,sobolev,circle-rep,axis-rep,roots,rifrac,pencil,all}
+  --seed SEED
+  --draws DRAWS
+  --tol TOL             override the tolerance of the one selected --check
+"""
+BOGUS_CHECK = VERIFY_USAGE + (
+    "hypersum verify: error: argument --check: invalid choice: 'bogus' "
+    "(choose from 'recurrence', 'ode', 'sobolev', 'circle-rep', 'axis-rep', "
+    "'roots', 'rifrac', 'pencil', 'all')\n"
+)
+
+
+@pytest.mark.parametrize("args, code, stdout, stderr", [
+    (("--help",), 0, ROOT_HELP, ""),
+    (("verify", "--help"), 0, VERIFY_HELP, ""),
+    (("verify", "--check", "bogus"), 2, "", BOGUS_CHECK),
+], ids=["root-help", "verify-help", "unknown-check"])
+def test_help_and_usage_texts_are_pinned(args, code, stdout, stderr):
+    out = run_cli(*args, env_extra={"COLUMNS": "80"})
+    assert (out.returncode, out.stdout, out.stderr) == (code, stdout, stderr)
 
 
 def test_pencil_command_worked_example():

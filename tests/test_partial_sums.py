@@ -33,6 +33,7 @@ from hypersum.partial_sums import (
     read_family,
 )
 from hypersum.polycore import Poly
+from hypersum.ri_pencils import tfraction_from_hyp
 
 EXP = HypParams(a=(), b=())  # 0F0: sum z^k/k!
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
@@ -97,6 +98,24 @@ def test_delta_oracles():
         assert delta_k(BESSEL_LIKE, k) == pytest.approx(
             DELTA_BESSEL[k - 1], rel=1e-15
         )
+
+
+@pytest.mark.parametrize("params, message", [
+    # The parameter products overflow to a nan ratio.
+    (HypParams(a=(-0.0026170945989460147,),
+               b=(4.766531125685042e102, 1.334112643209489e230,
+                  -4.2159381362018675e217 + 6.19404079036996e216j)),
+     "non-finite delta_1: (nan+nanj)"),
+    # A finite xi_1 = 2e-309 whose reciprocal ratio overflows.
+    (HypParams(a=(2e-12,), b=(1e297,)), "non-finite delta_1: (inf+0j)"),
+])
+def test_delta_k_refuses_a_non_finite_ratio(params, message):
+    # As the T-fraction built from the deltas does, naming the same index.
+    assert delta_k(params, 0) == 0
+    for call in (lambda: delta_k(params, 1), lambda: tfraction_from_hyp(params, 3)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_delta_product_inverts_coefficient():

@@ -214,6 +214,16 @@ def test_pochhammer_values():
     assert pochhammer(0.5, 2) == 0.75
 
 
+def test_pochhammer_refuses_a_negative_order_and_an_overflow():
+    with pytest.raises(DomainError, match="^pochhammer order must be nonnegative$"):
+        pochhammer(1, -1)
+    with pytest.raises(DomainError) as exc:
+        pochhammer(1e300, 3)
+    assert str(exc.value) == (
+        "pochhammer(1e+300, 3) overflowed double precision: (inf+nanj)")
+    assert pochhammer(1e300, 1) == 1e300
+
+
 small_coeffs = st.lists(
     st.floats(min_value=-4, max_value=4, allow_nan=False), min_size=0, max_size=6
 )
