@@ -35,11 +35,10 @@ CHECK_ORDER = (
 # Every exported name, by the submodule that defines it.
 _EXPORTS = {
     "errors": ("ConvergenceError", "DomainError"),
-    "polycore": ("DEGREE_CAP", "Poly", "pochhammer", "trim_tiny"),
+    "polycore": ("DEGREE_CAP", "Poly"),
     "partial_sums": (
         "Gn_by_recurrence", "Gn_monic", "HypParams", "PowerSeriesCoeffs",
-        "delta_k", "generic_partial_sums", "gn_by_recurrence", "gn_direct",
-        "hyp_coeff",
+        "delta_k", "gn_by_recurrence", "gn_direct", "hyp_coeff",
     ),
     "operators": (
         "LinDiffOp", "build_R", "kappa", "op_add", "op_apply", "op_compose",
@@ -48,18 +47,15 @@ _EXPORTS = {
     ),
     "sobolev": (
         "QuadratureRule", "auto_node_count", "build_sobolev_form",
-        "monomial_quadrature_defect", "sobolev_gram", "sobolev_inner",
-        "sobolev_inner_matrix",
+        "monomial_quadrature_defect", "sobolev_gram",
     ),
     "roots": (
-        "RootReport", "check_simple", "enestrom_kakeya_bounds", "find_roots",
-        "location_report",
+        "RootReport", "enestrom_kakeya_bounds", "find_roots", "location_report",
     ),
     "pfq": (
         "ConvergenceReport", "PfqValue", "convergence_report",
-        "integral_rep_circle", "integral_rep_circle_batch",
-        "integral_rep_negative_axis", "integral_rep_negative_axis_numeric",
-        "pfq_eval", "terminating_pfq_poly",
+        "integral_rep_circle_batch", "integral_rep_negative_axis",
+        "integral_rep_negative_axis_numeric", "pfq_eval", "terminating_pfq_poly",
     ),
     "ri_pencils": (
         "ChebDecomposition", "JacobiPencil", "RIRecurrence", "RIValidity",

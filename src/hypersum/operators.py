@@ -210,14 +210,23 @@ def r_action(params: HypParams, coeffs) -> np.ndarray:
     - prod_j(a_j+m)·c_m. Agrees with op_apply(build_R(params), f) to roundoff
     of order eps·_application_mass, without expanding R. Acts on the last
     axis. Products are out of place: numpy's in-place complex multiply
-    rounds a one-element array without FMA, unlike a longer one.
+    rounds a one-element array without FMA, unlike a longer one. A
+    coefficient that overflows is a DomainError naming it (and its row,
+    for a stack of rows).
     """
     c = np.asarray(coeffs, dtype=complex)
     m = np.arange(c.shape[-1], dtype=float)
-    down = math.prod((bj + m[:-1] for bj in params.b), start=m[1:].astype(complex))
-    diag = math.prod((aj + m for aj in params.a), start=np.ones(len(m), dtype=complex))
-    out = -diag * c
-    out[..., :-1] += down * c[..., 1:]
+    with np.errstate(all="ignore"):
+        down = math.prod((bj + m[:-1] for bj in params.b), start=m[1:].astype(complex))
+        diag = math.prod((aj + m for aj in params.a), start=np.ones(len(m), dtype=complex))
+        out = -diag * c
+        out[..., :-1] += down * c[..., 1:]
+    finite = np.isfinite(out)
+    if not finite.all():
+        *row, k = np.argwhere(~finite)[0].tolist()
+        subject = f"R applied to row {', '.join(map(str, row))}" if row else "R f"
+        raise DomainError(f"{subject} overflowed double precision at its "
+                          f"coefficient of z^{k}: {complex(out[(*row, k)])!r}")
     return out
 
 

@@ -13,8 +13,8 @@ the R_I engine of ri_pencils for the monic one), rounded and refused as
 Poly arithmetic rounds and refuses them. Only read_family
 multiplies out xi_0..xi_N: the family record, which refuses from the first
 zero or non-finite xi_k on. Every route reads a prefix of it. The module also
-carries the generalization to an arbitrary power series with nonzero
-coefficients (f_n, F_n).
+carries the coefficients of an arbitrary power series with nonzero
+coefficients (PowerSeriesCoeffs), which the kernel decompositions take.
 """
 
 from __future__ import annotations
@@ -263,25 +263,3 @@ def Gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:
     N = _check_cap(N)
     return ri_generate(tfraction_from_hyp(params, N), N)[0]
 
-
-def generic_partial_sums(
-    d: PowerSeriesCoeffs, N: int
-) -> tuple[list[Poly], list[Poly]]:
-    """Partial sums f_n of an arbitrary power series and their monic forms.
-
-    f_n collects d_0..d_n; F_n = f_n/d_n. The F_n satisfy
-    F_n = (z + d_{n-1}/d_n) F_{n-1} - (d_{n-2}/d_{n-1}) z F_{n-2}
-    with F_{-1} := 0 and d_{-1} := 1, which tests verify against this
-    construction.
-    """
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
-    if N >= len(d):
-        raise DomainError(f"N={N} needs {N + 1} coefficients, have {len(d)}")
-    fs, Fs = [], []
-    for n in range(N + 1):
-        f = Poly(d.d[: n + 1])
-        fs.append(f)
-        Fs.append(f.scale(1 / d.d[n]))
-    return fs, Fs

@@ -25,6 +25,7 @@ at one degree and one point.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import math
@@ -182,12 +183,6 @@ def integral_rep_circle_batch(
     return partial[ns].tolist()
 
 
-def integral_rep_circle(params: HypParams, n: int, tau: float) -> complex:
-    """Single-pair form of integral_rep_circle_batch. Matches direct
-    evaluation of g_n within 1e-8 for n <= 10."""
-    return integral_rep_circle_batch(params, [n], [tau])[0][0]
-
-
 def _terminating_table(params: HypParams, ns) -> np.ndarray:
     """The coefficients of terminating_pfq_poly(params, n) for every degree
     n of ns, one zero-padded row each: column k + 1 is column k times
@@ -239,6 +234,24 @@ def _negative_axis_arguments(n: int, x: float) -> tuple[int, float]:
     return n, x
 
 
+def _axis_value(route, name: str, params: HypParams, n: int, x: float) -> complex:
+    """route (_axis_termwise or _axis_quadrature) at one degree and one
+    point. A value that overflows, or a power of x beyond the float range
+    (Python's float pow raises OverflowError), is a DomainError naming the
+    route."""
+    n, x = _negative_axis_arguments(n, x)
+    table = _terminating_table(params, [n])
+    failure = f"the {name} of g_{n} at x = {x!r} overflowed double precision"
+    try:
+        with np.errstate(all="ignore"):
+            value = complex(route(table, [n], [x])[0, 0])
+    except OverflowError:
+        raise DomainError(f"{failure}: a power of x exceeds the float range") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"{failure}: {value!r}")
+    return value
+
+
 def _axis_termwise(table: np.ndarray, ns, xs) -> np.ndarray:
     """integral_rep_negative_axis at every x < 0 of xs for each row of a
     _terminating_table of the degrees ns: a (len(ns), len(xs)) array. Row
@@ -273,10 +286,10 @@ def integral_rep_negative_axis(params: HypParams, n: int, x: float) -> complex:
     antiderivative t^{k-n-1}/(k-n-1) vanishes at the lower limit and the
     integral is a finite sum evaluated at t = x. No quadrature is involved;
     the only approximation is floating-point roundoff. This is
-    _axis_termwise at one degree and one point.
+    _axis_termwise at one degree and one point; a value that overflows is
+    a DomainError.
     """
-    n, x = _negative_axis_arguments(n, x)
-    return complex(_axis_termwise(_terminating_table(params, [n]), [n], [x])[0, 0])
+    return _axis_value(_axis_termwise, "termwise integral", params, n, x)
 
 
 @functools.cache
@@ -322,10 +335,9 @@ def integral_rep_negative_axis_numeric(
     AXIS_NODES = 64-point rule integrates essentially exactly. The rule is
     built once; this is _axis_quadrature at one degree and one point.
     Agreement with the termwise-exact path to 1e-6 is the test contract
-    (observed far tighter).
+    (observed far tighter). A quadrature that overflows is a DomainError.
     """
-    n, x = _negative_axis_arguments(n, x)
-    return complex(_axis_quadrature(_terminating_table(params, [n]), [n], [x])[0, 0])
+    return _axis_value(_axis_quadrature, "Gauss-Legendre quadrature", params, n, x)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dense complex-coefficient polynomials and the Pochhammer symbol.
+"""Dense complex-coefficient polynomials and their array kernels.
 
 Everything else in the package builds on this module. Polynomials are
 immutable, stored densely as coefficient tuples (index k = coefficient of
@@ -22,9 +22,6 @@ from .errors import DomainError
 # binding constraint.
 DEGREE_CAP = 170
 
-# Relative threshold below which trim_tiny treats a coefficient as roundoff.
-TRIM_REL_TOL = 1e-14
-
 
 def _as_coeff(value) -> complex:
     w = complex(value)
@@ -39,9 +36,8 @@ class Poly:
     Construction strips trailing coefficients that are exactly zero, so the
     highest stored coefficient of a nonzero polynomial is nonzero and
     degree = len(coeffs) - 1. Genuinely tiny trailing coefficients (e.g. the
-    1/n! top coefficient of an exponential partial sum) are kept; callers
-    whose answer depends on degree in the presence of roundoff should pass
-    through trim_tiny first.
+    1/n! top coefficient of an exponential partial sum) are kept. A degree
+    beyond DEGREE_CAP is a DomainError.
     """
 
     __slots__ = ("coeffs",)
@@ -51,7 +47,7 @@ class Poly:
         while vals and vals[-1] == 0:
             vals.pop()
         if len(vals) - 1 > DEGREE_CAP:
-            raise ValueError(
+            raise DomainError(
                 f"degree {len(vals) - 1} exceeds the cap {DEGREE_CAP}"
             )
         object.__setattr__(self, "coeffs", tuple(vals))
@@ -121,12 +117,6 @@ class Poly:
     def scale(self, s: complex) -> "Poly":
         w = complex(s)
         return Poly(c * w for c in self.coeffs)
-
-    def shift_up(self) -> "Poly":
-        """Multiply by z (used by the three-term recurrences)."""
-        if self.is_zero:
-            return self
-        return Poly((0j,) + self.coeffs)
 
     def derivative(self) -> "Poly":
         return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
@@ -286,43 +276,3 @@ def horner_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     value.real, value.imag = re, im
     # At z = 0 horner skips mass·r, so its mass is |c_0|.
     return value, np.where(r == 0, moduli[:, :1], mass)
-
-
-def trim_tiny(p: Poly, rel_tol: float = TRIM_REL_TOL) -> Poly:
-    """Strip trailing coefficients below rel_tol × (max coefficient modulus).
-
-    For callers holding a polynomial whose top coefficients are roundoff
-    artifacts of cancellation, to be applied before degree-sensitive
-    operations such as root finding. Never applied automatically: partial
-    sums legitimately carry top coefficients many orders below their largest
-    one, and those must survive. A modulus beyond the float range is a
-    DomainError naming its coefficient, as for max_coeff.
-    """
-    moduli = finite_moduli(p.coeffs, "the coefficient of z^{k}")
-    scale = max(moduli, default=0.0)
-    if scale == 0.0:
-        return Poly()
-    cutoff = rel_tol * scale
-    vals = list(p.coeffs)
-    while vals and moduli[len(vals) - 1] < cutoff:
-        vals.pop()
-    return Poly(vals)
-
-
-def pochhammer(c: complex, k: int) -> complex:
-    """Shifted factorial (c)_k = c(c+1)···(c+k-1), with (c)_0 = 1.
-
-    Computed as a running product, so pochhammer(c, k+1) equals
-    pochhammer(c, k)·(c+k) exactly as floating-point operations. A
-    negative order, or a product that overflows, is a DomainError.
-    """
-    if k < 0:
-        raise DomainError("pochhammer order must be nonnegative")
-    w = complex(c)
-    out = 1 + 0j
-    for m in range(k):
-        out *= w + m
-    if not cmath.isfinite(out):
-        raise DomainError(
-            f"pochhammer({c!r}, {k}) overflowed double precision: {out!r}")
-    return out

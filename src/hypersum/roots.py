@@ -41,6 +41,8 @@ from .polycore import Poly, finite_moduli, modulus
 # Newton passes after the eigenvalue solve. Four are needed at 2F3 g_100,
 # whose top coefficient is the smallest subnormal double.
 POLISH_STEPS = 6
+# The residual gate: every root z must meet |f(z)| <= GATE_TOL·max(1, mass).
+GATE_TOL = 1e-10
 
 
 def _companion_roots(coeffs: list) -> np.ndarray:
@@ -148,7 +150,7 @@ def _pairs(rows: list, points: list) -> tuple:
     return table, modulus(table), degree, owner, z
 
 
-def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _root_table(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
     """The roots find_roots finds for every polynomial of polys, at once.
 
     Returns a (D, n) complex table, n the largest degree, and its mask: row
@@ -168,7 +170,7 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
                 raise DomainError("root finding needs degree >= 1")
             scale = max(finite_moduli(f.coeffs, "the coefficient of z^{k}"))
         except DomainError:
-            _root_table(polys[:i], tol)  # an earlier polynomial's error first
+            _root_table(polys[:i])  # an earlier polynomial's error first
             raise
         coeffs = [c / scale for c in f.coeffs]
         if not any(c.imag for c in coeffs):
@@ -205,7 +207,7 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
             value, _, mass = _horner_pairs(*layout, z)
         # else the gate's pairs are the polished ones
         if gated:
-            bad = ~(np.isfinite(mass) & (np.abs(value) <= tol * np.maximum(1.0, mass)))
+            bad = ~(np.isfinite(mass) & (np.abs(value) <= GATE_TOL * np.maximum(1.0, mass)))
             owner = layout[-1]
             for j in np.flatnonzero(bad).tolist():  # in each polynomial's root order
                 i = gated[owner[j]]
@@ -223,7 +225,7 @@ def _root_table(polys: Sequence[Poly], tol: float = 1e-10) -> tuple[np.ndarray, 
     return table, mask
 
 
-def find_roots(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
+def find_roots(f: Poly) -> tuple[complex, ...]:
     """All deg(f) roots: companion eigenvalues, guarded polish, gate.
 
     Coefficients are divided by the largest modulus. A factor z^m (zero low
@@ -232,36 +234,16 @@ def find_roots(f: Poly, tol: float = 1e-10) -> tuple[complex, ...]:
     matrix followed by the guarded Newton polish. The polynomial is taken
     exactly as given: legitimately tiny trailing coefficients (partial sums
     have rapidly decaying ones) carry the largest roots, so nothing is
-    trimmed here. Callers holding polynomials with roundoff-level trailing
-    noise should clean them with trim_tiny first.
+    trimmed here.
 
-    Every root must satisfy |f(root)| <= tol · max(1, sum_k |c_k||root|^k)
+    Every root must satisfy |f(root)| <= GATE_TOL · max(1, sum_k |c_k||root|^k)
     (backward-stable form; an absolute bound in terms of max|c_k| alone is
     meaningless for roots far outside the unit disk), else ConvergenceError.
     A coefficient whose modulus exceeds the float range is a DomainError
     naming it. This is _root_table on a stack of one.
     """
-    roots, _ = _root_table([f], tol)
+    roots, _ = _root_table([f])
     return tuple(complex(r) for r in roots[0])
-
-
-def check_simple(roots: Sequence[complex], tol: Optional[float] = None) -> bool:
-    """True iff the minimum pairwise distance exceeds tol.
-
-    Default tol: 1e-7 times the largest root modulus. Vacuously true for
-    fewer than two roots. A root whose modulus exceeds the float range is a
-    DomainError naming it.
-    """
-    rs = [complex(r) for r in roots]
-    return _simple(_min_pair_distance(rs), finite_moduli(rs, "root {k}"), tol)
-
-
-def _simple(distance: float, moduli: Sequence[float], tol=None) -> bool:
-    """check_simple's rule on the roots' minimum pairwise distance and
-    moduli."""
-    if tol is None:
-        tol = 1e-7 * max(moduli, default=0.0)
-    return len(moduli) < 2 or distance > tol
 
 
 def _min_pair_distance(roots: Sequence[complex]) -> float:
@@ -298,6 +280,8 @@ def enestrom_kakeya_bounds(f: Poly) -> tuple[float, float]:
 class RootReport:
     """Zero-localization summary for one partial sum.
 
+    simple holds when the minimum pairwise distance exceeds 1e-7 times the
+    largest root modulus (always, for fewer than two roots).
     boundary_root_count tallies roots with modulus within 1e-9 of 1: the
     localization statement is boundary-tight (g_1 for the exponential case
     has its root exactly on the circle), so these are recorded rather than
@@ -341,7 +325,8 @@ def location_report(params: HypParams, n: int) -> RootReport:
     """
     n = _check_cap(n)
     _require_positive_conditions(params)
-    return _location_report(gn_direct(params, n))
+    g = gn_direct(params, n)
+    return _location_report(g, find_roots(g) if g.degree else ())
 
 
 def _location_reports(seqs: Sequence[Sequence], degrees: Sequence[int]) -> list[list]:
@@ -354,14 +339,14 @@ def _location_reports(seqs: Sequence[Sequence], degrees: Sequence[int]) -> list[
     polys = [[Poly(seq[: n + 1]) for n in degrees] for seq in seqs]
     table, mask = _root_table([g for row in polys for g in row if g.degree > 0])
     roots = (tuple(row[m].tolist()) for row, m in zip(table, mask))
-    return [[_location_report(g, next(roots) if g.degree else None) for g in row]
+    return [[_location_report(g, next(roots) if g.degree else ()) for g in row]
             for row in polys]
 
 
-def _location_report(g: Poly, roots: Optional[tuple[complex, ...]] = None) -> RootReport:
-    """The report of location_report on a g_n already built, for a caller
-    that has checked the preconditions; from its roots, when the caller has
-    found them as find_roots finds them."""
+def _location_report(g: Poly, roots: tuple[complex, ...]) -> RootReport:
+    """The report of location_report on a g_n already built and its roots,
+    found as find_roots finds them, for a caller that has checked the
+    preconditions."""
     if g.degree == 0:
         return RootReport(
             roots=(),
@@ -372,8 +357,6 @@ def _location_report(g: Poly, roots: Optional[tuple[complex, ...]] = None) -> Ro
             boundary_root_count=0,
             ek_annulus=None,
         )
-    if roots is None:
-        roots = find_roots(g, tol=1e-10)
     moduli = [abs(r) for r in roots]
     distance = _min_pair_distance(roots)
     return RootReport(
@@ -383,7 +366,7 @@ def _location_report(g: Poly, roots: Optional[tuple[complex, ...]] = None) -> Ro
         positive_real_root_found=any(
             (abs(r.imag) if r.real >= 1 else abs(r - 1)) < 1e-8 for r in roots
         ),
-        simple=_simple(distance, moduli),
+        simple=len(roots) < 2 or distance > 1e-7 * max(moduli),
         boundary_root_count=sum(1 for m in moduli if abs(m - 1.0) <= 1e-9),
         ek_annulus=enestrom_kakeya_bounds(g),
     )

@@ -13,11 +13,9 @@ product of their coefficient vectors (Parseval). sobolev_gram evaluates it
 that way, from the closed-form coefficients of R g_n. Its engine,
 _gram_stack, builds the Grams of a stack of family records in one pass (the
 cells of a sweep grid), each bit for bit the Gram its family gets alone;
-sobolev_gram is that engine on a stack of one. sobolev_inner integrates the
-pointwise product on equispaced nodes with uniform weights, which is exact
-for the trigonometric-polynomial integrands arising here; it, and a debug
-path materializing M and the derivative vectors, are kept as oracles for
-the Gram matrix.
+sobolev_gram is that engine on a stack of one. QuadratureRule, the
+equispaced node rule that is exact for the trigonometric polynomials
+arising here, backs the exactness sub-check (monomial_quadrature_defect).
 
 Under this form the partial sums g_0, g_1, ... are orthogonal, with squared
 norms |kappa_n|^{-2} (the image identity -kappa_n·R g_n = z^n turns the Gram
@@ -35,9 +33,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .operators import LinDiffOp, build_R, op_apply, r_action
+from .operators import LinDiffOp, build_R, r_action
 from .partial_sums import Family, HypParams, read_family
-from .polycore import Poly, complex_product
+from .polycore import complex_product
 
 
 @dataclass(frozen=True)
@@ -59,19 +57,6 @@ class QuadratureRule:
     def points(self) -> tuple[complex, ...]:
         N = self.n_nodes
         return tuple(cmath.exp(1j * (2.0 * math.pi * j / N)) for j in range(N))
-
-    def integrate(self, values) -> complex:
-        """Mean of the sampled values, accumulated with exact summation.
-
-        math.fsum gives a correctly rounded sum, so the result does not
-        depend on the order of the nodes.
-        """
-        vals = [complex(v) for v in values]
-        if len(vals) != self.n_nodes:
-            raise DomainError("one value per node required")
-        re = math.fsum(v.real for v in vals)
-        im = math.fsum(v.imag for v in vals)
-        return complex(re / self.n_nodes, im / self.n_nodes)
 
 
 def _int_powers(z: np.ndarray, exponents) -> np.ndarray:
@@ -110,7 +95,7 @@ def _quadrature_defects(rule: QuadratureRule, pairs) -> list[float]:
     z = np.array(rule.points, dtype=complex)
     ks, ms = [k for k, _ in pairs], [m for _, m in pairs]
     products = complex_product(_int_powers(z, ks), _int_powers(z.conj(), ms))
-    # Each row summed as rule.integrate sums it: exact sums, then the mean.
+    # Each row summed exactly (math.fsum), then divided by the node count.
     N = rule.n_nodes
     return [abs(complex(math.fsum(re) / N, math.fsum(im) / N) - (1.0 if k == m else 0.0))
             for k, m, re, im in zip(ks, ms, products.real.tolist(), products.imag.tolist())]
@@ -140,61 +125,6 @@ def auto_node_count(n_max: int, rho: int) -> int:
     """
     raw = 2 * (int(n_max) + int(rho)) + 8
     return 1 << (raw - 1).bit_length()
-
-
-def _require_enough_nodes(R: LinDiffOp, f: Poly, h: Poly, N: int) -> None:
-    need = max(f.degree, 0) + max(h.degree, 0) + 2 * R.order + 1
-    if N < need:
-        raise DomainError(
-            f"{N} nodes alias the integrand; need at least {need}"
-        )
-
-
-def sobolev_inner(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
-    """(1/N) Sum_j (Rf)(e^{i tau_j}) · conj((Rh)(e^{i tau_j})).
-
-    Equals the arc-length integral of (Rf)·conj(Rh) exactly up to roundoff
-    because the integrand is a trigonometric polynomial of degree < N; node
-    counts below the safe bound are refused rather than silently aliased.
-    """
-    rule = QuadratureRule(N)
-    _require_enough_nodes(R, f, h, N)
-    rf = op_apply(R, f)
-    rh = op_apply(R, h)
-    vals = [rf(z) * rh(z).conjugate() for z in rule.points]
-    return rule.integrate(vals)
-
-
-def sobolev_inner_matrix(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
-    """Debug path: materialize M(z) and the derivative vectors at each node.
-
-    Algebraically identical to sobolev_inner by the rank-one structure; kept
-    as an independent oracle (agreement to 1e-12 is a test contract).
-    """
-    rule = QuadratureRule(N)
-    _require_enough_nodes(R, f, h, N)
-    rho = R.order
-
-    def derivative_vector(poly: Poly, z: complex) -> list[complex]:
-        out = []
-        cur = poly
-        for _ in range(rho + 1):
-            out.append(cur(z))
-            cur = cur.derivative()
-        return out
-
-    vals = []
-    for z in rule.points:
-        cvec = [R.coeff(l)(z) for l in range(rho + 1)]
-        vf = derivative_vector(f, z)
-        vh = derivative_vector(h, z)
-        total = 0j
-        for i in range(rho + 1):
-            for j in range(rho + 1):
-                m_ij = cvec[i] * cvec[j].conjugate()
-                total += vf[i] * m_ij * vh[j].conjugate()
-        vals.append(total)
-    return rule.integrate(vals)
 
 
 def _gram_stack(families: Iterable[Family], n_max: int) -> np.ndarray:
@@ -250,8 +180,8 @@ def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
     leading block of every larger one. Every entry is computed, row by row
     with elementwise products and numpy sums, never a thread-dependent BLAS
     call. Hermitian symmetry is computed, not mirrored, so it stays a real
-    check on the computation. A Gram entry that overflowed, in r_action or
-    in the row products, is a DomainError. This is the stacked engine
+    check on the computation. An overflow in C is r_action's DomainError,
+    one in the row products a DomainError naming the Gram. This is the stacked engine
     _gram_stack on a stack of one.
     """
     return _gram_stack([read_family(params, n_max)], n_max)[0].tolist()

@@ -26,7 +26,6 @@ from hypersum.partial_sums import (
     HypParams,
     PowerSeriesCoeffs,
     delta_k,
-    generic_partial_sums,
     gn_by_recurrence,
     gn_direct,
     hyp_coeff,
@@ -192,7 +191,7 @@ def _former_Gn_by_recurrence(params, N):
         d_n = _former_delta(params, n)
         d_n1 = _former_delta(params, n - 1)
         cur = out[-1]
-        nxt = cur * Poly((d_n, 1 + 0j)) - prev.shift_up().scale(d_n1)
+        nxt = cur * Poly((d_n, 1 + 0j)) - Poly((0j,) + prev.coeffs).scale(d_n1)
         prev = cur
         out.append(nxt)
     return out
@@ -258,7 +257,7 @@ def _former_gn_by_recurrence(params, N):
     prev = Poly()  # g_{-1} := 0
     for n in range(N):
         d = delta_k(params, n + 1)
-        step = (out[-1] - prev).shift_up().scale(1 / d)
+        step = Poly((0j,) + (out[-1] - prev).coeffs).scale(1 / d)
         prev = out[-1]
         out.append(prev + step)
     return out
@@ -345,16 +344,6 @@ def test_delta_and_coeff_ratio_equal_their_former_formulas_bitwise():
                               (_coeff_ratio(params, k), _former_ratio(params, k))):
                 assert struct.pack("dd", got.real, got.imag) == struct.pack(
                     "dd", want.real, want.imag)
-
-
-def test_generic_partial_sums():
-    d = PowerSeriesCoeffs(d=(1.0, 3.0, 0.5))
-    fs, Fs = generic_partial_sums(d, 2)
-    assert fs[2].coeffs == (1 + 0j, 3 + 0j, 0.5 + 0j)
-    assert Fs[2].coeff(2) == 1
-    assert Fs[2].coeff(0) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        generic_partial_sums(d, 3)
 
 
 def test_power_series_coeffs_rejects_zero():

@@ -15,7 +15,6 @@ from hypersum.pfq import (
     _sum_series,
     _unit_gauss_legendre,
     convergence_report,
-    integral_rep_circle,
     integral_rep_circle_batch,
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
@@ -260,7 +259,7 @@ def test_circle_rep_matches_direct():
     for params in (EXP, CONFLUENT, HypParams(a=(), b=(1.5,))):
         for n in (0, 2, 5):
             tau = 0.3
-            got = integral_rep_circle(params, n, tau)
+            got = integral_rep_circle_batch(params, [n], [tau])[0][0]
             want = gn_direct(params, n)(cmath.exp(1j * tau))
             assert abs(got - want) <= 1e-10
 
@@ -271,7 +270,7 @@ def test_circle_rep_batch_matches_scalar():
     batch = integral_rep_circle_batch(EXP, ns, taus)
     for i, n in enumerate(ns):
         for j, tau in enumerate(taus):
-            assert batch[i][j] == integral_rep_circle(EXP, n, tau)
+            assert batch[i][j] == integral_rep_circle_batch(EXP, [n], [tau])[0][0]
 
 
 def test_circle_rep_rows_follow_n_list():
@@ -284,7 +283,7 @@ def test_circle_rep_rows_follow_n_list():
 
 def test_circle_rep_preconditions():
     with pytest.raises(DomainError):
-        integral_rep_circle(GEOMETRIC, 3, 0.0)  # p > q
+        integral_rep_circle_batch(GEOMETRIC, [3], [0.0])  # p > q
 
 
 def test_axis_rep_exact_small_case():

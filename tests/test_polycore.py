@@ -1,4 +1,4 @@
-"""Polynomial core: construction, arithmetic, calculus, trimming."""
+"""Polynomial core: construction, arithmetic, calculus, array kernels."""
 
 import cmath
 import math
@@ -18,10 +18,8 @@ from hypersum.polycore import (
     horner,
     horner_rows,
     modulus,
-    pochhammer,
     poly_coeffs,
     real_quotient,
-    trim_tiny,
 )
 
 
@@ -115,7 +113,6 @@ def test_mul_by_zero():
 def test_scale_shift_derivative():
     p = Poly((1, 2, 3))
     assert p.scale(2).coeffs == (2 + 0j, 4 + 0j, 6 + 0j)
-    assert p.shift_up().coeffs == (0j, 1 + 0j, 2 + 0j, 3 + 0j)
     assert p.derivative().coeffs == (2 + 0j, 6 + 0j)
     assert Poly((5,)).derivative().is_zero
 
@@ -129,28 +126,21 @@ def test_equality_and_hash():
 def test_degree_cap_enforced():
     with pytest.raises(ValueError):
         Poly((1,) * (DEGREE_CAP + 2))
+    # A product past the cap is a DomainError (a ValueError), so the CLI
+    # maps it to a domain error.
+    with pytest.raises(DomainError, match="^degree 198 exceeds the cap 170$"):
+        Poly([1.0] * 100) * Poly([1.0] * 100)
 
 
-def test_trim_tiny_relative_threshold():
-    p = Poly((1.0, 1e-20))
-    assert trim_tiny(p).degree == 0
-    # Below-threshold interior coefficients survive; only the tail is cut.
-    q = Poly((1e-20, 1.0))
-    assert trim_tiny(q).degree == 1
-    assert trim_tiny(Poly(())).is_zero
-
-
-def test_trim_tiny_refuses_a_modulus_beyond_the_float_range():
+def test_max_coeff_refuses_a_modulus_beyond_the_float_range():
     # |1.5e308 + 1.5e308i| exceeds the float range although both parts are
     # finite; Python's abs raised OverflowError from max_coeff.
     p = Poly((1, 1.5e308 + 1.5e308j))
-    message = ("the modulus of the coefficient of z^1 exceeds the float "
-               "range: (1.5e+308+1.5e+308j)")
-    for run in (lambda: trim_tiny(p), p.max_coeff):
-        with pytest.raises(DomainError) as exc:
-            run()
-        assert str(exc.value) == message
-    assert trim_tiny(Poly((1.5e308, 1.0, 1e-300))).coeffs == (1.5e308 + 0j,)
+    with pytest.raises(DomainError) as exc:
+        p.max_coeff()
+    assert str(exc.value) == ("the modulus of the coefficient of z^1 exceeds "
+                              "the float range: (1.5e+308+1.5e+308j)")
+    assert Poly((1.5e308, 1.0, 1e-300)).max_coeff() == 1.5e308
 
 
 def test_poly_coeffs_keep_what_poly_keeps():
@@ -204,24 +194,6 @@ def test_horner_rows_are_horner_on_each_row():
         for j, x in enumerate(shared):
             want_value, _, want_mass = horner(row, x)
             assert bits(value[i, j]) == bits(want_value) and mass[i, j] == want_mass
-
-
-def test_pochhammer_values():
-    assert pochhammer(3, 0) == 1
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(1, 5) == 120  # (1)_k = k!
-    assert pochhammer(-2, 3) == 0  # terminates
-    assert pochhammer(0.5, 2) == 0.75
-
-
-def test_pochhammer_refuses_a_negative_order_and_an_overflow():
-    with pytest.raises(DomainError, match="^pochhammer order must be nonnegative$"):
-        pochhammer(1, -1)
-    with pytest.raises(DomainError) as exc:
-        pochhammer(1e300, 3)
-    assert str(exc.value) == (
-        "pochhammer(1e+300, 3) overflowed double precision: (inf+nanj)")
-    assert pochhammer(1e300, 1) == 1e300
 
 
 small_coeffs = st.lists(

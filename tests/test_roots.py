@@ -16,7 +16,6 @@ from hypersum.roots import (
     _companion_roots,
     _min_pair_distance,
     _root_table,
-    check_simple,
     enestrom_kakeya_bounds,
     find_roots,
     location_report,
@@ -451,13 +450,6 @@ def test_roots_document_is_deterministic_at_cap(capsys):
     assert len(docs[0]) > 1000
 
 
-def test_check_simple():
-    assert check_simple((1 + 0j, 2 + 0j))
-    assert not check_simple((1 + 0j, 1 + 0j))
-    assert check_simple((5 + 0j,))
-    assert check_simple((1e6 + 0j, 1e6 + 1j), tol=0.5)
-
-
 def test_enestrom_kakeya():
     lo, hi = enestrom_kakeya_bounds(Poly((1, 1, 0.5)))
     assert lo == pytest.approx(1.0)
@@ -492,16 +484,11 @@ def test_a_coefficient_modulus_beyond_the_float_range_is_a_domain_error():
         _root_table([Poly((1,)), f])
 
 
-def test_check_simple_refuses_a_root_beyond_the_float_range():
+def test_a_pair_distance_beyond_the_float_range_is_inf():
+    # Finite roots whose distance is beyond the range: inf, no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError) as got:
-            check_simple([BEYOND, 0])
-        assert str(got.value) == ("the modulus of root 0 exceeds the float "
-                                  "range: (1.5e+308+1.5e+308j)")
-        # Finite roots whose distance is beyond the range: inf, no warning.
         assert _min_pair_distance([1e308, -1e308]) == math.inf
-        assert check_simple([1e308, -1e308])
 
 
 def test_boundary_case_report():
@@ -530,7 +517,7 @@ def test_report_measures_the_pair_distance_once(monkeypatch):
         calls.clear()
         report = location_report(params, n)
         assert calls == [n]
-        assert report.simple is simple is check_simple(report.roots)
+        assert report.simple is simple
         assert report.min_pair_distance == _min_pair_distance(report.roots)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from hypersum import sobolev
 from hypersum.errors import DomainError
-from hypersum.operators import build_R, kappa, op_apply, r_action
+from hypersum.operators import LinDiffOp, build_R, kappa, op_apply, r_action
 from hypersum.partial_sums import HypParams, gn_direct, read_family
 from hypersum.polycore import DEGREE_CAP, Poly
 from hypersum.sobolev import (
@@ -21,8 +21,6 @@ from hypersum.sobolev import (
     gram_extremes,
     monomial_quadrature_defect,
     sobolev_gram,
-    sobolev_inner,
-    sobolev_inner_matrix,
 )
 from test_partial_sums import _coeff_seq_oracle
 
@@ -31,6 +29,70 @@ CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
 GAUSS_LIKE = HypParams(a=(1.0, 2.0), b=(3.0,))
 COMPLEX_1F2 = HypParams(a=(1.5 + 0.5j,), b=(2.0 - 0.25j, 1.25 + 1.0j))
 TWO_F_THREE = HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0))
+
+
+def _integrate(rule: QuadratureRule, values) -> complex:
+    """Mean of the sampled values at the rule's nodes, accumulated with
+    exact summation (math.fsum), so it does not depend on the node order."""
+    vals = [complex(v) for v in values]
+    if len(vals) != rule.n_nodes:
+        raise DomainError("one value per node required")
+    re = math.fsum(v.real for v in vals)
+    im = math.fsum(v.imag for v in vals)
+    return complex(re / rule.n_nodes, im / rule.n_nodes)
+
+
+def _require_enough_nodes(R: LinDiffOp, f: Poly, h: Poly, N: int) -> None:
+    need = max(f.degree, 0) + max(h.degree, 0) + 2 * R.order + 1
+    if N < need:
+        raise DomainError(
+            f"{N} nodes alias the integrand; need at least {need}"
+        )
+
+
+def sobolev_inner(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
+    """Oracle for one Gram entry: (1/N) Sum_j (Rf)(e^{i tau_j}) ·
+    conj((Rh)(e^{i tau_j})).
+
+    Equals the arc-length integral of (Rf)·conj(Rh) exactly up to roundoff
+    because the integrand is a trigonometric polynomial of degree < N; node
+    counts below the safe bound are refused rather than silently aliased.
+    """
+    rule = QuadratureRule(N)
+    _require_enough_nodes(R, f, h, N)
+    rf = op_apply(R, f)
+    rh = op_apply(R, h)
+    return _integrate(rule, [rf(z) * rh(z).conjugate() for z in rule.points])
+
+
+def sobolev_inner_matrix(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
+    """Debug oracle: materialize M(z) and the derivative vectors at each
+    node. Algebraically identical to sobolev_inner by the rank-one
+    structure (agreement to 1e-12 is a test contract)."""
+    rule = QuadratureRule(N)
+    _require_enough_nodes(R, f, h, N)
+    rho = R.order
+
+    def derivative_vector(poly: Poly, z: complex) -> list[complex]:
+        out = []
+        cur = poly
+        for _ in range(rho + 1):
+            out.append(cur(z))
+            cur = cur.derivative()
+        return out
+
+    vals = []
+    for z in rule.points:
+        cvec = [R.coeff(l)(z) for l in range(rho + 1)]
+        vf = derivative_vector(f, z)
+        vh = derivative_vector(h, z)
+        total = 0j
+        for i in range(rho + 1):
+            for j in range(rho + 1):
+                m_ij = cvec[i] * cvec[j].conjugate()
+                total += vf[i] * m_ij * vh[j].conjugate()
+        vals.append(total)
+    return _integrate(rule, vals)
 
 
 def quadrature_gram(params, n_max):
@@ -47,7 +109,7 @@ def quadrature_gram(params, n_max):
         images.append([rg(z) for z in rule.points])
     return [
         [
-            rule.integrate([u * v.conjugate() for u, v in zip(row, col)])
+            _integrate(rule, [u * v.conjugate() for u, v in zip(row, col)])
             for col in images
         ]
         for row in images
@@ -58,17 +120,17 @@ def test_quadrature_integrates_monomials():
     rule = QuadratureRule(8)
     # mean of z^k over T is delta_{k0} for |k| < 8
     vals = [1.0 for _ in rule.points]
-    assert rule.integrate(vals) == pytest.approx(1.0)
+    assert _integrate(rule, vals) == pytest.approx(1.0)
     for k in (1, 3, 7):
         vals = [z ** k for z in rule.points]
-        assert abs(rule.integrate(vals)) <= 1e-15
+        assert abs(_integrate(rule, vals)) <= 1e-15
 
 
 def test_quadrature_aliasing_edge():
     # z^N aliases to z^0 on an N-node rule: exactness stops at |k - m| = N.
     rule = QuadratureRule(8)
     vals = [z ** 8 for z in rule.points]
-    assert rule.integrate(vals) == pytest.approx(1.0)
+    assert _integrate(rule, vals) == pytest.approx(1.0)
 
 
 def test_rule_builds_its_points_once():
@@ -92,7 +154,7 @@ def _former_monomial_quadrature_defect(rule, k, m):
     # its one-pass engine.
     vals = [z**k * (z.conjugate() ** m) for z in rule.points]
     exact = 1.0 if k == m else 0.0
-    return abs(rule.integrate(vals) - exact)
+    return abs(_integrate(rule, vals) - exact)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 7, 16, 64, 128, 256])
@@ -279,6 +341,7 @@ def test_gram_stack_of_no_families_is_empty():
 
 OVERFLOWS = HypParams(a=(1e155,), b=(1e155,))  # C[0, 0] = -1e155
 UNDERFLOWS = HypParams(a=(1e155,), b=(1e300,))  # xi_3 underflows
+R_OVERFLOWS = HypParams(a=(1e60,))  # (a + 5)·xi_5 in R g_5 overflows
 
 
 def _cells_then_failure(cells):
@@ -295,6 +358,10 @@ def _cells_then_failure(cells):
     ((CONFLUENT, OVERFLOWS), True, "Gram matrix overflowed"),
     ((CONFLUENT, EXP), True, "cell could not be built"),
     ((), True, "cell could not be built"),
+    # r_action refuses while C is built, so before any Gram is formed.
+    ((CONFLUENT, R_OVERFLOWS, OVERFLOWS), False, "R applied to row 5 overflowed"),
+    ((OVERFLOWS, R_OVERFLOWS), False, "Gram matrix overflowed"),
+    ((CONFLUENT, R_OVERFLOWS), True, "R applied to row 5 overflowed"),
 ])
 def test_gram_stack_raises_the_first_failing_familys_error(cells, then_fail, message):
     source = _cells_then_failure(cells) if then_fail else cells
