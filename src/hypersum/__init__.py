@@ -41,9 +41,8 @@ _EXPORTS = {
         "delta_k", "gn_by_recurrence", "gn_direct", "hyp_coeff",
     ),
     "operators": (
-        "LinDiffOp", "build_R", "kappa", "op_add", "op_apply", "op_compose",
-        "op_ddz", "op_identity", "op_scale", "op_sub", "op_theta", "r_action",
-        "r_image", "verify_ode",
+        "LinDiffOp", "build_R", "kappa", "op_apply", "op_compose", "op_theta",
+        "r_action", "r_image", "verify_ode",
     ),
     "sobolev": (
         "QuadratureRule", "auto_node_count", "build_sobolev_form",

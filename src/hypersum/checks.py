@@ -66,14 +66,7 @@ from .pfq import (
     integral_rep_circle_batch,
 )
 from .polycore import coeff_table, complex_product, horner_rows, modulus
-from .ri_pencils import (
-    JacobiPencil,
-    _band_coeff_stack,
-    _band_row_sums,
-    _ri_rows,
-    pencil_polynomials,
-    tfraction_from_hyp,
-)
+from .ri_pencils import _band_coeff_stack, _band_row_sums, _ri_rows, tfraction_from_hyp
 from .roots import _location_reports, _require_positive_conditions
 from .sobolev import (
     QuadratureRule,
@@ -487,15 +480,17 @@ def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
 
 def _pencil_stack(rng: random.Random, draws: int) -> tuple:
     """The draws of _draw_pencils as one stack for the pencil engine, in
-    size order and in draw order within a size: each draw's N, the (5, B,
-    _PENCIL_MAX_N - 1) band array, alpha, beta and the (B, _PENCIL_LAMBDAS)
-    lambdas. Past a pencil's N - 1 read entries the bands hold a_k =
-    gamma_k = 1 and 0 elsewhere, so the array validates."""
+    size order and in draw order within a size, then the worked pencil:
+    each draw's N, the (5, B + 1, _PENCIL_MAX_N - 1) band array, alpha,
+    beta and the (B, _PENCIL_LAMBDAS) lambdas. Past a pencil's N - 1 read
+    entries the bands hold a_k = gamma_k = 1 and 0 elsewhere, so the array
+    validates; the worked pencil is that padding with alpha 1 and beta 0,
+    whose p_2 is x^2."""
     groups = sorted(_draw_pencils(rng, draws).items())
     sizes = np.repeat([N for N, _ in groups], [len(v) for _, v in groups])
-    bands = np.zeros((5, len(sizes), _PENCIL_MAX_N - 1))
+    bands = np.zeros((5, len(sizes) + 1, _PENCIL_MAX_N - 1))
     bands[[1, 4]] = 1.0
-    alpha, beta = np.empty(len(sizes)), np.empty(len(sizes))
+    alpha, beta = np.ones(len(sizes) + 1), np.zeros(len(sizes) + 1)
     lams = np.empty((len(sizes), _PENCIL_LAMBDAS), dtype=complex)
     stop = 0
     for N, values in groups:
@@ -520,24 +515,22 @@ def check_pencil(
     depends only on the seed and `draws`, not on the family verified. Each
     draw takes N in 2..12, the pencil's bands, alpha and beta, then
     _PENCIL_LAMBDAS lambdas. All draws, padded into one band array in size
-    order (_pencil_stack), are solved to degree 12 by one engine call, each
-    pencil's p_0..p_N bit for bit its own size's solve; each size is then
-    summed by one _band_row_sums pass on its slice. Degree n with a positive
-    leading coefficient means, for k <= N, exact zeros above the diagonal
-    and a positive diagonal. Per lambda the measure is the largest row
-    residual over the largest row scale (at least 1). Negative draws are a
-    DomainError; zero draws check only the worked example.
+    order, and the worked pencil after them (_pencil_stack) are solved to
+    degree 12 by one engine call, each pencil's p_0..p_N bit for bit its
+    own size's solve; each size is then summed by one _band_row_sums pass
+    on its slice. Degree n with a positive leading coefficient means, for k
+    <= N, exact zeros above the diagonal and a positive diagonal. Per
+    lambda the measure is the largest row residual over the largest row
+    scale (at least 1). Negative draws are a DomainError; zero draws check
+    only the worked example.
     """
     tol = 1e-10 if tol is None else tol
     if int(draws) < 0:
         raise DomainError("draws must be nonnegative")
-    worked = JacobiPencil(j3_diag=(0.0, 0.0), j3_offdiag=(1.0, 1.0), j5_diag=(0.0, 0.0),
-                          j5_off1=(0.0, 0.0), j5_off2=(1.0, 1.0), alpha=1.0, beta=0.0)
-    worst = 0.0
-    if pencil_polynomials(worked, 2)[2].coeffs != (0, 0, 1):
-        worst = math.inf
     sizes, bands, alpha, beta, lams = _pencil_stack(rng, draws)
     coeffs = _band_coeff_stack(bands, alpha, beta, _PENCIL_MAX_N)
+    coeffs, worked = coeffs[:-1], coeffs[-1]
+    worst = 0.0 if worked[2, :3].tolist() == [0.0, 0.0, 1.0] else math.inf
     k = np.arange(_PENCIL_MAX_N + 1)
     read = k <= sizes[:, None]  # p_k and its x^k, k <= N
     upper = read[:, :, None] & read[:, None, :] & (k[:, None] < k)

@@ -413,7 +413,7 @@ def _sweep_convergence(cells: Iterable[HypParams], ns: list[int]) -> list[list[f
     except DomainError as exc:
         failure = exc
     owner = np.repeat(np.arange(len(stack)), len(_PROBES))
-    sums, used = _sum_series(stack, owner, np.tile(_PROBES, len(stack)))
+    sums, used, _ = _sum_series(stack, owner, np.tile(_PROBES, len(stack)))
     for params, cell_used in zip(stack, used.reshape(-1, len(_PROBES))):
         if not cell_used.all():  # raises at the cell's first failed probe
             pfq_eval(params, _PROBES[np.argmin(cell_used)])

@@ -12,6 +12,10 @@ g_n, the rescaled image -kappa_n·R g_n is the monomial z^n, and consequently
 theta(R g_n) - n·R g_n = 0. Both are exposed as operations returning residual
 material rather than booleans, so callers choose their tolerances.
 
+R is expanded on coefficient lists: build_R and op_compose run one
+Leibniz engine, _compose, on operators held as lists of coefficient lists,
+with polycore's list kernels, and build one LinDiffOp at the end.
+
 Operators are applied by one engine, _apply_stack, to a stack of
 polynomials held as the rows of a complex array, each row rounded as Poly
 arithmetic rounds it alone; op_apply is that engine on a stack of one, and
@@ -24,12 +28,14 @@ check refuses naming the stage and degree.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, _check_cap, gn_direct, read_family
-from .polycore import Poly, complex_product, modulus
+from .polycore import (Poly, coeff_derivative, coeff_difference, coeff_product, coeff_scale,
+                       coeff_sum, complex_product, modulus)
 
 
 class LinDiffOp:
@@ -55,11 +61,6 @@ class LinDiffOp:
         """Highest derivative order with nonzero coefficient; -1 if zero."""
         return len(self.coeffs) - 1
 
-    def coeff(self, l: int) -> Poly:
-        if 0 <= l < len(self.coeffs):
-            return self.coeffs[l]
-        return Poly()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinDiffOp) and self.coeffs == other.coeffs
 
@@ -70,30 +71,9 @@ class LinDiffOp:
         return f"LinDiffOp({self.coeffs!r})"
 
 
-def op_identity() -> LinDiffOp:
-    return LinDiffOp((Poly((1 + 0j,)),))
-
-
-def op_ddz() -> LinDiffOp:
-    return LinDiffOp((Poly(), Poly((1 + 0j,))))
-
-
 def op_theta() -> LinDiffOp:
     """theta = z·d/dz: c_1(z) = z, everything else zero."""
     return LinDiffOp((Poly(), Poly((0j, 1 + 0j))))
-
-
-def op_add(A: LinDiffOp, B: LinDiffOp) -> LinDiffOp:
-    n = max(len(A.coeffs), len(B.coeffs))
-    return LinDiffOp(tuple(A.coeff(l) + B.coeff(l) for l in range(n)))
-
-
-def op_scale(A: LinDiffOp, s: complex) -> LinDiffOp:
-    return LinDiffOp(tuple(c.scale(s) for c in A.coeffs))
-
-
-def op_sub(A: LinDiffOp, B: LinDiffOp) -> LinDiffOp:
-    return op_add(A, op_scale(B, -1.0))
 
 
 def _stack_of_one(f: Poly) -> np.ndarray:
@@ -150,32 +130,35 @@ def op_apply(A: LinDiffOp, f: Poly) -> Poly:
     return Poly(_apply_stack(A, _stack_of_one(f))[0].tolist())
 
 
+def _compose(A: list, B: list) -> list:
+    """A∘B for operators held as lists of coefficient lists (entry l: the
+    coefficient of d^l), by the Leibniz expansion d^l (b_m(z) u) = Sum_i
+    C(l,i) b_m^(i) u^(l-i): the term a_l d^l ∘ b_m d^m adds a_l·C(l,i)·b_m^(i)
+    at derivative order m + l - i, in ascending l, m, i. The result may end
+    in empty entries."""
+    acc: dict[int, list[complex]] = {}
+    for l, al in enumerate(A):
+        if not al:
+            continue
+        for m, deriv in enumerate(B):
+            for i in range(l + 1):
+                if not deriv:
+                    break
+                term = coeff_scale(coeff_product(al, deriv), math.comb(l, i))
+                acc[m + l - i] = coeff_sum(acc.get(m + l - i, []), term)
+                deriv = coeff_derivative(deriv)
+    return [acc.get(k, []) for k in range(max(acc, default=-1) + 1)]
+
+
 def op_compose(A: LinDiffOp, B: LinDiffOp) -> LinDiffOp:
     """Operator composition: apply(op_compose(A,B), f) == apply(A, apply(B, f)).
+    The engine _compose on the coefficients of A and B."""
+    return LinDiffOp(_compose([c.coeffs for c in A.coeffs], [c.coeffs for c in B.coeffs]))
 
-    Uses the Leibniz expansion: d^l (b_m(z) u) = Sum_i C(l,i) b_m^(i) u^(l-i),
-    so the term a_l d^l ∘ b_m d^m contributes a_l·C(l,i)·b_m^(i) at derivative
-    order m + l - i.
-    """
-    acc: dict[int, Poly] = {}
-    for l, al in enumerate(A.coeffs):
-        if al.is_zero:
-            continue
-        for m, bm in enumerate(B.coeffs):
-            if bm.is_zero:
-                continue
-            deriv = bm
-            for i in range(l + 1):
-                if deriv.is_zero:
-                    break
-                order = m + l - i
-                term = (al * deriv).scale(math.comb(l, i))
-                acc[order] = acc.get(order, Poly()) + term
-                deriv = deriv.derivative()
-    if not acc:
-        return LinDiffOp()
-    top = max(acc)
-    return LinDiffOp(tuple(acc.get(l, Poly()) for l in range(top + 1)))
+
+def _theta_plus(s: complex) -> list:
+    """theta + s as coefficient lists: s on d^0, z on d^1."""
+    return [coeff_scale([1 + 0j], s), [0j, 1 + 0j]]
 
 
 def build_R(params: HypParams) -> LinDiffOp:
@@ -188,16 +171,15 @@ def build_R(params: HypParams) -> LinDiffOp:
     double precision raises DomainError naming the expansion of R.
     """
     try:
-        left = op_identity()
+        left = [[1 + 0j]]
         for bj in params.b:
-            factor = op_add(op_theta(), op_scale(op_identity(), bj - 1))
-            left = op_compose(left, factor)
-        left = op_compose(op_ddz(), left)
-        right = op_identity()
+            left = _compose(left, _theta_plus(bj - 1))
+        left = _compose([[], [1 + 0j]], left)
+        right = [[1 + 0j]]
         for aj in params.a:
-            factor = op_add(op_theta(), op_scale(op_identity(), aj))
-            right = op_compose(right, factor)
-        return op_sub(left, right)
+            right = _compose(right, _theta_plus(aj))
+        return LinDiffOp([coeff_difference(x, y)
+                          for x, y in zip_longest(left, right, fillvalue=[])])
     except DomainError as exc:
         raise DomainError(f"expanding R overflowed double precision: {exc}") from exc
 

@@ -9,10 +9,10 @@ and g_n is its degree-n truncation. G_n is the monic rescaling of g_n. Both
 come in two independently computed flavors: directly from the coefficients,
 and via their three-term recurrences, which downstream tests compare. Each
 recurrence is an engine on coefficient rows, one per degree (_gn_rows here,
-the R_I engine of ri_pencils for the monic one), rounded and refused as
-Poly arithmetic rounds and refuses them. Only read_family
-multiplies out xi_0..xi_N: the family record, which refuses from the first
-zero or non-finite xi_k on. Every route reads a prefix of it. The module also
+the R_I engine of ri_pencils for the monic one) on polycore's list
+kernels, which Poly arithmetic wraps. Only read_family multiplies out
+xi_0..xi_N: the family record, which refuses from the first zero or
+non-finite xi_k on. Every route reads a prefix of it. The module also
 carries the coefficients of an arbitrary power series with nonzero
 coefficients (PowerSeriesCoeffs), which the kernel decompositions take.
 """
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .polycore import DEGREE_CAP, Poly, coeff_difference, coeff_sum, poly_coeffs
+from .polycore import DEGREE_CAP, Poly, coeff_difference, coeff_scale, coeff_sum
 
 # Parameters this close to {0, -1, -2, ...} are rejected at construction:
 # the coefficient ratios degenerate there.
@@ -194,15 +194,14 @@ def delta_k(params: HypParams, k: int) -> complex:
 def _gn_rows(params: HypParams, N: int) -> list[list[complex]]:
     """The coefficients of g_0..g_N by the three-term relation, as
     gn_by_recurrence's Poly arithmetic forms and keeps them: g_{n+1} is g_n
-    plus z·(g_n - g_{n-1})/delta_{n+1}, one list step per degree in Python
-    complex arithmetic, with Poly's refusal of a non-finite coefficient."""
+    plus z·(g_n - g_{n-1})/delta_{n+1}, one list step per degree by
+    polycore's kernels, which Poly arithmetic wraps."""
     N = _check_cap(N)
     rows, prev = [[1 + 0j]], []  # g_0, and g_{-1} := 0
     for n in range(N):
         d = delta_k(params, n + 1)
         diff = coeff_difference(rows[-1], prev)
-        scale = 1 / d
-        step = poly_coeffs([c * scale for c in [0j] + diff]) if diff else []
+        step = coeff_scale([0j] + diff, 1 / d) if diff else []
         prev = rows[-1]
         rows.append(coeff_sum(prev, step))
     return rows

@@ -77,19 +77,20 @@ def _domain_class(params: HypParams, z: complex = 0j) -> str:
     return "unit-disk"
 
 
-def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Series sums and terms used at each point of the 1-D array zs, point
-    i summing family stack[owner[i]] (owner: an index per point, or one for
-    all; the domain is not checked). A point stops once |term| <
-    SERIES_RTOL·|its running sum| has held for 3 consecutive terms;
-    terms_used is 0 where SERIES_TERM_CAP terms do not get there (the sum
-    nan) or a point stops on an overflowed total (the sum that total: any
-    finite term is small against inf). Each step forms each family's
-    _coeff_ratio once, as a Python complex, gathered per point (a product
-    with the gathered ratios rounds as one with the scalar). Stopped points
-    leave the arrays, and every product is elementwise and out of place
-    (numpy's in-place complex *= can round one entry differently), so no
-    point depends on the others.
+def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Series sums, terms used and whether SERIES_TERM_CAP was reached, at
+    each point of the 1-D array zs, point i summing family stack[owner[i]]
+    (owner: an index per point, or one for all; the domain is not checked).
+    A point stops once |term| < SERIES_RTOL·|its running sum| has held for
+    3 consecutive terms, or at the step the modulus of its running sum
+    turns nan, which no later term can undo. terms_used is 0 where the
+    point reaches the cap (the sum nan), stops on a nan sum, or stops on an
+    overflowed total (the sum that total: any finite term is small against
+    inf). Each step forms each family's _coeff_ratio once, as a Python
+    complex, gathered per point (a product with the gathered ratios rounds
+    as one with the scalar). Stopped points leave the arrays, and every
+    product is elementwise and out of place (numpy's in-place complex *=
+    can round one entry differently), so no point depends on the others.
     """
     z = np.asarray(zs, dtype=complex)
     owner = np.asarray(owner, dtype=int)
@@ -107,8 +108,9 @@ def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray]:
                 ratio = _coeff_ratio(stack[owner], k - 1)
             term = term * ratio * z
             total = total + term
-            small = np.abs(term) < SERIES_RTOL * np.abs(total)
-            done = small & small1 & small2
+            size = np.abs(total)
+            small = np.abs(term) < SERIES_RTOL * size
+            done = (small & small1 & small2) | np.isnan(size)
             small1, small2 = small, small1
             if done.any():
                 sums[live[done]] = total[done]
@@ -118,22 +120,26 @@ def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray]:
                 )
                 if owner.ndim:
                     owner = owner[~done]
-    return sums, terms_used
+    capped = np.zeros(sums.shape, dtype=bool)
+    capped[live] = True
+    return sums, terms_used, capped
 
 
 def _eval_points(params: HypParams, zs) -> list[PfqValue]:
     """pfq_eval at each point of zs by one _sum_series call over the points
-    before the first one outside the domain; the first that fails raises."""
+    before the first one outside the domain; the first that fails raises,
+    naming an overflowed sum, a term that is not finite, or the cap."""
     zs, classes = [complex(z) for z in zs], []
     with contextlib.suppress(DomainError):
         for z in zs:
             classes.append(_domain_class(params, z))
-    sums, terms = _sum_series([params], 0, zs[: len(classes)])
+    sums, terms, capped = _sum_series([params], 0, zs[: len(classes)])
     for i, z in enumerate(zs):
         if i == len(classes) or not terms[i]:
             _domain_class(params, z)  # raises if z is outside the domain
             failure = ("overflowed double precision" if np.isinf(sums[i]) else
-                       f"did not converge within {SERIES_TERM_CAP} terms")
+                       f"did not converge within {SERIES_TERM_CAP} terms" if capped[i]
+                       else "term is not finite")
             raise ConvergenceError(f"series {failure} at z = {z}")
     return [PfqValue(complex(s), int(t), c) for s, t, c in zip(sums, terms, classes)]
 
@@ -141,7 +147,8 @@ def _eval_points(params: HypParams, zs) -> list[PfqValue]:
 def pfq_eval(params: HypParams, z: complex) -> PfqValue:
     """Sum the series at z: the one-point case of _eval_points. Raises
     DomainError where the series is undefined and ConvergenceError if
-    SERIES_TERM_CAP terms do not meet the stopping rule or the sum overflows."""
+    SERIES_TERM_CAP terms do not meet the stopping rule, a term is not
+    finite or the sum overflows."""
     return _eval_points(params, [z])[0]
 
 
@@ -173,7 +180,7 @@ def integral_rep_circle_batch(
     if not ns:
         return []
     t = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-    fvals, terms_used = _sum_series([params], 0, np.exp(1j * t))
+    fvals, terms_used, _ = _sum_series([params], 0, np.exp(1j * t))
     if not terms_used.all():
         raise ConvergenceError("series did not converge at some circle node")
     k = np.arange(max(ns) + 1)
@@ -387,7 +394,7 @@ def convergence_report(params: HypParams, n_list, sample_points) -> ConvergenceR
         _check_cap(ns[0])
         seq = read_family(params, ns[-1]).seq(ns[-1])
     zs = np.array(points, dtype=complex)
-    sums, used = _sum_series([params], 0, zs)
+    sums, used, _ = _sum_series([params], 0, zs)
     failed = [z for z, u in zip(points, used) if not u]
     sups = _sup_errors([seq], ns, zs[used > 0], [sums[used > 0]])[0]
     return ConvergenceReport(

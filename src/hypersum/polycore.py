@@ -5,6 +5,13 @@ immutable, stored densely as coefficient tuples (index k = coefficient of
 z^k), with the zero polynomial represented by the empty tuple. Arithmetic is
 double-precision complex throughout; there is no exact-rational path because
 all downstream checks are tolerance-based and parameters may be irrational.
+
+Polynomial arithmetic is written once, on coefficient lists: coeff_sum,
+coeff_difference, coeff_product, coeff_scale and coeff_derivative each
+round in one fixed order and refuse the first non-finite coefficient
+(poly_coeffs). Poly's +, -, *, scale and derivative wrap them, and the
+list routes (R's expansion, the g_n and R_I recurrences) call them
+directly, so every route rounds and refuses alike.
 """
 
 from __future__ import annotations
@@ -90,36 +97,23 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
+        return Poly(coeff_sum(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + other.scale(-1.0)
+        return Poly(coeff_difference(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Poly(out)
+        return Poly(coeff_product(self.coeffs, other.coeffs))
 
     def scale(self, s: complex) -> "Poly":
-        w = complex(s)
-        return Poly(c * w for c in self.coeffs)
+        return Poly(coeff_scale(self.coeffs, s))
 
     def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return Poly(coeff_derivative(self.coeffs))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -159,19 +153,41 @@ def poly_coeffs(values: list[complex]) -> list[complex]:
     return values
 
 
-def coeff_sum(a: list[complex], b: list[complex]) -> list[complex]:
-    """The coefficients of Poly(a) + Poly(b) for two coefficient lists as
-    Poly keeps them, summed as Poly's addition sums them."""
+def coeff_sum(a, b) -> list[complex]:
+    """a + b for two coefficient lists as Poly keeps them: each
+    coefficient of the longer list plus the other's, then poly_coeffs."""
     if len(a) < len(b):
         a, b = b, a
-    return poly_coeffs([x + y for x, y in zip(a, b)] + a[len(b):])
+    return poly_coeffs([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
-def coeff_difference(a: list[complex], b: list[complex]) -> list[complex]:
-    """The coefficients of Poly(a) - Poly(b), formed as Poly's subtraction
-    forms them: a plus b scaled by -1."""
-    minus_one = complex(-1.0)
-    return coeff_sum(a, poly_coeffs([c * minus_one for c in b]))
+def coeff_difference(a, b) -> list[complex]:
+    """a - b: a plus b scaled by -1."""
+    return coeff_sum(a, coeff_scale(b, -1.0))
+
+
+def coeff_product(a, b) -> list[complex]:
+    """a·b: coefficient k is 0j plus a_i·b_(k-i), added in ascending i.
+    One pass over a per coefficient of b, in descending order, so that a
+    short b, such as a linear factor, costs few passes."""
+    if not a or not b:
+        return []
+    out = [0j] * (len(a) + len(b) - 1)
+    for j in range(len(b) - 1, -1, -1):
+        cj = b[j]
+        out[j : j + len(a)] = [o + ci * cj for o, ci in zip(out[j : j + len(a)], a)]
+    return poly_coeffs(out)
+
+
+def coeff_scale(a, s) -> list[complex]:
+    """s·a: each coefficient times complex(s)."""
+    w = complex(s)
+    return poly_coeffs([c * w for c in a])
+
+
+def coeff_derivative(a) -> list[complex]:
+    """a': coefficient k-1 is the int k times coefficient k."""
+    return poly_coeffs([k * c for k, c in enumerate(a) if k > 0])
 
 
 def coeff_table(rows, width: int) -> np.ndarray:

@@ -6,10 +6,12 @@ The R_I engine generates monic P_n from
 
     P_n = (z - c_n) P_{n-1} - lambda_n (z - a_n) P_{n-2},   P_-1 = 0, P_0 = 1,
 
-and reports whether the classical validity conditions hold: lambda_{n+1}
-nonzero (lambda_1 multiplies P_-1 and is exempt) and P_n(a_n) != 0. With
-c_n = -delta_n, lambda_n = delta_{n-1}, a_n = 0 the P_n are the monic
-partial sums G_n: partial_sums.Gn_by_recurrence runs on this engine.
+one degree at a time on coefficient lists with polycore's kernels (so it
+rounds and refuses as Poly arithmetic does), and reports whether the
+classical validity conditions hold: lambda_{n+1} nonzero (lambda_1
+multiplies P_-1 and is exempt) and P_n(a_n) != 0. With c_n = -delta_n,
+lambda_n = delta_{n-1}, a_n = 0 the P_n are the monic partial sums G_n:
+partial_sums.Gn_by_recurrence runs on this engine.
 
 The pencil engine solves the five-term scalar relation of a pentadiagonal/
 tridiagonal symmetric pair forward for p_{n+2}; gamma_n > 0 makes the solve
@@ -38,8 +40,8 @@ import numpy as np
 
 from .errors import DomainError
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
-from .polycore import (DEGREE_CAP, Poly, coeff_difference, coeff_table, horner, modulus,
-                       poly_coeffs)
+from .polycore import (DEGREE_CAP, Poly, coeff_difference, coeff_product, coeff_scale,
+                       coeff_table, horner, modulus)
 
 RI_NODE_RTOL = 1e-12
 
@@ -94,19 +96,11 @@ class RIValidity:
         return not self.lambda_failures and not self.node_failures
 
 
-def _times_monic_linear(p: list[complex], c0: complex) -> list[complex]:
-    """The coefficients of Poly(p) * Poly((c0, 1)), formed as Poly's
-    product forms them: coefficient k is 0j + p_{k-1}·1, then plus p_k·c0."""
-    low = [c * c0 for c in p]
-    high = [0j + c * (1 + 0j) for c in p]
-    return poly_coeffs([0j + low[0]] + [h + l for h, l in zip(high, low[1:])] + high[-1:])
-
-
 def _ri_rows(rec: RIRecurrence, N: int) -> tuple[list[list[complex]], RIValidity]:
     """The coefficients of P_0..P_N, one list per degree, and the validity
     report: the engine of ri_generate. Each P_n is formed from P_{n-1} and
-    P_{n-2} in Python complex arithmetic, rounded and refused as Poly
-    arithmetic rounds and refuses it, and tested at a_n by horner."""
+    P_{n-2} by polycore's list kernels, which Poly arithmetic wraps, and
+    tested at a_n by horner."""
     N = int(N)
     if N < 0:
         raise DomainError("N must be nonnegative")
@@ -122,10 +116,10 @@ def _ri_rows(rec: RIRecurrence, N: int) -> tuple[list[list[complex]], RIValidity
         if n >= 2 and lam_n == 0:
             lambda_failures.append(n)
         try:
-            nxt = _times_monic_linear(rows[-1], -c_n)
+            nxt = coeff_product(rows[-1], [-c_n, 1 + 0j])
             if n >= 2:
-                lower = _times_monic_linear(rows[-2], -a_n)
-                nxt = coeff_difference(nxt, poly_coeffs([c * lam_n for c in lower]))
+                lower = coeff_product(rows[-2], [-a_n, 1 + 0j])
+                nxt = coeff_difference(nxt, coeff_scale(lower, lam_n))
         except DomainError as exc:
             raise DomainError(
                 f"R_I recurrence overflowed double precision at degree {n}: {exc}"

@@ -634,8 +634,7 @@ def test_pencil_check_is_family_independent():
 
 def _record_pencil_calls(monkeypatch, perturb=None):
     """Wrap the band-level solve and residual that check_pencil calls on its
-    random draws. The worked p_2 example goes through pencil_polynomials,
-    which calls the engine inside ri_pencils, so it is not recorded here.
+    random draws and, in the solve's last row, the worked p_2 example.
     Returns the lists of solve calls (N, bands, alpha, beta) and of
     row-sum calls (rows, lams); each row-sum call must return what the
     former row-sum pass returns on the same arguments."""
@@ -669,9 +668,12 @@ def test_pencil_check_draws_the_same_stream(monkeypatch):
     want = sorted(_pencil_draws(reference, 200), key=lambda w: w[0])
     assert rng.getstate() == reference.getstate()
     # One solve of every draw, to the largest size: row n reads band
-    # entries <= n only, so a pencil of size N reads its first N - 1.
+    # entries <= n only, so a pencil of size N reads its first N - 1. The
+    # worked pencil is the last row: the padding, alpha 1 and beta 0.
     [(N, bands, alpha, beta)] = solves
-    assert N == 12 and bands.shape == (5, 200, 11)
+    assert N == 12 and bands.shape == (5, 201, 11)
+    assert (bands[:, -1] == np.array([[0.0], [1.0], [0.0], [0.0], [1.0]])).all()
+    assert (alpha[-1], beta[-1]) == (1.0, 0.0)
     # One row-sum pass per size, in size order, each in draw order.
     assert [rows + 1 for rows, _ in row_sums] == sorted({w[0] for w in want})
     sizes = [rows + 1 for rows, lams in row_sums for _ in lams]
@@ -687,15 +689,32 @@ def test_pencil_check_draws_the_same_stream(monkeypatch):
 
 
 def test_pencil_check_fails_on_one_perturbed_coefficient(monkeypatch):
-    # The last pencil has size 12, so its p_12 is read: the leading
-    # coefficient enters row 10 and the degree test.
+    # The last drawn pencil, before the worked one, has size 12, so its
+    # p_12 is read: the leading coefficient enters row 10 and the degree
+    # test.
     def perturb(coeffs):
-        coeffs[-1, -1, -1] *= 1 + 1e-6
+        coeffs[-2, -1, -1] *= 1 + 1e-6
 
     _record_pencil_calls(monkeypatch, perturb)
     result = check_pencil(random.Random("7:pencil"), 200)
     assert result.status == "FAIL"
     assert 1e-10 < result.max_residual < 1e-3
+
+
+@pytest.mark.parametrize("draws", [0, 200])
+def test_pencil_check_fails_on_a_wrong_worked_example(monkeypatch, draws):
+    # The worked p_2 = x^2 is read from the last row of the solve; its p_3
+    # and beyond are read by nothing.
+    def perturb(coeffs):
+        coeffs[-1, 2, 1] = 1e-300
+
+    _record_pencil_calls(monkeypatch, perturb)
+    result = check_pencil(random.Random("7:pencil"), draws)
+    assert (result.status, result.max_residual) == ("FAIL", math.inf)
+    monkeypatch.undo()
+    baseline = check_pencil(random.Random("7:pencil"), draws)
+    _record_pencil_calls(monkeypatch, lambda coeffs: coeffs[-1, 3:].fill(-1.0))
+    assert check_pencil(random.Random("7:pencil"), draws) == baseline
 
 
 def test_pencil_check_reads_no_padded_coefficient(monkeypatch):

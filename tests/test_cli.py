@@ -963,6 +963,26 @@ DOCUMENT_DIGESTS = [
      0, "c17098878f20cc91483cfce73a127575bd7b7c612a409e8b3d8ea819361c0690"),
     ("roots --p 1 --q 1 --a 1 --b 2 --n 100",
      0, "ed8e9bb7d01bf9741b8498f1c23520bbd41bfb0fae0f98cd31416f091e14619a"),
+    # gen prints R's expanded coefficients: exp, a complex 1F2 and a 3F3,
+    # each in both formats, with and without the monic sums; eval --series
+    # at three points of two families.
+    ("gen --p 0 --q 0 --n 8",
+     0, "bd1a27a037ab5c249986f200a31d485dada1530b1857b336fe32ec1cf1f3d604"),
+    ("gen --p 0 --q 0 --n 8 --format csv --monic",
+     0, "90887333ebeced84f84d51e58c4a8e41a37d1512d735e1bb27ec990be8be5ee2"),
+    ("gen --p 1 --q 2 --a 0.5+0.3i --b 1.2-0.4i,2.1+0.2i --n 12 --monic",
+     0, "dce74e19c9de13f47d0d69689d01bea4b09c0b71483f7227b39e083d647d5038"),
+    ("gen --p 1 --q 2 --a 0.5+0.3i --b 1.2-0.4i,2.1+0.2i --n 12 --format csv",
+     0, "e3bf2181193aa6cf6a1f8dd9fb30c4ce1786b0da8332eaeda93802ebf4ae869b"),
+    ("gen --p 3 --q 3 --a 0.5,1.25-0.5i,2 --b 1.5+1i,2.5,3.25 --n 15",
+     0, "54535b8f776476650c1a6bad385c303d6eb40e9d7ba86ed4d84889f238bfc242"),
+    ("gen --p 3 --q 3 --a 0.5,1.25-0.5i,2 --b 1.5+1i,2.5,3.25 --n 15 --format csv --monic",
+     0, "03bfd5710dda45870360ccc0d9b67249fd9e0e08777e3af5e474ed00668326b1"),
+    ("eval --p 1 --q 1 --a 1 --b 2 --n 5 --z 0.5,-2+1i,0+3i --series",
+     0, "b4d42d9e6e2cb5d05e23b679a828fdf38b0236ce9378bcf21a1b172c20b72b8e"),
+    ("eval --p 1 --q 2 --a 0.5+0.3i --b 1.2-0.4i,2.1+0.2i --n 8 "
+     "--z 0.25-0.5i,-4,1+1i --series --format csv",
+     0, "5be9c27a9af3708d9856ffb1bb3c4abbbdb37435383b6e1353b96e27f33e7ae9"),
 ]
 
 

@@ -1,4 +1,6 @@
-"""Seeded contract over numeric entry points at extreme magnitudes.
+"""Seeded contract over numeric entry points at extreme magnitudes: r_action,
+the operator routes (build_R, op_compose, op_apply, kappa, r_image,
+verify_ode), both negative-axis routes and Poly arithmetic.
 
 Every call returns a finite value or raises DomainError or
 ConvergenceError; no other exception and no numpy warning escapes. The
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 from hypersum.errors import ConvergenceError, DomainError
-from hypersum.operators import r_action
+from hypersum.operators import (LinDiffOp, build_R, kappa, op_apply, op_compose, op_theta,
+                                r_action, r_image, verify_ode)
 from hypersum.partial_sums import HypParams, gn_direct
 from hypersum.pfq import integral_rep_negative_axis, integral_rep_negative_axis_numeric
 from hypersum.polycore import Poly
@@ -32,6 +35,8 @@ def _number(rng: random.Random, high: float = 300.0) -> complex:
 
 
 def _finite(value) -> bool:
+    if isinstance(value, LinDiffOp):
+        value = [c for f in value.coeffs for c in f.coeffs]
     if isinstance(value, Poly):
         value = value.coeffs
     return bool(np.isfinite(np.asarray(value, dtype=complex)).all())
@@ -75,6 +80,15 @@ def test_extreme_draws_return_finite_values_or_refuse():
             n = rng.randint(0, 4)
             try:
                 calls.append(("r_action on g_n", r_action, params, gn_direct(params, n).coeffs))
+            except DomainError:
+                pass
+            # The operator routes, on the same family, n and coefficients.
+            calls += [(route.__name__, route, params, n) for route in (kappa, r_image, verify_ode)]
+            calls.append(("build_R", build_R, params))
+            try:
+                R = build_R(params)
+                calls += [("op_compose", op_compose, op_theta(), R),
+                          ("op_apply", op_apply, R, Poly(coeffs))]
             except DomainError:
                 pass
             # Half the points where the representation is usable, |x| < 1e3.

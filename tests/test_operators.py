@@ -15,13 +15,8 @@ from hypersum.operators import (
     _mass_stack,
     build_R,
     kappa,
-    op_add,
     op_apply,
     op_compose,
-    op_ddz,
-    op_identity,
-    op_scale,
-    op_sub,
     op_theta,
     r_action,
     r_image,
@@ -29,6 +24,17 @@ from hypersum.operators import (
 )
 from hypersum.partial_sums import HypParams, gn_direct, read_family
 from hypersum.polycore import Poly
+from test_polycore import (
+    _former_add,
+    _former_derivative,
+    _former_mul,
+    _former_scale,
+    hex_bits,
+    number,
+)
+
+IDENTITY = LinDiffOp((Poly((1,)),))
+DDZ = LinDiffOp((Poly(), Poly((1,))))
 
 EXP = HypParams(a=(), b=())
 CONFLUENT = HypParams(a=(1.0,), b=(2.0,))
@@ -55,7 +61,7 @@ def _former_application_mass(A, f):
     for l in range(A.order + 1):
         if l > 0:
             deriv = deriv.derivative()
-        c = A.coeff(l)
+        c = A.coeffs[l]
         if c.degree < 0:
             continue
         l1 = math.fsum(abs(c.coeff(k)) for k in range(c.degree + 1))
@@ -80,7 +86,7 @@ def _engine_cases(seed):
         a=tuple(draw() for _ in range(rng.randint(0, 3))),
         b=tuple(draw() for _ in range(rng.randint(0, 3))),
     )
-    ops = [LinDiffOp(), op_ddz(), op_theta(), build_R(real), build_R(cplx)]
+    ops = [LinDiffOp(), DDZ, op_theta(), build_R(real), build_R(cplx)]
     ops.append(op_compose(op_theta(), ops[-1]))
     polys = [Poly(), Poly((2.5,)), Poly((draw(),))]
     polys += [Poly([draw() for _ in range(rng.randint(1, 41))]) for _ in range(4)]
@@ -135,7 +141,7 @@ def test_op_apply_refuses_an_image_that_overflowed():
     # Derivatives past the operator's order are not formed: the identity
     # maps f to itself although f' overflows.
     f = Poly((0.0, 0.0, big))
-    assert op_apply(op_identity(), f) == f
+    assert op_apply(IDENTITY, f) == f
     # Rows fail on their own: only the overflowing row is non-finite.
     out = _apply_stack(
         LinDiffOp((Poly((big,)),)),
@@ -147,8 +153,6 @@ def test_op_apply_refuses_an_image_that_overflowed():
 
 def test_primitive_operators():
     f = Poly((0, 0, 1))  # z^2
-    assert op_apply(op_identity(), f) == f
-    assert op_apply(op_ddz(), f).coeffs == (0j, 2 + 0j)
     assert op_apply(op_theta(), f).coeffs == (0j, 0j, 2 + 0j)  # theta z^n = n z^n
 
 
@@ -159,54 +163,139 @@ def test_theta_eigenvalue_property():
         assert op_apply(theta, mono) == mono.scale(n)
 
 
-def test_algebra_add_scale_sub():
-    A = op_ddz()
-    f = Poly((1, 2, 3))
-    assert op_apply(op_add(A, A), f) == op_apply(A, f).scale(2)
-    assert op_apply(op_scale(A, 3), f) == op_apply(A, f).scale(3)
-    assert op_apply(op_sub(A, A), f).is_zero
-
-
 def test_compose_is_noncommutative():
     # d/dz after theta vs theta after d/dz on z^2: 4z vs 2z.
-    dz_theta = op_compose(op_ddz(), op_theta())
-    theta_dz = op_compose(op_theta(), op_ddz())
+    dz_theta = op_compose(DDZ, op_theta())
+    theta_dz = op_compose(op_theta(), DDZ)
     f = Poly((0, 0, 1))
     assert op_apply(dz_theta, f).coeffs == (0j, 4 + 0j)
     assert op_apply(theta_dz, f).coeffs == (0j, 2 + 0j)
 
 
 def test_compose_matches_sequential_application():
-    A = op_compose(op_theta(), op_add(op_ddz(), op_identity()))
+    ddz_plus_one = LinDiffOp((Poly((1,)), Poly((1,))))
+    A = op_compose(op_theta(), ddz_plus_one)
     f = Poly((1, -1, 0.5, 2))
-    inner = op_apply(op_add(op_ddz(), op_identity()), f)
+    inner = op_apply(ddz_plus_one, f)
     assert op_apply(A, f) == op_apply(op_theta(), inner)
+
+
+# The Poly-object expansion of R as it was written, on the former Poly
+# methods: the oracles of the list engine behind build_R and op_compose.
+def _former_coeff(A, l):
+    return A.coeffs[l] if 0 <= l < len(A.coeffs) else Poly()
+
+
+def _former_op_add(A, B):
+    n = max(len(A.coeffs), len(B.coeffs))
+    return LinDiffOp(tuple(_former_add(_former_coeff(A, l), _former_coeff(B, l))
+                           for l in range(n)))
+
+
+def _former_op_scale(A, s):
+    return LinDiffOp(tuple(_former_scale(c, s) for c in A.coeffs))
+
+
+def _former_op_sub(A, B):
+    return _former_op_add(A, _former_op_scale(B, -1.0))
+
+
+def _former_op_compose(A, B):
+    acc = {}
+    for l, al in enumerate(A.coeffs):
+        if al.is_zero:
+            continue
+        for m, bm in enumerate(B.coeffs):
+            if bm.is_zero:
+                continue
+            deriv = bm
+            for i in range(l + 1):
+                if deriv.is_zero:
+                    break
+                order = m + l - i
+                term = _former_scale(_former_mul(al, deriv), math.comb(l, i))
+                acc[order] = _former_add(acc.get(order, Poly()), term)
+                deriv = _former_derivative(deriv)
+    if not acc:
+        return LinDiffOp()
+    top = max(acc)
+    return LinDiffOp(tuple(acc.get(l, Poly()) for l in range(top + 1)))
+
+
+def _former_build_R(params):
+    try:
+        left = IDENTITY
+        for bj in params.b:
+            factor = _former_op_add(op_theta(), _former_op_scale(IDENTITY, bj - 1))
+            left = _former_op_compose(left, factor)
+        left = _former_op_compose(DDZ, left)
+        right = IDENTITY
+        for aj in params.a:
+            factor = _former_op_add(op_theta(), _former_op_scale(IDENTITY, aj))
+            right = _former_op_compose(right, factor)
+        return _former_op_sub(left, right)
+    except DomainError as exc:
+        raise DomainError(f"expanding R overflowed double precision: {exc}") from exc
+
+
+def _operator_outcome(call, *args):
+    """("value", the bits of every coefficient) or ("refused", the message
+    and that of its cause)."""
+    try:
+        return "value", tuple(hex_bits(c.coeffs) for c in call(*args).coeffs)
+    except DomainError as exc:
+        return "refused", str(exc), str(exc.__cause__)
+
+
+def test_expansion_equals_the_former_poly_expansion_bit_for_bit():
+    # Seeded families, p, q <= 3, half of them complex, with moduli up to
+    # 1e300 in half the families: build_R, both compositions with theta and
+    # R∘R (whose Leibniz terms scale nontrivial products by C(l, i) = 3, 4,
+    # 6) are the Poly-object expansion's bit for bit, and every refusal
+    # carries its message.
+    rng = random.Random("expansion")
+    families = refused = 0
+    while families < 600:
+        high = 300.0 if rng.random() < 0.5 else 3.0
+        draw = (lambda: number(rng, high)) if rng.random() < 0.5 else (
+            lambda: complex(number(rng, high).real or 1.0))
+        try:
+            params = HypParams(a=tuple(draw() for _ in range(rng.randint(0, 3))),
+                               b=tuple(draw() for _ in range(rng.randint(0, 3))))
+        except DomainError:
+            continue
+        families += 1
+        got = _operator_outcome(build_R, params)
+        assert got == _operator_outcome(_former_build_R, params), params
+        if got[0] == "refused":
+            refused += 1
+            continue
+        R = build_R(params)
+        for A, B in ((op_theta(), R), (R, op_theta()), (R, R)):
+            assert (_operator_outcome(op_compose, A, B)
+                    == _operator_outcome(_former_op_compose, A, B)), params
+    assert 50 < refused < families - 200
 
 
 def test_build_R_exponential():
     # R = d/dz - 1 for the empty-parameter case.
     R = build_R(EXP)
     assert R.order == 1
-    assert R.coeff(0) == Poly((-1,))
-    assert R.coeff(1) == Poly((1,))
+    assert R.coeffs == (Poly((-1,)), Poly((1,)))
 
 
 def test_build_R_confluent():
     # a=(1,), b=(2,): R f = z f'' + (2 - z) f' - f.
     R = build_R(CONFLUENT)
     assert R.order == 2
-    assert R.coeff(0) == Poly((-1,))
-    assert R.coeff(1) == Poly((2, -1))
-    assert R.coeff(2) == Poly((0, 1))
+    assert R.coeffs == (Poly((-1,)), Poly((2, -1)), Poly((0, 1)))
 
 
 def test_build_R_lower_only():
     # a=(), b=(2,): R f = z f'' + 2 f' - f.
     R = build_R(BESSEL_LIKE)
     assert R.order == 2
-    assert R.coeff(0) == Poly((-1,))
-    assert R.coeff(1) == Poly((2,))
-    assert R.coeff(2) == Poly((0, 1))
+    assert R.coeffs == (Poly((-1,)), Poly((2,)), Poly((0, 1)))
 
 
 def test_R_order_is_max_p_q_plus_one():
@@ -280,9 +369,10 @@ def test_verify_ode_defect_small():
 
 
 def test_lin_diff_op_validation():
-    op = LinDiffOp((Poly((1,)), Poly((0, 1))))
+    op = LinDiffOp((Poly((1,)), Poly((0, 1)), Poly()))
     assert op.order == 1
-    assert op.coeff(5).is_zero
+    assert op.coeffs == (Poly((1,)), Poly((0, 1)))
+    assert LinDiffOp([(), [0j]]).order == -1
 
 
 def test_r_action_exact_oracle():

@@ -138,8 +138,8 @@ OVERFLOWING = HypParams(a=(262.97806711803645,), b=())
 def test_an_overflowed_sum_is_never_converged(z, capsys):
     total, used, _ = scalar_series(OVERFLOWING, z)
     assert used and cmath.isinf(total)  # what the stopping rule alone accepts
-    sums, terms = pfq._sum_series([OVERFLOWING], 0, [z, 0.5])
-    assert terms[0] == 0 and cmath.isinf(sums[0])
+    sums, terms, capped = pfq._sum_series([OVERFLOWING], 0, [z, 0.5])
+    assert terms[0] == 0 and cmath.isinf(sums[0]) and not capped.any()
     assert terms[1] == scalar_series(OVERFLOWING, 0.5)[1]
     message = f"series overflowed double precision at z = {complex(z)}"
     with pytest.raises(ConvergenceError) as exc:
@@ -151,6 +151,42 @@ def test_an_overflowed_sum_is_never_converged(z, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"convergence failure: {message}\n"
+
+
+# 0F3 whose b products overflow: the first coefficient ratio is already
+# (nan+nanj), so every total from the first step on is nan.
+NAN_TERMS = HypParams(b=(2.59e242 - 1.22e242j, -1.24e213, -3.4e10 - 1.5e11j))
+
+
+def test_a_nan_sum_stops_at_its_first_step(monkeypatch, capsys):
+    # |nan| < SERIES_RTOL·|nan| never holds, so the point ran all
+    # SERIES_TERM_CAP steps and was reported as not converging.
+    assert cmath.isnan(_coeff_ratio(NAN_TERMS, 0))
+    steps = []
+
+    def counted(params, k):
+        steps.append(k)
+        return _coeff_ratio(params, k)
+
+    monkeypatch.setattr(pfq, "_coeff_ratio", counted)
+    sums, terms, capped = _sum_series([NAN_TERMS], 0, [0.5, 0.25j])
+    assert steps == [0]
+    assert cmath.isnan(sums[0]) and cmath.isnan(sums[1])
+    assert terms.tolist() == [0, 0] and capped.tolist() == [False, False]
+    message = "series term is not finite at z = (0.5+0j)"
+    with pytest.raises(ConvergenceError) as exc:
+        pfq_eval(NAN_TERMS, 0.5)
+    assert str(exc.value) == message
+    # convergence_report still lists the point as failed.
+    report = convergence_report(NAN_TERMS, [0], [0.5])
+    assert report.failed_points == (0.5,) and not report.all_samples_converged
+    argv = ["eval", "--p", "0", "--q", "3",
+            "--b", "2.59e242-1.22e242i,-1.24e213,-3.4e10-1.5e11i",
+            "--n", "0", "--z", "0.5", "--series"]
+    steps.clear()
+    assert cli.main(argv) == 3
+    assert steps == [0]
+    assert capsys.readouterr().err == f"convergence failure: {message}\n"
 
 
 def test_each_point_is_summed_on_its_own():
@@ -165,14 +201,15 @@ def test_each_point_is_summed_on_its_own():
         "1F0(0.5)": [0j, 0.5, -0.3 + 0.2j, 0.99, -1.0, 0.5],
     }
     for name, zs in points.items():
-        sums, used = _sum_series([ORACLE_FAMILIES[name]], 0, zs)
+        sums, used, capped = _sum_series([ORACLE_FAMILIES[name]], 0, zs)
         assert sums.shape == used.shape == (len(zs),)
         for i, z in enumerate(zs):
-            one_sum, one_used = _sum_series([ORACLE_FAMILIES[name]], 0, [z])
-            assert used[i] == one_used[0], (name, z)
+            one_sum, one_used, one_capped = _sum_series([ORACLE_FAMILIES[name]], 0, [z])
+            assert (used[i], capped[i]) == (one_used[0], one_capped[0]), (name, z)
             assert sums[i].tobytes() == one_sum[0].tobytes(), (name, z)
     # The point that reached the cap carries terms_used 0 and a nan sum.
     assert used[4] == 0 and cmath.isnan(sums[4])
+    assert capped.tolist() == [i == 4 for i in range(len(zs))]
     assert used.tolist().count(0) == 1
 
 
@@ -184,10 +221,10 @@ def test_a_stack_of_families_sums_each_family_alone():
     owner = [rng.randrange(len(stack)) for _ in range(120)]
     zs = [ORACLE_POINTS[rng.randrange(len(ORACLE_POINTS))] * rng.uniform(0.5, 1.0)
           for _ in owner]
-    sums, used = _sum_series(stack, owner, zs)
+    sums, used, _ = _sum_series(stack, owner, zs)
     for i, params in enumerate(stack):
         mine = [k for k, o in enumerate(owner) if o == i]
-        alone_sums, alone_used = _sum_series([params], 0, [zs[k] for k in mine])
+        alone_sums, alone_used, _ = _sum_series([params], 0, [zs[k] for k in mine])
         assert used[mine].tolist() == alone_used.tolist()
         assert sums[mine].tobytes() == alone_sums.tobytes()
     assert _sum_series([], [], [])[0].shape == (0,)

@@ -155,6 +155,91 @@ def test_poly_coeffs_keep_what_poly_keeps():
         assert str(got.value) == str(want.value)
 
 
+# Poly's arithmetic as it was written, on Poly objects: the oracles of
+# polycore's list kernels, which the Poly operators now wrap.
+def _former_add(f, g):
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return Poly(out)
+
+
+def _former_scale(f, s):
+    w = complex(s)
+    return Poly(c * w for c in f.coeffs)
+
+
+def _former_sub(f, g):
+    return _former_add(f, _former_scale(g, -1.0))
+
+
+def _former_mul(f, g):
+    if f.is_zero or g.is_zero:
+        return Poly()
+    out = [0j] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, ci in enumerate(f.coeffs):
+        for j, cj in enumerate(g.coeffs):
+            out[i + j] += ci * cj
+    return Poly(out)
+
+
+def _former_derivative(f):
+    return Poly(k * c for k, c in enumerate(f.coeffs) if k > 0)
+
+
+def hex_bits(values):
+    """Every real and imaginary part as float.hex: equal bit for bit,
+    signed zeros included."""
+    return tuple((complex(c).real.hex(), complex(c).imag.hex()) for c in values)
+
+
+def outcome(call, *args):
+    """("value", the bits of the result) or ("refused", the message)."""
+    try:
+        return "value", hex_bits(call(*args).coeffs)
+    except DomainError as exc:
+        return "refused", str(exc)
+
+
+def number(rng, high=300.0):
+    """A modulus 10^u, u uniform in [-3, high]: half complex with a uniform
+    phase, half real of either sign; now and then an exact zero."""
+    if rng.random() < 0.03:
+        return 0j
+    r = 10.0 ** rng.uniform(-3.0, high)
+    if rng.random() < 0.5:
+        return cmath.rect(r, rng.uniform(-math.pi, math.pi))
+    return complex(r if rng.random() < 0.5 else -r)
+
+
+def test_poly_arithmetic_equals_the_former_methods_bit_for_bit():
+    # Sum, difference, product, scale and derivative on seeded draws with
+    # moduli up to 1e300, so that many of them overflow: each result is the
+    # former method's bit for bit, and each refusal carries its message.
+    rng = random.Random("poly arithmetic")
+    refused = 0
+    for _ in range(600):
+        high = 300.0 if rng.random() < 0.5 else 3.0
+        f, g = (Poly([number(rng, high) for _ in range(rng.randint(0, 7))])
+                for _ in range(2))
+        s = number(rng, high)
+        for new, former, args in ((Poly.__add__, _former_add, (f, g)),
+                                  (Poly.__sub__, _former_sub, (f, g)),
+                                  (Poly.__mul__, _former_mul, (f, g)),
+                                  (Poly.scale, _former_scale, (f, s)),
+                                  (Poly.derivative, _former_derivative, (f,))):
+            got = outcome(new, *args)
+            assert got == outcome(former, *args), (new.__name__, args)
+            refused += got[0] == "refused"
+    assert refused > 100
+    # A product past the degree cap is refused as before.
+    big = Poly([1.0] * 100)
+    assert outcome(Poly.__mul__, big, big) == outcome(_former_mul, big, big)
+
+
 def test_real_quotient_rounds_as_python_division():
     rng = random.Random(5)
     parts = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-310, 1e308]

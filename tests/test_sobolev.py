@@ -83,7 +83,7 @@ def sobolev_inner_matrix(R: LinDiffOp, f: Poly, h: Poly, N: int) -> complex:
 
     vals = []
     for z in rule.points:
-        cvec = [R.coeff(l)(z) for l in range(rho + 1)]
+        cvec = [R.coeffs[l](z) for l in range(rho + 1)]
         vf = derivative_vector(f, z)
         vh = derivative_vector(h, z)
         total = 0j
@@ -201,7 +201,7 @@ def test_form_order_is_max_p_q_plus_one(params):
     R = build_sobolev_form(params)
     rho = max(params.p, params.q + 1)
     assert R.order == rho
-    assert not R.coeff(rho).is_zero
+    assert not R.coeffs[rho].is_zero
 
 
 def test_inner_fast_path_matches_matrix_path():
