@@ -54,7 +54,7 @@ _EXPORTS = {
     "pfq": (
         "ConvergenceReport", "PfqValue", "convergence_report",
         "integral_rep_circle_batch", "integral_rep_negative_axis",
-        "integral_rep_negative_axis_numeric", "pfq_eval", "terminating_pfq_poly",
+        "integral_rep_negative_axis_numeric", "pfq_eval",
     ),
     "ri_pencils": (
         "ChebDecomposition", "JacobiPencil", "RIRecurrence", "RIValidity",

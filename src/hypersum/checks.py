@@ -51,6 +51,7 @@ from .operators import (
     build_R,
     op_compose,
     op_theta,
+    r_action,
 )
 from .partial_sums import (
     Family,
@@ -296,7 +297,7 @@ def check_sobolev(
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)
     seq, params = family.seq(m), family.params
-    gram = _gram_stack([family], m)[0]
+    gram = _gram_stack(r_action(params, family.table(m))[None])[0]
     off, max_diag = gram_extremes(gram)
     kappas = [_kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
     # A float64 scalar's square is Python's pow (an array's is not), but

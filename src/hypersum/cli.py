@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: gen, eval, roots, verify, pencil, sweep. Documents go to stdout
-(or --out FILE) as JSON (default) or CSV; sweep is always CSV. Exit codes:
-0 success, 2 usage/parse error, 3 domain/precondition error, 4 verification
-failure.
+(or --out FILE) as JSON (default) or CSV; sweep is always CSV, and refuses
+as its first failing cell would alone. Exit codes: 0 success, 2 usage/parse
+error, 3 domain/precondition error, 4 verification failure.
 
 Serialization rules, applied uniformly: every float is rendered with 17
 significant digits; complex values appear as a bare number when the
@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from . import CHECK_ORDER, __version__ as VERSION
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, read_in_order
 from .partial_sums import (
     Gn_monic,
     HypParams,
@@ -398,63 +398,50 @@ _PROBES = np.array([complex(math.cos(t), math.sin(t))
 
 def _sweep_convergence(cells: Iterable[HypParams], ns: list[int]) -> list[list[float]]:
     # The sup of |g_n - series| over the probes, every cell's probes summed
-    # in one call. A cell failing before its series comes after the first
-    # failed probe of an earlier cell.
-    from .pfq import _sum_series, _sup_errors, pfq_eval
+    # in one call.
+    from .pfq import _raise_series_failure, _sum_series, _sup_errors
 
-    stack, seqs, failure = [], [], None
-    try:
-        for params in cells:
-            if params.p > params.q:
-                raise DomainError("convergence sweep requires p <= q")
-            _check_cap(ns[0])
-            seqs.append(read_family(params, ns[-1]).seq(ns[-1]))
-            stack.append(params)
-    except DomainError as exc:
-        failure = exc
-    owner = np.repeat(np.arange(len(stack)), len(_PROBES))
-    sums, used, _ = _sum_series(stack, owner, np.tile(_PROBES, len(stack)))
-    for params, cell_used in zip(stack, used.reshape(-1, len(_PROBES))):
-        if not cell_used.all():  # raises at the cell's first failed probe
-            pfq_eval(params, _PROBES[np.argmin(cell_used)])
-    if failure is not None:
-        raise failure
-    return _sup_errors(seqs, ns, _PROBES, sums.reshape(-1, len(_PROBES)))
+    def read(params):
+        if params.p > params.q:
+            raise DomainError("convergence sweep requires p <= q")
+        _check_cap(ns[0])
+        return params, read_family(params, ns[-1]).seq(ns[-1])
+
+    def sups(read_cells):
+        stack = [params for params, _ in read_cells]
+        owner = np.repeat(np.arange(len(stack)), len(_PROBES))
+        probes = np.tile(_PROBES, len(stack))
+        sums, used, capped = _sum_series(stack, owner, probes)
+        _raise_series_failure(probes, sums, used, capped)  # cell by cell, in grid order
+        seqs = [seq for _, seq in read_cells]
+        return _sup_errors(seqs, ns, _PROBES, sums.reshape(-1, len(_PROBES)))
+
+    return read_in_order(cells, read, sups)
 
 
 def _sweep_root_modulus(cells: Iterable[HypParams], ns: list[int]) -> list[list[float]]:
-    # location_report's min_modulus, every cell and degree in one root
-    # table. A cell failing before the table comes after a table error of
-    # an earlier cell.
+    # location_report's min_modulus, every cell and degree in one root table.
     from .roots import _location_reports, _require_positive_conditions
 
-    seqs, failure = [], None
-    try:
-        for params in cells:
-            _check_cap(ns[0])
-            _require_positive_conditions(params)
-            seqs.append(read_family(params, ns[-1]).seq(ns[-1]))
-    except DomainError as exc:
-        failure = exc
-    reports = _location_reports(seqs, ns)
-    if failure is not None:
-        raise failure
+    def read(params):
+        _check_cap(ns[0])
+        _require_positive_conditions(params)
+        return read_family(params, ns[-1]).seq(ns[-1])
+
+    reports = read_in_order(cells, read, lambda seqs: _location_reports(seqs, ns))
     return [[report.min_modulus for report in cell] for cell in reports]
 
 
-def _sweep_gram_offdiag(
-    cells: Iterable[HypParams], ns: list[int]
-) -> list[list[float]]:
+def _sweep_gram_offdiag(cells: Iterable[HypParams], ns: list[int]) -> list[list[float]]:
+    from .operators import r_action
     from .sobolev import _gram_stack, gram_extremes
 
-    def families():  # refuse a negative degree per cell, as sobolev_gram would
-        for params in cells:
-            _check_cap(ns[0])
-            yield read_family(params, ns[-1])
+    def read(params):  # a negative degree is refused per cell, as sobolev_gram would
+        _check_cap(ns[0])
+        return r_action(params, read_family(params, ns[-1]).table(ns[-1]))
 
-    # One Gram per cell, all in one pass; their leading blocks are the
-    # smaller Grams.
-    grams = _gram_stack(families(), ns[-1])
+    # One Gram per cell, in one pass; each degree reads its leading block.
+    grams = read_in_order(cells, read, lambda C: _gram_stack(np.array(C)) if C else [])
     extremes = ([gram_extremes(G[: n + 1, : n + 1]) for n in ns] for G in grams)
     return [[off / max_diag for off, max_diag in cell] for cell in extremes]
 
@@ -462,7 +449,7 @@ def _sweep_gram_offdiag(
 # Each quantity maps the grid's cells (their parameters, in grid order) and
 # the sorted degrees to one value list per cell, each one value per degree,
 # in one pass. A failure is that of the first cell, in grid order, that
-# fails at any stage, as if the cells were taken one by one.
+# fails at any stage, as if the cells were taken one by one (read_in_order).
 _SWEEP_FUNCS = {
     "convergence": _sweep_convergence,
     "root-modulus": _sweep_root_modulus,

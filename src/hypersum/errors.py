@@ -1,9 +1,10 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the refusal rule of a stack.
 
 DomainError marks inputs outside an operation's contract (bad parameters,
 out-of-domain evaluation points, unmet preconditions); ConvergenceError marks
 iterative procedures that hit their caps. The CLI maps DomainError to exit
-code 3 and verification failures to exit code 4.
+code 3 and verification failures to exit code 4. Every stack refuses as its
+first failing item would alone: read_in_order.
 """
 
 
@@ -13,3 +14,20 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iteration or series hit its cap without meeting its tolerance."""
+
+
+def read_in_order(items, read, then):
+    """then(values), values being read(item) for the items in order up to
+    the first DomainError (an item that cannot be drawn included). That
+    error is raised once then returns, so the later stages' failures on the
+    items read before it come first."""
+    values, failure = [], None
+    try:
+        for item in items:
+            values.append(read(item))
+    except DomainError as exc:
+        failure = exc
+    result = then(values)
+    if failure is not None:
+        raise failure
+    return result

@@ -237,24 +237,37 @@ def _kappa_from_xi(params: HypParams, n: int, xi_n: complex) -> complex:
     return out
 
 
+def _stage(name: str, compute, *args):
+    """compute(*args), its refusal of an overflowed coefficient naming the stage."""
+    try:
+        return compute(*args)
+    except DomainError as exc:
+        raise DomainError(f"{name} overflowed double precision: {exc}") from exc
+
+
 def r_image(params: HypParams, n: int) -> Poly:
-    """-kappa_n · (R g_n): equal to the monomial z^n up to roundoff."""
+    """-kappa_n · (R g_n): equal to the monomial z^n up to roundoff. An
+    overflow names its stage and degree, as in the ode check."""
     n = _check_cap(n)
     R = build_R(params)
-    return op_apply(R, gn_direct(params, n)).scale(-kappa(params, n))
+    Rg = _stage(f"R g_{n}", op_apply, R, gn_direct(params, n))
+    return _stage(f"kappa_{n}·R g_{n}", Rg.scale, -kappa(params, n))
 
 
 def verify_ode(params: HypParams, n: int) -> Poly:
     """Residual of the differential equation: theta(R g_n) - n·(R g_n).
 
     Exactly zero in exact arithmetic; callers compare its coefficients
-    against a tolerance scaled by the application mass of R on g_n.
+    against a tolerance scaled by the application mass of R on g_n. An
+    overflow names its stage and degree, as in the ode check.
     """
     n = _check_cap(n)
     R = build_R(params)
     g = gn_direct(params, n)
     theta_R = op_compose(op_theta(), R)
-    return op_apply(theta_R, g) - op_apply(R, g).scale(n)
+    Rg = _stage(f"R g_{n}", op_apply, R, g)
+    theta_Rg = _stage(f"theta(R g_{n})", op_apply, theta_R, g)
+    return _stage(f"theta(R g_{n}) - n·R g_{n}", lambda: theta_Rg - Rg.scale(n))
 
 
 def _mass_stack(A: LinDiffOp, f: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .polycore import DEGREE_CAP, Poly, coeff_difference, coeff_scale, coeff_sum
+from .polycore import DEGREE_CAP, Poly, coeff_difference, coeff_scale, coeff_sum, coeff_table
 
 # Parameters this close to {0, -1, -2, ...} are rejected at construction:
 # the coefficient ratios degenerate there.
@@ -236,21 +236,15 @@ def _monic_coeffs(seq: Sequence[complex]) -> list[complex]:
     prefix of a family record (so xi_n is nonzero), by Python complex
     division. Refuses a quotient that overflowed."""
     coeffs = [x / seq[-1] for x in seq]
-    if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
+    if not all(map(cmath.isfinite, coeffs)):
         raise DomainError(f"monic rescaling of g_{len(seq) - 1} overflowed")
     return coeffs
 
 
 def _monic_table(seq: Sequence[complex]) -> np.ndarray:
-    """Row n holds _monic_coeffs(seq[:n + 1]), zero above the diagonal, by
-    the same divisions; it raises their error for the first bad degree."""
-    table = np.zeros((len(seq), len(seq)), dtype=complex)
-    lower = np.tri(len(seq), dtype=bool)
-    table[lower] = [x / d for n, d in enumerate(seq) for x in seq[: n + 1]]
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"monic rescaling of g_{int(finite.argmin())} overflowed")
-    return table
+    """Row n holds _monic_coeffs(seq[:n + 1]), zero above the diagonal; it
+    raises their error for the first bad degree."""
+    return coeff_table([_monic_coeffs(seq[: n + 1]) for n in range(len(seq))], len(seq))
 
 
 def Gn_by_recurrence(params: HypParams, N: int) -> list[Poly]:

@@ -3,9 +3,10 @@
 The series is entire for p <= q, has unit convergence radius for p = q+1,
 and diverges for p > q+1 (defined at z = 0 only). Every value of the series
 comes from one summation, _sum_series, vectorized over (family, point)
-pairs: each point sums terms incrementally and stops on its own after three
-consecutive terms fall below SERIES_RTOL relative to its running sum,
-guarding against odd/even alternation. pfq_eval is its one-point case.
+pairs: each point stops on its own after three consecutive terms below
+SERIES_RTOL of its running sum, guarding against odd/even alternation.
+pfq_eval is its one-point case; _raise_series_failure refuses the first failed
+point for it and for the convergence sweep, from the sums they hold.
 
 Two independent routes back to the partial sums are provided. On the unit
 circle, g_n is recovered by integrating the full series against a geometric
@@ -17,26 +18,24 @@ axis, g_n is recovered by integrating a terminating series of one higher
 order: the integrand is polynomial-times-power, so the integral is done by
 exact termwise antidifferentiation, with a Gauss-Legendre cross-check on a
 substituted finite interval. Both axis routes run on one table of the
-terminating series of every degree asked for (_terminating_table) and take
-all degrees and points in one array pass, each element rounded as the
-one-degree scalar arithmetic rounds it; the public functions are that pass
-at one degree and one point.
+terminating series of every degree asked for (_terminating_table), all
+degrees and points in one array pass rounded as the one-degree scalar
+arithmetic rounds it; the public functions are that pass at one degree and point.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, read_in_order
 from .partial_sums import HypParams, _check_cap, _coeff_ratio, read_family
-from .polycore import (Poly, coeff_table, complex_product, horner_rows, modulus,
-                       poly_coeffs, real_quotient)
+from .polycore import (coeff_table, complex_product, horner_rows, modulus, poly_coeffs,
+                       real_quotient)
 
 SERIES_TERM_CAP = 10000
 # A term below this fraction of the running sum counts as negligible.
@@ -125,23 +124,31 @@ def _sum_series(stack, owner, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sums, terms_used, capped
 
 
+def _raise_series_failure(zs, sums, terms, capped) -> None:
+    """Raise the refusal of the first point of zs whose sum failed (terms
+    used 0), from _sum_series' outputs at zs: the sum overflowed, the point
+    reached the cap, or a term is not finite."""
+    failed = np.flatnonzero(np.asarray(terms) == 0)
+    if failed.size:
+        i = failed[0]
+        failure = ("overflowed double precision" if np.isinf(sums[i]) else
+                   f"did not converge within {SERIES_TERM_CAP} terms" if capped[i]
+                   else "term is not finite")
+        raise ConvergenceError(f"series {failure} at z = {complex(zs[i])}")
+
+
 def _eval_points(params: HypParams, zs) -> list[PfqValue]:
     """pfq_eval at each point of zs by one _sum_series call over the points
-    before the first one outside the domain; the first that fails raises,
-    naming an overflowed sum, a term that is not finite, or the cap."""
-    zs, classes = [complex(z) for z in zs], []
-    with contextlib.suppress(DomainError):
-        for z in zs:
-            classes.append(_domain_class(params, z))
-    sums, terms, capped = _sum_series([params], 0, zs[: len(classes)])
-    for i, z in enumerate(zs):
-        if i == len(classes) or not terms[i]:
-            _domain_class(params, z)  # raises if z is outside the domain
-            failure = ("overflowed double precision" if np.isinf(sums[i]) else
-                       f"did not converge within {SERIES_TERM_CAP} terms" if capped[i]
-                       else "term is not finite")
-            raise ConvergenceError(f"series {failure} at z = {z}")
-    return [PfqValue(complex(s), int(t), c) for s, t, c in zip(sums, terms, classes)]
+    before the first one outside the domain; the first failed sum raises
+    (_raise_series_failure), then the first point outside the domain."""
+    zs = [complex(z) for z in zs]
+
+    def values(classes):
+        sums, terms, capped = _sum_series([params], 0, zs[: len(classes)])
+        _raise_series_failure(zs, sums, terms, capped)
+        return [PfqValue(complex(s), int(t), c) for s, t, c in zip(sums, terms, classes)]
+
+    return read_in_order(zs, functools.partial(_domain_class, params), values)
 
 
 def pfq_eval(params: HypParams, z: complex) -> PfqValue:
@@ -191,8 +198,10 @@ def integral_rep_circle_batch(
 
 
 def _terminating_table(params: HypParams, ns) -> np.ndarray:
-    """The coefficients of terminating_pfq_poly(params, n) for every degree
-    n of ns, one zero-padded row each: column k + 1 is column k times
+    """The coefficients (-n)_k (a_1)_k···(a_p)_k / ((-n-1)_k (b_1)_k···(b_q)_k
+    k!) of the terminating series under the negative-axis integral, of
+    degree exactly n, for every n of ns, one zero-padded row each: column
+    k + 1 is column k times
 
         _coeff_ratio(params, k) · (k - n) / (k - n - 1),
 
@@ -217,20 +226,6 @@ def _terminating_table(params: HypParams, ns) -> np.ndarray:
     if bad.any():
         poly_coeffs(table[np.argmax(bad)].tolist())
     return table
-
-
-def terminating_pfq_poly(params: HypParams, n: int) -> Poly:
-    """The degree-n polynomial with coefficients
-
-        (-n)_k (a_1)_k···(a_p)_k / ((-n-1)_k (b_1)_k···(b_q)_k k!),
-
-    i.e. the higher-order terminating series appearing under the integral
-    sign in the negative-axis representation. (-n-1)_k never vanishes for
-    k <= n, and the top coefficient is nonzero, so the degree is exactly n.
-    This is _terminating_table at one degree.
-    """
-    n = _check_cap(n)
-    return Poly(_terminating_table(params, [n])[0].tolist())
 
 
 def _negative_axis_arguments(n: int, x: float) -> tuple[int, float]:

@@ -16,9 +16,10 @@ LAPACK call each, whose coefficients go into one zero-padded table and
 whose roots into one masked (D, n) array. The polish and the gate run
 elementwise on all (polynomial, root) pairs at once, each pair starting
 Horner's pass at its own top coefficient, so every row is bit for bit its
-polynomial solved alone. find_roots is the table on a stack of one; the
-verify roots check solves all of its degrees, and sweep root-modulus those
-of every grid cell, as one table (_location_reports).
+polynomial solved alone, and the table refuses as the first polynomial
+that fails would alone (errors.read_in_order). find_roots is the table on a
+stack of one; the roots check and sweep root-modulus solve all their degrees
+and cells as one table (_location_reports).
 
 Localization checks for the hypergeometric family (all parameters real and
 positive with a_j <= b_j pairwise and remaining b_k >= 1, p <= q): all roots
@@ -34,9 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, read_in_order
 from .partial_sums import HypParams, _check_cap, gn_direct
-from .polycore import Poly, finite_moduli, modulus
+from .polycore import Poly, coeff_table, finite_moduli, modulus
 
 # Newton passes after the eigenvalue solve. Four are needed at 2F3 g_100,
 # whose top coefficient is the smallest subnormal double.
@@ -140,14 +141,24 @@ def _pairs(rows: list, points: list) -> tuple:
     which rounds as Python's abs) and the degrees, one row per polynomial;
     then, grouped by polynomial in ascending degree, each group in its
     points' order, the polynomial k and the point of every pair."""
-    table = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
-    for out, row in zip(table, rows):
-        out[: len(row)] = row
+    table = coeff_table(rows, max(map(len, rows)))
     degree = np.array([len(row) - 1 for row in rows])
     order = np.argsort(degree, kind="stable").tolist()
     owner = np.repeat(order, [len(points[k]) for k in order])
     z = np.concatenate([points[k] for k in order])
     return table, modulus(table), degree, owner, z
+
+
+def _normalized(f: Poly) -> list:
+    """The coefficients of f divided by their largest modulus, as find_roots
+    takes them: real where every one is real (a real companion matrix)."""
+    if f.degree < 1:
+        raise DomainError("root finding needs degree >= 1")
+    scale = max(finite_moduli(f.coeffs, "the coefficient of z^{k}"))
+    coeffs = [c / scale for c in f.coeffs]
+    if not any(c.imag for c in coeffs):
+        coeffs = [c.real for c in coeffs]
+    return coeffs
 
 
 def _root_table(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,24 +172,16 @@ def _root_table(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
     (polynomial, root) pair at once, so each row is bit for bit the roots
     of its polynomial solved alone; the gate reads the polish's last
     evaluation unless a factor z^m or a degree-1 polynomial adds pairs.
-    Raises what find_roots raises on the first polynomial on which it raises.
+    Raises what find_roots raises on the first polynomial on which it
+    raises, solving those before the first that _normalized refuses.
     """
-    full, rests = [], []
-    for i, f in enumerate(polys):
-        try:
-            if f.degree < 1:
-                raise DomainError("root finding needs degree >= 1")
-            scale = max(finite_moduli(f.coeffs, "the coefficient of z^{k}"))
-        except DomainError:
-            _root_table(polys[:i])  # an earlier polynomial's error first
-            raise
-        coeffs = [c / scale for c in f.coeffs]
-        if not any(c.imag for c in coeffs):
-            coeffs = [c.real for c in coeffs]  # real companion matrix
-        zeros = next(k for k, c in enumerate(coeffs) if c)
-        full.append(coeffs)
-        rests.append(coeffs[zeros:] if zeros else coeffs)
-    errors: list[Optional[Exception]] = [None] * len(polys)
+    return read_in_order(polys, _normalized, _solve_normalized)
+
+
+def _solve_normalized(full: list) -> tuple[np.ndarray, np.ndarray]:
+    """_root_table of polynomials given by their _normalized coefficients."""
+    rests = [c[next(k for k, x in enumerate(c) if x):] for c in full]  # z^m divided out
+    errors: list[Optional[Exception]] = [None] * len(full)
     roots = [np.zeros(len(rest) - 1, dtype=complex) for rest in rests]
     with np.errstate(all="ignore"):
         eigen = []  # the polynomials whose eigenvalues are polished
@@ -198,11 +201,11 @@ def _root_table(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
             for k, i in enumerate(eigen):
                 roots[i] = z[owner == k]
         for i, (c, rest) in enumerate(zip(full, rests)):
-            if rest is not c:  # the zero roots of the factor z^m
+            if len(rest) < len(c):  # the zero roots of the factor z^m
                 zero = np.zeros(len(c) - len(rest), dtype=complex)
                 roots[i] = np.concatenate((zero, roots[i]))
         gated = [i for i, error in enumerate(errors) if error is None]
-        if gated != eigen or any(full[i] is not rests[i] for i in gated):
+        if gated != eigen or any(len(full[i]) > len(rests[i]) for i in gated):
             *layout, z = _pairs([full[i] for i in gated], [roots[i] for i in gated])
             value, _, mass = _horner_pairs(*layout, z)
         # else the gate's pairs are the polished ones
@@ -219,7 +222,7 @@ def _root_table(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
         if error is not None:
             raise error
     degrees = np.array([len(r) for r in roots], dtype=int)
-    table = np.zeros((len(polys), degrees.max(initial=0)), dtype=complex)
+    table = np.zeros((len(full), degrees.max(initial=0)), dtype=complex)
     mask = np.arange(table.shape[1]) < degrees[:, None]
     table[mask] = np.concatenate(roots) if roots else []
     return table, mask
@@ -248,8 +251,9 @@ def find_roots(f: Poly) -> tuple[complex, ...]:
 
 def _min_pair_distance(roots: Sequence[complex]) -> float:
     # hypot on the parts, not np.abs: it rounds like Python's abs(complex).
+    # A non-finite root leaves a nan or inf distance, and no warning.
     r = np.asarray(roots, dtype=complex)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d = r[:, None] - r[None, :]
         dist = np.hypot(d.real, d.imag)
     np.fill_diagonal(dist, math.inf)

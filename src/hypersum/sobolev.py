@@ -11,9 +11,10 @@ Rank-one structure collapses this to (Rf)(z)·conj((Rh)(z)) pointwise, and
 on the unit circle the integral of a product of polynomials is the inner
 product of their coefficient vectors (Parseval). sobolev_gram evaluates it
 that way, from the closed-form coefficients of R g_n. Its engine,
-_gram_stack, builds the Grams of a stack of family records in one pass (the
-cells of a sweep grid), each bit for bit the Gram its family gets alone;
-sobolev_gram is that engine on a stack of one. QuadratureRule, the
+_gram_stack, builds the Grams of a (B, n+1, n+1) array of R images (the
+cells of a sweep grid) in one pass, each bit for bit the Gram its family
+gets alone, and raises only its own overflow; sobolev_gram is that engine on
+a stack of one. QuadratureRule, the
 equispaced node rule that is exact for the trigonometric polynomials
 arising here, backs the exactness sub-check (monomial_quadrature_defect).
 
@@ -28,13 +29,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
 from .operators import LinDiffOp, build_R, r_action
-from .partial_sums import Family, HypParams, read_family
+from .partial_sums import HypParams, read_family
 from .polycore import complex_product
 
 
@@ -127,36 +127,23 @@ def auto_node_count(n_max: int, rho: int) -> int:
     return 1 << (raw - 1).bit_length()
 
 
-def _gram_stack(families: Iterable[Family], n_max: int) -> np.ndarray:
-    """Gram matrices of a stack of family records, one (B, n_max+1, n_max+1)
-    array.
+def _gram_stack(C: np.ndarray) -> np.ndarray:
+    """Gram matrices of a stack of R-image tables, one (B, n+1, n+1) array.
 
-    Family i's C is built as sobolev_gram describes, from the table of its
-    record, and then one row loop serves the whole stack: entry (n, m) of
-    Gram i is sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), so each family's Gram is
-    bit for bit the one it gets alone. Families are built in the order the
-    records arrive until one fails: the iterable itself, or the record's
-    sequence (Family.table, the error of its first zero or non-finite
-    xi_k). The error raised is that of the first family failing at any
-    stage, Gram overflow included, as if the families had been taken one by
-    one.
+    C[i] holds the coefficients of R g_0..R g_n of family i, one row each.
+    Entry (n, m) of Gram i is sum_{k<=n} C[i,n,k]·conj(C[i,m,k]), leaving
+    out only exact zeros, so each Gram is bit for bit the one its family
+    gets alone, and its leading blocks are the Grams of lower degree. Every
+    entry is computed, row by row with elementwise products and numpy sums,
+    never a thread-dependent BLAS call; Hermitian symmetry is computed, not
+    mirrored, so it stays a real check on the computation. Raises only its
+    own DomainError, if any Gram overflowed.
     """
-    coeffs, failure = [], None
     # Overflowing products come back as inf/nan without a numpy warning and
     # are reported on the finished Grams. Rows are sliced, keeping their
     # axis: numpy rounds a broadcast one-element 1-D row without FMA, unlike
     # every longer row.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for family in families:
-                coeffs.append(r_action(family.params, family.table(n_max)))
-        except DomainError as exc:
-            failure = exc
-        if not coeffs:
-            if failure is not None:
-                raise failure
-            return np.empty((0, 0, 0), dtype=complex)
-        C = np.array(coeffs)
         conj = C.conj()
         rows = (
             C[:, n : n + 1, : n + 1] * conj[:, :, : n + 1] for n in range(C.shape[1])
@@ -164,27 +151,20 @@ def _gram_stack(families: Iterable[Family], n_max: int) -> np.ndarray:
         gram = np.stack([row.sum(axis=2) for row in rows], axis=1)
     if not np.isfinite(gram).all():
         raise DomainError("Gram matrix overflowed double precision")
-    if failure is not None:
-        raise failure
     return gram
 
 
 def sobolev_gram(params: HypParams, n_max: int) -> list[list[complex]]:
-    """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval.
+    """Gram matrix [<g_n, g_m>] for n, m = 0..n_max, by Parseval: the
+    stacked engine _gram_stack on a stack of one.
 
     C holds the coefficients of every R g_n from one r_action call on the
     lower-triangular table of the family record (read_family): its row n,
-    xi_0..xi_n and zeros after, is exactly gn_direct(params, n), and the
-    error is the record's. Entry (n, m) is sum_{k<=n} C[n,k]·conj(C[m,k]),
-    leaving out only exact zeros, so the Gram of degree n is bit for bit the
-    leading block of every larger one. Every entry is computed, row by row
-    with elementwise products and numpy sums, never a thread-dependent BLAS
-    call. Hermitian symmetry is computed, not mirrored, so it stays a real
-    check on the computation. An overflow in C is r_action's DomainError,
-    one in the row products a DomainError naming the Gram. This is the stacked engine
-    _gram_stack on a stack of one.
+    xi_0..xi_n and zeros after, is exactly gn_direct(params, n). The errors
+    are the record's, then r_action's, then the Gram's.
     """
-    return _gram_stack([read_family(params, n_max)], n_max)[0].tolist()
+    images = r_action(params, read_family(params, n_max).table(n_max))
+    return _gram_stack(images[None])[0].tolist()
 
 
 def gram_extremes(gram) -> tuple[float, float]:

@@ -412,7 +412,7 @@ def _sobolev_with_kappa_calls(params, n_max):
     """The diagonal clause of check_sobolev as written with one
     kappa(params, n) call per degree, each rebuilding xi_0..xi_n."""
     m = min(n_max, 15)
-    gram = sobolev._gram_stack([read_family(params, m)], m)[0]
+    gram = np.array(sobolev.sobolev_gram(params, m))
     _, max_diag = sobolev.gram_extremes(gram)
     diag_rel = 0.0
     for n in range(m + 1):
@@ -767,7 +767,7 @@ def test_axis_rep_check_equals_per_point_reference(params, n_max):
 
 def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
     # One table of every degree's terminating series, whose row n is bit
-    # for bit terminating_pfq_poly(params, n).
+    # for bit the table of degree n alone.
     tables = []
 
     def recording(params, ns):
@@ -782,8 +782,8 @@ def test_axis_rep_check_builds_each_terminating_series_once(monkeypatch):
         [(degrees, table)] = tables
         assert degrees == list(range(N + 1))
         for n, row in enumerate(table):
-            want = pfq.terminating_pfq_poly(params, n).coeffs
-            assert _bits(row[: n + 1].tolist()) == _bits(list(want))
+            want = pfq._terminating_table(params, [n])[0]
+            assert _bits(row[: n + 1].tolist()) == _bits(want.tolist())
             assert not row[n + 1 :].any()
 
 
@@ -823,7 +823,7 @@ def _former_sobolev_check(family, n_max):
     node loop of test_sobolev."""
     m = checks._degree(n_max, 15)
     seq, params = family.seq(m), family.params
-    gram = sobolev._gram_stack([family], m)[0]
+    gram = np.array(sobolev.sobolev_gram(params, m))
     off, max_diag = sobolev.gram_extremes(gram)
     kappas = [operators._kappa_from_xi(params, n, xi_n) for n, xi_n in enumerate(seq)]
     with np.errstate(over="ignore"):
@@ -1162,3 +1162,61 @@ def test_rifrac_fails_when_one_delta_is_perturbed(monkeypatch):
     result = check_rifrac(_family(HypParams(a=(1.0, 1.5), b=(2.0, 2.5, 3.0))), 25)
     assert result.status == "FAIL"
     assert 1e-10 < result.max_residual < 1e-8
+
+
+# A family on which ode, circle-rep and roots all PASS at n_max 10.
+SOUND_1F2 = HypParams(a=(1.0,), b=(2.0, 3.0))
+
+
+def _poison(out, value, where, mask=None):
+    """A copy of the array out holding value at its first, middle or last
+    entry (of those mask selects, if given)."""
+    out = np.array(out, dtype=complex)
+    spots = np.flatnonzero(np.ones(out.shape, dtype=bool) if mask is None else mask)
+    out.reshape(-1)[spots[{"first": 0, "middle": len(spots) // 2, "last": -1}[where]]] = value
+    return out
+
+
+# Each engine a check reads, the call of it that is poisoned, and how one
+# entry of its output is poisoned: the image of R and of theta∘R (the first
+# and second _apply_stack call), the recovered values, the direct values,
+# the roots.
+POISONED_ENGINES = {
+    "ode, R g_n": ("ode", checks, "_apply_stack", 0, _poison),
+    "ode, theta(R g_n)": ("ode", checks, "_apply_stack", 1, _poison),
+    "circle-rep, recovered": ("circle-rep", checks, "integral_rep_circle_batch", 0,
+                              lambda out, v, w: _poison(out, v, w).tolist()),
+    "circle-rep, direct": ("circle-rep", checks, "horner_rows", 0,
+                           lambda out, v, w: (_poison(out[0], v, w), out[1])),
+    "roots, root table": ("roots", roots, "_root_table", 0,
+                          lambda out, v, w: (_poison(out[0], v, w, out[1]), out[1])),
+}
+
+
+def test_the_poisoned_checks_pass_when_nothing_is_poisoned():
+    results = run_checks(SOUND_1F2, 10, 0, ["ode", "circle-rep", "roots"])
+    assert [r.status for r in results] == ["PASS"] * 3
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("engine", list(POISONED_ENGINES))
+def test_a_non_finite_intermediate_never_passes(engine, value, where, monkeypatch):
+    # One entry of one engine output is not finite: the check FAILs or
+    # refuses naming its stage, never PASSes.
+    check, module, name, call, poison = POISONED_ENGINES[engine]
+    original, calls = getattr(module, name), []
+
+    def poisoned(*args):
+        out = original(*args)
+        calls.append(name)
+        return poison(out, value, where) if len(calls) == call + 1 else out
+
+    monkeypatch.setattr(module, name, poisoned)
+    try:
+        [result] = run_checks(SOUND_1F2, 10, 0, [check])
+    except DomainError as exc:
+        assert str(exc).endswith(f"in the {check} check"), str(exc)
+    else:
+        assert result.status == "FAIL", result
+    assert len(calls) > call  # the poisoned call was made

@@ -12,7 +12,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import hypersum
@@ -487,17 +489,16 @@ def test_sweep_gram_offdiag_reads_every_degree_off_one_gram(monkeypatch, capsys)
     ns, grid = (17, 3, 40, 3, 0), (1.0, 3.5)
     calls = []
 
-    def recording(cells, n_max):
-        cells = list(cells)
-        calls.append((len(cells), n_max))
-        return _gram_stack(cells, n_max)
+    def recording(images):
+        calls.append(images.shape)
+        return _gram_stack(images)
 
     monkeypatch.setattr(sobolev, "_gram_stack", recording)
     argv = ["sweep", "--p", "1", "--q", "2", "--a", "1.5+0.5i",
             "--b", "2,1.25+1i", "--quantity", "gram-offdiag", "--grid-param",
             "b1", "--grid-values", "1,3.5", "--n-list", "17,3,40,3,0"]
     assert cli.main(argv) == 0
-    assert calls == [(2, 40)]  # one engine call covers both cells
+    assert calls == [(2, 41, 41)]  # one engine call covers both cells
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
     want = []
     for gi, gv in enumerate(grid):
@@ -634,7 +635,18 @@ def _root_modulus_cell(params, ns):
     return [report.min_modulus for report in roots._location_reports([seq], ns)[0]]
 
 
-SWEEP_ORACLES = {"convergence": _convergence_cell, "root-modulus": _root_modulus_cell}
+def _gram_offdiag_cell(params, ns):
+    """Oracle: the gram-offdiag sweep of one cell, its Gram to the largest
+    degree by sobolev_gram, then gram_extremes on each degree's leading
+    block."""
+    _check_cap(ns[0])
+    gram = np.array(sobolev_gram(params, ns[-1]))
+    return [off / max_diag for off, max_diag in
+            (gram_extremes(gram[: n + 1, : n + 1]) for n in ns)]
+
+
+SWEEP_ORACLES = {"convergence": _convergence_cell, "root-modulus": _root_modulus_cell,
+                 "gram-offdiag": _gram_offdiag_cell}
 
 
 def _sweep_outcome(argv, capsys):
@@ -667,6 +679,8 @@ ROOT_FAMILY = ("--p", "1", "--q", "2", "--a", "0.5", "--b", "1.5,2.25")
     ("convergence", ("--p", "0", "--q", "1", "--b", "2"), "0.37,1.3", "9,1,0,1"),
     ("root-modulus", ROOT_FAMILY, "1,3.5,2,1.25", "12,0,5,1,12,40"),
     ("root-modulus", ("--p", "0", "--q", "1", "--b", "2"), "1.5,2.5", "3,2"),
+    ("gram-offdiag", CONVERGENCE_FAMILY, "1,3.5,2,1.25", "17,3,40,3,0"),
+    ("gram-offdiag", ("--p", "0", "--q", "1", "--b", "2"), "1.5,2.5", "3,2"),
 ])
 def test_stacked_sweep_values_are_the_cell_by_cell_values(
         quantity, family, grid, n_list, monkeypatch, capsys):
@@ -676,7 +690,7 @@ def test_stacked_sweep_values_are_the_cell_by_cell_values(
     assert len(out.splitlines()) == 1 + len(grid.split(",")) * len(n_list.split(","))
 
 
-@pytest.mark.parametrize("quantity", ["convergence", "root-modulus"])
+@pytest.mark.parametrize("quantity", ["convergence", "root-modulus", "gram-offdiag"])
 def test_stacked_sweep_of_an_empty_grid_is_header_only(quantity, monkeypatch, capsys):
     got = _equals_cell_by_cell(monkeypatch, capsys, quantity, ROOT_FAMILY, "", "2,5")
     assert got == (0, SWEEP_HEADER, "")
@@ -723,6 +737,50 @@ def test_stacked_convergence_fails_with_the_first_failing_cell(
                                           family, grid, "2,4")
     assert (code, out) == (3, "")
     assert got.startswith(err)
+
+
+@pytest.mark.parametrize("grid, err", [
+    # 1F1(1e60; b1) to degree 5. b1 = 1e60 and 2e60 are sound; b1 = 1e20
+    # builds, and its Gram overflows; b1 = 1e300 underflows xi_2; R g_5 of
+    # b1 = 1 overflows while the R images are read, before any Gram; b1 =
+    # -1 is excluded. The earlier cell decides, whatever its stage.
+    ("1e60,1e20,1e300", "domain error: Gram matrix overflowed"),
+    ("1e60,1e300,1e20", "domain error: coefficient xi_2 underflowed"),
+    ("1e20,1e60", "domain error: Gram matrix overflowed"),
+    ("1e60,1e20,-1", "domain error: Gram matrix overflowed"),
+    ("1e60,2e60,-1", "domain error: parameter (-1+0j) lies within"),
+    ("-1", "domain error: parameter (-1+0j) lies within"),
+    ("1e60,1,1e20", "domain error: R applied to row 5 overflowed"),
+    ("1e20,1", "domain error: Gram matrix overflowed"),
+    ("1e60,1,-1", "domain error: R applied to row 5 overflowed"),
+])
+def test_stacked_gram_offdiag_fails_with_the_first_failing_cell(
+        grid, err, monkeypatch, capsys):
+    family = ("--p", "1", "--q", "1", "--a", "1e60", "--b", "2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, got = _equals_cell_by_cell(monkeypatch, capsys, "gram-offdiag",
+                                              family, grid, "2,5")
+    assert (code, out) == (3, "")
+    assert got.startswith(err)
+
+
+def test_a_failing_convergence_probe_is_summed_once(monkeypatch):
+    # The sweep words the failed probe from the sums it holds; it sums no
+    # series a second time.
+    calls, summed = [], pfq._sum_series
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return summed(*args)
+
+    monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 5)
+    monkeypatch.setattr(pfq, "_sum_series", counting)
+    cells = [HypParams(b=(2.0,)), HypParams(b=(1.5,))]
+    with pytest.raises(ConvergenceError) as exc:
+        cli._sweep_convergence(cells, [2, 4])
+    assert str(exc.value) == "series did not converge within 5 terms at z = (1+0j)"
+    assert calls == [2 * len(CIRCLE_PROBES)]
 
 
 def test_out_flag_writes_file(tmp_path):

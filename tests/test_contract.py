@@ -42,14 +42,17 @@ def _finite(value) -> bool:
     return bool(np.isfinite(np.asarray(value, dtype=complex)).all())
 
 
-def _holds(call, *args) -> bool:
+def _holds(call, *args, refusals=None) -> bool:
     """The contract for one call: False if it returned a non-finite value;
-    a warning or any other exception propagates and fails the test."""
+    a warning or any other exception propagates and fails the test. The
+    message of a refusal is appended to refusals, if given."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             value = call(*args)
-        except (DomainError, ConvergenceError):
+        except (DomainError, ConvergenceError) as exc:
+            if refusals is not None:
+                refusals.append(str(exc))
             return True
     return _finite(value)
 
@@ -71,7 +74,7 @@ def _poly(rng: random.Random) -> Poly:
 
 def test_extreme_draws_return_finite_values_or_refuse():
     rng = random.Random("contract")
-    broken = []
+    broken, stage_refusals = [], []
     for draw in range(DRAWS):
         params = _family(rng)
         if params is not None:
@@ -97,7 +100,8 @@ def test_extreme_draws_return_finite_values_or_refuse():
             calls += [(route.__name__, route, params, n, x) for route in (
                 integral_rep_negative_axis, integral_rep_negative_axis_numeric)]
             for name, call, *args in calls:
-                if not _holds(call, *args):
+                refusals = stage_refusals if name in ("r_image", "verify_ode") else None
+                if not _holds(call, *args, refusals=refusals):
                     broken.append((draw, name, params, *args[1:]))
         f, h, c = _poly(rng), _poly(rng), _number(rng)
         for name, call, *args in (("add", Poly.__add__, f, h), ("sub", Poly.__sub__, f, h),
@@ -106,6 +110,23 @@ def test_extreme_draws_return_finite_values_or_refuse():
             if not _holds(call, *args):
                 broken.append((draw, name))
     assert broken == []
+    # r_image and verify_ode name the stage that overflowed, never only
+    # op_apply's bare coefficient (150 of their refusals name R g_n).
+    assert not [m for m in stage_refusals if m.startswith("non-finite coefficient:")]
+    assert sum(m.startswith("R g_") for m in stage_refusals) == 150
+
+
+@pytest.mark.parametrize("route", [r_image, verify_ode])
+def test_an_overflowed_image_names_its_stage_and_degree(route):
+    # op_apply alone refuses with its bare "non-finite coefficient: ...".
+    params = HypParams(a=(-4.4810582340121845e67,
+                          6.1915671155585905e63 + 5.858324877220088e64j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            route(params, 2)
+    assert str(exc.value) == ("R g_2 overflowed double precision: "
+                              "non-finite coefficient: (nan+nanj)")
 
 
 def test_the_quadrature_refuses_where_it_overflows():

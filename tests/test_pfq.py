@@ -18,8 +18,8 @@ from hypersum.pfq import (
     integral_rep_circle_batch,
     integral_rep_negative_axis,
     integral_rep_negative_axis_numeric,
+    _terminating_table,
     pfq_eval,
-    terminating_pfq_poly,
 )
 from hypersum.polycore import Poly
 from test_partial_sums import _exact_outcome, _extreme_family, _random_family
@@ -279,17 +279,18 @@ def test_circle_rep_matches_explicit_trapezoid():
 
 def test_terminating_poly_exponential():
     # n = 2: coefficients 1, 2/3, 1/6 (Fraction-derived oracle).
-    h = terminating_pfq_poly(EXP, 2)
-    assert h.degree == 2
-    assert h.coeff(0) == 1
-    assert h.coeff(1) == pytest.approx(2 / 3, rel=1e-15)
-    assert h.coeff(2) == pytest.approx(1 / 6, rel=1e-15)
+    h = _terminating_table(EXP, [2])[0]
+    assert len(h) == 3
+    assert h[0] == 1
+    assert h[1] == pytest.approx(2 / 3, rel=1e-15)
+    assert h[2] == pytest.approx(1 / 6, rel=1e-15)
 
 
 def test_terminating_poly_degree():
     for params in (EXP, CONFLUENT):
         for n in (0, 1, 9):
-            assert terminating_pfq_poly(params, n).degree == n
+            h = _terminating_table(params, [n])[0]
+            assert len(h) == n + 1 and h[n] != 0
 
 
 def test_circle_rep_matches_direct():
@@ -350,7 +351,7 @@ def test_axis_rep_requires_negative_x():
 def _axis_quadrature_loop(params, n, x, nodes=64):
     """The per-node loop the array pass replaced: value, and the sum of the
     moduli of its terms (the scale of its rounding error)."""
-    h = terminating_pfq_poly(params, n)
+    h = Poly(_terminating_table(params, [n])[0].tolist())
     u_raw, w_raw = np.polynomial.legendre.leggauss(nodes)
     total, mass = 0j, 0.0
     for ui, wi in zip((0.5 * (u_raw + 1.0)).tolist(), (0.5 * w_raw).tolist()):
@@ -379,7 +380,8 @@ def test_axis_rep_numeric_matches_per_node_loop():
 
 
 def _former_terminating_pfq_poly(params, n):
-    # The term-by-term loop terminating_pfq_poly ran before its table engine.
+    # The term-by-term loop of the terminating series before its table
+    # engine, _terminating_table.
     n = _check_cap(n)
     coeffs = [1 + 0j]
     e = 1 + 0j
@@ -425,8 +427,11 @@ def test_axis_routes_equal_their_former_loops_bit_for_bit(seed):
     # and both axis routes at one degree and one point are their table
     # engines, rounded and refused as the former scalar loops.
     rng = random.Random(f"{seed}:axis-routes")
+    def terminating(params, n):  # the table at one degree, as Poly keeps it
+        return Poly(_terminating_table(params, [n])[0].tolist())
+
     pairs = (
-        (terminating_pfq_poly, lambda params, n, x: _former_terminating_pfq_poly(params, n)),
+        (terminating, lambda params, n, x: _former_terminating_pfq_poly(params, n)),
         (integral_rep_negative_axis, _former_integral_rep_negative_axis),
         (integral_rep_negative_axis_numeric, _former_integral_rep_negative_axis_numeric),
     )
@@ -435,7 +440,7 @@ def test_axis_routes_equal_their_former_loops_bit_for_bit(seed):
         n = rng.choice((0, 1, 2, 5, 12, 20, 40))
         x = rng.choice((-0.1, -1.0, -10.0, -3.7, 0.0))
         for route, former in pairs:
-            args = (params, n) if route is terminating_pfq_poly else (params, n, x)
+            args = (params, n) if route is terminating else (params, n, x)
             # An overflowing quadrature warns, as it did.
             with np.errstate(all="ignore"):
                 got = _exact_outcome(lambda: route(*args))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hypersum import sobolev
+from hypersum import cli, sobolev
 from hypersum.errors import DomainError
 from hypersum.operators import LinDiffOp, build_R, kappa, op_apply, r_action
 from hypersum.partial_sums import HypParams, gn_direct, read_family
@@ -328,15 +328,17 @@ def test_gram_stack_is_each_familys_gram_bit_for_bit(seed):
     n_max = rng.choice((0, 1, 2, 5, 10, 20, 40))
     size = rng.randint(1, 5)
     cells = [_random_family(rng, rng.random() < 0.5) for _ in range(size)]
-    grams = _gram_stack((read_family(params, n_max) for params in cells), n_max)
+    grams = _gram_stack(np.array(
+        [r_action(params, read_family(params, n_max).table(n_max)) for params in cells]))
     assert grams.shape == (len(cells), n_max + 1, n_max + 1)
     for params, gram in zip(cells, grams):
         assert gram.tolist() == sobolev_gram(params, n_max)
 
 
 def test_gram_stack_of_no_families_is_empty():
-    assert _gram_stack([], 5).shape[0] == 0
-    assert _gram_stack([], -1).shape[0] == 0  # no family, so no degree check
+    for n in (0, 5):
+        empty = np.empty((0, n + 1, n + 1), dtype=complex)
+        assert _gram_stack(empty).shape == empty.shape
 
 
 OVERFLOWS = HypParams(a=(1e155,), b=(1e155,))  # C[0, 0] = -1e155
@@ -364,11 +366,14 @@ def _cells_then_failure(cells):
     ((CONFLUENT, R_OVERFLOWS), True, "R applied to row 5 overflowed"),
 ])
 def test_gram_stack_raises_the_first_failing_familys_error(cells, then_fail, message):
+    # The stack as the gram-offdiag sweep reads it, here with families of
+    # different shapes: each family's R images in order, then one Gram
+    # stack (tests/test_cli.py holds the sweep to its cell-by-cell oracle).
     source = _cells_then_failure(cells) if then_fail else cells
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
-            _gram_stack((read_family(params, 5) for params in source), 5)
+            cli._sweep_gram_offdiag(source, [5])
 
 
 def test_gram_maps_every_row_in_one_r_action_call(monkeypatch):
