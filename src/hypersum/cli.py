@@ -182,10 +182,6 @@ def _document(command: str, params: HypParams, results, diagnostics) -> dict:
     }
 
 
-def _poly_coeffs(f) -> list[complex]:
-    return list(f.coeffs)
-
-
 def _complex_cells(c: complex) -> tuple[float, float]:
     return (c.real, c.imag)
 
@@ -209,15 +205,15 @@ def cmd_gen(args, parser) -> tuple[str, int]:
     g = gn_direct(params, n)
     deltas = [delta_k(params, k) for k in range(1, n + 1)]
     R = build_R(params)
-    r_coeffs = [_poly_coeffs(c) for c in R.coeffs]
+    r_coeffs = [list(c.coeffs) for c in R.coeffs]
     results = {
-        "g": _poly_coeffs(g),
+        "g": list(g.coeffs),
         "delta": deltas,
         "kappa": kappa(params, n),
         "R_coeffs": r_coeffs,
     }
     if args.monic:
-        results["G"] = _poly_coeffs(Gn_monic(params, n))
+        results["G"] = list(Gn_monic(params, n).coeffs)
     diagnostics = {"n": n, "monic": bool(args.monic)}
     if args.format == "csv":
         rows = []
@@ -353,7 +349,7 @@ def cmd_pencil(args, parser) -> tuple[str, int]:
     rows_count = max(args.n - 1, 0)
     residual_max = pencil_residual(pencil, polys, args.lam, rows_count)
     results = {
-        "p": [_poly_coeffs(f) for f in polys],
+        "p": [list(f.coeffs) for f in polys],
         "residual_max": residual_max,
         "lambdas": list(args.lam),
         "rows": rows_count,

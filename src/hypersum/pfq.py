@@ -6,7 +6,7 @@ comes from one summation, _sum_series, vectorized over (family, point)
 pairs: each point stops on its own after three consecutive terms below
 SERIES_RTOL of its running sum, guarding against odd/even alternation.
 pfq_eval is its one-point case; _raise_series_failure refuses the first failed
-point for it and for the convergence sweep, from the sums they hold.
+point for it, the circle representation and the convergence sweep alike.
 
 Two independent routes back to the partial sums are provided. On the unit
 circle, g_n is recovered by integrating the full series against a geometric
@@ -187,9 +187,9 @@ def integral_rep_circle_batch(
     if not ns:
         return []
     t = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-    fvals, terms_used, _ = _sum_series([params], 0, np.exp(1j * t))
-    if not terms_used.all():
-        raise ConvergenceError("series did not converge at some circle node")
+    nodes = np.exp(1j * t)
+    fvals, terms_used, capped = _sum_series([params], 0, nodes)
+    _raise_series_failure(nodes, fvals, terms_used, capped)
     k = np.arange(max(ns) + 1)
     coeffs = np.fft.fft(fvals)[: len(k)] / CIRCLE_NODES
     terms = coeffs[:, None] * np.exp(1j * np.outer(k, angles))
@@ -305,21 +305,20 @@ def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _axis_quadrature(table: np.ndarray, ns, xs) -> np.ndarray:
     """integral_rep_negative_axis_numeric at every x < 0 of xs for each row
-    of a _terminating_table of the ascending degrees ns: a (len(ns),
-    len(xs)) array from one (len(ns), len(xs), AXIS_NODES) array pass. The
-    terminating series is evaluated by Horner's rule over the table's
-    columns, each row from its own degree down, as np.polyval evaluates
-    it, and t^(-n-2) is one broadcast power. Each (degree, point) integral
-    is its own row's dot product with the weights, so no value depends on
-    the other degrees or points."""
+    of a _terminating_table of the degrees ns: a (len(ns), len(xs)) array
+    from one (len(ns), len(xs), AXIS_NODES) array pass. The terminating
+    series is evaluated by Horner's rule over all of the table's columns,
+    as np.polyval evaluates it (the zero columns above a row's degree keep
+    it at zero), and t^(-n-2) is one broadcast power. Each (degree, point)
+    integral is its own row's dot product with the weights, so no value
+    depends on the other degrees or points."""
     u, w = _unit_gauss_legendre(AXIS_NODES)
     ns = np.asarray(ns, dtype=int)
     x = np.array(xs, dtype=float)[:, None]
     t = x / u
     series = np.zeros((len(ns),) + t.shape, dtype=complex)
     for k in range(table.shape[1] - 1, -1, -1):
-        rows = slice(np.searchsorted(ns, k), None)  # the degrees n >= k
-        series[rows] = series[rows] * t + table[rows, k, None, None]
+        series = series * t + table[:, k, None, None]
     integrand = t ** (-ns - 2.0)[:, None, None] * series * (-x / (u * u))
     return np.array([
         [-(n + 1) * xi ** (n + 1) * (w @ row) for xi, row in zip(map(float, xs), rows)]

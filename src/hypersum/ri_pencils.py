@@ -329,7 +329,10 @@ def _band_row_sums(bands, coeffs, lams, rows: int) -> tuple[np.ndarray, np.ndarr
     without FMA). The rows left out hold zeros where a full pass holds
     signed zeros (or nan at a non-finite lambda, where addend 2 is nan
     anyway): each result is bit for bit, up to the sign of a zero, that of
-    the full pass tests/test_ri_pencils.py keeps as the oracle.
+    the full pass tests/test_ri_pencils.py keeps as the oracle. Unlike the
+    padded passes of the root table and the axis quadrature, this start
+    pays: a full pass made check_pencil slower, a median 4.63 ms against
+    4.47, in 9 of 10 alternating runs on a 2-vCPU x86-64 machine.
     """
     K = rows + 2 if rows else 0  # p_0..p_{rows+1}; zero rows read none
     C = np.ascontiguousarray(np.asarray(coeffs)[:, :K].transpose(2, 1, 0), dtype=complex)

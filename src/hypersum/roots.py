@@ -14,10 +14,11 @@ evaluation mass sum_k |c_k||z|^k.
 The engine is the root table (_root_table): a stack of polynomials, one
 LAPACK call each, whose coefficients go into one zero-padded table and
 whose roots into one masked (D, n) array. The polish and the gate run
-elementwise on all (polynomial, root) pairs at once, each pair starting
-Horner's pass at its own top coefficient, so every row is bit for bit its
-polynomial solved alone, and the table refuses as the first polynomial
-that fails would alone (errors.read_in_order). find_roots is the table on a
+elementwise on all (polynomial, root) pairs at once, in polynomial order:
+one Horner pass over every column of the padded rows, the polish stepping
+all pairs under the mask of the roots still active. So every row is bit for
+bit its polynomial solved alone, and the table refuses as the first
+polynomial that fails would alone (errors.read_in_order). find_roots is the table on a
 stack of one; the roots check and sweep root-modulus solve all their degrees
 and cells as one table (_location_reports).
 
@@ -71,82 +72,64 @@ def _companion_roots(coeffs: list) -> np.ndarray:
     return w.astype(complex) * math.exp(log_s)
 
 
-def _horner_pairs(table, moduli, degree, owner, z):
+def _horner_pairs(rows, moduli, z):
     """Value, derivative and evaluation mass of one polynomial per point:
-    entry i is horner(row owner[i] of table, z[i]).
-
-    table and moduli are (D, W) arrays whose row k holds the coefficients
-    (low to high, zero-padded above degree[k]) of polynomial k and their
-    moduli; degree[owner] is ascending. Each entry starts at its own top
-    coefficient, from the state horner starts from, and takes horner's
-    elementwise steps, so it is bit for bit horner's unpadded pass at its
-    point. The products are formed as new arrays, as horner forms them:
-    numpy rounds an in-place complex product of one entry without the
-    fused multiply-add of its array loop.
+    entry i is horner(rows[i], z[i]), rows and moduli being (P, W) arrays of
+    zero-padded coefficients (low to high) and their moduli. Every entry
+    takes horner's elementwise steps over all W columns: the zero columns
+    above its degree keep it at horner's start, so it is bit for bit
+    horner's unpadded pass but for the sign of a zero part. The products
+    are formed as new arrays, as horner forms them: numpy rounds an
+    in-place complex product of one entry without the fused multiply-add
+    of its array loop.
     """
-    table, moduli = table[owner], moduli[owner]  # one row per entry
     r = np.abs(z)
     value, derivative, mass = 0 * z, 0 * z, 0 * r
-    starts = degree[owner].searchsorted(np.arange(table.shape[1])).tolist()
-    for j in range(table.shape[1] - 1, -1, -1):
-        s = starts[j]  # the entries of degree >= j
-        if s:  # the others have not reached their top coefficient
-            d, v, m = derivative[s:], value[s:], mass[s:]
-            d[...] = d * z[s:] + v
-            v[...] = v * z[s:] + table[s:, j]
-            m[...] = m * r[s:] + moduli[s:, j]
-        else:
-            derivative = derivative * z + value
-            value = value * z + table[:, j]
-            mass = mass * r + moduli[:, j]
+    for j in range(rows.shape[1] - 1, -1, -1):
+        derivative = derivative * z + value
+        value = value * z + rows[:, j]
+        mass = mass * r + moduli[:, j]
     return value, derivative, mass
 
 
-def _polish(table, moduli, degree, owner, z):
-    """Guarded Newton steps on all (polynomial, root) pairs at once;
-    refines z in place. Pair i is root z[i] of polynomial owner[i], laid
-    out as for _horner_pairs.
+def _polish(rows, moduli, z):
+    """Guarded Newton steps on all (polynomial, root) pairs at once, laid
+    out as for _horner_pairs: z[i] is a root of the polynomial of rows[i].
 
     The backward error of a root is |p(z)| / max(1, mass(z)). A root takes
     a step only if the step is finite and strictly lowers that error; a
-    root whose step is refused is final, and each pass evaluates only the
-    roots still active. At most POLISH_STEPS passes. Returns z and the
-    value and mass at each final root, as a fresh pass would give them.
+    root whose step is refused is final. Every pass steps all pairs, and a
+    mask keeps the entries of the roots no longer active. At most
+    POLISH_STEPS passes. Returns z and the value and mass at each final
+    root, as a fresh pass would give them.
     """
-    value, derivative, mass = _horner_pairs(table, moduli, degree, owner, z)
+    value, derivative, mass = _horner_pairs(rows, moduli, z)
     err = np.abs(value) / np.maximum(1.0, mass)
-    active = np.flatnonzero(err > 0)
+    active = err > 0
     for _ in range(POLISH_STEPS):
-        if not active.size:
+        if not active.any():
             break
-        trial = z[active] - value[active] / derivative[active]
-        t_value, t_derivative, t_mass = _horner_pairs(
-            table, moduli, degree, owner[active], trial
-        )
+        trial = z - value / derivative
+        t_value, t_derivative, t_mass = _horner_pairs(rows, moduli, trial)
         t_err = np.abs(t_value) / np.maximum(1.0, t_mass)
-        take = np.isfinite(trial) & (t_err < err[active])
-        active = active[take]
-        z[active] = trial[take]
-        value[active] = t_value[take]
-        derivative[active] = t_derivative[take]
-        mass[active] = t_mass[take]
-        err[active] = t_err[take]
+        active &= np.isfinite(trial) & (t_err < err)
+        z = np.where(active, trial, z)
+        value = np.where(active, t_value, value)
+        derivative = np.where(active, t_derivative, derivative)
+        mass = np.where(active, t_mass, mass)
+        err = np.where(active, t_err, err)
     return z, value, mass
 
 
-def _pairs(rows: list, points: list) -> tuple:
-    """The (polynomial, point) pairs of coefficient lists rows[k] (low to
-    high) and point arrays points[k], laid out for _horner_pairs: the
-    coefficient table (complex, zero-padded), its moduli (polycore.modulus,
-    which rounds as Python's abs) and the degrees, one row per polynomial;
-    then, grouped by polynomial in ascending degree, each group in its
-    points' order, the polynomial k and the point of every pair."""
-    table = coeff_table(rows, max(map(len, rows)))
-    degree = np.array([len(row) - 1 for row in rows])
-    order = np.argsort(degree, kind="stable").tolist()
-    owner = np.repeat(order, [len(points[k]) for k in order])
-    z = np.concatenate([points[k] for k in order])
-    return table, modulus(table), degree, owner, z
+def _pairs(polys: list, points: list) -> tuple:
+    """The (polynomial, point) pairs of coefficient lists polys[k] (low to
+    high) and point arrays points[k], in polynomial order, then point
+    order, laid out for _horner_pairs: each pair's zero-padded complex
+    coefficient row, its moduli (polycore.modulus, which rounds as Python's
+    abs), its polynomial k and its point."""
+    table = coeff_table(polys, max(map(len, polys)))
+    owner = np.repeat(np.arange(len(polys)), [len(z) for z in points])
+    return table[owner], modulus(table)[owner], owner, np.concatenate(points)
 
 
 def _normalized(f: Poly) -> list:
@@ -195,9 +178,9 @@ def _solve_normalized(full: list) -> tuple[np.ndarray, np.ndarray]:
             elif len(rest) == 2:
                 roots[i][0] = -rest[0] / rest[1]
         if eigen:
-            *layout, z = _pairs([rests[i] for i in eigen], [roots[i] for i in eigen])
-            z, value, mass = _polish(*layout, z)
-            owner = layout[-1]
+            rows, moduli, owner, z = _pairs([rests[i] for i in eigen],
+                                            [roots[i] for i in eigen])
+            z, value, mass = _polish(rows, moduli, z)
             for k, i in enumerate(eigen):
                 roots[i] = z[owner == k]
         for i, (c, rest) in enumerate(zip(full, rests)):
@@ -206,12 +189,12 @@ def _solve_normalized(full: list) -> tuple[np.ndarray, np.ndarray]:
                 roots[i] = np.concatenate((zero, roots[i]))
         gated = [i for i, error in enumerate(errors) if error is None]
         if gated != eigen or any(len(full[i]) > len(rests[i]) for i in gated):
-            *layout, z = _pairs([full[i] for i in gated], [roots[i] for i in gated])
-            value, _, mass = _horner_pairs(*layout, z)
+            rows, moduli, owner, z = _pairs([full[i] for i in gated],
+                                            [roots[i] for i in gated])
+            value, _, mass = _horner_pairs(rows, moduli, z)
         # else the gate's pairs are the polished ones
         if gated:
             bad = ~(np.isfinite(mass) & (np.abs(value) <= GATE_TOL * np.maximum(1.0, mass)))
-            owner = layout[-1]
             for j in np.flatnonzero(bad).tolist():  # in each polynomial's root order
                 i = gated[owner[j]]
                 if errors[i] is None:

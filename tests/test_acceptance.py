@@ -1,7 +1,8 @@
 """Acceptance suite: the eleven numbered contract criteria.
 
 One test per criterion, named test_criterion_NN_*, so `pytest -v` prints
-exactly one pass/fail line for each. Tolerances are the contract values,
+exactly one pass/fail line for each; a test that shows a criterion failing
+on perturbed input has another name. Tolerances are the contract values,
 not observed margins. Randomized criteria use string-seeded generators so
 the draws are identical on every run and platform.
 """
@@ -37,6 +38,7 @@ from hypersum.pfq import (
 )
 from hypersum.ri_pencils import (
     JacobiPencil,
+    RIRecurrence,
     chebyshev_eval,
     kernel_decompose,
     pencil_polynomials,
@@ -274,18 +276,46 @@ def test_criterion_07_convergence():
     assert abs(abs(g10(0.5) - 2.0) - 2 * 0.5 ** 11) <= 1e-12
 
 
-def test_criterion_08_tfraction_reproduces_monic_sums():
-    # ri_generate on tfraction_from_hyp equals Gn for N <= 25 at 1e-12;
-    # validity report is clean (lambda_{n+1} != 0 and P_n(0) != 0).
+def _criterion_08_cases() -> list[HypParams]:
     rng = random.Random("acceptance:8")
-    cases = list(FIXED_SETS[:3]) + [_draw_params(rng) for _ in range(10)]
-    for params in cases:
-        N = 25
-        polys, validity = ri_generate(tfraction_from_hyp(params, N), N)
-        assert validity.valid
-        want = Gn_by_recurrence(params, N)
-        for n_idx in range(N + 1):
-            _assert_coeffwise(polys[n_idx], want[n_idx], 1e-12)
+    return list(FIXED_SETS[:3]) + [_draw_params(rng) for _ in range(10)]
+
+
+def _assert_tfraction_reproduces_monic_sums(params, tfraction):
+    N = 25
+    polys, validity = ri_generate(tfraction(params, N), N)
+    assert validity.valid
+    for n_idx in range(N + 1):
+        _assert_coeffwise_scaled(polys[n_idx], Gn_monic(params, n_idx), 1e-12)
+
+
+def test_criterion_08_tfraction_reproduces_monic_sums():
+    # ri_generate on tfraction_from_hyp equals the direct Gn_monic for
+    # N <= 25 at 1e-12, relative to the pair's coefficient scale as in
+    # criterion 1; validity report is clean (lambda_{n+1} != 0 and
+    # P_n(0) != 0).
+    for params in _criterion_08_cases():
+        _assert_tfraction_reproduces_monic_sums(params, tfraction_from_hyp)
+
+
+def _tfraction_with_scaled_delta_1(params, N):
+    """tfraction_from_hyp with delta_1 (c_1 = -delta_1, lambda_2 = delta_1)
+    scaled by 1 + 1e-10, 100 times criterion 8's tolerance."""
+    rec = tfraction_from_hyp(params, N)
+    c, lam = list(rec.c), list(rec.lam)
+    c[0] *= 1 + 1e-10
+    lam[1] *= 1 + 1e-10
+    return RIRecurrence(c=c, lam=lam, a=rec.a)
+
+
+def test_a_perturbed_delta_fails_criterion_08():
+    # Criterion 8 compares two independent routes, so it can fail.
+    for params in _criterion_08_cases():
+        try:
+            _assert_tfraction_reproduces_monic_sums(params, _tfraction_with_scaled_delta_1)
+        except AssertionError:
+            continue
+        raise AssertionError(f"criterion 8 holds with delta_1 perturbed: {params}")
 
 
 def test_criterion_09_pencil_residual():

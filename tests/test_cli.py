@@ -783,6 +783,20 @@ def test_a_failing_convergence_probe_is_summed_once(monkeypatch):
     assert calls == [2 * len(CIRCLE_PROBES)]
 
 
+def test_circle_rep_names_the_node_its_series_failed_at(monkeypatch, capsys):
+    # The circle representation refuses as pfq_eval and the convergence
+    # sweep do: the first failed node, and why.
+    monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 5)
+    code = cli.main(["verify", "--p", "1", "--q", "1", "--a", "1", "--b", "2",
+                     "--check", "circle-rep", "--n-max", "4"])
+    result = json.loads(capsys.readouterr().out)["results"]["circle-rep"]
+    assert code == 4
+    assert result["status"] == "FAIL"
+    assert result["detail"] == (
+        "did not converge: series did not converge within 5 terms at z = (1+0j)"
+    )
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "doc.json"
     out = run_cli(

@@ -1,6 +1,9 @@
 """Seeded contract over numeric entry points at extreme magnitudes: r_action,
 the operator routes (build_R, op_compose, op_apply, kappa, r_image,
-verify_ode), both negative-axis routes and Poly arithmetic.
+verify_ode), both negative-axis routes and Poly arithmetic; then the
+coefficient and partial-sum routes, the Sobolev Gram, the root finder and
+its report, the series and its circle representation, the T-fraction and
+run_checks.
 
 Every call returns a finite value or raises DomainError or
 ConvergenceError; no other exception and no numpy warning escapes. The
@@ -13,16 +16,25 @@ import cmath
 import math
 import random
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from hypersum import CHECK_ORDER
+from hypersum.checks import run_checks
 from hypersum.errors import ConvergenceError, DomainError
 from hypersum.operators import (LinDiffOp, build_R, kappa, op_apply, op_compose, op_theta,
                                 r_action, r_image, verify_ode)
-from hypersum.partial_sums import HypParams, gn_direct
-from hypersum.pfq import integral_rep_negative_axis, integral_rep_negative_axis_numeric
+from hypersum.partial_sums import (Gn_by_recurrence, Gn_monic, HypParams, delta_k,
+                                   gn_by_recurrence, gn_direct, hyp_coeff)
+from hypersum.pfq import (convergence_report, integral_rep_circle_batch,
+                          integral_rep_negative_axis, integral_rep_negative_axis_numeric,
+                          pfq_eval)
 from hypersum.polycore import Poly
+from hypersum.ri_pencils import ri_generate, tfraction_from_hyp
+from hypersum.roots import enestrom_kakeya_bounds, find_roots, location_report
+from hypersum.sobolev import sobolev_gram
 
 DRAWS = 1500
 
@@ -34,12 +46,21 @@ def _number(rng: random.Random, high: float = 300.0) -> complex:
     return complex(r if rng.random() < 0.5 else -r)
 
 
-def _finite(value) -> bool:
+def _numbers(value) -> list:
+    """The numbers a returned value holds, flattened."""
     if isinstance(value, LinDiffOp):
-        value = [c for f in value.coeffs for c in f.coeffs]
+        return [c for f in value.coeffs for c in f.coeffs]
     if isinstance(value, Poly):
-        value = value.coeffs
-    return bool(np.isfinite(np.asarray(value, dtype=complex)).all())
+        return list(value.coeffs)
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _numbers(v)]
+    return [value]
+
+
+def _finite(value) -> bool:
+    return bool(np.isfinite(np.asarray(_numbers(value), dtype=complex)).all())
 
 
 def _holds(call, *args, refusals=None) -> bool:
@@ -114,6 +135,86 @@ def test_extreme_draws_return_finite_values_or_refuse():
     # op_apply's bare coefficient (150 of their refusals name R g_n).
     assert not [m for m in stage_refusals if m.startswith("non-finite coefficient:")]
     assert sum(m.startswith("R g_") for m in stage_refusals) == 150
+
+
+# The second contract: fewer draws, since a draw runs every route to a
+# degree up to the cap, and run_checks.
+SERIES_DRAWS = 150
+ORDERS = (0, 1, 2, 5, 25, 60, 100, 169, 170, 171)
+CIRCLE_POINTS = tuple(cmath.exp(1j * t) for t in (0.0, 2.0, -1.1))
+
+
+def _parameter(rng: random.Random, high: float) -> complex:
+    if rng.random() < 0.15:  # within 1e-6 of {0, -1, ..., -5}
+        offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -6.0)
+        return complex(-rng.randint(0, 5) + offset)
+    return _number(rng, high)
+
+
+def _report_numbers(report):
+    """The roots and annulus of a RootReport; min_pair_distance is inf
+    below two roots."""
+    return report.roots, report.ek_annulus or ()
+
+
+def _converged_sups(report):
+    """The sup errors of a ConvergenceReport where every sample converged;
+    a report with failed samples keeps nan for what it could not measure."""
+    return [row.sup_error for row in report.rows] if report.all_samples_converged else []
+
+
+def _passed_residuals(results):
+    """run_checks may FAIL with an inf residual or SKIP with a nan one; a
+    PASS measured a finite residual."""
+    assert {r.status for r in results} <= {"PASS", "FAIL", "SKIP"}
+    return [r.max_residual for r in results if r.status == "PASS"]
+
+
+def _series_calls(params: HypParams, n: int, rng: random.Random) -> list:
+    """(name, call) for every route of the second contract at one family and
+    order; a call returns the numbers that must be finite."""
+    z, tau = rng.choice(CIRCLE_POINTS) * rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi)
+    return [
+        ("gn_direct", lambda: gn_direct(params, n)),
+        ("Gn_monic", lambda: Gn_monic(params, n)),
+        ("hyp_coeff", lambda: hyp_coeff(params, n)),
+        ("delta_k", lambda: delta_k(params, n)),
+        ("gn_by_recurrence", lambda: gn_by_recurrence(params, n)),
+        ("Gn_by_recurrence", lambda: Gn_by_recurrence(params, n)),
+        ("sobolev_gram", lambda: sobolev_gram(params, n)),
+        ("find_roots", lambda: find_roots(gn_direct(params, n))),
+        ("location_report", lambda: _report_numbers(location_report(params, n))),
+        ("enestrom_kakeya_bounds", lambda: enestrom_kakeya_bounds(gn_direct(params, n))),
+        ("convergence_report",
+         lambda: _converged_sups(convergence_report(params, [n], CIRCLE_POINTS))),
+        ("integral_rep_circle_batch", lambda: integral_rep_circle_batch(params, [n], [tau])),
+        ("pfq_eval", lambda: pfq_eval(params, z).value),
+        ("tfraction_from_hyp", lambda: astuple(tfraction_from_hyp(params, n))),
+        ("ri_generate", lambda: ri_generate(tfraction_from_hyp(params, n), n)[0]),
+        ("run_checks", lambda: _passed_residuals(
+            run_checks(params, n, 0, CHECK_ORDER, draws=20, skip_inapplicable=True))),
+    ]
+
+
+def test_extreme_draws_of_the_series_routes_return_finite_values_or_refuse():
+    rng = random.Random("contract:series")
+    broken, returned = [], set()
+    for draw in range(SERIES_DRAWS):
+        high = rng.choice((3.0, 300.0))
+        try:
+            params = HypParams(a=tuple(_parameter(rng, high) for _ in range(rng.randint(0, 3))),
+                               b=tuple(_parameter(rng, high) for _ in range(rng.randint(0, 3))))
+        except DomainError:
+            continue
+        n = rng.choice(ORDERS)
+        for name, call in _series_calls(params, n, rng):
+            refused = []
+            if not _holds(call, refusals=refused):
+                broken.append((draw, name, params, n))
+            if not refused:
+                returned.add(name)
+    assert broken == []
+    assert len(returned) == 16  # every route returned on some draw
 
 
 @pytest.mark.parametrize("route", [r_image, verify_ode])

@@ -512,7 +512,7 @@ def test_convergence_report_keeps_failed_points_in_order(monkeypatch):
 
 def test_series_cap_fails_circle_and_report(monkeypatch):
     monkeypatch.setattr(pfq, "SERIES_TERM_CAP", 2)
-    message = "^series did not converge at some circle node$"
+    message = r"^series did not converge within 2 terms at z = \(1\+0j\)$"
     with pytest.raises(ConvergenceError, match=message):
         integral_rep_circle_batch(EXP, [3], [0.0])
     points = [1.0 + 0j, -1.0 + 0j, 1.0 + 0j]

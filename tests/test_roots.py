@@ -313,6 +313,46 @@ def test_the_gate_evaluates_roots_the_polish_did_not(extra, monkeypatch):
     assert _gate_passes(monkeypatch, polys) == 1
 
 
+def _mixed_degree_rows():
+    """Coefficient lists of degrees 1..25, real and complex, the last with a
+    factor z^3, each with points near its roots."""
+    rng = np.random.default_rng(20261020)
+    rows = [[c.real for c in gn_direct(HypParams(a=(), b=(1.3,)), n).coeffs]
+            for n in range(1, 26, 2)]
+    rows += [(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)).tolist()
+             for n in range(2, 25, 2)]
+    rows.append([0.0, 0.0, 0.0, *rows[5]])
+    points = []
+    for row in rows:
+        rest = row[next(k for k, c in enumerate(row) if c):]
+        near = _companion_roots(rest) if len(rest) > 2 else np.array([-rest[0] / rest[1]])
+        near = near * (1 + 1e-6 * rng.normal(size=len(near)))
+        points.append(np.concatenate((np.zeros(len(row) - len(rest), dtype=complex), near)))
+    return rows, points
+
+
+def test_the_pair_engine_depends_on_neither_pair_order_nor_padding():
+    # Pairs shuffled and zero columns added: every entry is horner on its
+    # own unpadded row, and the polish on the table is each polynomial's
+    # polish alone, byte for byte.
+    rows, points = _mixed_degree_rows()
+    table, moduli, owner, z = roots_module._pairs(rows, points)
+    order = np.random.default_rng(7).permutation(len(z))
+    table, moduli = (np.pad(x[order], ((0, 0), (0, 4))) for x in (table, moduli))
+    owner, z = owner[order], z[order]
+    with np.errstate(all="ignore"):
+        got = roots_module._horner_pairs(table, moduli, z)
+        for i, (k, zi) in enumerate(zip(owner.tolist(), z)):
+            want = horner(rows[k], np.array([zi]))
+            assert [_bits(x[i : i + 1]) for x in got] == [_bits(x) for x in want], (k, zi)
+        polished = roots_module._polish(table, moduli, z)
+        for k, row in enumerate(rows):
+            alone_rows, alone_moduli, _, alone_z = roots_module._pairs([row], [points[k]])
+            alone = roots_module._polish(alone_rows, alone_moduli, alone_z)
+            mine = np.flatnonzero(owner == k)[np.argsort(order[owner == k])]
+            assert [_bits(x[mine]) for x in polished] == [_bits(x) for x in alone], k
+
+
 def test_root_table_raises_the_first_failing_polynomial(monkeypatch):
     # Eigenvalues moved far off the roots of g_5 and g_8 fail the residual
     # gate after the polish; the table raises g_5's error, the one
