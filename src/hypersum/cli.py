@@ -5,12 +5,12 @@ Commands: gen, eval, roots, verify, pencil, sweep. Documents go to stdout
 as its first failing cell would alone. Exit codes: 0 success, 2 usage/parse
 error, 3 domain/precondition error, 4 verification failure.
 
-Serialization rules, applied uniformly: every float is rendered with 17
-significant digits; complex values appear as a bare number when the
-imaginary part is exactly zero and as a two-element [re, im] array
-otherwise; non-finite values are the strings "nan", "inf", "-inf". JSON
-objects are emitted with sorted keys, so identical configurations produce
-byte-identical documents.
+Serialization rules: every float is rendered with 17 significant digits;
+in JSON, complex values appear as a bare number when the imaginary part is
+exactly zero and as a two-element [re, im] array otherwise, non-finite
+values are the strings "nan", "inf", "-inf", and objects are emitted with
+keys sorted as strings, so identical configurations produce byte-identical
+documents. CSV cells write non-finite values bare and None as an empty cell.
 
 Importing this module loads only what every command needs: numpy and the
 coefficient layer (partial_sums, polycore). Each command imports its own
@@ -59,10 +59,13 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
+def _split(text: str, parse) -> tuple:
+    """Comma-separated values, each read by parse; the empty string is ()."""
+    return tuple(map(parse, text.split(","))) if text else ()
+
+
 def parse_complex_list(text: str) -> tuple[complex, ...]:
-    if text == "":
-        return ()
-    return tuple(parse_complex(part) for part in text.split(","))
+    return _split(text, parse_complex)
 
 
 def parse_real(text: str) -> float:
@@ -73,16 +76,12 @@ def parse_real(text: str) -> float:
 
 
 def parse_real_list(text: str) -> tuple[float, ...]:
-    if text == "":
-        return ()
-    return tuple(parse_real(part) for part in text.split(","))
+    return _split(text, parse_real)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return _split(text, int)
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
 
@@ -98,52 +97,36 @@ def _json_number(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(x, out: list, ind: int) -> None:
-    pad = " " * ind
+def _json(x, indent: int) -> str:
     if x is None:
-        out.append("null")
-    elif isinstance(x, bool):
-        out.append("true" if x else "false")
-    elif isinstance(x, str):
-        out.append(json.dumps(x))
-    elif isinstance(x, int):
-        out.append(str(x))
-    elif isinstance(x, float):
-        out.append(_json_number(x))
-    elif isinstance(x, complex):
-        if x.imag == 0:
-            out.append(_json_number(x.real))
-        else:
-            _emit([x.real, x.imag], out, ind)
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return json.dumps(x)
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return _json_number(x)
+    if isinstance(x, complex):
+        return _json_number(x.real) if x.imag == 0 else _json([x.real, x.imag], indent)
+    if isinstance(x, dict):
+        keys = sorted(x, key=str)
+        items = [f"{json.dumps(str(k))}: {_json(x[k], indent + 2)}" for k in keys]
+        open_, close = "{}"
     elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(x):
-            out.append(" " * (ind + 2))
-            _emit(v, out, ind + 2)
-            out.append(",\n" if i < len(x) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(x)
-        for i, k in enumerate(keys):
-            out.append(" " * (ind + 2) + json.dumps(str(k)) + ": ")
-            _emit(x[k], out, ind + 2)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+        items = [_json(v, indent + 2) for v in x]
+        open_, close = "[]"
     else:
         raise TypeError(f"cannot serialize {type(x).__name__}")
+    if not items:
+        return open_ + close
+    pad = "\n" + " " * (indent + 2)
+    return open_ + pad + ("," + pad).join(items) + "\n" + " " * indent + close
 
 
 def render_json(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out, 0)
-    return "".join(out) + "\n"
+    return _json(obj, 0) + "\n"
 
 
 def _cell(x) -> str:

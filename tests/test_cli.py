@@ -958,6 +958,86 @@ def test_in_process_sequence_matches_separate_runs(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+NAN, INF = float("nan"), float("inf")
+EDGE_DOCUMENT = {
+    "b": [None, True, False, 0, -3],
+    "a": {},
+    "B": [],
+    "10": (1.5, -0.0, 1e-300, 0.1, 1.0),
+    "9": [NAN, INF, -INF],
+    "c": [2 + 0j, 1 - 2j, complex(1, NAN), complex(NAN, 0)],
+    "s": ['a"b\\c\n', "é"],
+    "n": [[], [[1]], {"y": (), "x": None}],
+}
+EDGE_JSON = r"""{
+  "10": [
+    1.5,
+    -0,
+    1e-300,
+    0.10000000000000001,
+    1
+  ],
+  "9": [
+    "nan",
+    "inf",
+    "-inf"
+  ],
+  "B": [],
+  "a": {},
+  "b": [
+    null,
+    true,
+    false,
+    0,
+    -3
+  ],
+  "c": [
+    2,
+    [
+      1,
+      -2
+    ],
+    [
+      1,
+      "nan"
+    ],
+    "nan"
+  ],
+  "n": [
+    [],
+    [
+      [
+        1
+      ]
+    ],
+    {
+      "x": null,
+      "y": []
+    }
+  ],
+  "s": [
+    "a\"b\\c\n",
+    "\u00e9"
+  ]
+}
+"""
+
+
+def test_renderers_write_the_documented_text():
+    # Keys sorted as strings, two-space indent, one element per line,
+    # bool before int, None as null, non-finite floats quoted, tuples as
+    # arrays, complex as a bare number or [re, im].
+    assert cli.render_json(EDGE_DOCUMENT) == EDGE_JSON
+    assert [cli.render_json(x) for x in ([], {}, (), 1 - 0j, "x", None, 7)] == [
+        "[]\n", "{}\n", "[]\n", "1\n", '"x"\n', "null\n", "7\n"]
+    # CSV writes None as an empty cell and non-finite floats bare.
+    rows = [(None, True), (False, 3), (1.5, -0.0), (NAN, INF), (-INF, 'a,"b')]
+    assert cli.render_csv(("k", "v"), rows) == (
+        'k,v\n,true\nfalse,3\n1.5,-0\nnan,inf\n-inf,"a,""b"\n')
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        cli.render_json({"x": {1}})
+
+
 # sha256 of the stdout of default documents: verify --check all on fixed
 # real and complex families and one sweep of each quantity. A change that
 # moves a byte of one changes its digest; where that is meant, say so and
