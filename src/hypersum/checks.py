@@ -274,6 +274,17 @@ def check_ode(
     return _result("ode", worst, tol, detail)
 
 
+@functools.cache
+def _exactness_defect(n_nodes: int) -> float:
+    """The exactness clause of check_sobolev on the n_nodes-node rule: the
+    largest defect of z^k·conj(z)^l, k, l <= 6, and of z^(N-1), all 50
+    pairs in one pass over the nodes (sobolev._quadrature_defects), each
+    defect bit for bit monomial_quadrature_defect of its pair. It depends
+    on the node count alone, so each count is computed once per process."""
+    pairs = [(k, l) for k in range(7) for l in range(7)] + [(n_nodes - 1, 0)]
+    return max(_quadrature_defects(QuadratureRule(n_nodes), pairs))
+
+
 def check_sobolev(
     family: Family, n_max: int, tol: Optional[float] = None
 ) -> CheckResult:
@@ -290,9 +301,9 @@ def check_sobolev(
     The family record's sequence is read first; the Gram's errors follow,
     then those of kappa_n, which is read from the same sequence. The
     exactness clause takes z^k·conj(z)^l, k, l <= 6, and z^(N-1) on the
-    N-node rule: all 50 pairs in one pass over the nodes
-    (sobolev._quadrature_defects), each defect bit for bit
-    monomial_quadrature_defect of its pair.
+    N-node rule, N = auto_node_count(n, rho). It depends on N alone and is
+    built once per N and process (_exactness_defect); the Gram and the
+    diagonal clause are the family's own.
     """
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)
@@ -307,9 +318,7 @@ def check_sobolev(
     with np.errstate(divide="ignore", invalid="ignore"):
         diag = modulus(gram.diagonal() - target) / np.maximum(target, 0.1 * max_diag)
     diag_rel = _worst(diag[:, None], "sobolev", ("diagonal",))
-    rule = QuadratureRule(auto_node_count(m, max(params.p, params.q + 1)))
-    pairs = [(k, l) for k in range(7) for l in range(7)] + [(rule.n_nodes - 1, 0)]
-    defect = max(_quadrature_defects(rule, pairs))
+    defect = _exactness_defect(auto_node_count(m, max(params.p, params.q + 1)))
     measured = max(off / (1e-10 * max_diag), diag_rel / 1e-9, defect / 1e-14)
     return _result("sobolev", measured, tol, (
         f"offdiag {_fmt(off)} vs maxdiag {_fmt(max_diag)}, "
@@ -455,6 +464,18 @@ _PENCIL_LAMBDAS = 20
 _PENCIL_MAX_N = 12  # N is drawn from 2..12
 
 
+@functools.cache
+def _pencil_ranges(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi - lo of every value of a draw of size N, in draw order:
+    built once per size and process, and read-only."""
+    ranges = [r for r in _PENCIL_BAND_RANGES for _ in range(N)]
+    ranges += _PENCIL_SEED_RANGES + _PENCIL_LAMBDA_RANGES * _PENCIL_LAMBDAS
+    lo, hi = np.array(ranges).T.copy()
+    width = hi - lo
+    lo.flags.writeable = width.flags.writeable = False
+    return lo, width
+
+
 def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
     """The pencil check's draws, grouped by N in draw order: a (B, 5N + 2 +
     2·_PENCIL_LAMBDAS) array per N. Value i is lo_i + (hi_i - lo_i)·r_i as
@@ -471,11 +492,9 @@ def _draw_pencils(rng: random.Random, draws: int) -> dict[int, np.ndarray]:
     uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
     groups, stop = {}, 0
     for N, drawn in blocks.items():  # one numpy pass per size
-        ranges = [r for r in _PENCIL_BAND_RANGES for _ in range(N)]
-        ranges += _PENCIL_SEED_RANGES + _PENCIL_LAMBDA_RANGES * _PENCIL_LAMBDAS
-        lo, hi = np.array(ranges).T
-        r = uniform[stop : stop + len(drawn) * len(ranges)].reshape(len(drawn), -1)
-        groups[N], stop = lo + (hi - lo) * r, stop + r.size
+        lo, width = _pencil_ranges(N)
+        r = uniform[stop : stop + len(drawn) * len(lo)].reshape(len(drawn), -1)
+        groups[N], stop = lo + width * r, stop + r.size
     return groups
 
 

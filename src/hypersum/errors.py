@@ -4,7 +4,8 @@ DomainError marks inputs outside an operation's contract (bad parameters,
 out-of-domain evaluation points, unmet preconditions); ConvergenceError marks
 iterative procedures that hit their caps. The CLI maps DomainError to exit
 code 3 and verification failures to exit code 4. Every stack refuses as its
-first failing item would alone: read_in_order.
+first failing item would alone: read_in_order. An order, index or count is
+read by nonnegative_int.
 """
 
 
@@ -14,6 +15,18 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iteration or series hit its cap without meeting its tolerance."""
+
+
+def nonnegative_int(value, name: str) -> int:
+    """int(value), refusing a negative value ("{name} must be nonnegative")
+    and one int() cannot take, such as nan or inf, with a DomainError."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+    if n < 0:
+        raise DomainError(f"{name} must be nonnegative")
+    return n
 
 
 def read_in_order(items, read, then):

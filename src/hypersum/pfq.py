@@ -159,6 +159,14 @@ def pfq_eval(params: HypParams, z: complex) -> PfqValue:
     return _eval_points(params, [z])[0]
 
 
+@functools.cache
+def _unit_circle_nodes(count: int) -> np.ndarray:
+    """The equispaced nodes e^(2·pi·i·j/count), j < count, read-only."""
+    nodes = np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+    nodes.flags.writeable = False
+    return nodes
+
+
 def integral_rep_circle_batch(
     params: HypParams, n_list, taus
 ) -> list[list[complex]]:
@@ -176,7 +184,8 @@ def integral_rep_circle_batch(
 
     so one FFT of the series samples gives every F_k, and a cumulative sum
     over k gives every n at once. The samples come from one _sum_series
-    call, each node stopping on its own. F_k equals xi_k up to aliasing from
+    call, each node stopping on its own; the nodes are built once per
+    process (_unit_circle_nodes). F_k equals xi_k up to aliasing from
     xi_{k+N}, xi_{k+2N}, ..., far below roundoff at N = 4096 for n <= 170.
     Rows follow n_list (any order, repeats allowed), columns follow taus.
     """
@@ -186,8 +195,7 @@ def integral_rep_circle_batch(
         raise DomainError("circle representation requires p <= q")
     if not ns:
         return []
-    t = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-    nodes = np.exp(1j * t)
+    nodes = _unit_circle_nodes(CIRCLE_NODES)
     fvals, terms_used, capped = _sum_series([params], 0, nodes)
     _raise_series_failure(nodes, fvals, terms_used, capped)
     k = np.arange(max(ns) + 1)

@@ -17,9 +17,13 @@ The pencil engine solves the five-term scalar relation of a pentadiagonal/
 tridiagonal symmetric pair forward for p_{n+2}; gamma_n > 0 makes the solve
 unconditionally legal. It works on band arrays: a (5, B, K) float array of
 b_k, a_k, alpha_k, beta_k, gamma_k of B pencils, with (B,) arrays of alpha
-and beta, solved at once into a real (B, N+1, N+1) coefficient array. Row n
-reads band entries <= n only, so a pencil padded past its last read entry
-and solved to a larger N has p_0..p_N bit for bit those of its own solve.
+and beta, solved at once into a real (B, N+1, N+1) coefficient array. The
+solve runs on a (k, j, B) array, the pencil axis last and contiguous, and
+returns its (B, k, j) view; each coefficient is one sequence of real
+float64 multiplies and adds, each its own ufunc call, so the layout cannot
+change a bit. Row n reads band entries <= n only, so a pencil padded past
+its last read entry and solved to a larger N has p_0..p_N bit for bit
+those of its own solve.
 The residual (_band_row_sums) evaluates every p_k at an array of lambda by
 Horner and sums the five row addends, with their moduli as the scale, in
 one pass; pencil_row_terms is the scalar form of one row it is tested
@@ -32,13 +36,14 @@ a_k, gamma_k and alpha positive.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, nonnegative_int
 from .partial_sums import HypParams, PowerSeriesCoeffs, delta_k
 from .polycore import (DEGREE_CAP, Poly, coeff_difference, coeff_product, coeff_scale,
                        coeff_table, horner, modulus)
@@ -101,9 +106,7 @@ def _ri_rows(rec: RIRecurrence, N: int) -> tuple[list[list[complex]], RIValidity
     report: the engine of ri_generate. Each P_n is formed from P_{n-1} and
     P_{n-2} by polycore's list kernels, which Poly arithmetic wraps, and
     tested at a_n by horner."""
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    N = nonnegative_int(N, "N")
     if N > len(rec):
         raise DomainError(
             f"recurrence holds {len(rec)} coefficient triples, needs {N}"
@@ -153,9 +156,7 @@ def tfraction_from_hyp(params: HypParams, N: int) -> RIRecurrence:
     computed once. lambda_1 = delta_0 = 0 by convention; it multiplies
     P_-1 = 0.
     """
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    N = nonnegative_int(N, "N")
     deltas = [delta_k(params, n) for n in range(N + 1)]
     return RIRecurrence(
         c=[-d for d in deltas[1:]], lam=deltas[:-1], a=(0j,) * N
@@ -243,33 +244,42 @@ def _band_coeff_stack(bands, alpha, beta, N: int) -> np.ndarray:
     above the diagonal. Each row n = 0..N-2 is solved for p_{n+2} (see
     pencil_polynomials) on all pencils at once, so a pencil's coefficients
     do not depend on the stack it is solved in.
+
+    The solve runs in a (k, j, B) array: each row step reads and writes
+    whole (N+1, B) rows with the pencil axis last and contiguous, not
+    (B, N+1) slices strided by (N+1)^2 entries; the result is its (B, k, j)
+    view. The bits are those of the (B, k, j) solve
+    (tests/test_ri_pencils.py keeps it as the oracle): every coefficient
+    takes the same real float64 multiplies and adds in the same order, each
+    in its own ufunc call, and no complex product, so numpy's fused
+    multiply-add path never enters.
     """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     for name, values in zip(_FIELD_NAMES, (*bands, alpha, beta)):
         _require_valid(name, values, stacked=True)
-    # A fresh C-ordered copy, so that every pass below runs the same numpy
-    # loops whatever the layout the caller's bands have.
-    b, a, al, be, ga = np.ascontiguousarray(bands[:, :, : max(N - 1, 0)])
-    P = np.zeros((len(alpha), N + 1, N + 1))
-    P[:, 0, 0] = 1.0
+    # Laid out (k, j, pencil): each step below reads and writes whole rows
+    # with the pencil axis last and contiguous, whatever the caller's layout.
+    b, a, al, be, ga = np.ascontiguousarray(bands[:, :, : max(N - 1, 0)].transpose(0, 2, 1))
+    P = np.zeros((N + 1, N + 1, len(alpha)))
+    P[0, 0] = 1.0
     if N >= 1:
-        P[:, 1, 0] = beta
-        P[:, 1, 1] = alpha
+        P[1, 0] = beta
+        P[1, 1] = alpha
 
     def times_linear(k, c0, c1):
         # p_k * (c0 + c1 x)
-        out = P[:, k] * c0[:, None]
-        out[:, 1:] += P[:, k, :-1] * c1[:, None]
+        out = P[k] * c0
+        out[1:] += P[k, :-1] * c1
         return out
 
     for n in range(0, N - 1):
-        acc = P[:, n - 2] * ga[:, n - 2, None] if n >= 2 else 0.0
+        acc = P[n - 2] * ga[n - 2] if n >= 2 else 0.0
         if n >= 1:
-            acc = acc + times_linear(n - 1, be[:, n - 1], -a[:, n - 1])
-        acc = acc + times_linear(n, al[:, n], -b[:, n])
-        acc = acc + times_linear(n + 1, be[:, n], -a[:, n])
-        P[:, n + 2] = acc * (-1.0 / ga[:, n])[:, None]
-    return P
+            acc = acc + times_linear(n - 1, be[n - 1], -a[n - 1])
+        acc = acc + times_linear(n, al[n], -b[n])
+        acc = acc + times_linear(n + 1, be[n], -a[n])
+        P[n + 2] = acc * (-1.0 / ga[n])
+    return P.transpose(2, 0, 1)
 
 
 def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
@@ -281,25 +291,30 @@ def pencil_polynomials(pencil: JacobiPencil, N: int) -> list[Poly]:
     with p_{-2} = p_{-1} = 0 and gamma/a/beta at negative indices zero.
     deg p_n = n with positive leading coefficient (alpha, a_k, gamma_n > 0).
     This is _band_coeff_stack on a stack of one. N may not exceed
-    DEGREE_CAP, the largest degree a Poly holds.
+    DEGREE_CAP, the largest degree a Poly holds. A coefficient that
+    overflows double precision is a DomainError naming the first p_k
+    holding one.
     """
-    N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
+    N = nonnegative_int(N, "N")
     if N > DEGREE_CAP:
         raise DomainError(f"N = {N} exceeds the degree cap {DEGREE_CAP}")
     bands = _pencil_bands(pencil, max(N - 1, 0))[:, None]
-    P = _band_coeff_stack(bands, [pencil.alpha], [pencil.beta], N)[0]
+    # Overflowed coefficients are refused below, so numpy's warnings are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _band_coeff_stack(bands, [pencil.alpha], [pencil.beta], N)[0]
+    overflowed = ~np.isfinite(P).all(axis=1)
+    if overflowed.any():
+        raise DomainError(f"p_{overflowed.argmax()} overflowed double precision")
     return [Poly(row[: k + 1].tolist()) for k, row in enumerate(P)]
 
 
 def pencil_row_terms(
     pencil: JacobiPencil, values: Sequence[complex], lam: complex, n: int
 ) -> tuple[complex, complex, complex, complex, complex]:
-    """The five addends of scalar relation n at p_k(lam) = values[k]."""
-    n = int(n)
-    if n < 0:
-        raise DomainError("row index must be nonnegative")
+    """The five addends of scalar relation n at p_k(lam) = values[k]. An
+    addend that is not finite, from an overflow or a non-finite input, is a
+    DomainError naming it."""
+    n = nonnegative_int(n, "row index")
     if len(values) < n + 3:
         raise DomainError(f"row {n} needs p_0..p_{n + 2}")
     b, a, al, be, ga = _pencil_bands(pencil, n + 1).tolist()
@@ -309,7 +324,11 @@ def pencil_row_terms(
     t2 = (al[n] - lam * b[n]) * values[n]
     t3 = (be[n] - lam * a[n]) * values[n + 1]
     t4 = ga[n] * values[n + 2]
-    return (t0, t1, t2, t3, t4)
+    terms = (t0, t1, t2, t3, t4)
+    for i, t in enumerate(terms):
+        if not cmath.isfinite(t):
+            raise DomainError(f"addend {i} of row {n} is not finite: {t}")
+    return terms
 
 
 def _band_row_sums(bands, coeffs, lams, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,10 +384,10 @@ def pencil_residual(
 ) -> float:
     """Max modulus of the first `rows` scalar relations at lambda = lam,
     or over every lambda when lam is a sequence. Row n reads p_0..p_{n+2};
-    zero rows read no polynomial and have residual 0."""
-    rows = int(rows)
-    if rows < 0:
-        raise DomainError("rows must be nonnegative")
+    zero rows read no polynomial and have residual 0. Values that overflow
+    (a lambda far outside the spectrum, entries near the float range) give
+    an inf or nan residual: that is the report, not a refusal."""
+    rows = nonnegative_int(rows, "rows")
     if rows and len(polys) < rows + 2:
         raise DomainError(f"{rows} rows need {rows + 2} polynomials")
     used = [f.coeffs for f in polys[: rows + 2]]
@@ -379,10 +398,12 @@ def pencil_residual(
 
 
 def chebyshev_eval(kind: str, k: int, x: float) -> float:
-    """T_k(x) or U_k(x) by the shared three-term recurrence."""
-    k = int(k)
-    if k < 0:
-        raise DomainError("index must be nonnegative")
+    """T_k(x) or U_k(x) by the shared three-term recurrence, k up to
+    DEGREE_CAP. A value that is not finite (|x| so large that it
+    overflows, or x nan) is a DomainError naming k and x."""
+    k = nonnegative_int(k, "index")
+    if k > DEGREE_CAP:
+        raise DomainError(f"index {k} exceeds the degree cap {DEGREE_CAP}")
     if kind == "first":
         w0, w1 = 1.0, float(x)
     elif kind == "second":
@@ -393,6 +414,9 @@ def chebyshev_eval(kind: str, k: int, x: float) -> float:
         return w0
     for _ in range(k - 1):
         w0, w1 = w1, 2.0 * float(x) * w1 - w0
+    if not math.isfinite(w1):
+        name = "T" if kind == "first" else "U"
+        raise DomainError(f"{name}_{k}(x) at x = {float(x)!r} is not finite: {w1}")
     return w1
 
 
@@ -413,9 +437,7 @@ def kernel_decompose(d: PowerSeriesCoeffs, n: int) -> ChebDecomposition:
     so t_coeffs = (d_0..d_n) and u_coeffs = (d_1..d_{n+1}). Requires
     n + 1 < len(d) and strictly positive real coefficients.
     """
-    n = int(n)
-    if n < 0:
-        raise DomainError("order must be nonnegative")
+    n = nonnegative_int(n, "order")
     if n + 1 >= len(d):
         raise DomainError(f"need d_0..d_{n + 1}, have {len(d)} coefficients")
     reals = []

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, nonnegative_int
 from .operators import LinDiffOp, build_R, r_action
 from .partial_sums import HypParams, read_family
 from .polycore import complex_product
@@ -65,14 +65,18 @@ def _int_powers(z: np.ndarray, exponents) -> np.ndarray:
     100 takes CPython's binary powering once, all of them together: the
     repeated squares z, z^2, z^4, ... are shared, and each exponent
     multiplies in the squares of its set bits in order (complex_product).
-    Any other exponent is Python's pow at each point."""
+    Any other exponent is Python's pow at each point, and nan where that
+    overflows."""
     out = np.empty((len(exponents), z.size), dtype=complex)
     rows_of = {}  # each binary-powered exponent and the rows holding it
     for i, k in enumerate(exponents):
         if type(k) is int and 0 <= k <= 100:
             rows_of.setdefault(k, []).append(i)
         else:
-            out[i] = [w ** k for w in z.tolist()]
+            try:
+                out[i] = [w ** k for w in z.tolist()]
+            except OverflowError:  # an exponent or a power beyond the float range
+                out[i] = math.nan
     ks = np.array(list(rows_of), dtype=int)
     powers = np.ones((len(ks), z.size), dtype=complex)
     square, bit = z, 1
@@ -91,12 +95,18 @@ def _quadrature_defects(rule: QuadratureRule, pairs) -> list[float]:
     over the rule's nodes: the powers z^k and conj(z)^m of all pairs
     (_int_powers) and their products in one array each, so each defect is
     bit for bit the one a node-by-node loop of Python complex arithmetic
-    gives."""
+    gives. A pair whose products are not finite is a DomainError naming
+    it."""
     z = np.array(rule.points, dtype=complex)
     ks, ms = [k for k, _ in pairs], [m for _, m in pairs]
-    products = complex_product(_int_powers(z, ks), _int_powers(z.conj(), ms))
-    # Each row summed exactly (math.fsum), then divided by the node count.
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = complex_product(_int_powers(z, ks), _int_powers(z.conj(), ms))
     N = rule.n_nodes
+    finite = np.isfinite(products).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"z^k·conj(z)^m of pair {finite.argmin()} is not finite "
+                          f"on the {N}-node rule")
+    # Each row summed exactly (math.fsum), then divided by the node count.
     return [abs(complex(math.fsum(re) / N, math.fsum(im) / N) - (1.0 if k == m else 0.0))
             for k, m, re, im in zip(ks, ms, products.real.tolist(), products.imag.tolist())]
 
@@ -106,7 +116,8 @@ def monomial_quadrature_defect(rule: QuadratureRule, k: int, m: int) -> float:
 
     The exact value holds whenever N > k + m; this is the exactness
     sub-check used by tests and the verification suite, and
-    _quadrature_defects at one pair.
+    _quadrature_defects at one pair: a power that overflows, or is not
+    finite, is a DomainError.
     """
     return _quadrature_defects(rule, [(k, m)])[0]
 
@@ -122,8 +133,9 @@ def auto_node_count(n_max: int, rho: int) -> int:
 
     Covers the safe bound N >= deg f + deg h + 2·rho + 1 for f, h of degree
     up to n_max; the power of two fixes a predictable accumulation order.
+    Both must be nonnegative integers.
     """
-    raw = 2 * (int(n_max) + int(rho)) + 8
+    raw = 2 * (nonnegative_int(n_max, "order") + nonnegative_int(rho, "operator order")) + 8
     return 1 << (raw - 1).bit_length()
 
 

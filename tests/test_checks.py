@@ -523,6 +523,39 @@ def test_sobolev_check_does_not_expand_R(monkeypatch):
     assert check_sobolev(_family(ODE_FAMILIES[2]), 10).status == "PASS"
 
 
+def test_sobolev_computes_its_exactness_clause_once_per_node_count(monkeypatch):
+    # 1F1 and 2F1 at n_max 15 both take the 64-node rule (rho = 2), and
+    # 1F1 at n_max 10 the 32-node one; the clause reads the node count alone.
+    calls = []
+    original = checks._quadrature_defects
+
+    def counting(rule, pairs):
+        calls.append(rule.n_nodes)
+        return original(rule, pairs)
+
+    monkeypatch.setattr(checks, "_quadrature_defects", counting)
+    checks._exactness_defect.cache_clear()
+    cases = [(HypParams(a=(1.0,), b=(2.0,)), 15), (HypParams(a=(1.0, 1.5), b=(2.5,)), 15),
+             (HypParams(a=(1.0,), b=(2.0,)), 10), (HypParams(a=(0.5,), b=(3.0,)), 10)]
+    for params, n_max in cases:
+        family = _family(params)
+        assert check_sobolev(family, n_max) == _former_sobolev_check(family, n_max)
+    assert calls == [64, 32]
+
+
+@pytest.mark.parametrize("table", [
+    lambda: checks._pencil_ranges(7),
+    lambda: (pfq._unit_circle_nodes(pfq.CIRCLE_NODES),),
+    lambda: pfq._unit_gauss_legendre(pfq.AXIS_NODES),
+], ids=["pencil-ranges", "circle-nodes", "gauss-legendre"])
+def test_the_tables_built_once_per_process_are_read_only(table):
+    arrays = table()
+    assert all(again is array for again, array in zip(table(), arrays))
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def _pencil_draws(rng, draws):
     """(N, band tuples, alpha, beta, lambdas) in the pencil check's draw
     order: N, the five bands, alpha, beta, then 20 (re, im) lambda pairs."""

@@ -906,6 +906,17 @@ def test_pencil_command_past_the_degree_cap_is_domain_error():
     assert out.stderr.startswith("domain error: N = 172 exceeds the degree cap 170")
 
 
+def test_an_overflowing_pencil_is_one_domain_error_line():
+    # Bands of 1e308 printed numpy RuntimeWarnings, then refused with
+    # "non-finite coefficient: -inf".
+    band = "1e308,1e308,1e308"
+    out = run_cli("pencil", "--n", "4", "--j3-diag", band, "--j3-offdiag", band,
+                  "--j5-diag", band, "--j5-off1", band, "--j5-off2", band)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == "domain error: p_4 overflowed double precision\n"
+
+
 @pytest.mark.parametrize("check", ["recurrence", "ode", "sobolev", "circle-rep",
                                    "axis-rep", "roots", "rifrac", "all"])
 def test_verify_refuses_negative_n_max(check, capsys):

@@ -3,20 +3,22 @@ the operator routes (build_R, op_compose, op_apply, kappa, r_image,
 verify_ode), both negative-axis routes and Poly arithmetic; then the
 coefficient and partial-sum routes, the Sobolev Gram, the root finder and
 its report, the series and its circle representation, the T-fraction and
-run_checks.
+run_checks; then the pencil routes, the Chebyshev pieces and the Sobolev
+form's helpers.
 
 Every call returns a finite value or raises DomainError or
 ConvergenceError; no other exception and no numpy warning escapes. The
 draws are moduli 10^u, u uniform in [-3, 300], 40% of them complex with a
 uniform phase, the others real of either sign; a fixed seed keeps the
-draws the same on every run.
+draws the same on every run. The one documented exception: pencil_residual
+reports values that overflow as an inf or nan residual.
 """
 
 import cmath
 import math
 import random
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, is_dataclass
 
 import numpy as np
 import pytest
@@ -26,15 +28,18 @@ from hypersum.checks import run_checks
 from hypersum.errors import ConvergenceError, DomainError
 from hypersum.operators import (LinDiffOp, build_R, kappa, op_apply, op_compose, op_theta,
                                 r_action, r_image, verify_ode)
-from hypersum.partial_sums import (Gn_by_recurrence, Gn_monic, HypParams, delta_k,
-                                   gn_by_recurrence, gn_direct, hyp_coeff)
+from hypersum.partial_sums import (Gn_by_recurrence, Gn_monic, HypParams, PowerSeriesCoeffs,
+                                   delta_k, gn_by_recurrence, gn_direct, hyp_coeff)
 from hypersum.pfq import (convergence_report, integral_rep_circle_batch,
                           integral_rep_negative_axis, integral_rep_negative_axis_numeric,
                           pfq_eval)
 from hypersum.polycore import Poly
-from hypersum.ri_pencils import ri_generate, tfraction_from_hyp
+from hypersum.ri_pencils import (JacobiPencil, chebyshev_eval, kernel_decompose,
+                                 pencil_polynomials, pencil_residual, pencil_row_terms,
+                                 ri_generate, tfraction_from_hyp)
 from hypersum.roots import enestrom_kakeya_bounds, find_roots, location_report
-from hypersum.sobolev import sobolev_gram
+from hypersum.sobolev import (QuadratureRule, auto_node_count, build_sobolev_form,
+                              monomial_quadrature_defect, sobolev_gram)
 
 DRAWS = 1500
 
@@ -47,7 +52,12 @@ def _number(rng: random.Random, high: float = 300.0) -> complex:
 
 
 def _numbers(value) -> list:
-    """The numbers a returned value holds, flattened."""
+    """The numbers a returned value holds, flattened; a Python int is exact
+    and has none that could fail to be finite."""
+    if isinstance(value, int):
+        return []
+    if is_dataclass(value):
+        return _numbers(astuple(value))
     if isinstance(value, LinDiffOp):
         return [c for f in value.coeffs for c in f.coeffs]
     if isinstance(value, Poly):
@@ -270,3 +280,102 @@ def test_r_action_refuses_an_overflowing_coefficient():
                 r_action(params, coeffs)
         assert str(exc.value) == (f"{subject} overflowed double precision at its "
                                   "coefficient of z^2: (-inf-0j)")
+
+
+# The third contract: the pencil routes, the Chebyshev pieces and the
+# Sobolev form's helpers. Orders and indices are drawn from ints of every
+# size and sign and from the floats int() cannot take.
+FORM_DRAWS = 200
+INDICES = (0, 1, 2, 3, 5, 12, 60, 170, 171, -1, 10**400, math.nan, -math.inf)
+EXPONENTS = (0, 1, 6, 63, 64, 101, -5, 10**18, 10**400, -(10**400), math.nan)
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
+# pencil_residual's documented non-finite report of an overflow.
+NON_FINITE_REPORTS = {"pencil_residual"}
+
+
+def _real(rng: random.Random, high: float, positive: bool = False) -> float:
+    """A real of modulus 10^u, positive or of either sign."""
+    r = 10.0 ** rng.uniform(-3.0, high)
+    return r if positive or rng.random() < 0.5 else -r
+
+
+def _pencil_fields(rng: random.Random, high: float) -> tuple[dict, int]:
+    """The fields of a pencil with `size` entries per band, and the size;
+    one draw in five makes one entry zero, negative or not finite."""
+    size = rng.choice((0, 1, 2, 5, 12, 169))
+    fields = {name: [_real(rng, high, name in ("j3_offdiag", "j5_off2")) for _ in range(size)]
+              for name in ("j3_diag", "j3_offdiag", "j5_diag", "j5_off1", "j5_off2")}
+    fields.update(alpha=[_real(rng, high, True)], beta=[_real(rng, high)])
+    if rng.random() < 0.2:
+        band = fields[rng.choice([name for name, v in fields.items() if v])]
+        band[rng.randrange(len(band))] = rng.choice(SPECIAL + (-1.0,))
+    fields["alpha"], fields["beta"] = fields["alpha"][0], fields["beta"][0]
+    return fields, size
+
+
+def _index(rng: random.Random, size: int):
+    """An order or index that a pencil of `size` entries per band can
+    serve, 7 in 10 times; otherwise any of INDICES."""
+    return rng.randint(0, size + 1) if rng.random() < 0.7 else rng.choice(INDICES)
+
+
+def _form_calls(rng: random.Random, high: float) -> list:
+    """(name, call) for every route of the third contract at one draw."""
+    fields, size = _pencil_fields(rng, high)
+    N, rows, n = (_index(rng, size) for _ in range(3))
+    lams = [_number(rng, high) for _ in range(rng.randint(1, 4))]
+    # p_0..p_{n+2} at lambda for row n, 8 in 10 times.
+    fits = type(n) is int and 0 <= n <= 172 and rng.random() < 0.8
+    values = [_number(rng, high) for _ in range(n + 3 if fits else rng.choice((0, 3)))]
+    kind = rng.choice(("first", "second", "third"))
+    k, x = rng.choice(INDICES), (rng.choice(SPECIAL) if rng.random() < 0.1 else _real(rng, high))
+    # kernel_decompose takes positive real coefficients: 9 in 10 are, and
+    # one draw in four holds 200 of them.
+    d = [_real(rng, high, True) if rng.random() < 0.9 else _number(rng, high)
+         for _ in range(rng.randint(0, 8) if rng.random() < 0.75 else 200)]
+    n_max, rho = rng.choice(INDICES), rng.choice(INDICES)
+    nodes, e1, e2 = rng.choice((1, 2, 8, 64, 256)), rng.choice(EXPONENTS), rng.choice(EXPONENTS)
+    # The residual reads the pencil's own polynomials, or any where it has none.
+    others = [Poly([_number(rng, high) for _ in range(rng.randint(1, 4))])
+              for _ in range(rng.randint(0, 14))]
+    params = _family(rng)
+
+    def pencil():
+        return JacobiPencil(**fields)
+
+    def residual():
+        try:
+            polys = pencil_polynomials(pencil(), min(size + 1, 170))
+        except DomainError:
+            polys = others
+        return pencil_residual(pencil(), polys, lams, rows)
+
+    calls = [
+        ("JacobiPencil", pencil),
+        ("pencil_polynomials", lambda: pencil_polynomials(pencil(), N)),
+        ("pencil_residual", residual),
+        ("pencil_row_terms", lambda: pencil_row_terms(pencil(), values, lams[0], n)),
+        ("chebyshev_eval", lambda: chebyshev_eval(kind, k, x)),
+        ("kernel_decompose", lambda: kernel_decompose(PowerSeriesCoeffs(tuple(d)), n)),
+        ("auto_node_count", lambda: auto_node_count(n_max, rho)),
+        ("monomial_quadrature_defect",
+         lambda: monomial_quadrature_defect(QuadratureRule(nodes), e1, e2)),
+    ]
+    if params is not None:
+        calls.append(("build_sobolev_form", lambda: build_sobolev_form(params)))
+    return calls
+
+
+def test_extreme_draws_of_the_pencil_and_form_routes_return_finite_values_or_refuse():
+    rng = random.Random("contract:pencil-and-form")
+    broken, reports, returned = [], [], set()
+    for draw in range(FORM_DRAWS):
+        for name, call in _form_calls(rng, rng.choice((3.0, 300.0))):
+            refused = []
+            if not _holds(call, refusals=refused):
+                (reports if name in NON_FINITE_REPORTS else broken).append((draw, name))
+            if not refused:
+                returned.add(name)
+    assert broken == []
+    assert len(returned) == 9  # every route returned on some draw
+    assert reports  # pencil_residual reported an overflow on some draw

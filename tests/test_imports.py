@@ -77,6 +77,18 @@ def test_a_process_loads_only_the_modules_it_uses(code, loaded):
     assert numpy_loaded == bool(loaded)
 
 
+def test_no_table_is_built_at_import():
+    # The verify checks build their family-blind tables on first use.
+    out = run_fresh(
+        "from hypersum import checks, pfq\n"
+        "caches = (checks._exactness_defect, checks._pencil_ranges,\n"
+        "          pfq._unit_circle_nodes, pfq._unit_gauss_legendre)\n"
+        "print([c.cache_info().currsize for c in caches])"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[0, 0, 0, 0]\n"
+
+
 def test_star_import_resolves_every_exported_name():
     # A name left in __all__ after its function is gone breaks
     # `from hypersum import *` with an AttributeError. The package keeps

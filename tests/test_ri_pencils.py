@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -522,6 +523,83 @@ def test_band_engine_reads_any_layout_and_ignores_extra_entries():
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _former_band_coeff_stack(bands, alpha, beta, N):
+    """_band_coeff_stack as it was: each row step on (B, N+1) slices of a
+    (B, N+1, N+1) array, the pencil axis first."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    b, a, al, be, ga = np.ascontiguousarray(bands[:, :, : max(N - 1, 0)])
+    P = np.zeros((len(alpha), N + 1, N + 1))
+    P[:, 0, 0] = 1.0
+    if N >= 1:
+        P[:, 1, 0] = beta
+        P[:, 1, 1] = alpha
+
+    def times_linear(k, c0, c1):
+        out = P[:, k] * c0[:, None]
+        out[:, 1:] += P[:, k, :-1] * c1[:, None]
+        return out
+
+    for n in range(0, N - 1):
+        acc = P[:, n - 2] * ga[:, n - 2, None] if n >= 2 else 0.0
+        if n >= 1:
+            acc = acc + times_linear(n - 1, be[:, n - 1], -a[:, n - 1])
+        acc = acc + times_linear(n, al[:, n], -b[:, n])
+        acc = acc + times_linear(n + 1, be[:, n], -a[:, n])
+        P[:, n + 2] = acc * (-1.0 / ga[:, n])[:, None]
+    return P
+
+
+def _assert_coeff_stack_is_the_former(bands, alpha, beta, N):
+    got = _band_coeff_stack(bands, alpha, beta, N)
+    want = _former_band_coeff_stack(bands, alpha, beta, N)
+    assert got.shape == want.shape == (len(alpha), N + 1, N + 1)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 12])
+def test_coeff_stack_equals_the_former_solve_byte_for_byte(N):
+    # Seeded stacks of 1..40 pencils holding up to three band entries more
+    # than the solve reads, contiguous and as strided views.
+    rng = np.random.default_rng(41 + N)
+    for _ in range(30):
+        B, K = int(rng.integers(1, 41)), max(N - 1, 0) + int(rng.integers(0, 4))
+        bands = rng.uniform(-2.0, 2.0, size=(5, B, K))
+        bands[[1, 4]] = rng.uniform(0.1, 2.0, size=(2, B, K))
+        alpha, beta = rng.uniform(0.1, 2.0, size=B), rng.uniform(-2.0, 2.0, size=B)
+        strided = np.ascontiguousarray(bands.transpose(2, 1, 0)).transpose(2, 1, 0)
+        for given in (bands, strided):
+            _assert_coeff_stack_is_the_former(given, alpha, beta, N)
+        _assert_coeff_stack_is_the_former(strided[:, ::-1], alpha[::-1].tolist(),
+                                          beta[::-1].tolist(), N)
+
+
+def test_coeff_stack_equals_the_former_solve_on_the_check_stacks():
+    for seed in range(20):
+        _, bands, alpha, beta, _ = checks._pencil_stack(random.Random(f"{seed}:pencil"), 200)
+        _assert_coeff_stack_is_the_former(bands, alpha, beta, checks._PENCIL_MAX_N)
+
+
+def test_an_overflowing_pencil_names_its_first_overflowed_polynomial():
+    # Finite bands of 1e308: numpy's overflow warnings stayed muted, and the
+    # refusal read "non-finite coefficient: -inf".
+    band = (1e308,) * 3
+    pencil = JacobiPencil(band, band, band, band, band, alpha=1.0, beta=0.0)
+    with pytest.raises(DomainError) as exc:
+        pencil_polynomials(pencil, 4)
+    assert str(exc.value) == "p_4 overflowed double precision"
+    assert [list(f.coeffs) for f in pencil_polynomials(pencil, 3)][:2] == [[1], [0, 1]]
+
+
+def test_row_terms_refuse_an_addend_that_is_not_finite():
+    polys = pencil_polynomials(WORKED_PENCIL, 2)
+    values = [f(1e300) for f in polys]
+    with pytest.raises(DomainError) as exc:
+        pencil_row_terms(WORKED_PENCIL, values, 1e300, 0)
+    assert str(exc.value) == "addend 3 of row 0 is not finite: (-inf+0j)"
+    with pytest.raises(DomainError, match="^addend 4 of row 0 is not finite: "):
+        pencil_row_terms(WORKED_PENCIL, [1, 2, math.nan], 0.5, 0)
+
+
 def _former_band_row_sums(bands, coeffs, lams, rows):
     """_band_row_sums as it was: Horner over every row and every power on a
     (pencil, k, lambda) layout, each product formed as a new array, with
@@ -671,6 +749,41 @@ def test_pencil_residual_takes_every_lambda_at_once():
     assert each == pytest.approx([0.7, abs(2 + 1j), 3.0], rel=1e-15)
     assert pencil_residual(WORKED_PENCIL, tampered, lams, 1) == max(each)
     assert pencil_residual(WORKED_PENCIL, tampered, (), 1) == 0.0
+
+
+@pytest.mark.parametrize("kind, k, x, name", [
+    ("first", 5, 1e300, "T_5"), ("second", 3, math.inf, "U_3"),
+    ("first", 1, math.nan, "T_1"),
+])
+def test_chebyshev_refuses_a_value_that_is_not_finite(kind, k, x, name):
+    # T_5(1e300) returned nan.
+    with pytest.raises(DomainError, match="^" + re.escape(f"{name}(x) at x = {x!r} is not finite: ")):
+        chebyshev_eval(kind, k, x)
+    assert chebyshev_eval(kind, 0, x) == 1.0
+
+
+def test_chebyshev_index_is_capped_at_the_degree_cap():
+    # An index of 10**400 ran its recurrence loop without end.
+    assert chebyshev_eval("second", DEGREE_CAP, 0.5) == pytest.approx(
+        math.sin((DEGREE_CAP + 1) * math.pi / 3) / math.sin(math.pi / 3), abs=1e-11)
+    for k in (DEGREE_CAP + 1, 10**400):
+        with pytest.raises(DomainError) as exc:
+            chebyshev_eval("first", k, 0.5)
+        assert str(exc.value) == f"index {k} exceeds the degree cap {DEGREE_CAP}"
+
+
+@pytest.mark.parametrize("route, args, name, bad", [
+    (pencil_polynomials, (WORKED_PENCIL, math.nan), "N", "nan"),
+    (pencil_residual, (WORKED_PENCIL, (), 0.0, math.inf), "rows", "inf"),
+    (pencil_row_terms, (WORKED_PENCIL, (), 0.0, -math.inf), "row index", "-inf"),
+    (chebyshev_eval, ("first", math.nan, 0.5), "index", "nan"),
+    (kernel_decompose, (PowerSeriesCoeffs((1.0, 1.0)), math.nan), "order", "nan"),
+])
+def test_an_order_int_cannot_take_is_a_domain_error(route, args, name, bad):
+    # int() raised ValueError or OverflowError.
+    with pytest.raises(DomainError) as exc:
+        route(*args)
+    assert str(exc.value) == f"{name} must be an integer, got {bad}"
 
 
 def test_chebyshev_values():

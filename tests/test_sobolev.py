@@ -183,6 +183,29 @@ def test_auto_node_count():
             assert N & (N - 1) == 0
 
 
+@pytest.mark.parametrize("n_max, rho, message", [
+    (math.nan, 1, "order must be an integer, got nan"),  # was ValueError
+    (-20, 1, "order must be nonnegative"),  # returned 32
+    (3, math.inf, "operator order must be an integer, got inf"),
+    (3, -1, "operator order must be nonnegative"),
+])
+def test_auto_node_count_refuses_what_is_no_order(n_max, rho, message):
+    with pytest.raises(DomainError) as exc:
+        auto_node_count(n_max, rho)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k, m", [(10**400, 0), (3, -(10**400)), (math.nan, 0)],
+                         ids=["huge-k", "huge-negative-m", "nan-k"])
+def test_a_monomial_beyond_double_precision_is_a_domain_error(k, m):
+    # 10**400 raised OverflowError from Python's pow; nan read a nan defect.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            monomial_quadrature_defect(QuadratureRule(64), k, m)
+    assert str(exc.value) == "z^k·conj(z)^m of pair 0 is not finite on the 64-node rule"
+
+
 def test_form_coefficients_match_R():
     assert build_sobolev_form(EXP) == build_R(EXP)
 
