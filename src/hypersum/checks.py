@@ -13,8 +13,8 @@ recurrence and rifrac hold the monic recurrence (the R_I engine of
 ri_generate on the T-fraction) against the direct sums Gn_monic, not
 against itself; the two read one comparison, kept on the family record.
 Every degree-taking check reads its degrees from the record's coefficient
-sequence and computes them together, in array passes (the ode, axis and
-exactness passes) or row engines (the recurrences) that round each degree
+sequence and computes them together, in array passes (the ode and axis
+passes) or row engines (the recurrences) that round each degree
 as its one-degree Poly or Python arithmetic would.
 
 The seven degree-taking checks (all but pencil) read one family record
@@ -72,9 +72,9 @@ from .roots import _location_reports, _require_positive_conditions
 from .sobolev import (
     QuadratureRule,
     _gram_stack,
-    _quadrature_defects,
     auto_node_count,
     gram_extremes,
+    monomial_quadrature_defect,
 )
 
 @dataclass(frozen=True)
@@ -277,12 +277,12 @@ def check_ode(
 @functools.cache
 def _exactness_defect(n_nodes: int) -> float:
     """The exactness clause of check_sobolev on the n_nodes-node rule: the
-    largest defect of z^k·conj(z)^l, k, l <= 6, and of z^(N-1), all 50
-    pairs in one pass over the nodes (sobolev._quadrature_defects), each
-    defect bit for bit monomial_quadrature_defect of its pair. It depends
+    largest monomial_quadrature_defect of z^k·conj(z)^l, k, l <= 6, and of
+    z^(N-1), 50 pairs in Python complex arithmetic node by node. It depends
     on the node count alone, so each count is computed once per process."""
+    rule = QuadratureRule(n_nodes)
     pairs = [(k, l) for k in range(7) for l in range(7)] + [(n_nodes - 1, 0)]
-    return max(_quadrature_defects(QuadratureRule(n_nodes), pairs))
+    return max(monomial_quadrature_defect(rule, k, l) for k, l in pairs)
 
 
 def check_sobolev(
@@ -301,9 +301,10 @@ def check_sobolev(
     The family record's sequence is read first; the Gram's errors follow,
     then those of kappa_n, which is read from the same sequence. The
     exactness clause takes z^k·conj(z)^l, k, l <= 6, and z^(N-1) on the
-    N-node rule, N = auto_node_count(n, rho). It depends on N alone and is
-    built once per N and process (_exactness_defect); the Gram and the
-    diagonal clause are the family's own.
+    N-node rule, N = auto_node_count(n, rho), in Python complex arithmetic
+    node by node. It depends on N alone and is built once per N and process
+    (_exactness_defect); the Gram and the diagonal clause are the family's
+    own.
     """
     tol = 1.0 if tol is None else tol
     m = _degree(n_max, 15)

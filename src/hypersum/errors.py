@@ -5,7 +5,7 @@ out-of-domain evaluation points, unmet preconditions); ConvergenceError marks
 iterative procedures that hit their caps. The CLI maps DomainError to exit
 code 3 and verification failures to exit code 4. Every stack refuses as its
 first failing item would alone: read_in_order. An order, index or count is
-read by nonnegative_int.
+read by integer, or nonnegative_int where it cannot be negative.
 """
 
 
@@ -17,13 +17,19 @@ class ConvergenceError(RuntimeError):
     """An iteration or series hit its cap without meeting its tolerance."""
 
 
-def nonnegative_int(value, name: str) -> int:
-    """int(value), refusing a negative value ("{name} must be nonnegative")
-    and one int() cannot take, such as nan or inf, with a DomainError."""
+def integer(value, name: str) -> int:
+    """int(value), refusing one int() cannot take, such as nan or inf, with
+    a DomainError ("{name} must be an integer, got nan")."""
     try:
-        n = int(value)
+        return int(value)
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def nonnegative_int(value, name: str) -> int:
+    """integer(value, name), refusing a negative value ("{name} must be
+    nonnegative") with a DomainError."""
+    n = integer(value, name)
     if n < 0:
         raise DomainError(f"{name} must be nonnegative")
     return n

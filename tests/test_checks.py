@@ -527,20 +527,20 @@ def test_sobolev_computes_its_exactness_clause_once_per_node_count(monkeypatch):
     # 1F1 and 2F1 at n_max 15 both take the 64-node rule (rho = 2), and
     # 1F1 at n_max 10 the 32-node one; the clause reads the node count alone.
     calls = []
-    original = checks._quadrature_defects
+    original = checks.monomial_quadrature_defect
 
-    def counting(rule, pairs):
+    def counting(rule, k, m):
         calls.append(rule.n_nodes)
-        return original(rule, pairs)
+        return original(rule, k, m)
 
-    monkeypatch.setattr(checks, "_quadrature_defects", counting)
+    monkeypatch.setattr(checks, "monomial_quadrature_defect", counting)
     checks._exactness_defect.cache_clear()
     cases = [(HypParams(a=(1.0,), b=(2.0,)), 15), (HypParams(a=(1.0, 1.5), b=(2.5,)), 15),
              (HypParams(a=(1.0,), b=(2.0,)), 10), (HypParams(a=(0.5,), b=(3.0,)), 10)]
     for params, n_max in cases:
         family = _family(params)
         assert check_sobolev(family, n_max) == _former_sobolev_check(family, n_max)
-    assert calls == [64, 32]
+    assert calls == [64] * 50 + [32] * 50
 
 
 @pytest.mark.parametrize("table", [

@@ -3,8 +3,8 @@ the operator routes (build_R, op_compose, op_apply, kappa, r_image,
 verify_ode), both negative-axis routes and Poly arithmetic; then the
 coefficient and partial-sum routes, the Sobolev Gram, the root finder and
 its report, the series and its circle representation, the T-fraction and
-run_checks; then the pencil routes, the Chebyshev pieces and the Sobolev
-form's helpers.
+run_checks; then the pencil routes, the Chebyshev pieces, the quadrature
+rule and the Sobolev form's helpers.
 
 Every call returns a finite value or raises DomainError or
 ConvergenceError; no other exception and no numpy warning escapes. The
@@ -282,9 +282,10 @@ def test_r_action_refuses_an_overflowing_coefficient():
                                   "coefficient of z^2: (-inf-0j)")
 
 
-# The third contract: the pencil routes, the Chebyshev pieces and the
-# Sobolev form's helpers. Orders and indices are drawn from ints of every
-# size and sign and from the floats int() cannot take.
+# The third contract: the pencil routes, the Chebyshev pieces, the
+# quadrature rule and the Sobolev form's helpers. Orders, indices and node
+# counts are drawn from ints of every size and sign and from the floats
+# int() cannot take.
 FORM_DRAWS = 200
 INDICES = (0, 1, 2, 3, 5, 12, 60, 170, 171, -1, 10**400, math.nan, -math.inf)
 EXPONENTS = (0, 1, 6, 63, 64, 101, -5, 10**18, 10**400, -(10**400), math.nan)
@@ -333,7 +334,7 @@ def _form_calls(rng: random.Random, high: float) -> list:
     # one draw in four holds 200 of them.
     d = [_real(rng, high, True) if rng.random() < 0.9 else _number(rng, high)
          for _ in range(rng.randint(0, 8) if rng.random() < 0.75 else 200)]
-    n_max, rho = rng.choice(INDICES), rng.choice(INDICES)
+    n_max, rho, count = rng.choice(INDICES), rng.choice(INDICES), rng.choice(INDICES)
     nodes, e1, e2 = rng.choice((1, 2, 8, 64, 256)), rng.choice(EXPONENTS), rng.choice(EXPONENTS)
     # The residual reads the pencil's own polynomials, or any where it has none.
     others = [Poly([_number(rng, high) for _ in range(rng.randint(1, 4))])
@@ -358,6 +359,7 @@ def _form_calls(rng: random.Random, high: float) -> list:
         ("chebyshev_eval", lambda: chebyshev_eval(kind, k, x)),
         ("kernel_decompose", lambda: kernel_decompose(PowerSeriesCoeffs(tuple(d)), n)),
         ("auto_node_count", lambda: auto_node_count(n_max, rho)),
+        ("QuadratureRule", lambda: QuadratureRule(count).points),
         ("monomial_quadrature_defect",
          lambda: monomial_quadrature_defect(QuadratureRule(nodes), e1, e2)),
     ]
@@ -377,5 +379,5 @@ def test_extreme_draws_of_the_pencil_and_form_routes_return_finite_values_or_ref
             if not refused:
                 returned.add(name)
     assert broken == []
-    assert len(returned) == 9  # every route returned on some draw
+    assert len(returned) == 10  # every route returned on some draw
     assert reports  # pencil_residual reported an overflow on some draw

@@ -150,8 +150,8 @@ def test_monomial_defect_within_exactness_window():
 
 
 def _former_monomial_quadrature_defect(rule, k, m):
-    # The node-by-node loop of Python complex powers the defect ran before
-    # its one-pass engine.
+    # The node-by-node loop of Python complex powers that defines the
+    # defect, mean taken by the tests' own _integrate.
     vals = [z**k * (z.conjugate() ** m) for z in rule.points]
     exact = 1.0 if k == m else 0.0
     return abs(_integrate(rule, vals) - exact)
@@ -166,7 +166,6 @@ def test_monomial_defects_equal_the_node_loop_bit_for_bit(nodes):
         (nodes - 1, 0), (nodes, 3), (100, 1), (101, 1), (150, 2), (-3, 1),
         (2, -120), (2.0, 1), (True, 1), (2, 2.0)]
     want = [_former_monomial_quadrature_defect(rule, k, m).hex() for k, m in pairs]
-    assert [d.hex() for d in sobolev._quadrature_defects(rule, pairs)] == want
     assert [monomial_quadrature_defect(rule, k, m).hex() for k, m in pairs] == want
 
 
@@ -195,15 +194,36 @@ def test_auto_node_count_refuses_what_is_no_order(n_max, rho, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("k, m", [(10**400, 0), (3, -(10**400)), (math.nan, 0)],
-                         ids=["huge-k", "huge-negative-m", "nan-k"])
-def test_a_monomial_beyond_double_precision_is_a_domain_error(k, m):
+@pytest.mark.parametrize("k, m, message", [
+    (10**400, 0, "exponent k is beyond 2**53 in modulus"),  # was not finite
+    (3, -(10**400), "exponent m is beyond 2**53 in modulus"),  # was not finite
+    (10**18, 1, "exponent k is beyond 2**53 in modulus"),  # read 0.0828
+    (10**300, 1, "exponent k is beyond 2**53 in modulus"),  # read 0.0102
+    (math.nan, 0, "z^k·conj(z)^m of pair 0 is not finite on the 64-node rule"),
+], ids=["huge-k", "huge-negative-m", "k-1e18", "k-1e300", "nan-k"])
+def test_a_monomial_beyond_double_precision_is_a_domain_error(k, m, message):
     # 10**400 raised OverflowError from Python's pow; nan read a nan defect.
+    # 10**18 and 10**300 read wrong finite values where the rule gives 0:
+    # Python's pow takes the phase as arg(z)·float(k).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as exc:
             monomial_quadrature_defect(QuadratureRule(64), k, m)
-    assert str(exc.value) == "z^k·conj(z)^m of pair 0 is not finite on the 64-node rule"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("count, message", [
+    (math.nan, "node count must be an integer, got nan"),  # was ValueError
+    (math.inf, "node count must be an integer, got inf"),  # was OverflowError
+    (0, "node count must be >= 1"),
+    (-3, "node count must be >= 1"),
+    (2**20 + 1, "node count must be <= 1048576"),
+    (10**400, "node count must be <= 1048576"),  # was accepted
+])
+def test_a_node_count_outside_the_rule_is_a_domain_error(count, message):
+    with pytest.raises(DomainError) as exc:
+        QuadratureRule(count)
+    assert str(exc.value) == message
 
 
 def test_form_coefficients_match_R():
